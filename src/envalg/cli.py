@@ -9,7 +9,7 @@ the algebra is validated (Jacobi + submultiplicativity) at load.
 
 Reports come in two shapes: human text, and machine records with one JSON
 object per check.  Machine records carry no timing, so exact-mode runs are
-byte-identical across repetitions and across ``--parallel``.
+byte-identical across repetitions.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -73,6 +73,7 @@ __all__ = [
     "serialize_config",
     "run_suite",
     "run_all",
+    "SUITES",
     "SUITE_NAMES",
     "main",
     "main_entry",
@@ -158,13 +159,13 @@ def _parse_algebra(block):
             raise ConfigError(f"structure row {key!r} must be an object")
         parsed = {}
         for k, c in row.items():
-            kk = int(k)
-            if not (0 <= kk < dim):
-                raise ConfigError(f"structure target {k!r} out of range in row {key!r}")
             try:
-                parsed[kk] = parse_scalar(c)
+                kk, parsed_c = int(k), parse_scalar(c)
             except ValueError as exc:
                 raise ConfigError(f"structure row {key!r}: {exc}") from None
+            if not (0 <= kk < dim):
+                raise ConfigError(f"structure target {k!r} out of range in row {key!r}")
+            parsed[kk] = parsed_c
         structure[(i, j)] = parsed
     try:
         weights = [parse_fraction(w) for w in block["weights"]]
@@ -244,107 +245,120 @@ def _parse_representation(name, block, spec):
     return rep
 
 
-_SUITE_SCHEMAS = {
-    "bch-identity": {"degree": 6},
-    "pbw-confluence": {"count": 200, "max_length": 5},
-    "radius": {"functional": None, "expected": None, "tolerance": 1e-9},
-    "recursion": {"functional": None, "n_max": 3},
-    "positivity": {"representations": None, "d_max": 2, "power_max": 3,
-                   "directions": 10},
-    "gns": {"representation": None, "d_max": 2, "expected_rank": None},
-    "local-hom": {"representation": None, "degree": 4, "scales": None,
-                  "x": None, "y": None, "min_slope": None,
-                  "max_residual": None},
-    "kernel": {"representation": None, "count": 20, "repetitions": 10,
-               "tolerance": 1e-10},
-    "cauchy": {"representation": None, "x": None, "r": 1.0, "n_max": 12,
-               "random_reps": 0, "random_size": 4},
-    "extension": {"representation": None, "functional": None, "truth": None,
-                  "degrees": None, "probes": 8, "probe_norm": "1/2",
-                  "times": None, "tolerance": 1e-6},
-}
+# Parameter checks take (value, config) and raise ValueError saying what the
+# value must be; _suite_params names the suite and the key.
 
-SUITE_NAMES = tuple(_SUITE_SCHEMAS)
 
-_DEGREE_KNOB = {
-    "bch-identity": "degree",
-    "pbw-confluence": "max_length",
-    "recursion": "n_max",
-    "positivity": "d_max",
-    "gns": "d_max",
-    "local-hom": "degree",
-    "cauchy": "n_max",
-}
+def _check(test, what):
+    def check(value, config):
+        try:
+            ok = test(value, config)
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"must be {what}")
 
-_TOL_KNOB = {
-    "radius": "tolerance",
-    "kernel": "tolerance",
-    "extension": "tolerance",
-}
+    return check
+
+
+def _integer(lo, hi=math.inf):
+    return _check(lambda v, c: type(v) is int and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+
+
+def _real(test, what):
+    return _check(lambda v, c: type(v) in (int, float) and math.isfinite(v) and test(v), what)
+
+
+def _rational(test=lambda q: True, what="a rational"):
+    return _check(lambda v, c: type(v) is not bool and test(parse_fraction(v)),
+                  f"{what} like '1/2'")
+
+
+def _gvector(value, config):
+    if not isinstance(value, list):
+        raise ValueError("must be a list of scalars")
+    _vector(config.algebra, value)
+
+
+def _list(item):
+    def check(value, config):
+        if not isinstance(value, list) or not value:
+            raise ValueError("must be a nonempty list")
+        for entry in value:
+            item(entry, config)
+
+    return check
+
+
+def _ref(kind, names):
+    def check(value, config):
+        known = names(config)
+        if not isinstance(value, str) or value not in known:
+            raise ValueError(f"unknown {kind} {value!r} (known: {', '.join(sorted(known))})")
+
+    return check
+
+
+_DEGREE = _integer(0, MAX_DEGREE)
+_COUNT = _integer(0)
+_TOLERANCE = _real(lambda v: 0 <= v <= MAX_TOL, f"a number in [0, {MAX_TOL}]")
+_FUNCTIONAL = _ref("functional", lambda config: config.functionals)
+_REPRESENTATION = _ref("representation", lambda config: config.representations)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A verification suite: its runner and its parameters.
+
+    ``params`` maps each parameter to ``(default, check)``; an absent or null
+    parameter takes its default, and a ``None`` default leaves it unset.
+    ``requires`` lists alternative sets of parameters, one of which must be
+    fully set.  ``degree`` names the parameter that ``--degree`` overrides;
+    ``--tolerance`` overrides the parameter named ``tolerance``.
+    """
+
+    runner: Callable
+    params: dict
+    requires: tuple = ((),)
+    degree: Optional[str] = None
+
+
+def _suite_params(name, given, config, context):
+    """Parameters of suite ``name``: ``given`` plus defaults, all checked.
+
+    Raises ConfigError naming ``context`` and the offending key.
+    """
+    suite = SUITES[name]
+    _expect_keys(given, context, (), suite.params)
+    params = {}
+    for key, (default, check) in suite.params.items():
+        value = given.get(key)
+        params[key] = value = default if value is None else value
+        if value is not None:
+            try:
+                check(value, config)
+            except ValueError as exc:
+                raise ConfigError(f"{context}: {key}: {exc}") from None
+    missing = [[k for k in keys if params[k] is None] for keys in suite.requires]
+    if all(missing):
+        raise ConfigError(
+            f"{context} needs parameters: "
+            + " or ".join(", ".join(keys) for keys in missing)
+        )
+    return params
 
 
 def _parse_suite(index, block, config):
     if not isinstance(block, dict) or "name" not in block:
         raise ConfigError(f"suites[{index}] must be an object with a 'name'")
     name = block["name"]
-    if name not in _SUITE_SCHEMAS:
+    if not isinstance(name, str) or name not in SUITES:
         raise ConfigError(
             f"suites[{index}]: unknown suite {name!r} "
             f"(known: {', '.join(SUITE_NAMES)})"
         )
-    schema = _SUITE_SCHEMAS[name]
-    params = {}
-    for key, value in block.items():
-        if key == "name":
-            continue
-        if key not in schema:
-            raise ConfigError(
-                f"suites[{index}] ({name}): unknown parameter {key!r} "
-                f"(allowed: {', '.join(sorted(schema))})"
-            )
-        params[key] = value
-    for key, default in schema.items():
-        params.setdefault(key, default)
-    # range checks on degree-like and tolerance-like parameters; the cauchy
-    # n_max is a derivative order rather than a truncation degree, so it gets
-    # a looser cap
-    for key in ("degree", "n_max", "d_max", "max_length", "power_max"):
-        if params.get(key) is not None:
-            v = params[key]
-            cap = 16 if (name == "cauchy" and key == "n_max") else MAX_DEGREE
-            if not isinstance(v, int) or not (0 <= v <= cap):
-                raise ConfigError(
-                    f"suites[{index}] ({name}): {key} must be an integer in "
-                    f"[0, {cap}]"
-                )
-    if params.get("degrees") is not None:
-        if not isinstance(params["degrees"], list) or not all(
-            isinstance(d, int) and 1 <= d <= MAX_DEGREE for d in params["degrees"]
-        ):
-            raise ConfigError(
-                f"suites[{index}] ({name}): degrees must be integers in [1, {MAX_DEGREE}]"
-            )
-    for key in ("tolerance",):
-        if params.get(key) is not None:
-            v = float(params[key])
-            if not (0 <= v <= MAX_TOL):
-                raise ConfigError(
-                    f"suites[{index}] ({name}): {key} must be in [0, {MAX_TOL}]"
-                )
-    # reference resolution
-    for key in ("functional",):
-        ref = params.get(key)
-        if ref is not None and ref not in config.functionals:
-            raise ConfigError(f"suites[{index}] ({name}): unknown functional {ref!r}")
-    rep_refs = []
-    if params.get("representation") is not None:
-        rep_refs.append(params["representation"])
-    if params.get("representations") is not None:
-        rep_refs.extend(params["representations"])
-    for ref in rep_refs:
-        if ref not in config.representations:
-            raise ConfigError(f"suites[{index}] ({name}): unknown representation {ref!r}")
-    return SuiteSpec(name, params)
+    given = {key: value for key, value in block.items() if key != "name"}
+    return SuiteSpec(name, _suite_params(name, given, config, f"suites[{index}] ({name})"))
 
 
 def parse_config(text):
@@ -694,19 +708,15 @@ def _suite_gns(config, params, seed):
     return checks
 
 
-def _parse_vector(spec, raw, context):
-    if raw is None:
-        raise ConfigError(f"{context}: missing vector")
-    if len(raw) != spec.dim:
-        raise ConfigError(f"{context}: vector needs {spec.dim} entries")
+def _vector(spec, raw):
     return GVector(spec, [parse_scalar(c) for c in raw])
 
 
 def _suite_local_hom(config, params, seed):
     rep = config.representations[params["representation"]]
     spec = rep.spec
-    x = _parse_vector(spec, params["x"], "local-hom.x")
-    y = _parse_vector(spec, params["y"], "local-hom.y")
+    x = _vector(spec, params["x"])
+    y = _vector(spec, params["y"])
     scales = [parse_fraction(s) for s in (params["scales"] or ["1/5", "1/10", "1/20", "1/40"])]
     report = local_hom_check(rep, x, y, params["degree"], scales,
                              min_slope=params["min_slope"])
@@ -714,7 +724,7 @@ def _suite_local_hom(config, params, seed):
     if report.exact:
         worst = max(report.residuals)
         bound = params["max_residual"]
-        ok = report.ok and (bound is None or worst <= float(bound))
+        ok = report.ok and (bound is None or worst <= bound)
         checks.append(
             Check("order", ok, "defect below noise floor",
                   f"max residual {worst:.3e}", worst)
@@ -736,12 +746,12 @@ def _suite_kernel(config, params, seed):
     checks = []
     for repetition in range(params["repetitions"]):
         sample = sample_group(rep, params["count"], seed=seed + repetition)
-        rep_report = pd_kernel_check(sample, tol=float(params["tolerance"]))
+        rep_report = pd_kernel_check(sample, tol=params["tolerance"])
         checks.append(
             Check(
                 f"repetition-{repetition}",
                 rep_report.ok,
-                f"min eigenvalue >= -{float(params['tolerance']):.1e}",
+                f"min eigenvalue >= -{params['tolerance']:.1e}",
                 f"{rep_report.min_eigenvalue:.3e}",
                 rep_report.min_eigenvalue,
             )
@@ -753,7 +763,7 @@ def _suite_cauchy(config, params, seed):
     rep = config.representations[params["representation"]]
     spec = rep.spec
     if params["x"] is not None:
-        x = _parse_vector(spec, params["x"], "cauchy.x")
+        x = _vector(spec, params["x"])
     else:
         x = spec.basis_vector(spec.dim - 1)
     checks = []
@@ -782,16 +792,7 @@ def _suite_cauchy(config, params, seed):
     return checks
 
 
-_TRUTH_FUNCTIONS = {}
-
-
-def _truth_gaussian(t):
-    import math
-
-    return math.exp(-t * t / 2.0)
-
-
-_TRUTH_FUNCTIONS["gaussian-char"] = _truth_gaussian
+_TRUTH_FUNCTIONS = {"gaussian-char": lambda t: math.exp(-t * t / 2.0)}
 
 
 def _suite_extension(config, params, seed):
@@ -810,15 +811,8 @@ def _suite_extension(config, params, seed):
         report = extension_demo(rep, degrees, probes)
     else:
         lam = config.functionals[params["functional"]]
-        truth_name = params["truth"]
-        if truth_name not in _TRUTH_FUNCTIONS:
-            raise ConfigError(
-                f"extension: unknown truth function {truth_name!r} "
-                f"(known: {', '.join(sorted(_TRUTH_FUNCTIONS))})"
-            )
-        times = [Fraction(t) if isinstance(t, int) else parse_fraction(t)
-                 for t in (params["times"] or ["-1", "-1/2", "0", "1/2", "1"])]
-        report = extension_demo_table(lam, degrees, times, _TRUTH_FUNCTIONS[truth_name])
+        times = [parse_fraction(t) for t in (params["times"] or ["-1", "-1/2", "0", "1/2", "1"])]
+        report = extension_demo_table(lam, degrees, times, _TRUTH_FUNCTIONS[params["truth"]])
     for d, dev in zip(report.degrees, report.deviations):
         checks.append(
             Check(f"degree-{d}", True, "deviation reported", f"{dev:.6e}", dev)
@@ -843,82 +837,86 @@ def _suite_extension(config, params, seed):
     return checks
 
 
-_SUITE_RUNNERS = {
-    "bch-identity": _suite_bch_identity,
-    "pbw-confluence": _suite_pbw_confluence,
-    "radius": _suite_radius,
-    "recursion": _suite_recursion,
-    "positivity": _suite_positivity,
-    "gns": _suite_gns,
-    "local-hom": _suite_local_hom,
-    "kernel": _suite_kernel,
-    "cauchy": _suite_cauchy,
-    "extension": _suite_extension,
+SUITES = {
+    "bch-identity": Suite(_suite_bch_identity, {"degree": (6, _DEGREE)}, degree="degree"),
+    "pbw-confluence": Suite(_suite_pbw_confluence,
+                            {"count": (200, _COUNT), "max_length": (5, _DEGREE)},
+                            degree="max_length"),
+    "radius": Suite(_suite_radius,
+                    {"functional": (None, _FUNCTIONAL), "expected": (None, _rational()),
+                     "tolerance": (1e-9, _TOLERANCE)},
+                    requires=(("functional",),)),
+    "recursion": Suite(_suite_recursion,
+                       {"functional": (None, _FUNCTIONAL), "n_max": (3, _DEGREE)},
+                       requires=(("functional",),), degree="n_max"),
+    "positivity": Suite(_suite_positivity,
+                        {"representations": (None, _list(_REPRESENTATION)),
+                         "d_max": (2, _DEGREE), "power_max": (3, _DEGREE),
+                         "directions": (10, _COUNT)},
+                        requires=(("representations",),), degree="d_max"),
+    "gns": Suite(_suite_gns,
+                 {"representation": (None, _REPRESENTATION), "d_max": (2, _DEGREE),
+                  "expected_rank": (None, _COUNT)},
+                 requires=(("representation",),), degree="d_max"),
+    "local-hom": Suite(_suite_local_hom,
+                       {"representation": (None, _REPRESENTATION), "degree": (4, _DEGREE),
+                        "scales": (None, _list(_rational(lambda q: q > 0, "a positive rational"))),
+                        "x": (None, _gvector), "y": (None, _gvector),
+                        "min_slope": (None, _real(lambda v: True, "a number")),
+                        "max_residual": (None, _real(lambda v: v >= 0, "a nonnegative number"))},
+                       requires=(("representation", "x", "y"),), degree="degree"),
+    "kernel": Suite(_suite_kernel,
+                    {"representation": (None, _REPRESENTATION), "count": (20, _integer(1)),
+                     "repetitions": (10, _COUNT), "tolerance": (1e-10, _TOLERANCE)},
+                    requires=(("representation",),)),
+    # n_max is a derivative order rather than a truncation degree, so it gets
+    # a looser cap; random_size is capped like a representation's dim_V
+    "cauchy": Suite(_suite_cauchy,
+                    {"representation": (None, _REPRESENTATION), "x": (None, _gvector),
+                     "r": (1.0, _real(lambda v: v > 0, "a positive number")),
+                     "n_max": (12, _integer(0, 16)), "random_reps": (0, _COUNT),
+                     "random_size": (4, _integer(1, 16))},
+                    requires=(("representation",),), degree="n_max"),
+    "extension": Suite(_suite_extension,
+                       {"representation": (None, _REPRESENTATION),
+                        "functional": (None, _FUNCTIONAL),
+                        "truth": (None, _ref("truth function", lambda config: _TRUTH_FUNCTIONS)),
+                        "degrees": (None, _list(_integer(1, MAX_DEGREE))),
+                        "probes": (8, _COUNT),
+                        "probe_norm": ("1/2", _rational(lambda q: q >= 0,
+                                                        "a nonnegative rational")),
+                        "times": (None, _list(_rational())), "tolerance": (1e-6, _TOLERANCE)},
+                       requires=(("representation",), ("functional", "truth"))),
 }
 
-
-def _find_suite(config, name):
-    for suite in config.suites:
-        if suite.name == name:
-            return suite
-    if name in _SUITE_SCHEMAS:
-        # suite known but not configured: run with defaults when possible
-        return SuiteSpec(name, {k: v for k, v in _SUITE_SCHEMAS[name].items()})
-    raise UnknownSuiteError(
-        f"unknown suite {name!r}; known suites: {', '.join(SUITE_NAMES)}"
-    )
-
-
-_REQUIRED_PARAMS = {
-    "radius": ("functional",),
-    "recursion": ("functional",),
-    "positivity": ("representations",),
-    "gns": ("representation",),
-    "local-hom": ("representation", "x", "y"),
-    "kernel": ("representation",),
-    "cauchy": ("representation",),
-}
-
-
-def _check_required(name, params):
-    missing = [k for k in _REQUIRED_PARAMS.get(name, ()) if params.get(k) is None]
-    if name == "extension":
-        if params.get("representation") is None and params.get("functional") is None:
-            missing.append("representation or functional")
-        if params.get("functional") is not None and params.get("truth") is None:
-            missing.append("truth")
-    if missing:
-        raise ConfigError(
-            f"suite {name!r} needs parameters: {', '.join(missing)}"
-        )
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(config, name, seed=0, degree=None, tolerance=None):
-    """Run one verification suite and return its report."""
-    suite = _find_suite(config, name)
-    params = dict(suite.params)
-    if degree is not None and suite.name in _DEGREE_KNOB:
-        params[_DEGREE_KNOB[suite.name]] = degree
-    if tolerance is not None and suite.name in _TOL_KNOB:
-        params[_TOL_KNOB[suite.name]] = tolerance
-    _check_required(suite.name, params)
-    runner = _SUITE_RUNNERS[suite.name]
+    """Run one verification suite and return its report.
+
+    A suite the config does not list runs with its defaults.  ``degree`` and
+    ``tolerance`` override the suite's knobs and pass the same checks as the
+    config's own values.
+    """
+    if name not in SUITES:
+        raise UnknownSuiteError(
+            f"unknown suite {name!r}; known suites: {', '.join(SUITE_NAMES)}"
+        )
+    suite = SUITES[name]
+    given = dict(next((s.params for s in config.suites if s.name == name), {}))
+    for key, value in ((suite.degree, degree), ("tolerance", tolerance)):
+        if value is not None and key in suite.params:
+            given[key] = value
+    params = _suite_params(name, given, config, f"suite {name!r}")
     start = time.perf_counter()
-    checks = runner(config, params, seed)
-    duration = time.perf_counter() - start
-    return Report(suite.name, checks, duration)
+    checks = suite.runner(config, params, seed)
+    return Report(name, checks, time.perf_counter() - start)
 
 
-def run_all(config, seed=0, degree=None, tolerance=None, parallel=False):
-    """Run every configured suite, in order; reports are order-stable."""
-    names = [s.name for s in config.suites]
-    if not parallel:
-        return [run_suite(config, n, seed, degree, tolerance) for n in names]
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(names)))) as pool:
-        futures = [
-            pool.submit(run_suite, config, n, seed, degree, tolerance) for n in names
-        ]
-        return [f.result() for f in futures]
+def run_all(config, seed=0, degree=None, tolerance=None):
+    """Run every configured suite, in config order."""
+    return [run_suite(config, s.name, seed, degree, tolerance) for s in config.suites]
 
 
 # ---------------------------------------------------------------------------
@@ -1009,8 +1007,6 @@ def build_parser():
     parser.add_argument("--degree", type=int, help="override the suite degree knob")
     parser.add_argument("--tolerance", type=float,
                         help="override the suite tolerance knob")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent suites concurrently")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", help="parse and validate the configuration")
     run = sub.add_parser("run", help="run a single suite")
@@ -1040,9 +1036,7 @@ def main(argv=None):
                 run_suite(config, args.suite, args.seed, args.degree, args.tolerance)
             ]
         else:  # run-all
-            reports = run_all(
-                config, args.seed, args.degree, args.tolerance, parallel=args.parallel
-            )
+            reports = run_all(config, args.seed, args.degree, args.tolerance)
     except UnknownSuiteError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

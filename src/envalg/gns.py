@@ -35,7 +35,7 @@ from .functionals import (
     radius_estimate,
     regular_act,
 )
-from .lie_structure import PBWPoly, pbw_reduce, star
+from .lie_structure import PBWPoly, _word_of_alpha, pbw_reduce, star
 from .scalars import ONE, RootValue, Scalar, as_scalar, fraction_root_float
 
 __all__ = [
@@ -222,27 +222,31 @@ def functional_from_rep(rep, N):
     construction since ``lam(D^* D) = ||R(D) v||^2``.
     """
     rep.validate()
-    spec = rep.spec
-    monos = monomials_up_to(spec.dim, N)
-    vecs = {(0,) * spec.dim: rep.cyclic_vector}
-    values = {}
+    vecs = _orbit_vectors(rep, monomials_up_to(rep.spec.dim, N))
     v0 = rep.cyclic_vector
+    if rep.exact:
+        values = {alpha: _exact_inner(w, v0) for alpha, w in vecs.items()}
+    else:
+        values = {alpha: complex(np.vdot(v0, w)) for alpha, w in vecs.items()}
+    return FunctionalTable(rep.spec, N, values, exact=rep.exact)
+
+
+def _orbit_vectors(rep, monos):
+    """``R(x^alpha) v`` for each alpha of the degree-ordered ``monos``."""
+    vecs = {}
     for alpha in monos:
-        if alpha not in vecs:
-            # peel the leftmost letter: R(x^alpha) = R(e_i) R(x^(alpha - e_i))
-            i = next(idx for idx, a in enumerate(alpha) if a)
-            prev = list(alpha)
-            prev[i] -= 1
-            prev = tuple(prev)
-            if rep.exact:
-                vecs[alpha] = _exact_matvec(rep.generators[i], vecs[prev])
-            else:
-                vecs[alpha] = rep.generators[i] @ vecs[prev]
+        if sum(alpha) == 0:
+            vecs[alpha] = rep.cyclic_vector
+            continue
+        # peel the leftmost letter: R(x^alpha) = R(e_i) R(x^(alpha - e_i))
+        i = next(idx for idx, a in enumerate(alpha) if a)
+        prev = list(alpha)
+        prev[i] -= 1
         if rep.exact:
-            values[alpha] = _exact_inner(vecs[alpha], v0)
+            vecs[alpha] = _exact_matvec(rep.generators[i], vecs[tuple(prev)])
         else:
-            values[alpha] = complex(np.vdot(v0, vecs[alpha]))
-    return FunctionalTable(spec, N, values, exact=rep.exact)
+            vecs[alpha] = rep.generators[i] @ vecs[tuple(prev)]
+    return vecs
 
 
 def orbit_gram(rep, d_max):
@@ -255,17 +259,8 @@ def orbit_gram(rep, d_max):
     if not rep.exact:
         raise ValueError("orbit_gram needs an exact representation")
     rep.validate()
-    spec = rep.spec
-    monos = monomials_up_to(spec.dim, d_max)
-    vecs = {}
-    for alpha in monos:
-        if sum(alpha) == 0:
-            vecs[alpha] = rep.cyclic_vector
-            continue
-        i = next(idx for idx, a in enumerate(alpha) if a)
-        prev = list(alpha)
-        prev[i] -= 1
-        vecs[alpha] = _exact_matvec(rep.generators[i], vecs[tuple(prev)])
+    monos = monomials_up_to(rep.spec.dim, d_max)
+    vecs = _orbit_vectors(rep, monos)
     return tuple(
         tuple(_exact_inner(vecs[beta], vecs[alpha]) for beta in monos)
         for alpha in monos
@@ -314,7 +309,7 @@ def _right_translate_tables(lam, d_max):
         {
             tuple(w)
             for alpha in monomials_up_to(spec.dim, d_max)
-            for w in [_alpha_word(alpha)]
+            for w in [_word_of_alpha(alpha)]
         },
         key=len,
     )
@@ -324,13 +319,6 @@ def _right_translate_tables(lam, d_max):
         suffix = tables[word[1:]]
         tables[word] = regular_act(suffix, spec.basis_vector(word[0]), "right")
     return tables
-
-
-def _alpha_word(alpha):
-    out = []
-    for i, a in enumerate(alpha):
-        out.extend((i,) * a)
-    return tuple(out)
 
 
 def moment_matrix(lam, d_max):
@@ -352,7 +340,7 @@ def moment_matrix(lam, d_max):
     for a, alpha in enumerate(monos):
         row = []
         for b, beta in enumerate(monos):
-            row.append(tables[_alpha_word(beta)].eval(stars[a]))
+            row.append(tables[_word_of_alpha(beta)].eval(stars[a]))
         rows.append(row)
     if lam.exact:
         hermitian = all(
@@ -686,7 +674,7 @@ def gns_build(lam, d_max, tol=None):
                 bvec = basis[kcol]
                 image = {}
                 for m_idx, coeff in bvec.items():
-                    word = (i,) + _alpha_word(monos[m_idx])
+                    word = (i,) + _word_of_alpha(monos[m_idx])
                     nf = pbw_reduce(spec, word)
                     for alpha, c in nf.terms.items():
                         pos = idx_of[alpha]

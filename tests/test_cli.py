@@ -2,12 +2,14 @@
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from envalg.cli import (
     SUITE_NAMES,
+    SUITES,
     default_config_path,
     main,
     parse_config,
@@ -39,6 +41,10 @@ def capture(args):
     with redirect_stdout(buf):
         rc = main(args)
     return rc, buf.getvalue()
+
+
+def shipped(name):
+    return json.loads(default_config_path().parent.joinpath(name).read_text(encoding="utf-8"))
 
 
 class TestParsing:
@@ -231,10 +237,102 @@ class TestCommandLine:
             sys.stderr = old
         assert rc == 2
 
-    def test_parallel_matches_serial(self):
-        _, serial = capture(["--format", "machine", "run-all"])
-        _, parallel = capture(["--format", "machine", "--parallel", "run-all"])
-        assert serial == parallel
+    def test_run_all_repeats_identically(self):
+        for name in ("su2.json", "gaussian.json"):
+            path = str(default_config_path().parent.joinpath(name))
+            argv = ["--config", path, "--format", "machine", "run-all"]
+            rc1, out1 = capture(argv)
+            rc2, out2 = capture(argv)
+            assert rc1 == rc2 == 0
+            assert out1 == out2
+
+
+def _set(suite, key, value=None, drop=False):
+    def patch(doc):
+        block = next(b for b in doc["suites"] if b["name"] == suite)
+        if drop:
+            del block[key]
+        else:
+            block[key] = value
+
+    return patch
+
+
+def _bad_target(doc):
+    doc["lie_algebra"]["structure"]["0,1"] = {"x": "1"}
+
+
+# (config, patch, arguments, what stderr must name)
+MALFORMED = [
+    pytest.param("su2.json", _set("pbw-confluence", "count", "many"), ["validate"],
+                 ("suites[1]", "count"), id="count-str"),
+    pytest.param("su2.json", _set("kernel", "repetitions", "3"), ["validate"],
+                 ("suites[7]", "repetitions"), id="repetitions-str"),
+    pytest.param("su2.json", _set("bch-identity", "degree", True), ["validate"],
+                 ("suites[0]", "degree"), id="degree-bool"),
+    pytest.param("su2.json", _set("kernel", "tolerance", "abc"), ["validate"],
+                 ("suites[7]", "tolerance"), id="tolerance-str"),
+    pytest.param("su2.json", _set("cauchy", "r", "big"), ["validate"],
+                 ("suites[8]", "r:"), id="r-str"),
+    pytest.param("su2.json", _set("local-hom", "scales", ["zz"]), ["validate"],
+                 ("suites[6]", "scales"), id="scales-str"),
+    pytest.param("su2.json", _set("local-hom", "x", 5), ["validate"],
+                 ("suites[6]", "x:"), id="x-int"),
+    pytest.param("su2.json", _set("gns", "expected_rank", "2"), ["validate"],
+                 ("suites[5]", "expected_rank"), id="expected-rank-str"),
+    pytest.param("su2.json", _set("positivity", "representations", "spin_half"),
+                 ["validate"], ("suites[4]", "representations"), id="representations-str"),
+    pytest.param("gaussian.json", _set("extension", "truth", "nope"), ["validate"],
+                 ("suites[2]", "truth"), id="truth-unknown"),
+    pytest.param("su2.json", _set("gns", "representation", drop=True), ["validate"],
+                 ("suites[5]", "representation"), id="representation-missing"),
+    pytest.param("su2.json", None, ["--degree", "-1", "run", "gns"],
+                 ("gns", "d_max"), id="degree-override-gns"),
+    pytest.param("su2.json", None, ["--degree", "-2", "run", "cauchy"],
+                 ("cauchy", "n_max"), id="degree-override-cauchy"),
+    pytest.param("su2.json", None, ["--tolerance", "5", "run", "kernel"],
+                 ("kernel", "tolerance"), id="tolerance-override"),
+    pytest.param("su2.json", _bad_target, ["validate"],
+                 ("'0,1'",), id="structure-target"),
+]
+
+
+@pytest.mark.parametrize("config, patch, argv, needles", MALFORMED)
+def test_malformed_input_exits_2_naming_key(tmp_path, capsys, config, patch, argv, needles):
+    doc = shipped(config)
+    if patch is not None:
+        patch(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["--config", str(path)] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ")
+    for needle in needles:
+        assert needle in err
+
+
+_JUNK = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(max_value=-1),
+    st.lists(st.one_of(st.integers(-3, 3), st.text(max_size=3)), max_size=3),
+    st.none(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_suite_params_validate_cleanly(tmp_path_factory, data):
+    doc = shipped(data.draw(st.sampled_from(["su2.json", "gaussian.json"])))
+    block = data.draw(st.sampled_from(doc["suites"]))
+    key = data.draw(st.sampled_from(sorted(SUITES[block["name"]].params)))
+    block[key] = data.draw(_JUNK)
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = main(["--config", str(path), "validate"])
+    assert rc in (0, 2)
 
 
 def test_suite_names_cover_all_pipelines():
