@@ -27,7 +27,6 @@ from .free_algebra import (
     fa_check_exp_identity,
     fa_exp,
     fa_log,
-    fa_mul,
 )
 from .lie_structure import (
     GVector,

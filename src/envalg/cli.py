@@ -314,13 +314,15 @@ class Suite:
     parameter takes its default, and a ``None`` default leaves it unset.
     ``requires`` lists alternative sets of parameters, one of which must be
     fully set.  ``degree`` names the parameter that ``--degree`` overrides;
-    ``--tolerance`` overrides the parameter named ``tolerance``.
+    ``--tolerance`` overrides the parameter named ``tolerance``.  ``consistent``
+    checks the filled parameters together, raising ValueError("key: why").
     """
 
     runner: Callable
     params: dict
     requires: tuple = ((),)
     degree: Optional[str] = None
+    consistent: Optional[Callable] = None
 
 
 def _suite_params(name, given, config, context):
@@ -345,6 +347,11 @@ def _suite_params(name, given, config, context):
             f"{context} needs parameters: "
             + " or ".join(", ".join(keys) for keys in missing)
         )
+    if suite.consistent is not None:
+        try:
+            suite.consistent(params, config)
+        except ValueError as exc:
+            raise ConfigError(f"{context}: {exc}") from None
     return params
 
 
@@ -356,6 +363,11 @@ def _parse_suite(index, block, config):
         raise ConfigError(
             f"suites[{index}]: unknown suite {name!r} "
             f"(known: {', '.join(SUITE_NAMES)})"
+        )
+    first = next((i for i, s in enumerate(config.suites) if s.name == name), None)
+    if first is not None:
+        raise ConfigError(
+            f"suites[{index}] ({name}): name: suite already listed as suites[{first}]"
         )
     given = {key: value for key, value in block.items() if key != "name"}
     return SuiteSpec(name, _suite_params(name, given, config, f"suites[{index}] ({name})"))
@@ -793,13 +805,29 @@ def _suite_cauchy(config, params, seed):
 
 
 _TRUTH_FUNCTIONS = {"gaussian-char": lambda t: math.exp(-t * t / 2.0)}
+_EXTENSION_DEGREES = [2, 3]
+
+
+def _extension_fits(params, config):
+    # a functional-driven run models g = R from the table alone, degree 2d
+    if params["representation"]:
+        return
+    if config.algebra.dim != 1:
+        raise ValueError("functional: the table-driven extension needs a one-dimensional algebra")
+    lam = config.functionals[params["functional"]]
+    for d in params["degrees"] or _EXTENSION_DEGREES:
+        if 2 * d > lam.max_degree:
+            raise ValueError(
+                f"degrees: degree {d} needs functional degree {2 * d}, "
+                f"{params['functional']!r} has {lam.max_degree}"
+            )
 
 
 def _suite_extension(config, params, seed):
     checks = []
     tol = float(params["tolerance"])
-    degrees = params["degrees"] or [2, 3]
-    if params.get("representation"):
+    degrees = params["degrees"] or _EXTENSION_DEGREES
+    if params["representation"]:
         rep = config.representations[params["representation"]]
         rng = np.random.default_rng(seed)
         from .group_integration import _quantized_vector
@@ -886,7 +914,8 @@ SUITES = {
                         "probe_norm": ("1/2", _rational(lambda q: q >= 0,
                                                         "a nonnegative rational")),
                         "times": (None, _list(_rational())), "tolerance": (1e-6, _TOLERANCE)},
-                       requires=(("representation",), ("functional", "truth"))),
+                       requires=(("representation",), ("functional", "truth")),
+                       consistent=_extension_fits),
 }
 
 SUITE_NAMES = tuple(SUITES)
@@ -1049,3 +1078,7 @@ def main(argv=None):
 
 def main_entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    sys.exit(main_entry())

@@ -22,7 +22,6 @@ from .scalars import ONE, Scalar, as_scalar
 
 __all__ = [
     "FreeSeries",
-    "fa_mul",
     "fa_exp",
     "fa_log",
     "fa_bch",
@@ -215,13 +214,6 @@ class FreeSeries:
             label = "".join(names[l] if self.alphabet_size <= 6 else f"x{l}" for l in word)
             bits.append(f"{self.terms[word]}*{label or '1'}")
         return "FreeSeries(" + " + ".join(bits) + f"; N={self.trunc_degree})"
-
-
-def fa_mul(a, b):
-    """Concatenation product, discarding words longer than the truncation."""
-    if not isinstance(a, FreeSeries) or not isinstance(b, FreeSeries):
-        raise TypeError("fa_mul expects two FreeSeries")
-    return a * b
 
 
 def fa_exp(a):

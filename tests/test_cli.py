@@ -237,6 +237,23 @@ class TestCommandLine:
             sys.stderr = old
         assert rc == 2
 
+    def test_module_entry_point_runs(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import envalg
+
+        env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
+        path = str(default_config_path().parent.joinpath("gaussian.json"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "envalg.cli", "--config", path, "validate"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("config OK")
+
     def test_run_all_repeats_identically(self):
         for name in ("su2.json", "gaussian.json"):
             path = str(default_config_path().parent.joinpath(name))
@@ -260,6 +277,15 @@ def _set(suite, key, value=None, drop=False):
 
 def _bad_target(doc):
     doc["lie_algebra"]["structure"]["0,1"] = {"x": "1"}
+
+
+def _table_extension_on_su2(doc):
+    doc["suites"][9] = {"name": "extension", "functional": "spin_half",
+                        "truth": "gaussian-char"}
+
+
+def _kernel_twice(doc):
+    doc["suites"].append({"name": "kernel", "representation": "spin_one", "repetitions": 2})
 
 
 # (config, patch, arguments, what stderr must name)
@@ -294,6 +320,12 @@ MALFORMED = [
                  ("kernel", "tolerance"), id="tolerance-override"),
     pytest.param("su2.json", _bad_target, ["validate"],
                  ("'0,1'",), id="structure-target"),
+    pytest.param("gaussian.json", _set("extension", "degrees", [10]), ["validate"],
+                 ("suites[2] (extension)", "degrees"), id="extension-degree-beyond-table"),
+    pytest.param("su2.json", _table_extension_on_su2, ["validate"],
+                 ("suites[9] (extension)", "functional"), id="extension-table-not-1d"),
+    pytest.param("su2.json", _kernel_twice, ["validate"],
+                 ("suites[10] (kernel)", "name"), id="suite-listed-twice"),
 ]
 
 

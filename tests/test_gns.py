@@ -225,6 +225,34 @@ class TestGnsBuild:
             for j in range(n):
                 assert permuted[i][j] == direct[perm[i]][perm[j]]
 
+    @pytest.mark.parametrize(
+        "factory,d_max", [(spin_half, 1), (spin_one, 2), (spin_three_half, 3)]
+    )
+    def test_float_path_matches_exact(self, factory, d_max):
+        # the same rep on complex entries must give the same GNS model
+        exact_rep = factory()
+        float_rep = MatrixRep(
+            exact_rep.spec, exact_rep.dim_V,
+            [exact_rep.generator_array(i) for i in range(exact_rep.spec.dim)],
+            exact_rep.cyclic_array(), skew_hermitian=True, exact=False,
+        )
+        models = []
+        for rep in (exact_rep, float_rep):
+            lam = functional_from_rep(rep, 2 * d_max)
+            assert psd_check(moment_matrix(lam, d_max), tol=1e-9).ok
+            models.append(gns_build(lam, d_max))
+        ex, fl = models
+        assert ex.exact and not fl.exact
+        assert (fl.quotient_rank, fl.sub_rank, fl.pivot_monomials) == (
+            ex.quotient_rank, ex.sub_rank, ex.pivot_monomials
+        )
+        assert np.max(np.abs(fl.gram.to_array() - ex.gram.to_array())) <= 1e-9
+        assert len(fl.op_matrices) == len(ex.op_matrices)
+        for a, b in zip(fl.op_matrices, ex.op_matrices):
+            assert np.max(np.abs(a - b)) <= 1e-9
+        assert np.max(np.abs(fl.vacuum - ex.vacuum)) <= 1e-9
+        assert fl.skew_exact
+
     def test_float_path(self):
         rep = random_skew_rep(3, seed=5)
         lam = functional_from_rep(rep, 4)
