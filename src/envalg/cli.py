@@ -225,17 +225,11 @@ def _parse_representation(name, block, spec):
         raise ConfigError(
             f"representations.{name}.generators must list {spec.dim} matrices"
         )
+    decode = parse_scalar if mode == "exact" else complex
     try:
-        if mode == "exact":
-            parsed_gens = [
-                [[parse_scalar(c) for c in row] for row in g] for g in gens
-            ]
-            vec = [parse_scalar(c) for c in block["cyclic_vector"]]
-        else:
-            parsed_gens = [np.asarray(g, dtype=complex) for g in gens]
-            vec = np.asarray(block["cyclic_vector"], dtype=complex)
         rep = MatrixRep(
-            spec, dim_V, parsed_gens, vec,
+            spec, dim_V, [[[decode(c) for c in row] for row in g] for g in gens],
+            [decode(c) for c in block["cyclic_vector"]],
             skew_hermitian=bool(block["skew_hermitian"]),
             exact=(mode == "exact"), name=name,
         )

@@ -28,10 +28,9 @@ from .lie_structure import (
     PBWPoly,
     monomial_name,
     pbw_reduce,
-    star,
     submult_check,
 )
-from .scalars import RootValue, Scalar, SqrtFraction, as_scalar, sqrt_leq_sqrt_plus_multiple
+from .scalars import RootValue, Scalar, SqrtFraction, scalar_field, sqrt_leq_sqrt_plus_multiple
 
 __all__ = [
     "FunctionalTable",
@@ -76,14 +75,14 @@ class FunctionalTable:
     and only support evaluation-style operations.
     """
 
-    __slots__ = ("spec", "max_degree", "values", "exact")
+    __slots__ = ("spec", "max_degree", "values", "field")
 
     def __init__(self, spec, max_degree, values=None, exact=True):
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         self.spec = spec
         self.max_degree = max_degree
-        self.exact = exact
+        self.field = scalar_field(exact)
         clean = {}
         for alpha, v in (values or {}).items():
             alpha = tuple(alpha)
@@ -93,20 +92,16 @@ class FunctionalTable:
                 raise DegreeOverflowError(
                     f"value for {monomial_name(spec, alpha)} exceeds degree {max_degree}"
                 )
-            if exact:
-                v = as_scalar(v)
-                if v is NotImplemented:
-                    raise TypeError("exact tables need Scalar values")
-                if v:
-                    clean[alpha] = v
-            else:
-                v = complex(v)
-                if v != 0:
-                    clean[alpha] = v
+            v = self.field.coerce(v)
+            if v is NotImplemented:
+                raise TypeError("exact tables need Scalar values")
+            if v:
+                clean[alpha] = v
         self.values = clean
 
-    def _zero(self):
-        return Scalar(0) if self.exact else 0j
+    @property
+    def exact(self):
+        return self.field.exact
 
     def value(self, alpha):
         alpha = tuple(alpha)
@@ -115,13 +110,13 @@ class FunctionalTable:
                 f"functional not defined on {monomial_name(self.spec, alpha)} "
                 f"(degree {sum(alpha)} > {self.max_degree})"
             )
-        return self.values.get(alpha, self._zero())
+        return self.values.get(alpha, self.field.zero)
 
     def eval(self, poly):
         """Evaluate on a PBW element by linearity; rejects degree overflow."""
         if not (poly.spec is self.spec or poly.spec == self.spec):
             raise SpecMismatchError("functional and element use different specs")
-        total = self._zero()
+        total = self.field.zero
         for alpha, coeff in poly.terms.items():
             if sum(alpha) > self.max_degree:
                 raise DegreeOverflowError(
@@ -131,34 +126,21 @@ class FunctionalTable:
             v = self.values.get(alpha)
             if v is None:
                 continue
-            total = total + (coeff * v if self.exact else coeff.to_complex() * v)
+            total = total + coeff * v
         return total
 
     def scale(self, c):
-        if self.exact:
-            c = as_scalar(c)
-            vals = {a: c * v for a, v in self.values.items()}
-        else:
-            vals = {a: complex(c) * v for a, v in self.values.items()}
+        c = self.field.coerce(c)
+        vals = {a: c * v for a, v in self.values.items()}
         return FunctionalTable(self.spec, self.max_degree, vals, exact=self.exact)
-
-    def is_hermitian(self):
-        """Exact check of ``lambda(D^*) == conj(lambda(D))`` on monomials."""
-        self._need_exact("hermitian check")
-        for alpha in monomials_up_to(self.spec.dim, self.max_degree):
-            starred = star(PBWPoly.monomial(self.spec, alpha))
-            if self.eval(starred) != self.value(alpha).conjugate():
-                return False
-        return True
 
     def _need_exact(self, what):
         if not self.exact:
             raise ValueError(f"{what} requires an exact functional table")
 
     def __repr__(self):
-        kind = "exact" if self.exact else "float"
         return (
-            f"FunctionalTable({kind}, degree<={self.max_degree}, "
+            f"FunctionalTable({self.field.name}, degree<={self.max_degree}, "
             f"{len(self.values)} nonzero values)"
         )
 
@@ -335,7 +317,7 @@ def regular_act(lam, y, side="right"):
             mono * ypoly if side == "right" else ypoly * mono
         )
         v = lam.eval(prod_poly)
-        if (lam.exact and v) or (not lam.exact and v != 0):
+        if v:
             values[alpha] = v
     return FunctionalTable(spec, lam.max_degree - 1, values, exact=lam.exact)
 

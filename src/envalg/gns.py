@@ -9,9 +9,11 @@ Gram form and represents left multiplication by the generators as matrices
 from the degree ``d-1`` span into the degree ``d`` span, where skewness is
 exactly assertable.
 
+Both paths run the same code over a :class:`~envalg.scalars.Field`: exact
+Scalars, or binary64 complex numbers with 1e-10 relative zero thresholds.
 On the exact path the PSD test is a pivoted hermitian LDL* factorization in
 rational arithmetic (no square roots are needed to decide semidefiniteness),
-and a failed test returns an exact witness vector.
+and a failed test returns a witness vector with exact entries.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .functionals import (
     regular_act,
 )
 from .lie_structure import PBWPoly, _word_of_alpha, pbw_reduce, star
-from .scalars import ONE, RootValue, Scalar, as_scalar, fraction_root_float
+from .scalars import (
+    ONE, ZERO, RootValue, Scalar, format_scalar, fraction_root_float, scalar_field,
+)
 
 __all__ = [
     "MatrixRep",
@@ -53,47 +57,43 @@ __all__ = [
 ]
 
 
-def _exact_matrix(rows, size):
+def _matrix(rows, size, coerce):
     out = []
     for row in rows:
-        row = tuple(as_scalar(c) for c in row)
+        row = tuple(coerce(c) for c in row)
         if any(c is NotImplemented for c in row) or len(row) != size:
-            raise ValueError("bad exact matrix row")
+            raise ValueError("bad matrix row")
         out.append(row)
     if len(out) != size:
         raise ValueError("matrix must be square")
     return tuple(out)
 
 
-def _exact_matvec(mat, vec):
+def _matvec(mat, vec, zero):
     return tuple(
-        sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), Scalar(0))
+        sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), zero)
         for row in mat
     )
 
 
-def _exact_matmul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum((a[i][k] * bt[j][k] for k in range(n)), Scalar(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _exact_inner(u, v):
+def _inner(u, v, zero):
     """``<u, v> = sum conj(v_i) u_i``."""
-    return sum((v[i].conjugate() * u[i] for i in range(len(u))), Scalar(0))
+    return sum((v[i].conjugate() * u[i] for i in range(len(u))), zero)
+
+
+def _norm2(field, entries):
+    """Squared Frobenius norm of ``entries`` in the field's reals."""
+    return sum(field.real(c * c.conjugate()) for c in entries if c)
 
 
 class MatrixRep:
     """Matrix generators ``R(e_i)`` with a cyclic vector.
 
     ``exact`` reps hold Gaussian-rational entries and support exact
-    functional extraction; float reps hold complex128 arrays.  The
-    homomorphism law ``[R(e_i), R(e_j)] = sum c_ijk R(e_k)`` is validated on
-    demand, exactly or to tolerance; ``skew_hermitian`` additionally asserts
-    ``R(e_i)^* = -R(e_i)``.
+    functional extraction; float reps hold complex entries.  Both store
+    matrices as tuples of rows.  The homomorphism law
+    ``[R(e_i), R(e_j)] = sum c_ijk R(e_k)`` is validated on demand, exactly or
+    to 1e-10; ``skew_hermitian`` additionally asserts ``R(e_i)^* = -R(e_i)``.
     """
 
     def __init__(self, spec, dim_V, generators, cyclic_vector, *, skew_hermitian,
@@ -103,34 +103,27 @@ class MatrixRep:
         self.spec = spec
         self.dim_V = dim_V
         self.skew_hermitian = skew_hermitian
-        self.exact = exact
+        self.field = field = scalar_field(exact)
         self.name = name
-        if exact:
-            self.generators = tuple(_exact_matrix(g, dim_V) for g in generators)
-            vec = tuple(as_scalar(c) for c in cyclic_vector)
-            if len(vec) != dim_V or any(c is NotImplemented for c in vec):
-                raise ValueError("bad cyclic vector")
-            self.cyclic_vector = vec
-        else:
-            self.generators = tuple(
-                np.asarray(g, dtype=complex).reshape(dim_V, dim_V) for g in generators
-            )
-            self.cyclic_vector = np.asarray(cyclic_vector, dtype=complex).reshape(dim_V)
+        self.generators = tuple(_matrix(g, dim_V, field.coerce) for g in generators)
+        vec = tuple(field.coerce(c) for c in cyclic_vector)
+        if len(vec) != dim_V or any(c is NotImplemented for c in vec):
+            raise ValueError("bad cyclic vector")
+        self.cyclic_vector = vec
         self._validated = False
+
+    @property
+    def exact(self):
+        return self.field.exact
 
     # -- numeric views -----------------------------------------------------
 
     def generator_array(self, i):
-        if self.exact:
-            return np.array(
-                [[c.to_complex() for c in row] for row in self.generators[i]]
-            )
-        return self.generators[i]
+        to_complex = self.field.to_complex
+        return np.array([[to_complex(c) for c in row] for row in self.generators[i]])
 
     def cyclic_array(self):
-        if self.exact:
-            return np.array([c.to_complex() for c in self.cyclic_vector])
-        return self.cyclic_vector
+        return np.array([self.field.to_complex(c) for c in self.cyclic_vector])
 
     def matrix_of(self, x):
         """Complex matrix of ``R(x)`` for a coefficient vector x in g."""
@@ -143,75 +136,54 @@ class MatrixRep:
     def exact_matrix_of(self, x):
         if not self.exact:
             raise ValueError("exact_matrix_of needs an exact representation")
-        acc = [[Scalar(0)] * self.dim_V for _ in range(self.dim_V)]
-        for i, c in enumerate(x.coeffs):
-            if not c:
-                continue
-            gen = self.generators[i]
-            for r in range(self.dim_V):
-                for s in range(self.dim_V):
-                    acc[r][s] = acc[r][s] + c * gen[r][s]
-        return tuple(tuple(row) for row in acc)
+        terms = [(c, gen) for c, gen in zip(x.coeffs, self.generators) if c]
+        return tuple(
+            tuple(sum((c * gen[r][s] for c, gen in terms), ZERO) for s in range(self.dim_V))
+            for r in range(self.dim_V)
+        )
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, tol=1e-10):
-        """Check the commutation law (and skewness if flagged); raise on failure."""
+    def validate(self):
+        """Check the commutation law (and skewness if flagged); raise on failure.
+
+        A residual counts as zero when its Frobenius norm is at most the
+        field's threshold: exactly zero, or 1e-10 on the float path.
+        """
         if self._validated:
             return
-        worst = (None, 0.0)
+        field, n, gens, zero = self.field, self.dim_V, self.generators, self.field.zero
+        limit2 = field.tol ** 2
+        worst = (None, 0)
         for i in range(self.spec.dim):
             for j in range(i + 1, self.spec.dim):
-                if self.exact:
-                    lhs = _exact_matmul(self.generators[i], self.generators[j])
-                    rhs = _exact_matmul(self.generators[j], self.generators[i])
-                    comm = [
-                        [lhs[r][s] - rhs[r][s] for s in range(self.dim_V)]
-                        for r in range(self.dim_V)
-                    ]
-                    for k, c in self.spec.bracket_of(i, j).items():
-                        gen = self.generators[k]
-                        for r in range(self.dim_V):
-                            for s in range(self.dim_V):
-                                comm[r][s] = comm[r][s] - c * gen[r][s]
-                    if any(c for row in comm for c in row):
-                        raise RepresentationError(
-                            f"homomorphism law fails exactly at pair ({i},{j})"
-                        )
-                else:
-                    A, B = self.generators[i], self.generators[j]
-                    comm = A @ B - B @ A
-                    for k, c in self.spec.bracket_of(i, j).items():
-                        comm = comm - c.to_complex() * self.generators[k]
-                    resid = float(np.linalg.norm(comm))
-                    if resid > worst[1]:
-                        worst = ((i, j), resid)
-        if not self.exact and worst[1] > tol:
+                A, B = gens[i], gens[j]
+                bracket = self.spec.bracket_of(i, j).items()
+                # entries of [A, B] - sum_k c_ijk R(e_k)
+                resid2 = _norm2(field, (
+                    sum((A[r][t] * B[t][s] - B[r][t] * A[t][s] for t in range(n)), zero)
+                    - sum((c * gens[k][r][s] for k, c in bracket), zero)
+                    for r in range(n) for s in range(n)
+                ))
+                if resid2 > worst[1]:
+                    worst = ((i, j), resid2)
+        if worst[1] > limit2:
             raise RepresentationError(
-                f"homomorphism law fails at pair {worst[0]}: residual {worst[1]:.3e}"
+                f"homomorphism law fails at pair {worst[0]}: "
+                f"residual {field.sqrt(worst[1]):.3e}"
             )
         if self.skew_hermitian:
-            for i in range(self.spec.dim):
-                if self.exact:
-                    gen = self.generators[i]
-                    for r in range(self.dim_V):
-                        for s in range(self.dim_V):
-                            if gen[r][s].conjugate() + gen[s][r]:
-                                raise RepresentationError(
-                                    f"generator {i} is not skew-hermitian"
-                                )
-                else:
-                    gen = self.generators[i]
-                    if float(np.linalg.norm(gen.conj().T + gen)) > tol:
-                        raise RepresentationError(
-                            f"generator {i} is not skew-hermitian to tolerance"
-                        )
+            for i, gen in enumerate(gens):
+                resid2 = _norm2(
+                    field, (gen[r][s].conjugate() + gen[s][r] for r in range(n) for s in range(n))
+                )
+                if resid2 > limit2:
+                    raise RepresentationError(f"generator {i} is not skew-hermitian")
         self._validated = True
 
     def __repr__(self):
-        kind = "exact" if self.exact else "float"
         label = f" {self.name!r}" if self.name else ""
-        return f"MatrixRep({kind}{label}, dim_V={self.dim_V})"
+        return f"MatrixRep({self.field.name}{label}, dim_V={self.dim_V})"
 
 
 def functional_from_rep(rep, N):
@@ -223,11 +195,8 @@ def functional_from_rep(rep, N):
     """
     rep.validate()
     vecs = _orbit_vectors(rep, monomials_up_to(rep.spec.dim, N))
-    v0 = rep.cyclic_vector
-    if rep.exact:
-        values = {alpha: _exact_inner(w, v0) for alpha, w in vecs.items()}
-    else:
-        values = {alpha: complex(np.vdot(v0, w)) for alpha, w in vecs.items()}
+    v0, zero = rep.cyclic_vector, rep.field.zero
+    values = {alpha: _inner(w, v0, zero) for alpha, w in vecs.items()}
     return FunctionalTable(rep.spec, N, values, exact=rep.exact)
 
 
@@ -242,19 +211,16 @@ def _orbit_vectors(rep, monos):
         i = next(idx for idx, a in enumerate(alpha) if a)
         prev = list(alpha)
         prev[i] -= 1
-        if rep.exact:
-            vecs[alpha] = _exact_matvec(rep.generators[i], vecs[tuple(prev)])
-        else:
-            vecs[alpha] = rep.generators[i] @ vecs[tuple(prev)]
+        vecs[alpha] = _matvec(rep.generators[i], vecs[tuple(prev)], rep.field.zero)
     return vecs
 
 
 def orbit_gram(rep, d_max):
     """Exact Gram matrix ``<R(x^beta) v, R(x^alpha) v>`` of the monomial orbit.
 
-    For a skew-hermitian exact representation this must equal the GNS Gram
-    of the matrix-coefficient functional entry for entry, which is the
-    round-trip fidelity check between the two constructions.
+    For a skew-hermitian representation on exact entries this must equal the
+    GNS Gram of the matrix-coefficient functional entry for entry, which is
+    the round-trip fidelity check between the two constructions.
     """
     if not rep.exact:
         raise ValueError("orbit_gram needs an exact representation")
@@ -262,7 +228,7 @@ def orbit_gram(rep, d_max):
     monos = monomials_up_to(rep.spec.dim, d_max)
     vecs = _orbit_vectors(rep, monos)
     return tuple(
-        tuple(_exact_inner(vecs[beta], vecs[alpha]) for beta in monos)
+        tuple(_inner(vecs[beta], vecs[alpha], ZERO) for beta in monos)
         for alpha in monos
     )
 
@@ -270,29 +236,31 @@ def orbit_gram(rep, d_max):
 class MomentMatrix:
     """Gram table ``M[a][b] = lam((x^alpha_a)^* x^beta_b)`` up to a degree."""
 
-    __slots__ = ("spec", "d_max", "monomials", "rows", "exact", "hermitian")
+    __slots__ = ("spec", "d_max", "monomials", "rows", "field", "hermitian")
 
     def __init__(self, spec, d_max, monomials, rows, exact, hermitian):
         self.spec = spec
         self.d_max = d_max
         self.monomials = monomials
         self.rows = rows
-        self.exact = exact
+        self.field = scalar_field(exact)
         self.hermitian = hermitian
+
+    @property
+    def exact(self):
+        return self.field.exact
 
     @property
     def size(self):
         return len(self.monomials)
 
     def to_array(self):
-        if self.exact:
-            return np.array([[c.to_complex() for c in row] for row in self.rows])
-        return np.asarray(self.rows)
+        to_complex = self.field.to_complex
+        return np.array([[to_complex(c) for c in row] for row in self.rows], dtype=complex)
 
     def __repr__(self):
-        kind = "exact" if self.exact else "float"
         return (
-            f"MomentMatrix({kind}, size={self.size}, d_max={self.d_max}, "
+            f"MomentMatrix({self.field.name}, size={self.size}, d_max={self.d_max}, "
             f"hermitian={self.hermitian})"
         )
 
@@ -305,14 +273,7 @@ def _right_translate_tables(lam, d_max):
     """
     spec = lam.spec
     tables = {(): lam}
-    words = sorted(
-        {
-            tuple(w)
-            for alpha in monomials_up_to(spec.dim, d_max)
-            for w in [_word_of_alpha(alpha)]
-        },
-        key=len,
-    )
+    words = sorted({_word_of_alpha(alpha) for alpha in monomials_up_to(spec.dim, d_max)}, key=len)
     for word in words:
         if word in tables:
             continue
@@ -336,23 +297,16 @@ def moment_matrix(lam, d_max):
     monos = monomials_up_to(spec.dim, d_max)
     tables = _right_translate_tables(lam, d_max)
     stars = [star(PBWPoly.monomial(spec, alpha)) for alpha in monos]
-    rows = []
-    for a, alpha in enumerate(monos):
-        row = []
-        for b, beta in enumerate(monos):
-            row.append(tables[_word_of_alpha(beta)].eval(stars[a]))
-        rows.append(row)
-    if lam.exact:
-        hermitian = all(
-            rows[a][b].conjugate() == rows[b][a]
-            for a in range(len(monos))
-            for b in range(a, len(monos))
-        )
-        rows = tuple(tuple(r) for r in rows)
-    else:
-        arr = np.array(rows, dtype=complex)
-        hermitian = bool(np.linalg.norm(arr - arr.conj().T) <= 1e-10 * max(1.0, np.linalg.norm(arr)))
-        rows = arr
+    rows = tuple(
+        tuple(tables[_word_of_alpha(beta)].eval(st) for beta in monos) for st in stars
+    )
+    # ||M - M^*|| <= tol * max(1, ||M||), compared squared in the field's reals
+    field, n = lam.field, len(monos)
+    defect2 = _norm2(field, (rows[a][b] - rows[b][a].conjugate()
+                             for a in range(n) for b in range(n)))
+    hermitian = not defect2 or defect2 <= field.tol ** 2 * max(
+        1, _norm2(field, (c for row in rows for c in row))
+    )
     return MomentMatrix(spec, d_max, tuple(monos), rows, lam.exact, hermitian)
 
 
@@ -409,8 +363,7 @@ def _exact_psd(rows):
             t = -(dot / Scalar(piv))
             if t:
                 u[p] = t
-        vec = [u.get(i, Scalar(0)) for i in range(n)]
-        return tuple(vec)
+        return tuple(u.get(i, ZERO) for i in range(n))
 
     def quad_value(u_dict, mat):
         total = Scalar(0)
@@ -499,10 +452,10 @@ def psd_check(M, tol=0.0):
 class GnsModel:
     """Truncated GNS data for a positive functional.
 
-    ``quotient_basis`` holds mutually orthogonal exact coefficient vectors
-    over ``monomials`` (coordinates of ``b_j`` with squared norms
-    ``basis_norms2[j]``); on the float path the vectors are stored
-    numerically.  ``op_matrices[i]`` is the matrix of left multiplication by
+    ``quotient_basis`` holds mutually orthogonal coefficient vectors over
+    ``monomials`` (coordinates of ``b_j`` with squared norms
+    ``basis_norms2[j]``), exact or complex as the functional's field.
+    ``op_matrices[i]`` is the matrix of left multiplication by
     ``e_i`` from the degree <= d_max-1 quotient (dimension ``sub_rank``)
     into the full quotient, expressed in the orthonormalized basis.
     """
@@ -528,19 +481,14 @@ class GnsModel:
         ["a/b", "c/d"]); operator matrices are [re, im] float pairs in the
         orthonormalized quotient basis.
         """
-        from .scalars import format_scalar
+        def pairs(mat):
+            return [[[z.real, z.imag] for z in row] for row in mat]
 
         if self.exact:
             gram = [[format_scalar(c) for c in row] for row in self.gram.rows]
         else:
-            arr = self.gram.to_array()
-            gram = [[[z.real, z.imag] for z in row] for row in arr]
-        ops = None
-        if self.op_matrices is not None:
-            ops = [
-                [[[z.real, z.imag] for z in row] for row in mat]
-                for mat in self.op_matrices
-            ]
+            gram = pairs(self.gram.to_array())
+        ops = None if self.op_matrices is None else [pairs(m) for m in self.op_matrices]
         return {
             "degree": self.degree,
             "quotient_rank": self.quotient_rank,
@@ -583,67 +531,48 @@ def gns_build(lam, d_max, tol=None):
     M = moment_matrix(lam, d_max)
     if not M.hermitian:
         raise HermitianError("functional is not hermitian; GNS needs <D1, D2> = lam(D2* D1)")
-    exact = lam.exact
-    if tol is None:
-        tol = 0.0 if exact else 1e-10
-    psd = psd_check(M, tol=tol)
+    field = lam.field
+    psd = psd_check(M, tol=field.tol if tol is None else tol)
     if not psd.ok:
         raise PositivityError(
             f"functional is not positive at degree {d_max}", witness=psd.witness
         )
     monos = list(M.monomials)
     n = len(monos)
-    G = M.rows if exact else M.to_array()
+    G = M.rows
+    zero = field.zero
 
     def inner(u, w):
         # <u, w> = sum conj(w_a) G[a][b] u_b over sparse dict vectors
-        if exact:
-            total = Scalar(0)
-            for a, wa in w.items():
-                row = G[a]
-                for b, ub in u.items():
-                    if row[b]:
-                        total = total + wa.conjugate() * row[b] * ub
-            return total
-        total = 0j
+        total = zero
         for a, wa in w.items():
+            row = G[a]
             for b, ub in u.items():
-                total += np.conj(wa) * G[a][b] * ub
+                if row[b]:
+                    total = total + wa.conjugate() * row[b] * ub
         return total
+
+    def axpy(u, coeff, vec):
+        # u += coeff * vec over sparse dicts, dropping entries that cancel
+        for idx, val in vec.items():
+            got = u.get(idx, zero) + coeff * val
+            if got:
+                u[idx] = got
+            elif idx in u:
+                del u[idx]
 
     basis = []      # orthogonal vectors as sparse dicts over monomial indices
     norms2 = []
     pivot_idx = []
-    if exact:
-        diag_scale = 1
-    else:
-        diag_scale = max([abs(G[i][i]) for i in range(n)] + [1.0])
+    diag_scale = max([abs(field.to_complex(G[i][i])) for i in range(n)] + [1.0])
     for m in range(n):
-        u = {m: ONE if exact else 1.0 + 0j}
+        u = {m: field.one}
         for b, d2 in zip(basis, norms2):
-            coeff = inner(u, b)
-            if exact:
-                coeff = coeff / Scalar(d2)
-                if coeff:
-                    for idx, val in b.items():
-                        got = u.get(idx, Scalar(0)) - coeff * val
-                        if got:
-                            u[idx] = got
-                        elif idx in u:
-                            del u[idx]
-            else:
-                coeff = coeff / d2
-                if coeff != 0:
-                    for idx, val in b.items():
-                        u[idx] = u.get(idx, 0j) - coeff * val
-        nrm2 = inner(u, u)
-        if exact:
-            nrm2 = nrm2.re
-            keep = nrm2 > 0
-        else:
-            nrm2 = nrm2.real
-            keep = nrm2 > 1e-10 * diag_scale
-        if keep:
+            coeff = inner(u, b) / d2
+            if coeff:
+                axpy(u, -coeff, b)
+        nrm2 = field.real(inner(u, u))
+        if nrm2 > field.tol * diag_scale:
             basis.append(u)
             norms2.append(nrm2)
             pivot_idx.append(m)
@@ -652,73 +581,39 @@ def gns_build(lam, d_max, tol=None):
     idx_of = {alpha: pos for pos, alpha in enumerate(monos)}
 
     # vacuum = coordinates of the class of the monomial 1 in the orthonormal basis
-    vac_dict = {0: ONE if exact else 1.0 + 0j}
-    vac_coords = []
-    for b, d2 in zip(basis, norms2):
-        ip = inner(vac_dict, b)
-        ip = ip.to_complex() if exact else complex(ip)
-        root = fraction_root_float(d2, 2) if exact else float(np.sqrt(d2))
-        vac_coords.append(ip / root)
-    vacuum = np.array(vac_coords, dtype=complex)
+    vacuum = np.array([field.to_complex(inner({0: field.one}, b)) / field.sqrt(d2)
+                       for b, d2 in zip(basis, norms2)], dtype=complex)
 
     op_matrices = None
     skew_exact = None
     skew_residual = 0.0
     if d_max >= 1 and rank:
         spec = lam.spec
-        exact_cols = []  # per generator: dict (j, k) -> coefficient
         op_matrices = []
+        worst2 = 0
         for i in range(spec.dim):
             A = [[None] * sub_rank for _ in range(rank)]
-            for kcol in range(sub_rank):
-                bvec = basis[kcol]
-                image = {}
-                for m_idx, coeff in bvec.items():
-                    word = (i,) + _word_of_alpha(monos[m_idx])
-                    nf = pbw_reduce(spec, word)
-                    for alpha, c in nf.terms.items():
-                        pos = idx_of[alpha]
-                        if exact:
-                            got = image.get(pos, Scalar(0)) + coeff * c
-                            if got:
-                                image[pos] = got
-                            elif pos in image:
-                                del image[pos]
-                        else:
-                            image[pos] = image.get(pos, 0j) + coeff * c.to_complex()
-                for j in range(rank):
-                    coeff = inner(image, basis[j])
-                    if exact:
-                        A[j][kcol] = coeff / Scalar(norms2[j])
-                    else:
-                        A[j][kcol] = coeff / norms2[j]
-            exact_cols.append(A)
             mat = np.zeros((rank, sub_rank), dtype=complex)
-            for j in range(rank):
-                for k in range(sub_rank):
-                    val = A[j][k]
-                    if exact:
-                        scale = fraction_root_float(norms2[j] / norms2[k], 2)
-                        mat[j, k] = val.to_complex() * scale
-                    else:
-                        mat[j, k] = val * np.sqrt(norms2[j] / norms2[k])
+            for k in range(sub_rank):
+                image = {}
+                for m_idx, coeff in basis[k].items():
+                    nf = pbw_reduce(spec, (i,) + _word_of_alpha(monos[m_idx]))
+                    axpy(image, coeff, {idx_of[alpha]: c for alpha, c in nf.terms.items()})
+                for j in range(rank):
+                    A[j][k] = inner(image, basis[j]) / norms2[j]
+                    mat[j, k] = field.to_complex(A[j][k]) * field.sqrt(norms2[j] / norms2[k])
             op_matrices.append(mat)
-        if exact:
-            # skewness on the modeled domain: A_jk d_j + conj(A_kj) d_k = 0
-            skew_exact = True
-            for A in exact_cols:
-                for j in range(sub_rank):
-                    for k in range(sub_rank):
-                        lhs = A[j][k] * norms2[j] + A[k][j].conjugate() * norms2[k]
-                        if lhs:
-                            skew_exact = False
-        else:
-            worst = 0.0
-            for mat in op_matrices:
-                blk = mat[:sub_rank, :sub_rank]
-                worst = max(worst, float(np.linalg.norm(blk + blk.conj().T)))
-            skew_residual = worst
-            skew_exact = worst <= 1e-12 * max(1.0, diag_scale)
+            # skewness on the modeled domain: A_jk d_j + conj(A_kj) d_k = 0; over
+            # sqrt(d_j d_k) this is the residual of the orthonormalized block
+            defect2 = 0
+            for j in range(sub_rank):
+                for k in range(sub_rank):
+                    e = A[j][k] * norms2[j] + A[k][j].conjugate() * norms2[k]
+                    if e:
+                        defect2 += field.real(e * e.conjugate()) / (norms2[j] * norms2[k])
+            worst2 = max(worst2, defect2)
+        skew_residual = float(field.sqrt(worst2))
+        skew_exact = worst2 <= (field.tol * max(1.0, diag_scale)) ** 2
 
     return GnsModel(
         degree=d_max,
@@ -732,7 +627,7 @@ def gns_build(lam, d_max, tol=None):
         op_matrices=op_matrices,
         skew_exact=skew_exact,
         skew_residual=skew_residual,
-        exact=exact,
+        exact=lam.exact,
         vacuum=vacuum,
     )
 

@@ -11,7 +11,9 @@ and floating point only appears when a value is rendered for a report.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 __all__ = [
     "Scalar",
@@ -27,6 +29,10 @@ __all__ = [
     "RootValue",
     "sqrt_leq_sqrt_plus_multiple",
     "fraction_root_float",
+    "Field",
+    "EXACT",
+    "FLOAT",
+    "scalar_field",
 ]
 
 _ZERO_FRACTION = Fraction(0)
@@ -99,6 +105,9 @@ class Scalar:
             )
         if isinstance(other, (int, Fraction)):
             return Scalar._raw(self.re * other, self.im * other)
+        if type(other) is complex:
+            # an exact coefficient acting on a float-path value
+            return self.to_complex() * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -161,6 +170,38 @@ def as_scalar(value):
     if isinstance(value, (int, Fraction)):
         return Scalar(value)
     return NotImplemented
+
+
+@dataclass(frozen=True)
+class Field:
+    """The scalars one construction runs on: exact Scalar or binary64 complex.
+
+    Both types share ``+ - * /``, ``conjugate()`` and "nonzero is truthy", and
+    a Scalar times a complex is their complex product, so a field holds only
+    what differs.  ``tol`` is the relative zero threshold: 0 on the exact
+    field, where only exact zeros count as zero.
+    """
+
+    name: str
+    exact: bool
+    zero: object
+    one: object
+    tol: float
+    coerce: Callable      # a Scalar or number into the field (exact: NotImplemented if not)
+    real: Callable        # real part
+    to_complex: Callable
+    sqrt: Callable        # float square root of a nonnegative real of the field
+
+
+EXACT = Field("exact", True, ZERO, ONE, 0, as_scalar, lambda z: z.re,
+              Scalar.to_complex, lambda q: fraction_root_float(q, 2))
+FLOAT = Field("float", False, 0j, 1 + 0j, 1e-10,
+              lambda v: v.to_complex() if type(v) is Scalar else complex(v),
+              lambda z: z.real, complex, math.sqrt)
+
+
+def scalar_field(exact):
+    return EXACT if exact else FLOAT
 
 
 def parse_fraction(text):
