@@ -29,6 +29,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import free_algebra as fa
+from .catalog import gaussian_char
 from .errors import ConfigError, UnknownSuiteError, WorkbenchError
 from .functionals import (
     FunctionalTable,
@@ -798,7 +799,7 @@ def _suite_cauchy(config, params, seed):
     return checks
 
 
-_TRUTH_FUNCTIONS = {"gaussian-char": lambda t: math.exp(-t * t / 2.0)}
+_TRUTH_FUNCTIONS = {"gaussian-char": gaussian_char}
 _EXTENSION_DEGREES = [2, 3]
 
 
@@ -989,25 +990,19 @@ def _cmd_dump(config, args):
     if target == "config":
         sys.stdout.write(serialize_config(config))
         return 0
+    kind, slash, name = target.partition("/")
     if target == "lie_algebra":
         doc = _algebra_to_dict(config.algebra)
     elif target == "suites":
         doc = _config_to_dict(config).get("suites", [])
-    elif "/" in target:
-        kind, _, name = target.partition("/")
-        if kind == "functional":
-            if name not in config.functionals:
-                raise ConfigError(f"unknown functional {name!r}")
-            doc = _functional_to_dict(config.functionals[name])
-        elif kind == "representation":
-            if name not in config.representations:
-                raise ConfigError(f"unknown representation {name!r}")
-            doc = _representation_to_dict(config.representations[name])
-        else:
-            raise ConfigError(
-                f"unknown dump target {target!r} "
-                "(use config, lie_algebra, suites, functional/<name>, representation/<name>)"
-            )
+    elif slash and kind == "functional":
+        if name not in config.functionals:
+            raise ConfigError(f"unknown functional {name!r}")
+        doc = _functional_to_dict(config.functionals[name])
+    elif slash and kind == "representation":
+        if name not in config.representations:
+            raise ConfigError(f"unknown representation {name!r}")
+        doc = _representation_to_dict(config.representations[name])
     else:
         raise ConfigError(
             f"unknown dump target {target!r} "

@@ -202,9 +202,6 @@ class FreeSeries:
             {w: c for w, c in self.terms.items() if len(w) == degree},
         )
 
-    def max_degree_present(self):
-        return max((len(w) for w in self.terms), default=-1)
-
     def __repr__(self):
         if not self.terms:
             return "FreeSeries(0)"

@@ -322,23 +322,14 @@ def regular_act(lam, y, side="right"):
     return FunctionalTable(spec, lam.max_degree - 1, values, exact=lam.exact)
 
 
-def _insertion_word_table(lam, n, k, i):
-    """Word table of ``(i_{e_i}^k beta)_n``: insert letter i at position k."""
-    spec = lam.spec
-
-    def raw(word):
-        full = word[: k - 1] + (i,) + word[k - 1 :]
-        return lam.eval(pbw_reduce(spec, full))
-
-    return raw
-
-
 def insertion_constants(lam, n):
     """Exact insertion constant ``c_n`` of the norm recursion.
 
     ``c_n`` is the best constant with ``||(i_y^k beta)_n^s||_p <= c_n p(y)``
     over all positions ``k <= n+1`` and all ``y``; by linearity in ``y`` the
     sup reduces to the ball vertices, i.e. a max over ``(k, basis index)``.
+    The word table of ``(i_{e_i}^k beta)_n`` is ``beta_{n+1}``'s table read
+    with letter i inserted at position k.
     """
     lam._need_exact("insertion constants")
     if n + 1 > lam.max_degree:
@@ -346,13 +337,12 @@ def insertion_constants(lam, n):
             f"insertion constants at arity {n} need degree {n + 1} <= {lam.max_degree}"
         )
     spec = lam.spec
+    full = beta_component(lam, n + 1).values
     best = SqrtFraction(0)
     for k in range(1, n + 2):
         for i in range(spec.dim):
-            raw = _insertion_word_table(lam, n, k, i)
-            sym = BetaComponent(
-                spec, n, _symmetrize_values(spec, n, raw), symmetric=True
-            )
+            values = _symmetrize_values(spec, n, lambda w: full[w[: k - 1] + (i,) + w[k - 1 :]])
+            sym = BetaComponent(spec, n, values, symmetric=True)
             candidate = pnorm(sym) / spec.weights[i]
             if candidate > best:
                 best = candidate

@@ -200,19 +200,28 @@ def functional_from_rep(rep, N):
     return FunctionalTable(rep.spec, N, values, exact=rep.exact)
 
 
-def _orbit_vectors(rep, monos):
-    """``R(x^alpha) v`` for each alpha of the degree-ordered ``monos``."""
-    vecs = {}
+def _peel(monos, base, step):
+    """``{alpha: value}`` over the degree-ordered ``monos`` by peeling letters.
+
+    The value at 0 is ``base``; otherwise ``step(i, value at alpha - e_i)``
+    for the first (smallest) letter i of ``x^alpha``.
+    """
+    out = {}
     for alpha in monos:
-        if sum(alpha) == 0:
-            vecs[alpha] = rep.cyclic_vector
+        if not any(alpha):
+            out[alpha] = base
             continue
-        # peel the leftmost letter: R(x^alpha) = R(e_i) R(x^(alpha - e_i))
         i = next(idx for idx, a in enumerate(alpha) if a)
         prev = list(alpha)
         prev[i] -= 1
-        vecs[alpha] = _matvec(rep.generators[i], vecs[tuple(prev)], rep.field.zero)
-    return vecs
+        out[alpha] = step(i, out[tuple(prev)])
+    return out
+
+
+def _orbit_vectors(rep, monos):
+    """``R(x^alpha) v`` for each alpha: ``R(x^alpha) = R(e_i) R(x^(alpha - e_i))``."""
+    zero = rep.field.zero
+    return _peel(monos, rep.cyclic_vector, lambda i, v: _matvec(rep.generators[i], v, zero))
 
 
 def orbit_gram(rep, d_max):
@@ -265,23 +274,6 @@ class MomentMatrix:
         )
 
 
-def _right_translate_tables(lam, d_max):
-    """Tables ``T_s(D) = lam(D x^s)`` for all normal words s of length <= d_max.
-
-    Built by peeling the first letter: ``T_(i)+s' = (T_s') o rho_{e_i}``.
-    Sharing the suffixes keeps every step a single-letter regular action.
-    """
-    spec = lam.spec
-    tables = {(): lam}
-    words = sorted({_word_of_alpha(alpha) for alpha in monomials_up_to(spec.dim, d_max)}, key=len)
-    for word in words:
-        if word in tables:
-            continue
-        suffix = tables[word[1:]]
-        tables[word] = regular_act(suffix, spec.basis_vector(word[0]), "right")
-    return tables
-
-
 def moment_matrix(lam, d_max):
     """Hermitian Gram matrix of the monomials of degree <= d_max under lam.
 
@@ -295,11 +287,11 @@ def moment_matrix(lam, d_max):
         )
     spec = lam.spec
     monos = monomials_up_to(spec.dim, d_max)
-    tables = _right_translate_tables(lam, d_max)
+    # T_beta(D) = lam(D x^beta), one right regular action per peeled letter
+    basis = [spec.basis_vector(i) for i in range(spec.dim)]
+    tables = _peel(monos, lam, lambda i, t: regular_act(t, basis[i], "right"))
     stars = [star(PBWPoly.monomial(spec, alpha)) for alpha in monos]
-    rows = tuple(
-        tuple(tables[_word_of_alpha(beta)].eval(st) for beta in monos) for st in stars
-    )
+    rows = tuple(tuple(tables[beta].eval(st) for beta in monos) for st in stars)
     # ||M - M^*|| <= tol * max(1, ||M||), compared squared in the field's reals
     field, n = lam.field, len(monos)
     defect2 = _norm2(field, (rows[a][b] - rows[b][a].conjugate()

@@ -56,7 +56,6 @@ class LieAlgebraSpec:
         "_table",
         "_right_cache",
         "_nf_cache",
-        "_star_cache",
     )
 
     def __init__(self, dim, basis_names, structure, weights):
@@ -93,7 +92,6 @@ class LieAlgebraSpec:
         self._table = table
         self._right_cache = {}
         self._nf_cache = {}
-        self._star_cache = {}
 
     def bracket_rows(self):
         """Iterate stored ``((i, j), {k: c})`` pairs with i < j."""
@@ -214,14 +212,6 @@ class GVector:
             Fraction(0),
         )
 
-    def seminorm_float(self):
-        return float(
-            sum(
-                float(w) * abs(c.to_complex())
-                for w, c in zip(self.spec.weights, self.coeffs)
-            )
-        )
-
     def __repr__(self):
         parts = [
             f"{c}*{name}"
@@ -306,62 +296,68 @@ def submult_check(spec):
 
 
 # ---------------------------------------------------------------------------
-# PBW word engine.  Normal words are nondecreasing letter tuples; the two
-# helpers below rewrite products into normal form with memoization per spec.
+# PBW engine.  A normal monomial x^alpha is its multi-index alpha, whose
+# letters read in ascending order; the helpers below multiply normal forms by
+# one letter on the right, with memoization per spec.
 # ---------------------------------------------------------------------------
 
 
-def _acc(table, word, coeff):
-    got = table.get(word)
+def _acc(table, alpha, coeff):
+    got = table.get(alpha)
     got = coeff if got is None else got + coeff
     if got:
-        table[word] = got
-    elif word in table:
-        del table[word]
+        table[alpha] = got
+    elif alpha in table:
+        del table[alpha]
 
 
-def _right_letter(spec, word, letter):
-    """Normal form of ``x^word * e_letter`` as ``{normal word: Scalar}``.
+def _right_letter(spec, alpha, letter):
+    """Normal form of ``x^alpha * e_letter`` as ``{multi-index: Scalar}``.
 
-    ``word`` must already be normal (nondecreasing).  The rewrite
-    ``x^w x_j x_l = x^w x_l x_j + x^w [x_j, x_l]`` recurses on strictly
-    smaller (length, inversion) ranks, so the recursion terminates.
+    The last letter of ``x^alpha`` is its largest nonzero index j.  For
+    ``j > letter`` the rewrite ``x^a x_j x_l = x^a x_l x_j + x^a [x_j, x_l]``
+    recurses on strictly smaller (length, inversion) ranks, so the recursion
+    terminates.
     """
     cache = spec._right_cache
-    key = (word, letter)
+    key = (alpha, letter)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if not word or word[-1] <= letter:
-        result = {word + (letter,): ONE}
+    grown = list(alpha)
+    if not any(alpha[letter + 1:]):
+        grown[letter] += 1
+        result = {tuple(grown): ONE}
     else:
-        prefix, j = word[:-1], word[-1]
+        j = max(i for i, a in enumerate(alpha) if a)
+        grown[j] -= 1
+        prefix = tuple(grown)
         result = {}
-        for w, c in _right_letter(spec, prefix, letter).items():
-            for w2, c2 in _right_letter(spec, w, j).items():
-                _acc(result, w2, c * c2)
+        for b, c in _right_letter(spec, prefix, letter).items():
+            for b2, c2 in _right_letter(spec, b, j).items():
+                _acc(result, b2, c * c2)
         for k, ck in spec.bracket_of(j, letter).items():
-            for w2, c2 in _right_letter(spec, prefix, k).items():
-                _acc(result, w2, ck * c2)
+            for b2, c2 in _right_letter(spec, prefix, k).items():
+                _acc(result, b2, ck * c2)
     cache[key] = result
     return result
 
 
 def _poly_right_letter(spec, table, letter):
     out = {}
-    for word, coeff in table.items():
-        for w, c in _right_letter(spec, word, letter).items():
-            _acc(out, w, coeff * c)
+    for alpha, coeff in table.items():
+        for b, c in _right_letter(spec, alpha, letter).items():
+            _acc(out, b, coeff * c)
     return out
 
 
 def _normal_form(spec, word):
-    """Normal form of an arbitrary word as ``{normal word: Scalar}``."""
+    """Normal form of an arbitrary word as ``{multi-index: Scalar}``."""
     word = tuple(word)
     cached = spec._nf_cache.get(word)
     if cached is not None:
         return cached
-    table = {(): ONE}
+    table = {(0,) * spec.dim: ONE}
     for letter in word:
         table = _poly_right_letter(spec, table, letter)
     spec._nf_cache[word] = table
@@ -373,13 +369,6 @@ def _word_of_alpha(alpha):
     for i, a in enumerate(alpha):
         out.extend((i,) * a)
     return tuple(out)
-
-
-def _alpha_of_word(word, dim):
-    alpha = [0] * dim
-    for l in word:
-        alpha[l] += 1
-    return tuple(alpha)
 
 
 def monomial_name(spec, alpha):
@@ -446,13 +435,6 @@ class PBWPoly:
                 alpha[i] = 1
                 terms[tuple(alpha)] = c
         return cls._raw(x.spec, terms)
-
-    @classmethod
-    def _from_words(cls, spec, word_table):
-        terms = {}
-        for word, coeff in word_table.items():
-            _acc(terms, _alpha_of_word(word, spec.dim), coeff)
-        return cls._raw(spec, terms)
 
     def degree(self):
         """Max total degree of the stored monomials; -1 for the zero element."""
@@ -531,7 +513,8 @@ def pbw_reduce(spec, word):
     word = tuple(word)
     if any(not (0 <= l < spec.dim) for l in word):
         raise ValueError(f"word {word} has letters outside the basis range")
-    return PBWPoly._from_words(spec, _normal_form(spec, word))
+    # a copy, so callers cannot mutate the cached table
+    return PBWPoly._raw(spec, dict(_normal_form(spec, word)))
 
 
 def pbw_mul(a, b):
@@ -540,25 +523,12 @@ def pbw_mul(a, b):
     spec = a.spec
     out = {}
     for beta, cb in b.terms.items():
-        word = _word_of_alpha(beta)
-        table = {_word_of_alpha(alpha): ca for alpha, ca in a.terms.items()}
-        for letter in word:
+        table = a.terms
+        for letter in _word_of_alpha(beta):
             table = _poly_right_letter(spec, table, letter)
-        for w, c in table.items():
-            _acc(out, _alpha_of_word(w, spec.dim), c * cb)
+        for alpha, c in table.items():
+            _acc(out, alpha, c * cb)
     return PBWPoly._raw(spec, out)
-
-
-def _star_monomial(spec, alpha):
-    """Normal form of ``(x^alpha)^*`` as a word table, memoized per spec."""
-    cached = spec._star_cache.get(alpha)
-    if cached is None:
-        word = _word_of_alpha(alpha)
-        sign = ONE if len(word) % 2 == 0 else -ONE
-        table = _normal_form(spec, tuple(reversed(word)))
-        cached = {w: c * sign for w, c in table.items()}
-        spec._star_cache[alpha] = cached
-    return cached
 
 
 def star(a):
@@ -570,9 +540,10 @@ def star(a):
     spec = a.spec
     out = {}
     for alpha, coeff in a.terms.items():
-        conj = coeff.conjugate()
-        for w, c in _star_monomial(spec, alpha).items():
-            _acc(out, _alpha_of_word(w, spec.dim), conj * c)
+        word = _word_of_alpha(alpha)
+        conj = coeff.conjugate() if len(word) % 2 == 0 else -coeff.conjugate()
+        for b, c in _normal_form(spec, word[::-1]).items():
+            _acc(out, b, conj * c)
     return PBWPoly._raw(spec, out)
 
 

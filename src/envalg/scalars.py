@@ -272,10 +272,6 @@ class SqrtFraction:
             raise ValueError("SqrtFraction needs a nonnegative square")
         self.squared = squared
 
-    @classmethod
-    def of_abs(cls, scalar):
-        return cls(scalar.abs2())
-
     def is_zero(self):
         return not self.squared
 

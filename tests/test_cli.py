@@ -248,11 +248,12 @@ class TestCommandLine:
         env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
         path = str(default_config_path().parent.joinpath("gaussian.json"))
         proc = subprocess.run(
-            [sys.executable, "-m", "envalg.cli", "--config", path, "validate"],
+            [sys.executable, "-m", "envalg", "--config", path, "validate"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("config OK")
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_run_all_repeats_identically(self):
         for name in ("su2.json", "gaussian.json"):

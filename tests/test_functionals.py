@@ -286,10 +286,19 @@ class TestInsertionConstants:
             # up to the vertex weights, so c_n is attained simultaneously
             assert brute_force_insertion_constant(lam, n) == c_n
 
-    def test_matches_exhaustive_oracle_on_heisenberg(self):
-        for seed in (23, 24):
-            lam = rand_table(HEIS, 5, seed)
-            for n in (1, 2, 3):
+    @pytest.mark.parametrize(
+        "spec, degree, seeds, complex_values, arities",
+        [
+            (HEIS, 5, (23, 24), True, (1, 2, 3)),
+            (SO3, 4, (27, 28), False, (1, 2, 3)),
+            (SO3, 3, (29, 30), True, (1, 2)),
+        ],
+        ids=["heisenberg", "so3-real", "so3-complex"],
+    )
+    def test_matches_exhaustive_oracle(self, spec, degree, seeds, complex_values, arities):
+        for seed in seeds:
+            lam = rand_table(spec, degree, seed, complex_values)
+            for n in arities:
                 assert insertion_constants(lam, n) == brute_force_insertion_constant(lam, n)
 
     def test_degree_overflow(self):

@@ -1,5 +1,6 @@
 """PBW normal forms, brackets, seminorms and in-algebra BCH, all exact."""
 
+import itertools
 import random
 import zlib
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from envalg.catalog import abelian, affine_line, heisenberg, shipped_algebras, so3, spin_half
 from envalg.errors import SpecMismatchError
 from envalg.free_algebra import fa_bch
+from envalg.functionals import monomials_up_to
 from envalg.lie_structure import (
     GVector,
     LieAlgebraSpec,
@@ -153,6 +155,9 @@ class TestPbwReduce:
         for _ in range(40):
             word = random_word(spec, rng, max_length=5)
             assert pbw_reduce(spec, word).terms == brute_force_reduce(spec, word)
+        for length in range(5):
+            for word in itertools.product(range(spec.dim), repeat=length):
+                assert pbw_reduce(spec, word).terms == brute_force_reduce(spec, word)
 
 
 class TestPbwMul:
@@ -207,6 +212,16 @@ class TestStar:
         p, q = PBWPoly.generator(HEIS, 0), PBWPoly.generator(HEIS, 1)
         # (pq)^* = (-q)(-p) = qp = pq - z
         assert star(pbw_mul(p, q)) == PBWPoly(HEIS, {(1, 1, 0): 1, (0, 0, 1): -1})
+
+    @pytest.mark.parametrize("name", sorted(shipped_algebras()))
+    def test_matches_brute_force_oracle(self, name):
+        # (x^alpha)^* = (-1)^|alpha| times the normal form of the reversed word
+        spec = shipped_algebras()[name]
+        for alpha in monomials_up_to(spec.dim, 4):
+            word = [i for i, a in enumerate(alpha) for _ in range(a)]
+            sign = -1 if sum(alpha) % 2 else 1
+            expect = {k: c * sign for k, c in brute_force_reduce(spec, word[::-1]).items()}
+            assert star(PBWPoly.monomial(spec, alpha)).terms == expect
 
     def _random_poly(self, spec, rng, max_deg=4):
         terms = {}
