@@ -621,6 +621,16 @@ def _suite_radius(config, params, seed):
     return checks
 
 
+def _recursion_fits(params, config):
+    # the recursion at arity n reads beta_(n+1), so the table needs degree n_max + 1
+    lam = config.functionals[params["functional"]]
+    if params["n_max"] + 1 > lam.max_degree:
+        raise ValueError(
+            f"n_max: recursion to n={params['n_max']} needs functional degree "
+            f"{params['n_max'] + 1}, {params['functional']!r} has {lam.max_degree}"
+        )
+
+
 def _suite_recursion(config, params, seed):
     lam = config.functionals[params["functional"]]
     report = recursion_check(lam, params["n_max"])
@@ -871,7 +881,8 @@ SUITES = {
                     requires=(("functional",),)),
     "recursion": Suite(_suite_recursion,
                        {"functional": (None, _FUNCTIONAL), "n_max": (3, _DEGREE)},
-                       requires=(("functional",),), degree="n_max"),
+                       requires=(("functional",),), degree="n_max",
+                       consistent=_recursion_fits),
     "positivity": Suite(_suite_positivity,
                         {"representations": (None, _list(_REPRESENTATION)),
                          "d_max": (2, _DEGREE), "power_max": (3, _DEGREE),

@@ -306,8 +306,9 @@ def fa_check_exp_identity(m, n):
     """Exactly verify ``x^m y^n / (m! n!) = sum_k T_{m,n}((x*y)^k) / k!``.
 
     Also confirms ``exp(X) exp(Y) = exp(Z)`` modulo degree ``m+n+1`` for the
-    BCH series ``Z`` at truncation ``m+n``.  Both checks must PASS; a FAIL
-    indicates an implementation bug, never an acceptable outcome.
+    BCH series ``Z`` at truncation ``m+n``; ``exp(Z)`` is summed from the
+    same powers ``Z^k``.  Both checks must PASS; a FAIL indicates an
+    implementation bug, never an acceptable outcome.
     """
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("need m, n >= 0 with m + n >= 1")
@@ -315,12 +316,15 @@ def fa_check_exp_identity(m, n):
     z = fa_bch(N)
     lhs = FreeSeries(2, N, {(0,) * m + (1,) * n: Fraction(1, factorial(m) * factorial(n))})
     rhs = FreeSeries.zero(2, N)
+    exp_z = FreeSeries.zero(2, N)
     power = FreeSeries.one(2, N)
     for k in range(0, N + 1):
         if k:
             power = power * z
-        rhs = rhs + fa_bidegree_project(power, m, n).scale(Fraction(1, factorial(k)))
+        term = power.scale(Fraction(1, factorial(k)))
+        exp_z = exp_z + term
+        rhs = rhs + fa_bidegree_project(term, m, n)
     x = FreeSeries.letter(2, N, 0)
     y = FreeSeries.letter(2, N, 1)
-    product_ok = fa_exp(x) * fa_exp(y) == fa_exp(z)
+    product_ok = fa_exp(x) * fa_exp(y) == exp_z
     return ExpIdentityReport(m, n, lhs == rhs, product_ok)

@@ -6,6 +6,17 @@ linearity.  The multilinear components ``beta_n``, their symmetrizations,
 exact weighted-l1 operator norms, the truncated Hadamard radius estimate,
 the regular actions, and the insertion-constant recursion all live here.
 
+A symmetric n-linear map is fixed by its values on letter multisets, so the
+norm machinery never enumerates the ``dim**n`` words.  The symmetric sum
+``S(alpha)``, the sum of all words whose letter multiset is ``alpha``, obeys
+``S(0) = 1`` and ``S(alpha) = sum_{j: alpha_j > 0} S(alpha - e_j) e_j`` in
+normal form, and ``beta_n^s(alpha) = lam(S(alpha)) / multinomial(alpha)``.
+Inserting ``e_i`` at position k follows ``T_{k,i}(alpha) = S(alpha) e_i`` for
+``|alpha| = k - 1`` and ``T_{k,i}(alpha) = sum_j T_{k,i}(alpha - e_j) e_j``
+for ``|alpha| >= k``.  Both run over the ``C(n+dim-1, dim-1)`` multisets of
+each degree.  The word tables (:func:`beta_component`, :func:`symmetrize`)
+remain as the direct route for small n.
+
 Norms are values ``sqrt(q)`` with rational ``q``; every comparison is done
 on the exact squares (see :mod:`envalg.scalars`), and floating point shows
 up only in reports.
@@ -26,11 +37,21 @@ from .errors import (
 )
 from .lie_structure import (
     PBWPoly,
+    _acc,
+    _poly_right_letter,
+    _right_letter,
     monomial_name,
     pbw_reduce,
     submult_check,
 )
-from .scalars import RootValue, Scalar, SqrtFraction, scalar_field, sqrt_leq_sqrt_plus_multiple
+from .scalars import (
+    ONE,
+    RootValue,
+    Scalar,
+    SqrtFraction,
+    scalar_field,
+    sqrt_leq_sqrt_plus_multiple,
+)
 
 __all__ = [
     "FunctionalTable",
@@ -235,6 +256,77 @@ def pnorm(beta, spec=None):
     return SqrtFraction(best)
 
 
+def _times_letters(spec, layer):
+    """One degree up: ``out[alpha] = sum_{j: alpha_j > 0} layer[alpha - e_j] e_j``."""
+    out = {}
+    for alpha, table in layer.items():
+        for j in range(spec.dim):
+            grown = list(alpha)
+            grown[j] += 1
+            target = out.setdefault(tuple(grown), {})
+            for beta, coeff in table.items():
+                for b, c in _right_letter(spec, beta, j).items():
+                    _acc(target, b, coeff * c)
+    return out
+
+
+def _symmetric_sums(spec, top):
+    """``sums[n][alpha] = S(alpha)`` for every multiset ``|alpha| = n <= top``."""
+    zero = (0,) * spec.dim
+    sums = [{zero: {zero: ONE}}]
+    for _ in range(top):
+        sums.append(_times_letters(spec, sums[-1]))
+    return sums
+
+
+def _symmetric_norm2(lam, layer):
+    """Squared p-norm of the symmetric component whose multiset sums are ``layer``.
+
+    The value at ``alpha`` is ``lam(layer[alpha]) / multinomial(alpha)`` and
+    its vertex weight is ``prod_l w_l**alpha_l``; the norm is the max ratio.
+    """
+    spec = lam.spec
+    best = Fraction(0)
+    for alpha, table in layer.items():
+        v = lam.eval(PBWPoly._raw(spec, table))
+        if not v:
+            continue
+        multinomial = factorial(sum(alpha))
+        wprod = Fraction(1)
+        for w, a in zip(spec.weights, alpha):
+            multinomial //= factorial(a)
+            wprod *= w ** a
+        scale = multinomial * wprod
+        q = v.abs2() / (scale * scale)
+        if q > best:
+            best = q
+    return best
+
+
+def _insertion_chain(lam, sums, n_max):
+    """Insertion constants ``[c_0, .., c_{n_max}]``; ``sums`` reaches degree n_max.
+
+    One chain ``T_{k,i}`` per position k and letter i serves every arity
+    ``n >= k - 1``.
+    """
+    spec = lam.spec
+    best = [Fraction(0)] * (n_max + 1)
+    for k in range(1, n_max + 2):
+        for i in range(spec.dim):
+            w2 = spec.weights[i] ** 2
+            layer = {
+                alpha: _poly_right_letter(spec, table, i)
+                for alpha, table in sums[k - 1].items()
+            }
+            for n in range(k - 1, n_max + 1):
+                if n >= k:
+                    layer = _times_letters(spec, layer)
+                q = _symmetric_norm2(lam, layer) / w2
+                if q > best[n]:
+                    best[n] = q
+    return [SqrtFraction(q) for q in best]
+
+
 @dataclass(frozen=True)
 class RadiusEstimate:
     """Truncated Hadamard estimate ``[max_n (||beta_n^s||_p / n!)^(1/n)]^-1``.
@@ -276,20 +368,21 @@ def radius_estimate(lam, max_n=None):
 
     Components with vanishing norm are skipped (so polynomial-supported
     functionals report an infinite radius); comparisons between the
-    per-degree roots are exact.  ``max_n`` caps the computed degrees (the
-    word tables grow like dim**n, so large-degree tables in several
-    variables need an explicit cap).
+    per-degree roots are exact.  ``max_n`` caps the computed degrees.  Degree
+    n costs one normal-form product per letter and multiset, and the
+    C(n+dim-1, dim-1) multisets grow polynomially in n, not like dim**n.
     """
     lam._need_exact("radius estimate")
     top = lam.max_degree if max_n is None else min(max_n, lam.max_degree)
+    sums = _symmetric_sums(lam.spec, top)
     best = None
     per_degree = []
     for n in range(1, top + 1):
-        norm = pnorm(symmetrize(beta_component(lam, n)))
-        if norm.is_zero():
+        norm2 = _symmetric_norm2(lam, sums[n])
+        if not norm2:
             per_degree.append((n, None))
             continue
-        root = RootValue(norm.squared / Fraction(factorial(n)) ** 2, n)
+        root = RootValue(norm2 / Fraction(factorial(n)) ** 2, n)
         per_degree.append((n, root))
         if best is None or root > best:
             best = root
@@ -328,25 +421,18 @@ def insertion_constants(lam, n):
     ``c_n`` is the best constant with ``||(i_y^k beta)_n^s||_p <= c_n p(y)``
     over all positions ``k <= n+1`` and all ``y``; by linearity in ``y`` the
     sup reduces to the ball vertices, i.e. a max over ``(k, basis index)``.
-    The word table of ``(i_{e_i}^k beta)_n`` is ``beta_{n+1}``'s table read
-    with letter i inserted at position k.
+    The symmetrized value of ``(i_{e_i}^k beta)_n`` at a multiset alpha is
+    ``lam(T_{k,i}(alpha)) / multinomial(alpha)``, where ``T_{k,i}(alpha)``,
+    the sum of the words with letter i at position k and the multiset alpha
+    elsewhere, is ``S(alpha) e_i`` for ``|alpha| = k - 1`` and
+    ``sum_j T_{k,i}(alpha - e_j) e_j`` beyond.
     """
     lam._need_exact("insertion constants")
     if n + 1 > lam.max_degree:
         raise DegreeOverflowError(
             f"insertion constants at arity {n} need degree {n + 1} <= {lam.max_degree}"
         )
-    spec = lam.spec
-    full = beta_component(lam, n + 1).values
-    best = SqrtFraction(0)
-    for k in range(1, n + 2):
-        for i in range(spec.dim):
-            values = _symmetrize_values(spec, n, lambda w: full[w[: k - 1] + (i,) + w[k - 1 :]])
-            sym = BetaComponent(spec, n, values, symmetric=True)
-            candidate = pnorm(sym) / spec.weights[i]
-            if candidate > best:
-                best = candidate
-    return best
+    return _insertion_chain(lam, _symmetric_sums(lam.spec, n), n)[n]
 
 
 @dataclass(frozen=True)
@@ -402,23 +488,23 @@ def recursion_check(lam, n_max):
         raise SubmultiplicativityError(str(sub))
     spec = lam.spec
     acted = [regular_act(lam, spec.basis_vector(i), "right") for i in range(spec.dim)]
+    sums = _symmetric_sums(spec, n_max + 1)
+    constants = _insertion_chain(lam, sums, n_max)
     rows = []
-    c_prev = insertion_constants(lam, 0)
     for n in range(1, n_max + 1):
-        c_n = insertion_constants(lam, n)
-        beta_next = pnorm(symmetrize(beta_component(lam, n + 1)))
+        c_prev, c_n = constants[n - 1], constants[n]
+        beta_next = SqrtFraction(_symmetric_norm2(lam, sums[n + 1]))
         ineq = sqrt_leq_sqrt_plus_multiple(
             c_n.squared, beta_next.squared, n, c_prev.squared
         )
         invariance = True
         for i in range(spec.dim):
-            acted_norm = pnorm(symmetrize(beta_component(acted[i], n)))
+            acted_norm = SqrtFraction(_symmetric_norm2(acted[i], sums[n]))
             bound = c_n * spec.weights[i]
             if not acted_norm <= bound:
                 invariance = False
                 break
         rows.append(RecursionRow(n, c_n, beta_next, c_prev, ineq, invariance))
-        c_prev = c_n
     return RecursionReport(tuple(rows))
 
 

@@ -1,12 +1,18 @@
 """Config parsing, serialization round trips, suite dispatch and exit codes."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import envalg
 from envalg.cli import (
     SUITE_NAMES,
     SUITES,
@@ -238,13 +244,6 @@ class TestCommandLine:
         assert rc == 2
 
     def test_module_entry_point_runs(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import envalg
-
         env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
         path = str(default_config_path().parent.joinpath("gaussian.json"))
         proc = subprocess.run(
@@ -263,6 +262,26 @@ class TestCommandLine:
             rc2, out2 = capture(argv)
             assert rc1 == rc2 == 0
             assert out1 == out2
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("label, config", [("su2", None), ("gaussian", "gaussian.json")])
+def test_machine_report_matches_recorded_digest(label, config):
+    # the benchmark's recorded sha256 of the seed-0 machine report; a list
+    # holds one digest per pool seed
+    want = json.loads(REFERENCE.read_text(encoding="utf-8"))["full"]["shipped-cli"]
+    want = want[f"report-{label}"]
+    if isinstance(want, list):
+        want = want[0]
+    argv = [sys.executable, "-m", "envalg", "--format", "machine", "--seed", "0"]
+    if config is not None:
+        argv += ["--config", str(default_config_path().parent.joinpath(config))]
+    env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
+    proc = subprocess.run(argv + ["run-all"], capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == want
 
 
 def _set(suite, key, value=None, drop=False):
@@ -327,6 +346,10 @@ MALFORMED = [
                  ("suites[9] (extension)", "functional"), id="extension-table-not-1d"),
     pytest.param("su2.json", _kernel_twice, ["validate"],
                  ("suites[10] (kernel)", "name"), id="suite-listed-twice"),
+    pytest.param("su2.json", _set("recursion", "n_max", 6), ["validate"],
+                 ("suites[3] (recursion)", "n_max"), id="recursion-beyond-table"),
+    pytest.param("su2.json", None, ["--degree", "6", "run", "recursion"],
+                 ("recursion", "n_max"), id="degree-override-recursion"),
 ]
 
 

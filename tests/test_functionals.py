@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from envalg import functionals
 from envalg.catalog import (
     abelian,
     delta_functional,
@@ -15,10 +16,15 @@ from envalg.catalog import (
     heisenberg,
     so3,
     spin_half,
+    spin_one,
+    spin_three_half,
 )
 from envalg.errors import DegreeOverflowError, SpecMismatchError
 from envalg.functionals import (
+    BetaComponent,
     FunctionalTable,
+    _symmetric_norm2,
+    _symmetric_sums,
     beta_component,
     growth_diagnostics,
     insertion_constants,
@@ -32,7 +38,7 @@ from envalg.functionals import (
 from envalg.gns import functional_from_rep
 from envalg.lie_structure import PBWPoly, pbw_mul, pbw_reduce
 from envalg.sampling import random_functional
-from envalg.scalars import RootValue, Scalar, SqrtFraction
+from envalg.scalars import RootValue, Scalar, SqrtFraction, sqrt_leq_sqrt_plus_multiple
 
 
 HEIS = heisenberg()
@@ -320,8 +326,6 @@ class TestRecursion:
         assert report.ok
 
     def test_every_rep_functional_satisfies_recursion(self):
-        from envalg.catalog import spin_one, spin_three_half
-
         for factory in (spin_half, spin_one, spin_three_half):
             lam = functional_from_rep(factory(), 5)
             assert recursion_check(lam, 3).ok
@@ -338,6 +342,101 @@ class TestRecursion:
         lam = rand_table(heavy, 4, 26)
         with pytest.raises(SubmultiplicativityError):
             recursion_check(lam, 2)
+
+
+def _word_route_norm(lam, n):
+    return pnorm(symmetrize(beta_component(lam, n)))
+
+
+def _word_route_insertion(lam, n):
+    """c_n from beta_(n+1)'s word table with letter i inserted at position k."""
+    spec = lam.spec
+    full = beta_component(lam, n + 1).values
+    best = SqrtFraction(0)
+    for k in range(1, n + 2):
+        for i in range(spec.dim):
+            values = {
+                w: full[w[: k - 1] + (i,) + w[k - 1 :]]
+                for w in itertools.product(range(spec.dim), repeat=n)
+            }
+            best = max(best, pnorm(symmetrize(BetaComponent(spec, n, values))) / spec.weights[i])
+    return best
+
+
+def _word_route_rows(lam, n_max):
+    """Every ``recursion_check`` row field, computed from word tables."""
+    spec = lam.spec
+    acted = [regular_act(lam, spec.basis_vector(i)) for i in range(spec.dim)]
+    rows = []
+    for n in range(1, n_max + 1):
+        c_n, c_prev = _word_route_insertion(lam, n), _word_route_insertion(lam, n - 1)
+        beta_next = _word_route_norm(lam, n + 1)
+        ineq = sqrt_leq_sqrt_plus_multiple(c_n.squared, beta_next.squared, n, c_prev.squared)
+        invariance = all(
+            _word_route_norm(acted[i], n) <= c_n * spec.weights[i] for i in range(spec.dim)
+        )
+        rows.append((n, c_n, beta_next, c_prev, ineq, invariance))
+    return rows
+
+
+ORACLE_FUNCTIONALS = {
+    "so3-real": lambda: rand_table(SO3, 5, 500, complex_values=False),
+    "so3-complex": lambda: rand_table(SO3, 5, 501),
+    "heisenberg": lambda: rand_table(HEIS, 5, 502),
+    "abelian2": lambda: rand_table(abelian(2), 5, 503),
+    "spin1": lambda: functional_from_rep(spin_one(), 5),
+    "spin3half": lambda: functional_from_rep(spin_three_half(), 5),
+    "gaussian": lambda: gaussian_functional(5),
+}
+
+
+class TestMultisetRoute:
+    """The multiset sums against the word tables they replace, at n <= 5."""
+
+    @pytest.mark.parametrize("spec", [SO3, HEIS, abelian(2)], ids=["so3", "heisenberg", "abelian2"])
+    def test_symmetric_sums_are_word_sums(self, spec):
+        sums = _symmetric_sums(spec, 4)
+        for n in range(5):
+            expect = {}
+            for word in itertools.product(range(spec.dim), repeat=n):
+                alpha = tuple(word.count(l) for l in range(spec.dim))
+                expect[alpha] = expect.get(alpha, PBWPoly.zero(spec)) + pbw_reduce(spec, word)
+            assert {a: PBWPoly(spec, t) for a, t in sums[n].items()} == expect
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FUNCTIONALS))
+    def test_norms_and_radius_match_word_route(self, name):
+        lam = ORACLE_FUNCTIONALS[name]()
+        sums = _symmetric_sums(lam.spec, 5)
+        per_degree = dict(radius_estimate(lam).per_degree)
+        for n in range(1, 6):
+            norm = _word_route_norm(lam, n)
+            assert SqrtFraction(_symmetric_norm2(lam, sums[n])) == norm
+            if norm.is_zero():
+                assert per_degree[n] is None
+            else:
+                assert per_degree[n] == RootValue(norm.squared / Fraction(factorial(n)) ** 2, n)
+
+    @pytest.mark.parametrize("spec, seed, complex_values, n_max", [
+        (SO3, 510, False, 3), (SO3, 511, True, 2), (HEIS, 512, True, 3),
+    ], ids=["so3-real", "so3-complex", "heisenberg"])
+    def test_recursion_rows_match_word_route(self, spec, seed, complex_values, n_max):
+        lam = rand_table(spec, n_max + 1, seed, complex_values)
+        got = [
+            (r.n, r.c_n, r.beta_next_norm, r.c_prev, r.inequality_ok, r.invariance_ok)
+            for r in recursion_check(lam, n_max).rows
+        ]
+        assert got == _word_route_rows(lam, n_max)
+
+    def test_no_word_tables_on_the_hot_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("word route called")
+
+        monkeypatch.setattr(functionals, "beta_component", forbidden)
+        monkeypatch.setattr(functionals, "pbw_reduce", forbidden)
+        lam = rand_table(SO3, 4, 513)
+        assert radius_estimate(lam).per_degree
+        assert insertion_constants(lam, 2) is not None
+        assert recursion_check(lam, 3).rows
 
 
 def test_growth_diagnostics_monotone():
