@@ -35,76 +35,135 @@ __all__ = [
     "scalar_field",
 ]
 
-_ZERO_FRACTION = Fraction(0)
+_gcd = math.gcd
+_new_object = object.__new__
+
+
+def _triple(a, b, d):
+    """The Scalar ``(a + b i)/d`` for a triple already in canonical form."""
+    s = _new_object(Scalar)
+    s.a = a
+    s.b = b
+    s.d = d
+    return s
+
+
+def _reduced(a, b, d):
+    """The Scalar ``(a + b i)/d`` for ints with ``d > 0``, put in lowest terms."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    s = _new_object(Scalar)
+    s.a = a
+    s.b = b
+    s.d = d
+    return s
+
+
+def _int_pair(q):
+    """Numerator and positive denominator of an int or Fraction (any rational)."""
+    if type(q) is int:
+        return q, 1
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return q.numerator, q.denominator
 
 
 class Scalar:
-    """A Gaussian rational ``re + im*i`` with exact fraction components."""
+    """A Gaussian rational ``(a + b*i)/d`` stored as three Python ints.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so two
+    Scalars are equal exactly when their triples are.  ``re`` and ``im`` are
+    the parts as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        p, q = _int_pair(re)
+        r, t = _int_pair(im)
+        if q != t:
+            # over the lcm of two lowest-terms denominators, gcd(a, b, d) == 1
+            d = q * t // _gcd(q, t)
+            p *= d // q
+            r *= d // t
+            q = d
+        self.a = p
+        self.b = r
+        self.d = q
 
-    @classmethod
-    def _raw(cls, re, im):
-        s = object.__new__(cls)
-        s.re = re
-        s.im = im
-        return s
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_real(self):
-        return not self.im
+        return not self.b
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def conjugate(self):
-        return Scalar._raw(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     def abs2(self):
         """Exact squared modulus ``re**2 + im**2`` as a Fraction."""
-        if not self.im:
-            return self.re * self.re
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a + b * b, d * d)
 
     def __add__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar._raw(self.re + other.re, self.im + other.im)
+        if type(other) is Scalar:
+            d, od = self.d, other.d
+            if d == od:
+                return _reduced(self.a + other.a, self.b + other.b, d)
+            return _reduced(self.a * od + other.a * d, self.b * od + other.b * d, d * od)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            d = self.d
+            return _reduced(self.a * q + p * d, self.b * q, d * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar._raw(self.re - other.re, self.im - other.im)
+        if type(other) is Scalar:
+            d, od = self.d, other.d
+            if d == od:
+                return _reduced(self.a - other.a, self.b - other.b, d)
+            return _reduced(self.a * od - other.a * d, self.b * od - other.b * d, d * od)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            d = self.d
+            return _reduced(self.a * q - p * d, self.b * q, d * q)
+        return NotImplemented
 
     def __rsub__(self, other):
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar._raw(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __neg__(self):
-        return Scalar._raw(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if type(other) is Scalar:
-            if not self.im and not other.im:
-                return Scalar._raw(self.re * other.re, _ZERO_FRACTION)
-            return Scalar._raw(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            if b1 or b2:
+                return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
+            return _reduced(a1 * a2, 0, self.d * other.d)
         if isinstance(other, (int, Fraction)):
-            return Scalar._raw(self.re * other, self.im * other)
+            p = other.numerator
+            return _reduced(self.a * p, self.b * p, self.d * other.denominator)
         if type(other) is complex:
             # an exact coefficient acting on a float-path value
             return self.to_complex() * other
@@ -113,48 +172,61 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        a2 = self.abs2()
-        if not a2:
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar._raw(self.re / a2, -self.im / a2)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
+        if type(other) is Scalar:
+            oa, ob, od = other.a, other.b, other.d
+            n = oa * oa + ob * ob
+            if not n:
+                raise ZeroDivisionError("division by zero scalar")
+            a, b = self.a, self.b
+            return _reduced((a * oa + b * ob) * od, (b * oa - a * ob) * od, self.d * n)
         if isinstance(other, (int, Fraction)):
-            return Scalar._raw(self.re / other, self.im / other)
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+            p, q = other.numerator, other.denominator
+            if not p:
+                raise ZeroDivisionError("division by zero scalar")
+            if p < 0:
+                p, q = -p, -q
+            return _reduced(self.a * q, self.b * q, self.d * p)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return other / self
 
     def __eq__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is Scalar:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other.numerator and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def to_complex(self):
-        return complex(self.re, self.im)
+        # int true division is correctly rounded, as float(Fraction) is
+        d = self.d
+        return complex(self.a / d, self.b / d)
 
     def __repr__(self):
-        if not self.im:
+        if not self.b:
             return f"Scalar({self.re})"
         return f"Scalar({self.re}, {self.im})"
 
     def __str__(self):
-        if not self.im:
+        if not self.b:
             return str(self.re)
-        if not self.re:
+        if not self.a:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
@@ -168,7 +240,7 @@ def as_scalar(value):
     if type(value) is Scalar:
         return value
     if isinstance(value, (int, Fraction)):
-        return Scalar(value)
+        return _triple(value.numerator, 0, value.denominator)
     return NotImplemented
 
 

@@ -1,0 +1,196 @@
+"""Differential test of ``Scalar`` against a ``(Fraction, Fraction)`` reference.
+
+The reference keeps a Gaussian rational as its real and imaginary parts and
+computes every operation with ``fractions.Fraction``; the class under test
+must give the same values, a canonical triple ``(a + b i)/d`` with ``d > 0``
+and ``gcd(a, b, d) == 1``, and the same rounded floats.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from envalg.scalars import Scalar
+
+# -- reference ---------------------------------------------------------------
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    if not n:
+        raise ZeroDivisionError
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_div(x, y):
+    return ref_mul(x, ref_inverse(y))
+
+
+def ref_of(v):
+    """The reference pair of a Scalar, int or Fraction operand."""
+    if isinstance(v, Scalar):
+        return (Fraction(v.re), Fraction(v.im))
+    return (Fraction(v), Fraction(0))
+
+
+# -- strategies ----------------------------------------------------------------
+
+# Small and large numerators, denominators with shared and coprime factors.
+ints = st.one_of(st.integers(-12, 12), st.integers(-(2 ** 80), 2 ** 80))
+denoms = st.one_of(st.integers(1, 12), st.sampled_from([6, 36, 2 ** 64, 3 ** 40]))
+fractions_ = st.builds(Fraction, ints, denoms)
+scalars = st.builds(Scalar, fractions_, fractions_) | st.builds(Scalar, fractions_)
+operands = st.one_of(scalars, ints, fractions_)
+
+
+def check_canonical(s):
+    """The stored triple is reduced, with a positive denominator."""
+    assert type(s) is Scalar
+    a, b, d = s.a, s.b, s.d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (s.re, s.im)
+
+
+def check(result, expected):
+    check_canonical(result)
+    assert (result.re, result.im) == expected
+    assert type(result.re) is Fraction and type(result.im) is Fraction
+
+
+# -- arithmetic ------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scalars, operands)
+def test_binary_ops_match_reference(x, y):
+    rx, ry = ref_of(x), ref_of(y)
+    check(x + y, ref_add(rx, ry))
+    check(y + x, ref_add(ry, rx))
+    check(x - y, ref_sub(rx, ry))
+    check(y - x, ref_sub(ry, rx))
+    check(x * y, ref_mul(rx, ry))
+    check(y * x, ref_mul(ry, rx))
+    if ry != (0, 0):
+        check(x / y, ref_div(rx, ry))
+    if rx != (0, 0):
+        check(y / x, ref_div(ry, rx))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scalars)
+def test_unary_ops_match_reference(x):
+    rx = ref_of(x)
+    check_canonical(x)
+    check(-x, (-rx[0], -rx[1]))
+    check(x.conjugate(), (rx[0], -rx[1]))
+    assert x.abs2() == rx[0] * rx[0] + rx[1] * rx[1]
+    assert type(x.abs2()) is Fraction
+    assert x.is_real() == (rx[1] == 0)
+    assert x.is_zero() == (rx == (0, 0)) == (not x)
+    if rx != (0, 0):
+        check(x.inverse(), ref_inverse(rx))
+        check(x * x.inverse(), (Fraction(1), Fraction(0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scalars, scalars)
+def test_equality_and_hash(x, y):
+    same = ref_of(x) == ref_of(y)
+    assert (x == y) == same
+    assert (x != y) == (not same)
+    if same:
+        assert hash(x) == hash(y)
+    # an equal value built another way compares and hashes equal
+    twin = Scalar(x.re, x.im)
+    assert twin == x and hash(twin) == hash(x)
+    assert (x - y + y) == x and hash(x - y + y) == hash(x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scalars, st.one_of(ints, fractions_))
+def test_equality_with_rationals(x, q):
+    assert (x == q) == (ref_of(x) == ref_of(q))
+    assert (q == x) == (ref_of(x) == ref_of(q))
+    assert x != "1"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scalars)
+def test_to_complex_is_bit_equal_to_fraction_floats(x):
+    z = x.to_complex()
+    ref = complex(ref_of(x)[0], ref_of(x)[1])
+    assert type(z) is complex
+    assert z.real.hex() == ref.real.hex()
+    assert z.imag.hex() == ref.imag.hex()
+
+
+def test_text_forms():
+    half = Fraction(1, 2)
+    cases = [
+        (Scalar(0), "0", "Scalar(0)"),
+        (Scalar(3), "3", "Scalar(3)"),
+        (Scalar(-half), "-1/2", "Scalar(-1/2)"),
+        (Scalar(0, half), "1/2i", "Scalar(0, 1/2)"),
+        (Scalar(0, -1), "-1i", "Scalar(0, -1)"),
+        (Scalar(half, Fraction(-2, 3)), "1/2-2/3i", "Scalar(1/2, -2/3)"),
+        (Scalar(-1, Fraction(1, 6)), "-1+1/6i", "Scalar(-1, 1/6)"),
+    ]
+    for s, text, rep in cases:
+        assert str(s) == text
+        assert repr(s) == rep
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scalars)
+def test_text_forms_read_the_fraction_parts(x):
+    re, im = ref_of(x)
+    if not im:
+        assert str(x) == str(re) and repr(x) == f"Scalar({re})"
+    else:
+        assert repr(x) == f"Scalar({re}, {im})"
+        assert str(x).endswith("i")
+
+
+def test_complex_operand_gives_complex_product():
+    s = Scalar(Fraction(1, 3), 2)
+    assert s * 2j == s.to_complex() * 2j
+    assert 2j * s == s.to_complex() * 2j
+
+
+@pytest.mark.parametrize("zero", [Scalar(0), Scalar(Fraction(0), Fraction(0)), 0, Fraction(0)])
+def test_division_by_zero_raises(zero):
+    x = Scalar(Fraction(2, 3), -1)
+    with pytest.raises(ZeroDivisionError):
+        x / zero
+    with pytest.raises(ZeroDivisionError):
+        Scalar(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        1 / Scalar(0)
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 2) / Scalar(0)
+
+
+def test_unsupported_operands():
+    x = Scalar(1, 1)
+    for bad in ("1", 1.5, None):
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            x / bad
+    assert (x == 1.5) is False
