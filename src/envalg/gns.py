@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import List, Optional, Tuple
 
@@ -118,9 +119,19 @@ class MatrixRep:
 
     # -- numeric views -----------------------------------------------------
 
-    def generator_array(self, i):
+    @cached_property
+    def _generator_arrays(self):
+        """Read-only complex arrays of the generators, built on first use."""
         to_complex = self.field.to_complex
-        return np.array([[to_complex(c) for c in row] for row in self.generators[i]])
+        arrays = tuple(np.array([[to_complex(c) for c in row] for row in gen])
+                       for gen in self.generators)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
+    def generator_array(self, i):
+        """``R(e_i)`` as a read-only complex array."""
+        return self._generator_arrays[i]
 
     def cyclic_array(self):
         return np.array([self.field.to_complex(c) for c in self.cyclic_vector])
@@ -130,7 +141,7 @@ class MatrixRep:
         acc = np.zeros((self.dim_V, self.dim_V), dtype=complex)
         for i, c in enumerate(x.coeffs):
             if c:
-                acc = acc + c.to_complex() * self.generator_array(i)
+                acc = acc + c.to_complex() * self._generator_arrays[i]
         return acc
 
     def exact_matrix_of(self, x):

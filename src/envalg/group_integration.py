@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RepresentationError
 from .gns import functional_from_rep, gns_build
@@ -52,6 +51,9 @@ def matrix_exp(A):
         raise ValueError("matrix_exp needs a square matrix")
     if not np.all(np.isfinite(A.view(float))):
         raise ValueError("matrix_exp needs finite entries")
+    # imported here: scipy.linalg is most of the package's import time, and
+    # only the group side needs it
+    import scipy.linalg
     return scipy.linalg.expm(A)
 
 
@@ -178,13 +180,15 @@ def cauchy_estimate_check(rep, x, r=1.0, n_max=12, grid=8, safety=1.05):
     R = rep.matrix_of(x)
     v = rep.cyclic_array()
     r = float(r)
+    e2vs = []
+    for b in range(grid):
+        z2 = r * np.exp(2j * np.pi * b / grid)
+        e2vs.append(matrix_exp(np.conj(z2) * R) @ v)
     C = 0.0
     for a in range(grid):
         z1 = r * np.exp(2j * np.pi * a / grid)
         e1v = matrix_exp(z1 * R) @ v
-        for b in range(grid):
-            z2 = r * np.exp(2j * np.pi * b / grid)
-            e2v = matrix_exp(np.conj(z2) * R) @ v
+        for e2v in e2vs:
             C = max(C, abs(complex(np.vdot(e2v, e1v))))
     C *= safety
     rows = []

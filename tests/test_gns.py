@@ -1,10 +1,12 @@
 """Moment matrices, exact PSD certificates, GNS models, analytic diagnostics."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from envalg.catalog import (
     abelian,
@@ -172,6 +174,110 @@ class TestPsdCheck:
     def test_non_hermitian_rejected(self):
         with pytest.raises(HermitianError):
             psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _sym(c):
+    """A Scalar as an exact sympy number."""
+    re, im = c.re, c.im
+    return sympy.Rational(re.numerator, re.denominator) + sympy.I * sympy.Rational(
+        im.numerator, im.denominator
+    )
+
+
+def _sympy_psd(M):
+    """A hermitian M is PSD iff every principal minor is >= 0."""
+    for size in range(1, M.rows + 1):
+        for idx in itertools.combinations(range(M.rows), size):
+            minor = sympy.expand(M.extract(list(idx), list(idx)).det())
+            assert sympy.im(minor) == 0
+            if minor < 0:
+                return False
+    return True
+
+
+def _gram(rng, k, n):
+    """``B^* B`` for a random k x n Gaussian-rational B: PSD of rank <= k."""
+    B = [[Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+          for _ in range(n)] for _ in range(k)]
+    return [[sum((B[r][i].conjugate() * B[r][j] for r in range(k)), Scalar(0))
+             for j in range(n)] for i in range(n)]
+
+
+def _permuted(rng, M):
+    order = list(range(len(M)))
+    rng.shuffle(order)
+    return tuple(tuple(M[i][j] for j in order) for i in order)
+
+
+class TestExactPsdSympyOracle:
+    """``_exact_psd`` against sympy's exact rank and semidefiniteness."""
+
+    def check(self, rows):
+        from envalg.gns import _exact_psd
+
+        ok, rank, pivots, witness, value = _exact_psd(rows)
+        M = sympy.Matrix([[_sym(c) for c in row] for row in rows])
+        assert M.is_hermitian
+        assert ok == _sympy_psd(M)
+        assert all(p > 0 for p in pivots)
+        if ok:
+            assert rank == M.rank()
+            assert witness is None and value is None
+            return "pass"
+        u = sympy.Matrix([_sym(c) for c in witness])
+        quad = sympy.nsimplify(sympy.expand((u.H * M * u)[0]))
+        assert quad == _sym(value)
+        assert value.is_real() and value.re < 0
+        return "fail"
+
+    def test_random_psd_matrices(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            n = rng.randint(1, 5)
+            rows = _permuted(rng, _gram(rng, rng.randint(0, n), n))
+            assert self.check(rows) == "pass"
+
+    def test_negative_pivot_branch(self):
+        rng = random.Random(12)
+        # B^*B minus a large multiple of one diagonal unit: a negative pivot
+        # at the first step
+        for _ in range(15):
+            n = rng.randint(1, 5)
+            M = _gram(rng, rng.randint(1, n), n)
+            k = rng.randrange(n)
+            M[k][k] = M[k][k] - 100
+            assert self.check(_permuted(rng, M)) == "fail"
+        # one diagonal entry of a full-rank B^*B scaled down: every diagonal
+        # entry stays positive, so a negative pivot can only show up after
+        # eliminations, and its witness is lifted through them
+        verdicts = []
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            M = _gram(rng, n, n)
+            k = rng.randrange(n)
+            M[k][k] = M[k][k] * Fraction(rng.randint(1, 3), 4)
+            verdicts.append(self.check(_permuted(rng, M)))
+        assert verdicts.count("fail") >= 20
+        assert self.check(((Scalar(1), Scalar(2)), (Scalar(2), Scalar(1)))) == "fail"
+
+    def test_zero_diagonal_branch(self):
+        # a PSD block beside a hermitian block with zero diagonal: every pivot
+        # is positive, then the remaining diagonal is all zero
+        rng = random.Random(13)
+        for _ in range(25):
+            k = rng.randint(0, 3)
+            m = rng.randint(2, 3)
+            P = _gram(rng, rng.randint(1, 3), k)
+            H = [[Scalar(0)] * m for _ in range(m)]
+            i, j = rng.sample(range(m), 2)
+            H[i][j] = Scalar(Fraction(rng.randint(1, 5), rng.randint(1, 4)), rng.randint(-2, 2))
+            H[j][i] = H[i][j].conjugate()
+            zero = Scalar(0)
+            M = [P[r] + [zero] * m for r in range(k)] + [[zero] * k + H[r] for r in range(m)]
+            assert self.check(_permuted(rng, M)) == "fail"
+        # the zero diagonal appears only after eliminating the first pivot
+        rows = tuple(tuple(Scalar(c) for c in row) for row in ((1, 1, 1), (1, 1, 2), (1, 2, 1)))
+        assert self.check(rows) == "fail"
 
 
 class TestGnsBuild:
