@@ -1,8 +1,11 @@
 """Exact scalar arithmetic: Gaussian rationals and square-root-free comparisons.
 
-All values here are immutable.  ``Scalar`` is a Gaussian rational
-``re + im*i`` whose parts are :class:`fractions.Fraction`; arithmetic is
-closed and exact, so repeated runs are bit-identical.  ``SqrtFraction`` and
+All values here are immutable.  ``Scalar`` is a Gaussian rational stored as
+one integer triple ``(a + b*i)/d`` with ``d > 0`` and ``gcd(a, b, d) == 1``:
+each result is reduced by a single gcd (none when ``d == 1``), equality
+compares the triples, and the parts ``re``/``im`` are handed out as
+:class:`fractions.Fraction`.  Arithmetic is closed and exact, so repeated
+runs are bit-identical.  ``SqrtFraction`` and
 ``RootValue`` represent nonnegative reals of the form ``sqrt(q)`` and
 ``q**(1/(2n))`` for rational ``q``; they compare exactly by cross-powering,
 and floating point only appears when a value is rendered for a report.
@@ -56,6 +59,7 @@ def _reduced(a, b, d):
             a //= g
             b //= g
             d //= g
+    # built here rather than through _triple: this is the hottest constructor
     s = _new_object(Scalar)
     s.a = a
     s.b = b
