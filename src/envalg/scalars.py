@@ -124,37 +124,31 @@ class Scalar:
         a, b, d = self.a, self.b, self.d
         return Fraction(a * a + b * b, d * d)
 
+    def _plus(self, a, b, d):
+        """``self + (a + b i)/d`` for a denominator ``d > 0``, reduced by one gcd."""
+        sd = self.d
+        if sd == d:
+            return _reduced(self.a + a, self.b + b, d)
+        return _reduced(self.a * d + a * sd, self.b * d + b * sd, sd * d)
+
     def __add__(self, other):
         if type(other) is Scalar:
-            d, od = self.d, other.d
-            if d == od:
-                return _reduced(self.a + other.a, self.b + other.b, d)
-            return _reduced(self.a * od + other.a * d, self.b * od + other.b * d, d * od)
+            return self._plus(other.a, other.b, other.d)
         if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            d = self.d
-            return _reduced(self.a * q + p * d, self.b * q, d * q)
+            return self._plus(other.numerator, 0, other.denominator)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is Scalar:
-            d, od = self.d, other.d
-            if d == od:
-                return _reduced(self.a - other.a, self.b - other.b, d)
-            return _reduced(self.a * od - other.a * d, self.b * od - other.b * d, d * od)
+            return self._plus(-other.a, -other.b, other.d)
         if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            d = self.d
-            return _reduced(self.a * q - p * d, self.b * q, d * q)
+            return self._plus(-other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __rsub__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __neg__(self):
         return _triple(-self.a, -self.b, self.d)
