@@ -1055,6 +1055,13 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.out and args.command in ("run", "run-all"):
+        # fail before any suite runs; append mode leaves an existing report intact
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
     try:
         if args.command == "validate":
             return _cmd_validate(config, args)
@@ -1072,7 +1079,11 @@ def main(argv=None):
     except (ConfigError, WorkbenchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    _emit(reports, args.format, args.out)
+    try:
+        _emit(reports, args.format, args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0 if all(r.ok for r in reports) else 1
 
 

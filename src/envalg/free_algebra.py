@@ -5,7 +5,10 @@ to nonzero Gaussian-rational coefficients, truncated at a fixed total degree.
 Concatenation product, exp, log, the two-letter BCH series and bidegree
 projections are all exact; products silently discard the words whose length
 exceeds the truncation degree, which makes every nonconstant series nilpotent
-and keeps exp/log finite sums.
+and keeps exp/log finite sums.  The product never forms a discarded pair: it
+groups the right factor's words by length once, and each left word ``u``
+walks only the groups that fit beside it, of length at most the truncation
+degree minus ``len(u)``.
 
 The truncation degree is a hard parameter: series with different degrees (or
 alphabets) never mix, so the provenance of discarded terms stays explicit.
@@ -152,20 +155,23 @@ class FreeSeries:
             return NotImplemented
         self._check_compatible(other)
         cut = self.trunc_degree
+        # buckets[k] holds the terms of `other` of length k, so each left word
+        # walks exactly the right words that fit beside it
+        buckets = [[] for _ in range(cut + 1)]
+        for v, cv in other.terms.items():
+            buckets[len(v)].append((v, cv))
         out = {}
         for u, cu in self.terms.items():
-            room = cut - len(u)
-            for v, cv in other.terms.items():
-                if len(v) > room:
-                    continue
-                word = u + v
-                prod = cu * cv
-                acc = out.get(word)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[word] = acc
-                elif word in out:
-                    del out[word]
+            for bucket in buckets[: cut + 1 - len(u)]:
+                for v, cv in bucket:
+                    word = u + v
+                    prod = cu * cv
+                    acc = out.get(word)
+                    acc = prod if acc is None else acc + prod
+                    if acc:
+                        out[word] = acc
+                    elif word in out:
+                        del out[word]
         return FreeSeries._raw(self.alphabet_size, self.trunc_degree, out)
 
     def __pow__(self, n):

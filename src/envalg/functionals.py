@@ -393,7 +393,13 @@ def regular_act(lam, y, side="right"):
     """The functional ``D -> lam(D y)`` (right) or ``D -> lam(y D)`` (left).
 
     The result is defined on monomials of degree ``N - 1`` only, since one
-    slot of the table is consumed by ``y``.
+    slot of the table is consumed by ``y``.  The right action reads the
+    cached normal forms of ``x^alpha e_i`` directly: its value at alpha is
+    ``sum_b c_b lam(b)`` with ``sum_b c_b b = sum_i y_i x^alpha e_i``, one
+    multiplication per term.  The coefficients ``c_b`` are combined exactly,
+    in the order a PBW product would, before the ``lam`` values enter, so
+    float tables see the same operations in the same order as
+    ``lam.eval(x^alpha * y)``.
     """
     if lam.max_degree < 1:
         raise DegreeOverflowError("regular action needs max_degree >= 1")
@@ -402,16 +408,33 @@ def regular_act(lam, y, side="right"):
     if not (y.spec is lam.spec or y.spec == lam.spec):
         raise SpecMismatchError("vector and functional use different specs")
     spec = lam.spec
-    ypoly = PBWPoly.from_gvector(y)
+    monos = monomials_up_to(spec.dim, lam.max_degree - 1)
     values = {}
-    for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
-        mono = PBWPoly.monomial(spec, alpha)
-        prod_poly = (
-            mono * ypoly if side == "right" else ypoly * mono
-        )
-        v = lam.eval(prod_poly)
-        if v:
-            values[alpha] = v
+    if side == "left":
+        ypoly = PBWPoly.from_gvector(y)
+        for alpha in monos:
+            v = lam.eval(ypoly * PBWPoly.monomial(spec, alpha))
+            if v:
+                values[alpha] = v
+        return FunctionalTable(spec, lam.max_degree - 1, values, exact=lam.exact)
+    ys = [(i, c) for i, c in enumerate(y.coeffs) if c]
+    basis = len(ys) == 1 and ys[0][1] == ONE
+    table, zero = lam.values, lam.field.zero
+    for alpha in monos:
+        if basis:
+            terms = _right_letter(spec, alpha, ys[0][0])
+        else:
+            terms = {}
+            for i, yi in ys:
+                for b, c in _right_letter(spec, alpha, i).items():
+                    _acc(terms, b, c * yi)
+        total = zero
+        for b, c in terms.items():
+            v = table.get(b)
+            if v is not None:
+                total = total + c * v
+        if total:
+            values[alpha] = total
     return FunctionalTable(spec, lam.max_degree - 1, values, exact=lam.exact)
 
 

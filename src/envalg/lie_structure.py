@@ -352,15 +352,23 @@ def _poly_right_letter(spec, table, letter):
 
 
 def _normal_form(spec, word):
-    """Normal form of an arbitrary word as ``{multi-index: Scalar}``."""
+    """Normal form of an arbitrary word as ``{multi-index: Scalar}``.
+
+    Every prefix is cached on the way, and the walk starts from the longest
+    cached prefix, so a word whose prefix is known costs one right-letter step.
+    """
     word = tuple(word)
-    cached = spec._nf_cache.get(word)
-    if cached is not None:
-        return cached
-    table = {(0,) * spec.dim: ONE}
-    for letter in word:
-        table = _poly_right_letter(spec, table, letter)
-    spec._nf_cache[word] = table
+    cache = spec._nf_cache
+    table = cache.get(word)
+    if table is not None:
+        return table
+    start = max(len(word) - 1, 0)
+    while start and word[:start] not in cache:
+        start -= 1
+    table = cache[word[:start]] if start else {(0,) * spec.dim: ONE}
+    for k in range(start, len(word)):
+        table = _poly_right_letter(spec, table, word[k])
+        cache[word[:k + 1]] = table
     return table
 
 

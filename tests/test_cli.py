@@ -211,6 +211,34 @@ class TestCommandLine:
         assert out == ""
         assert "suite gns: PASS" in target.read_text()
 
+    @pytest.mark.parametrize("command", [["run", "gns"], ["run-all"]])
+    def test_out_unwritable_fails_before_running(self, tmp_path, capsys, monkeypatch, command):
+        from envalg import cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a suite ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_suite", forbidden)
+        monkeypatch.setattr(cli, "run_all", forbidden)
+        target = tmp_path / "missing" / "report.txt"
+        rc = main(["--out", str(target)] + command)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("output error: ") and str(target) in err
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
+    def test_out_directory_is_an_output_error(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "run", "gns"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("output error: ")
+
+    def test_out_existing_report_kept_on_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "report.txt"
+        target.write_text("previous report\n")
+        assert main(["--out", str(target), "run", "no-such-suite"]) == 2
+        assert target.read_text() == "previous report\n"
+
     def test_dump_targets(self):
         rc, out = capture(["dump", "lie_algebra"])
         assert rc == 0

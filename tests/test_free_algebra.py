@@ -240,3 +240,64 @@ def test_results_are_reproducible():
     second = fa_log(fa_exp(X(5)) * fa_exp(Y(5)))
     assert first == second
     assert first.terms == second.terms
+
+
+# -- the bucketed product against a plain pair loop -------------------------
+
+def pair_loop_product(a, b):
+    """Every pair of terms, kept when the concatenation fits the truncation."""
+    out = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            if len(u) + len(v) <= a.trunc_degree:
+                out[u + v] = out.get(u + v, Scalar(0)) + cu * cv
+    return {w: c for w, c in out.items() if c}
+
+
+# few distinct values, so coefficients of a repeated word often cancel
+cancelling_scalar = st.sampled_from([
+    Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1), Scalar(Fraction(1, 2)),
+    Scalar(Fraction(-1, 2)), Scalar(1, 1), Scalar(-1, -1), Scalar(Fraction(2, 3), -2),
+])
+
+
+@st.composite
+def series_pairs(draw):
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(0, 6))
+
+    def one_series():
+        kind = draw(st.sampled_from(["zero", "one", "terms", "terms", "terms"]))
+        if kind == "zero":
+            return FreeSeries.zero(d, N)
+        if kind == "one":
+            return FreeSeries.one(d, N)
+        terms = {}
+        for _ in range(draw(st.integers(0, 8))):
+            length = draw(st.integers(0, N))
+            word = tuple(draw(st.integers(0, d - 1)) for _ in range(length))
+            terms[word] = terms.get(word, Scalar(0)) + draw(cancelling_scalar)
+        return FreeSeries(d, N, terms)
+
+    return one_series(), one_series()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series_pairs())
+def test_product_matches_pair_loop(pair):
+    a, b = pair
+    got = a * b
+    assert got.terms == pair_loop_product(a, b)
+    assert all(c for c in got.terms.values())
+    assert all(len(w) <= a.trunc_degree for w in got.terms)
+    one = FreeSeries.one(a.alphabet_size, a.trunc_degree)
+    zero = FreeSeries.zero(a.alphabet_size, a.trunc_degree)
+    assert a * one == a == one * a
+    assert (a * zero).is_zero() and (zero * a).is_zero()
+
+
+def test_product_cancels_across_splits():
+    # (1 + X)(X - X^2) = X - X^3: the word XX arises from two splits and cancels
+    N = 3
+    got = (ONE(N) + X(N)) * (X(N) - X(N) * X(N))
+    assert got.terms == {(0,): Scalar(1), (0, 0, 0): Scalar(-1)}

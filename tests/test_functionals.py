@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from envalg import functionals
+from envalg import functionals, gns, lie_structure
 from envalg.catalog import (
     abelian,
     delta_functional,
@@ -36,7 +36,7 @@ from envalg.functionals import (
     symmetrize,
 )
 from envalg.gns import functional_from_rep
-from envalg.lie_structure import PBWPoly, pbw_mul, pbw_reduce
+from envalg.lie_structure import GVector, PBWPoly, pbw_mul, pbw_reduce, star
 from envalg.sampling import random_functional
 from envalg.scalars import RootValue, Scalar, SqrtFraction, sqrt_leq_sqrt_plus_multiple
 
@@ -254,6 +254,115 @@ class TestRegularAction:
         lam = rand_table(HEIS, 0, 21)
         with pytest.raises(DegreeOverflowError):
             regular_act(lam, HEIS.basis_vector(0))
+
+
+def product_route_act(lam, y, side):
+    """The PBW-product formula ``lam(x^alpha y)`` / ``lam(y x^alpha)`` per monomial."""
+    spec = lam.spec
+    ypoly = PBWPoly.from_gvector(y)
+    values = {}
+    for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
+        mono = PBWPoly.monomial(spec, alpha)
+        v = lam.eval(pbw_mul(mono, ypoly) if side == "right" else pbw_mul(ypoly, mono))
+        if v:
+            values[alpha] = v
+    return values
+
+
+def value_bits(values):
+    """Exact values as they are; complex values by the bits of both parts."""
+    return {
+        a: (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v
+        for a, v in values.items()
+    }
+
+
+def float_copy(lam):
+    return FunctionalTable(
+        lam.spec, lam.max_degree, {a: v.to_complex() for a, v in lam.values.items()},
+        exact=False,
+    )
+
+
+def kernel_vectors(spec):
+    """Every basis vector, a scaled basis vector, general and zero vectors."""
+    q = lambda a, b=0: Scalar(Fraction(a), Fraction(b))
+    out = [spec.basis_vector(i) for i in range(spec.dim)]
+    out.append(spec.basis_vector(spec.dim - 1).scale(q(-3, 2)))
+    out.append(GVector(spec, [q(1, 1), q(-2, 3)] + [q(1, -1)] * (spec.dim - 2)))
+    out.append(GVector(spec, [q(1)] * spec.dim))
+    out.append(GVector(spec, [q(0)] * spec.dim))
+    return out
+
+
+def moment_matrix_rows_by_products(lam, d):
+    """Gram rows ``lam(star(x^alpha) x^beta)`` from plain PBW products."""
+    spec = lam.spec
+    monos = monomials_up_to(spec.dim, d)
+    return tuple(
+        tuple(
+            lam.eval(pbw_mul(star(PBWPoly.monomial(spec, a)), PBWPoly.monomial(spec, b)))
+            for b in monos
+        )
+        for a in monos
+    )
+
+
+KERNEL_SPECS = {"so3": SO3, "heisenberg": HEIS, "abelian": abelian(3)}
+
+
+class TestRegularActionKernel:
+    """The direct right action against the PBW-product formula it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_matches_product_route(self, name, side, exact):
+        spec = KERNEL_SPECS[name]
+        for seed in (600, 601):
+            lam = rand_table(spec, 4, seed)
+            if not exact:
+                lam = float_copy(lam)
+            for y in kernel_vectors(spec):
+                acted = regular_act(lam, y, side)
+                assert acted.max_degree == 3 and acted.exact == exact
+                assert value_bits(acted.values) == value_bits(product_route_act(lam, y, side))
+                if y.is_zero():
+                    assert acted.values == {}
+
+    def test_right_action_builds_no_products(self, monkeypatch):
+        """Inside ``regular_act(..., "right")`` no PBW product, monomial or eval runs.
+
+        ``moment_matrix`` evaluates its star rows with ``FunctionalTable.eval``
+        itself, so there the three are forbidden only while a right action runs.
+        """
+        lam = functional_from_rep(spin_one(), 4)
+        basis = [SO3.basis_vector(i) for i in range(SO3.dim)]
+        expected = [product_route_act(lam, y, "right") for y in basis]
+        expected_rows = moment_matrix_rows_by_products(lam, 2)
+        depth = [0]
+
+        def guarded(original):
+            def call(*args, **kwargs):
+                if depth[0]:
+                    raise AssertionError("PBW product route inside the right action")
+                return original(*args, **kwargs)
+            return call
+
+        def counted(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return regular_act(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monomial = PBWPoly.monomial.__func__
+        monkeypatch.setattr(lie_structure, "pbw_mul", guarded(lie_structure.pbw_mul))
+        monkeypatch.setattr(PBWPoly, "monomial", classmethod(guarded(monomial)))
+        monkeypatch.setattr(FunctionalTable, "eval", guarded(FunctionalTable.eval))
+        monkeypatch.setattr(gns, "regular_act", counted)
+        assert [counted(lam, y, "right").values for y in basis] == expected
+        assert gns.moment_matrix(lam, 2).rows == expected_rows
 
 
 def brute_force_insertion_constant(lam, n):

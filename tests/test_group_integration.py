@@ -12,8 +12,11 @@ from envalg.catalog import (
     heisenberg_rep,
     so3,
     spin_half,
+    spin_one,
+    spin_three_half,
 )
 from envalg.errors import RepresentationError
+from envalg.gns import analytic_diagnostics, functional_from_rep
 from envalg.group_integration import (
     GroupSample,
     cauchy_estimate_check,
@@ -173,6 +176,28 @@ class TestCauchy:
     def test_requires_skew(self):
         with pytest.raises(RepresentationError):
             cauchy_estimate_check(heisenberg_rep(), vec(heisenberg_rep().spec, 1, 0, 0))
+
+
+class TestExactFloatBridge:
+    """The float Cauchy rows ``||R(x)^n v||`` against the exact ``s_n^2``.
+
+    For a skew-hermitian rep, ``||R(x)^n v||^2 = (-1)^n lam(x^(2n))`` with
+    ``lam(D) = <R(D) v, v>``, which is what ``analytic_diagnostics`` computes
+    exactly in U(g).
+    """
+
+    @pytest.mark.parametrize("factory", [spin_half, spin_one, spin_three_half])
+    def test_cauchy_rows_square_to_exact_norms(self, factory):
+        rep = factory()
+        lam = functional_from_rep(rep, 12)
+        for coeffs in (("1/2", "-1/3", "1/4"), ("0", "3/2", "0"), ("-2/3", "1/5", "3/4")):
+            x = vec(SO3, *coeffs)
+            rows = cauchy_estimate_check(rep, x, n_max=6).rows
+            exact = analytic_diagnostics(lam, x, 6).s_squared
+            assert [n for n, _, _ in rows] == list(range(7))
+            for (n, lhs, _), s2 in zip(rows, exact):
+                assert s2 > 0
+                assert abs(lhs * lhs - s2) <= 1e-10 * s2
 
 
 class TestExtension:
