@@ -648,6 +648,16 @@ def _suite_recursion(config, params, seed):
     return checks
 
 
+def _positivity_exact(params, config):
+    # the analytic diagnostics read exact word tables of each functional
+    for name in params["representations"]:
+        if not config.representations[name].exact:
+            raise ValueError(
+                f"representations: {name!r} is a float representation; "
+                "positivity needs exact ones"
+            )
+
+
 def _suite_positivity(config, params, seed):
     rng = random.Random(seed)
     checks = []
@@ -887,7 +897,8 @@ SUITES = {
                         {"representations": (None, _list(_REPRESENTATION)),
                          "d_max": (2, _DEGREE), "power_max": (3, _DEGREE),
                          "directions": (10, _COUNT)},
-                        requires=(("representations",),), degree="d_max"),
+                        requires=(("representations",),), degree="d_max",
+                        consistent=_positivity_exact),
     "gns": Suite(_suite_gns,
                  {"representation": (None, _REPRESENTATION), "d_max": (2, _DEGREE),
                   "expected_rank": (None, _COUNT)},

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 from math import factorial
 from typing import Optional, Tuple
 
@@ -40,8 +41,8 @@ from .lie_structure import (
     _acc,
     _poly_right_letter,
     _right_letter,
+    _word_of_alpha,
     monomial_name,
-    pbw_reduce,
     submult_check,
 )
 from .scalars import (
@@ -70,22 +71,21 @@ __all__ = [
 ]
 
 
+@cache
 def monomials_up_to(dim, degree):
-    """All multi-indices with ``|alpha| <= degree`` in graded lexicographic order."""
+    """All multi-indices with ``|alpha| <= degree`` in graded lexicographic order.
+
+    The multi-indices of one degree are the gaps between ``dim - 1`` bars
+    placed among ``total + dim - 1`` slots; bar positions in lexicographic
+    order give the multi-indices in lexicographic order.
+    """
     out = []
-
-    def fill(prefix, left, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [left]))
-            return
-        for a in range(left + 1):
-            fill(prefix + [a], left - a, slots - 1)
-
     for total in range(degree + 1):
-        start = len(out)
-        fill([], total, dim)
-        out[start:] = sorted(out[start:])
-    return out
+        end = total + dim - 1
+        for bars in combinations(range(end), dim - 1):
+            edges = (-1,) + bars + (end,)
+            out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return tuple(out)
 
 
 class FunctionalTable:
@@ -196,14 +196,26 @@ class BetaComponent:
 
 
 def beta_component(lam, n):
-    """Fill the full word table ``beta_n(e_{i1},..,e_{in}) = lam(x_{i1}..x_{in})``."""
+    """Fill the full word table ``beta_n(e_{i1},..,e_{in}) = lam(x_{i1}..x_{in})``.
+
+    The words are walked depth first in lexicographic order.  Each word costs
+    one right-letter step from its prefix's normal form, and only the normal
+    forms on the current path are held.
+    """
     lam._need_exact("beta components")
     if n > lam.max_degree:
         raise DegreeOverflowError(f"arity {n} exceeds functional degree {lam.max_degree}")
     spec = lam.spec
     values = {}
-    for word in product(range(spec.dim), repeat=n):
-        values[word] = lam.eval(pbw_reduce(spec, word))
+
+    def walk(word, table):
+        if len(word) == n:
+            values[word] = lam.eval(PBWPoly._raw(spec, table))
+            return
+        for letter in range(spec.dim):
+            walk(word + (letter,), _poly_right_letter(spec, table, letter))
+
+    walk((), {(0,) * spec.dim: ONE})
     return BetaComponent(spec, n, values, symmetric=False)
 
 
@@ -393,13 +405,13 @@ def regular_act(lam, y, side="right"):
     """The functional ``D -> lam(D y)`` (right) or ``D -> lam(y D)`` (left).
 
     The result is defined on monomials of degree ``N - 1`` only, since one
-    slot of the table is consumed by ``y``.  The right action reads the
-    cached normal forms of ``x^alpha e_i`` directly: its value at alpha is
-    ``sum_b c_b lam(b)`` with ``sum_b c_b b = sum_i y_i x^alpha e_i``, one
-    multiplication per term.  The coefficients ``c_b`` are combined exactly,
-    in the order a PBW product would, before the ``lam`` values enter, so
-    float tables see the same operations in the same order as
-    ``lam.eval(x^alpha * y)``.
+    slot of the table is consumed by ``y``.  The value at alpha is
+    ``sum_b c_b lam(b)``, where ``sum_b c_b b`` is the normal form of
+    ``x^alpha y`` (right: the cached ``x^alpha e_i``, times ``y_i``) or of
+    ``y x^alpha`` (left: ``y`` times the letters of alpha, one right-letter
+    step each).  The coefficients ``c_b`` are combined exactly, in the order
+    :func:`pbw_mul` would, before the ``lam`` values enter, so float tables
+    see the same operations in the same order as ``lam.eval`` of the product.
     """
     if lam.max_degree < 1:
         raise DegreeOverflowError("regular action needs max_degree >= 1")
@@ -408,20 +420,17 @@ def regular_act(lam, y, side="right"):
     if not (y.spec is lam.spec or y.spec == lam.spec):
         raise SpecMismatchError("vector and functional use different specs")
     spec = lam.spec
-    monos = monomials_up_to(spec.dim, lam.max_degree - 1)
     values = {}
-    if side == "left":
-        ypoly = PBWPoly.from_gvector(y)
-        for alpha in monos:
-            v = lam.eval(ypoly * PBWPoly.monomial(spec, alpha))
-            if v:
-                values[alpha] = v
-        return FunctionalTable(spec, lam.max_degree - 1, values, exact=lam.exact)
     ys = [(i, c) for i, c in enumerate(y.coeffs) if c]
     basis = len(ys) == 1 and ys[0][1] == ONE
+    left = PBWPoly.from_gvector(y).terms
     table, zero = lam.values, lam.field.zero
-    for alpha in monos:
-        if basis:
+    for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
+        if side == "left":
+            terms = left
+            for letter in _word_of_alpha(alpha):
+                terms = _poly_right_letter(spec, terms, letter)
+        elif basis:
             terms = _right_letter(spec, alpha, ys[0][0])
         else:
             terms = {}

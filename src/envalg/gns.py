@@ -310,7 +310,7 @@ def moment_matrix(lam, d_max):
     hermitian = not defect2 or defect2 <= field.tol ** 2 * max(
         1, _norm2(field, (c for row in rows for c in row))
     )
-    return MomentMatrix(spec, d_max, tuple(monos), rows, lam.exact, hermitian)
+    return MomentMatrix(spec, d_max, monos, rows, lam.exact, hermitian)
 
 
 @dataclass(frozen=True)

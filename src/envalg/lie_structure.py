@@ -9,7 +9,9 @@ BCH product evaluated inside g via right-normed bracketing.
 Monomials are kept in ascending basis order (declaration order); rewriting
 ``x_j x_i -> x_i x_j + [x_j, x_i]`` terminates because each step either
 shortens the word or removes an inversion, and the result is independent of
-the rewrite order.  Normal forms of words are memoized per spec.
+the rewrite order.  The only memo is per spec: the normal form of
+``x^alpha * e_l`` for a normal monomial ``x^alpha`` and a letter ``l``.  The
+normal form of any word or product is a fold of that step over its letters.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class LieAlgebraSpec:
     antisymmetry is implicit.  Structure constants must be real rationals
     (the Lie algebra itself is real; complex coefficients live in vectors
     and enveloping-algebra elements).  Instances are immutable after
-    construction apart from internal normal-form caches.
+    construction apart from the internal normal-form cache.
     """
 
     __slots__ = (
@@ -55,7 +57,6 @@ class LieAlgebraSpec:
         "weights",
         "_table",
         "_right_cache",
-        "_nf_cache",
     )
 
     def __init__(self, dim, basis_names, structure, weights):
@@ -91,7 +92,6 @@ class LieAlgebraSpec:
         self.weights = weights
         self._table = table
         self._right_cache = {}
-        self._nf_cache = {}
 
     def bracket_rows(self):
         """Iterate stored ``((i, j), {k: c})`` pairs with i < j."""
@@ -201,7 +201,7 @@ class GVector:
         return _same_spec(self.spec, other.spec) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.spec), self.coeffs))
+        return hash(self.coeffs)
 
     def seminorm(self):
         """The weighted-l1 seminorm ``sum w_i |x_i|``, exact for real vectors."""
@@ -352,23 +352,10 @@ def _poly_right_letter(spec, table, letter):
 
 
 def _normal_form(spec, word):
-    """Normal form of an arbitrary word as ``{multi-index: Scalar}``.
-
-    Every prefix is cached on the way, and the walk starts from the longest
-    cached prefix, so a word whose prefix is known costs one right-letter step.
-    """
-    word = tuple(word)
-    cache = spec._nf_cache
-    table = cache.get(word)
-    if table is not None:
-        return table
-    start = max(len(word) - 1, 0)
-    while start and word[:start] not in cache:
-        start -= 1
-    table = cache[word[:start]] if start else {(0,) * spec.dim: ONE}
-    for k in range(start, len(word)):
-        table = _poly_right_letter(spec, table, word[k])
-        cache[word[:k + 1]] = table
+    """Normal form of an arbitrary word as a fresh ``{multi-index: Scalar}``."""
+    table = {(0,) * spec.dim: ONE}
+    for letter in word:
+        table = _poly_right_letter(spec, table, letter)
     return table
 
 
@@ -491,21 +478,13 @@ class PBWPoly:
             return pbw_mul(self, other)
         return NotImplemented
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
-        result = PBWPoly.one(self.spec)
-        for _ in range(n):
-            result = pbw_mul(result, self)
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, PBWPoly):
             return NotImplemented
         return _same_spec(self.spec, other.spec) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.spec), frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -521,8 +500,7 @@ def pbw_reduce(spec, word):
     word = tuple(word)
     if any(not (0 <= l < spec.dim) for l in word):
         raise ValueError(f"word {word} has letters outside the basis range")
-    # a copy, so callers cannot mutate the cached table
-    return PBWPoly._raw(spec, dict(_normal_form(spec, word)))
+    return PBWPoly._raw(spec, _normal_form(spec, word))
 
 
 def pbw_mul(a, b):

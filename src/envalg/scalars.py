@@ -207,7 +207,10 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a real Scalar equals its Fraction (and int), so it hashes like one
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(Fraction(self.a, self.d))
 
     def to_complex(self):
         # int true division is correctly rounded, as float(Fraction) is

@@ -336,6 +336,13 @@ def _kernel_twice(doc):
     doc["suites"].append({"name": "kernel", "representation": "spin_one", "repetitions": 2})
 
 
+def _float_rep_in_positivity(doc):
+    doc["representations"]["spin_one_float"] = dict(doc["representations"]["spin_one"],
+                                                    mode="float")
+    block = next(b for b in doc["suites"] if b["name"] == "positivity")
+    block["representations"] = block["representations"] + ["spin_one_float"]
+
+
 # (config, patch, arguments, what stderr must name)
 MALFORMED = [
     pytest.param("su2.json", _set("pbw-confluence", "count", "many"), ["validate"],
@@ -374,6 +381,9 @@ MALFORMED = [
                  ("suites[9] (extension)", "functional"), id="extension-table-not-1d"),
     pytest.param("su2.json", _kernel_twice, ["validate"],
                  ("suites[10] (kernel)", "name"), id="suite-listed-twice"),
+    pytest.param("su2.json", _float_rep_in_positivity, ["run-all"],
+                 ("suites[4] (positivity)", "representations", "'spin_one_float'"),
+                 id="positivity-float-representation"),
     pytest.param("su2.json", _set("recursion", "n_max", 6), ["validate"],
                  ("suites[3] (recursion)", "n_max"), id="recursion-beyond-table"),
     pytest.param("su2.json", None, ["--degree", "6", "run", "recursion"],

@@ -104,6 +104,15 @@ class TestBetaComponent:
         with pytest.raises(DegreeOverflowError):
             beta_component(lam, 3)
 
+    @pytest.mark.parametrize("spec", [SO3, HEIS], ids=["so3", "heisenberg"])
+    def test_walk_matches_word_reductions(self, spec):
+        lam = rand_table(spec, 4, 14)
+        for n in range(5):
+            words = list(itertools.product(range(spec.dim), repeat=n))
+            values = beta_component(lam, n).values
+            assert list(values) == words
+            assert values == {w: lam.eval(pbw_reduce(spec, w)) for w in words}
+
 
 class TestSymmetrize:
     def test_arity_one_fixed_point(self):
@@ -331,14 +340,15 @@ class TestRegularActionKernel:
                     assert acted.values == {}
 
     def test_right_action_builds_no_products(self, monkeypatch):
-        """Inside ``regular_act(..., "right")`` no PBW product, monomial or eval runs.
+        """Inside ``regular_act``, on either side, no PBW product, monomial or eval runs.
 
         ``moment_matrix`` evaluates its star rows with ``FunctionalTable.eval``
-        itself, so there the three are forbidden only while a right action runs.
+        itself, so there the three are forbidden only while an action runs.
         """
         lam = functional_from_rep(spin_one(), 4)
         basis = [SO3.basis_vector(i) for i in range(SO3.dim)]
         expected = [product_route_act(lam, y, "right") for y in basis]
+        expected_left = [product_route_act(lam, y, "left") for y in basis]
         expected_rows = moment_matrix_rows_by_products(lam, 2)
         depth = [0]
 
@@ -362,6 +372,7 @@ class TestRegularActionKernel:
         monkeypatch.setattr(FunctionalTable, "eval", guarded(FunctionalTable.eval))
         monkeypatch.setattr(gns, "regular_act", counted)
         assert [counted(lam, y, "right").values for y in basis] == expected
+        assert [counted(lam, y, "left").values for y in basis] == expected_left
         assert gns.moment_matrix(lam, 2).rows == expected_rows
 
 
@@ -541,7 +552,6 @@ class TestMultisetRoute:
             raise AssertionError("word route called")
 
         monkeypatch.setattr(functionals, "beta_component", forbidden)
-        monkeypatch.setattr(functionals, "pbw_reduce", forbidden)
         lam = rand_table(SO3, 4, 513)
         assert radius_estimate(lam).per_degree
         assert insertion_constants(lam, 2) is not None
@@ -554,3 +564,17 @@ def test_growth_diagnostics_monotone():
     assert len(sym) == len(raw) == 7
     assert all(b >= a for a, b in zip(sym, sym[1:]))
     assert all(r >= s - 1e-12 for s, r in zip(sym, raw))
+
+
+def test_growth_diagnostics_memoizes_only_right_letter_steps():
+    spec = so3()
+    growth_diagnostics(rand_table(spec, 8, 16))
+    assert len(spec._right_cache) <= spec.dim * len(monomials_up_to(spec.dim, 7))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_monomials_up_to_is_graded_lexicographic(dim):
+    for degree in range(6):
+        every = itertools.product(range(degree + 1), repeat=dim)
+        expect = sorted((a for a in every if sum(a) <= degree), key=lambda a: (sum(a), a))
+        assert monomials_up_to(dim, degree) == tuple(expect)

@@ -36,6 +36,15 @@ def vec(spec, *coeffs):
     return GVector(spec, [Scalar(Fraction(c)) for c in coeffs])
 
 
+def test_twin_specs_hash_equal_elements_alike():
+    # equality compares specs by value, so hashing must not see their identity
+    a, b = so3(), so3()
+    assert a is not b
+    for x, y in ((a.basis_vector(0), b.basis_vector(0)),
+                 (pbw_reduce(a, (1, 0)), pbw_reduce(b, (1, 0)))):
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+
+
 class TestJacobi:
     def test_heisenberg(self):
         assert jacobi_validate(HEIS).ok

@@ -120,6 +120,10 @@ def test_equality_and_hash(x, y):
     twin = Scalar(x.re, x.im)
     assert twin == x and hash(twin) == hash(x)
     assert (x - y + y) == x and hash(x - y + y) == hash(x)
+    # a real Scalar hashes like the Fraction or int it equals
+    for q in (x.re, x.re.numerator):
+        real = Scalar(q)
+        assert real == q and hash(real) == hash(q) and len({real, q}) == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
