@@ -30,7 +30,7 @@ import numpy as np
 
 from . import free_algebra as fa
 from .catalog import gaussian_char
-from .errors import ConfigError, UnknownSuiteError, WorkbenchError
+from .errors import ConfigError, SuiteError, UnknownSuiteError, WorkbenchError
 from .functionals import (
     FunctionalTable,
     growth_diagnostics,
@@ -956,7 +956,12 @@ def run_suite(config, name, seed=0, degree=None, tolerance=None):
             given[key] = value
     params = _suite_params(name, given, config, f"suite {name!r}")
     start = time.perf_counter()
-    checks = suite.runner(config, params, seed)
+    try:
+        checks = suite.runner(config, params, seed)
+    except WorkbenchError:
+        raise
+    except Exception as exc:
+        raise SuiteError(f"suite {name!r} stopped: {type(exc).__name__}: {exc}") from exc
     return Report(name, checks, time.perf_counter() - start)
 
 
@@ -1086,6 +1091,9 @@ def main(argv=None):
             reports = run_all(config, args.seed, args.degree, args.tolerance)
     except UnknownSuiteError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except SuiteError as exc:
+        print(f"suite error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, WorkbenchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

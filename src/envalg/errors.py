@@ -47,3 +47,7 @@ class ConfigError(WorkbenchError):
 
 class UnknownSuiteError(WorkbenchError):
     """A suite name does not match any registered verification pipeline."""
+
+
+class SuiteError(WorkbenchError):
+    """A suite stopped on an exception from outside the package; names the suite."""

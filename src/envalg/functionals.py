@@ -134,18 +134,22 @@ class FunctionalTable:
         return self.values.get(alpha, self.field.zero)
 
     def eval(self, poly):
-        """Evaluate on a PBW element by linearity; rejects degree overflow."""
+        """Evaluate on a PBW element by linearity; rejects degree overflow.
+
+        Stored keys passed the degree check at construction, so only a miss
+        needs it.
+        """
         if not (poly.spec is self.spec or poly.spec == self.spec):
             raise SpecMismatchError("functional and element use different specs")
         total = self.field.zero
         for alpha, coeff in poly.terms.items():
-            if sum(alpha) > self.max_degree:
-                raise DegreeOverflowError(
-                    f"monomial {monomial_name(self.spec, alpha)} exceeds "
-                    f"functional degree {self.max_degree}"
-                )
             v = self.values.get(alpha)
             if v is None:
+                if sum(alpha) > self.max_degree:
+                    raise DegreeOverflowError(
+                        f"monomial {monomial_name(self.spec, alpha)} exceeds "
+                        f"functional degree {self.max_degree}"
+                    )
                 continue
             total = total + coeff * v
         return total

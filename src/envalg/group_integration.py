@@ -4,11 +4,14 @@ Floating point (binary64) lives on this side of the package; the algebra
 side stays exact and the two meet in the matrix-coefficient functionals.
 ``matrix_exp`` wraps the scaling-and-squaring implementation in SciPy, which
 carries a backward error bound well below 1e-13 for the shipped sizes
-(<= 16).  The checks here quantify how well ``exp(R(x)) exp(R(y))`` matches
-``exp(R(x*y))`` for the truncated BCH product, that matrix-coefficient
-kernels ``(g, h) -> phi(g h^-1)`` are positive semidefinite, the factorial
-derivative bounds of analytic kernels, and the reconstruction of matrix
-coefficients from a truncated GNS model.
+(<= 16).  It takes one matrix or a stack ``(..., n, n)`` and exponentiates a
+stack slice by slice, so sampling and the Cauchy check make one stacked call
+each and still produce the floats of one call per matrix; the kernel check
+makes one stacked product per row.  The checks here quantify how well
+``exp(R(x)) exp(R(y))`` matches ``exp(R(x*y))`` for the truncated BCH
+product, that matrix-coefficient kernels ``(g, h) -> phi(g h^-1)`` are
+positive semidefinite, the factorial derivative bounds of analytic kernels,
+and the reconstruction of matrix coefficients from a truncated GNS model.
 """
 
 from __future__ import annotations
@@ -45,10 +48,15 @@ _NOISE_FLOOR = 1e-12
 
 
 def matrix_exp(A):
-    """Matrix exponential via scaling and squaring; rejects non-finite input."""
+    """Matrix exponential of one square matrix or of a stack ``(..., n, n)``.
+
+    SciPy's scaling and squaring runs the same code on every slice of a
+    stack, so one stacked call gives the same floats as one call per slice.
+    Rejects non-square and non-finite input.
+    """
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix_exp needs a square matrix")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("matrix_exp needs a square matrix or a stack of them")
     if not np.all(np.isfinite(A.view(float))):
         raise ValueError("matrix_exp needs finite entries")
     # imported here: scipy.linalg is most of the package's import time, and
@@ -92,13 +100,17 @@ def sample_group(rep, count, seed=0, max_factors=3, max_norm=1):
     representations every element is checked to be unitary to 1e-10.
     """
     rng = np.random.default_rng(seed)
-    elements, words = [], []
+    words = []
     for _ in range(count):
         k = int(rng.integers(1, max_factors + 1))
-        xs = tuple(_quantized_vector(rep.spec, rng, max_norm) for _ in range(k))
+        words.append(tuple(_quantized_vector(rep.spec, rng, max_norm) for _ in range(k)))
+    factors = [rep.matrix_of(x) for xs in words for x in xs]
+    exps = iter(matrix_exp(factors) if factors else ())
+    elements = []
+    for xs in words:
         g = np.eye(rep.dim_V, dtype=complex)
-        for x in xs:
-            g = g @ matrix_exp(rep.matrix_of(x))
+        for _ in xs:
+            g = g @ next(exps)
         if rep.skew_hermitian:
             resid = unitarity_residual(g)
             if resid > _UNITARY_TOL:
@@ -106,7 +118,6 @@ def sample_group(rep, count, seed=0, max_factors=3, max_norm=1):
                     f"sampled element not unitary: residual {resid:.3e}"
                 )
         elements.append(g)
-        words.append(xs)
     return GroupSample(rep, elements, words)
 
 
@@ -141,15 +152,24 @@ def pd_kernel_check(sample, tol=_UNITARY_TOL):
     for g in sample.elements:
         if unitarity_residual(g) > _UNITARY_TOL:
             raise RepresentationError("pd_kernel_check needs a unitary sample")
-    v = sample.rep.cyclic_array()
-    n = len(sample.elements)
-    K = np.zeros((n, n), dtype=complex)
-    for j, gj in enumerate(sample.elements):
-        for i, gi in enumerate(sample.elements):
-            K[i, j] = np.vdot(v, gi @ gj.conj().T @ v)
+    K = _kernel_matrix(sample.elements, sample.rep.cyclic_array())
     vals = np.linalg.eigvalsh((K + K.conj().T) / 2)
     min_eig = float(vals[0])
-    return KernelReport(min_eig >= -tol, n, min_eig, tol)
+    return KernelReport(min_eig >= -tol, len(K), min_eig, tol)
+
+
+def _kernel_matrix(elements, v):
+    """``K_ij = <g_i g_j^* v, v>``, one stacked product per row.
+
+    Every entry keeps its own ``vdot``: batched conjugate dot products round
+    differently in the last bit.
+    """
+    n = len(elements)
+    K = np.zeros((n, n), dtype=complex)
+    adjoints = np.array(elements).conj().transpose(0, 2, 1)
+    for i, gi in enumerate(elements):
+        K[i] = [np.vdot(v, w) for w in (gi @ adjoints) @ v]
+    return K
 
 
 @dataclass(frozen=True)
@@ -172,7 +192,8 @@ def cauchy_estimate_check(rep, x, r=1.0, n_max=12, grid=8, safety=1.05):
     ``C`` is the max of ``|<exp(z1 R) v, exp(conj(z2) R) v>|`` over a
     ``grid x grid`` set of boundary points ``|z1| = |z2| = r`` times a 1.05
     safety factor.  A larger C only weakens the bound, so the finite grid
-    keeps the check conservative.  Requires a skew-hermitian representation.
+    keeps the check conservative.  Requires a skew-hermitian representation;
+    raises OverflowError when ``exp(zR)v`` leaves binary64 on the circle.
     """
     if not rep.skew_hermitian:
         raise RepresentationError("cauchy_estimate_check needs a skew-hermitian rep")
@@ -180,14 +201,14 @@ def cauchy_estimate_check(rep, x, r=1.0, n_max=12, grid=8, safety=1.05):
     R = rep.matrix_of(x)
     v = rep.cyclic_array()
     r = float(r)
-    e2vs = []
-    for b in range(grid):
-        z2 = r * np.exp(2j * np.pi * b / grid)
-        e2vs.append(matrix_exp(np.conj(z2) * R) @ v)
+    zs = [r * np.exp(2j * np.pi * b / grid) for b in range(grid)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e2vs = matrix_exp([np.conj(z) * R for z in zs]) @ v
+        e1vs = matrix_exp([z * R for z in zs]) @ v
+    if not (np.isfinite(e1vs).all() and np.isfinite(e2vs).all()):
+        raise OverflowError(f"exp(z R(x)) v overflows binary64 on |z| = {r}")
     C = 0.0
-    for a in range(grid):
-        z1 = r * np.exp(2j * np.pi * a / grid)
-        e1v = matrix_exp(z1 * R) @ v
+    for e1v in e1vs:
         for e2v in e2vs:
             C = max(C, abs(complex(np.vdot(e2v, e1v))))
     C *= safety

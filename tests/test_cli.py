@@ -1,5 +1,6 @@
 """Config parsing, serialization round trips, suite dispatch and exit codes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -23,7 +24,7 @@ from envalg.cli import (
     run_suite,
     serialize_config,
 )
-from envalg.errors import ConfigError
+from envalg.errors import ConfigError, SuiteError
 
 
 MINIMAL = json.dumps(
@@ -404,6 +405,36 @@ def test_malformed_input_exits_2_naming_key(tmp_path, capsys, config, patch, arg
     assert err.startswith("config error: ")
     for needle in needles:
         assert needle in err
+
+
+@pytest.mark.parametrize("r", [1e300, 1e-300], ids=["r-huge", "r-tiny"])
+def test_suite_failure_exits_2_naming_suite(tmp_path, capsys, r):
+    # valid at load; binary64 overflows inside the cauchy suite
+    doc = shipped("su2.json")
+    _set("cauchy", "r", r)(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "validate"]) == 0
+    capsys.readouterr()
+    rc = main(["--config", str(path), "--format", "machine", "run-all"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("suite error: suite 'cauchy' stopped: OverflowError: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unexpected_exception_in_any_suite_exits_2(monkeypatch, capsys):
+    def broken(config, params, seed):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(SUITES, "kernel", dataclasses.replace(SUITES["kernel"], runner=broken))
+    rc = main(["run", "kernel"])
+    assert rc == 2
+    assert capsys.readouterr().err == "suite error: suite 'kernel' stopped: ZeroDivisionError: boom\n"
+    with pytest.raises(SuiteError) as info:
+        run_suite(parse_config(json.dumps(shipped("su2.json"))), "kernel")
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 _JUNK = st.one_of(

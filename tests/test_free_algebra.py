@@ -1,13 +1,16 @@
 """Exact tests for truncated free-algebra arithmetic, exp/log and BCH."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from envalg.errors import ConstantTermError, SeriesMismatchError
 from envalg.free_algebra import (
+    ExpIdentityReport,
     FreeSeries,
+    _exp_law,
     fa_bch,
     fa_bidegree_project,
     fa_check_exp_identity,
@@ -184,6 +187,29 @@ class TestExpIdentity:
         for total in range(1, 7):
             for m in range(total + 1):
                 assert fa_check_exp_identity(m, total - m).ok
+
+    def test_memo_matches_uncached_reference(self):
+        # exp(Z) and exp(X) exp(Y) rebuilt for every bidegree, with Z from
+        # the exp/log definitions rather than fa_bch's cache
+        for total in range(1, 8):
+            x, y = X(total), Y(total)
+            product = fa_exp(x) * fa_exp(y)
+            exp_z = fa_exp(fa_log(fa_exp(x) * fa_exp(y)))
+            for m in range(total + 1):
+                n = total - m
+                lhs = series({(0,) * m + (1,) * n: Fraction(1, factorial(m) * factorial(n))},
+                             total)
+                want = ExpIdentityReport(m, n, lhs == fa_bidegree_project(exp_z, m, n),
+                                         product == exp_z)
+                assert fa_check_exp_identity(m, n) == want
+
+    def test_one_exp_law_per_total(self):
+        _exp_law.cache_clear()
+        for total in range(1, 6):
+            for m in range(total + 1):
+                fa_check_exp_identity(m, total - m)
+        info = _exp_law.cache_info()
+        assert (info.misses, info.hits) == (5, 15)
 
 
 # -- property tests ---------------------------------------------------------

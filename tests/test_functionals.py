@@ -72,6 +72,15 @@ class TestEval:
         with pytest.raises(DegreeOverflowError, match="p\\*q"):
             lam.eval(PBWPoly(HEIS, {(1, 1, 0): 1}))
 
+    def test_degree_overflow_checked_on_misses(self):
+        # a sparse table: in-degree misses read as zero, over-degree ones raise
+        lam = FunctionalTable(HEIS, 2, {(1, 0, 0): Scalar(3), (0, 1, 1): Scalar(-2)})
+        assert lam.eval(PBWPoly(HEIS, {(1, 0, 0): 2, (0, 1, 1): 1, (0, 2, 0): 5})) == 4
+        for over in ((3, 0, 0), (1, 1, 1), (0, 0, 4)):
+            poly = PBWPoly(HEIS, {(1, 0, 0): 1, (0, 1, 1): 1, over: 1})
+            with pytest.raises(DegreeOverflowError, match="exceeds functional degree 2"):
+                lam.eval(poly)
+
     def test_spec_mismatch(self):
         lam = rand_table(HEIS, 2, 5)
         with pytest.raises(SpecMismatchError):

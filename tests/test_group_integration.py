@@ -16,9 +16,11 @@ from envalg.catalog import (
     spin_three_half,
 )
 from envalg.errors import RepresentationError
-from envalg.gns import analytic_diagnostics, functional_from_rep
+from envalg.gns import MatrixRep, analytic_diagnostics, functional_from_rep
 from envalg.group_integration import (
     GroupSample,
+    _kernel_matrix,
+    _quantized_vector,
     cauchy_estimate_check,
     extension_demo,
     extension_demo_table,
@@ -60,6 +62,32 @@ class TestMatrixExp:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             matrix_exp(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+    def test_stack_equals_its_slices(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3, 5, 8):
+            B = rng.normal(size=(7, n, n)) + 1j * rng.normal(size=(7, n, n))
+            # skew-hermitian, generic, diagonal and scaled-up slices
+            stack = np.concatenate([B - B.conj().transpose(0, 2, 1), B,
+                                    [np.diag(np.diag(B[0]))], 9 * B[:2]])
+            got = matrix_exp(stack)
+            assert got.shape == stack.shape
+            for A, E in zip(stack, got):
+                assert E.tobytes() == matrix_exp(A).tobytes()
+        nested = matrix_exp(B.reshape(7, 1, n, n))
+        assert nested.tobytes() == matrix_exp(B).tobytes()
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            matrix_exp(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            matrix_exp(np.zeros(3))
+
+    def test_rejects_non_finite_stack(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[2, 1, 0] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            matrix_exp(stack)
 
 
 class TestLocalHom:
@@ -246,3 +274,123 @@ def test_sampled_elements_are_unitary_with_words():
         assert 1 <= len(word) <= 3
         for x in word:
             assert x.seminorm() <= 1
+
+
+def test_empty_sample():
+    sample = sample_group(spin_one(), 0, seed=3)
+    assert len(sample) == 0 and sample.words == []
+
+
+# -- the stacked group side against its per-element formulas ----------------
+
+
+def _sample_per_element(rep, count, seed, max_factors=3, max_norm=1):
+    """``sample_group`` with one ``matrix_exp`` per factor, drawn in turn."""
+    rng = np.random.default_rng(seed)
+    elements, words = [], []
+    for _ in range(count):
+        k = int(rng.integers(1, max_factors + 1))
+        xs = tuple(_quantized_vector(rep.spec, rng, max_norm) for _ in range(k))
+        g = np.eye(rep.dim_V, dtype=complex)
+        for x in xs:
+            g = g @ matrix_exp(rep.matrix_of(x))
+        elements.append(g)
+        words.append(xs)
+    return elements, words
+
+
+def _kernel_per_pair(elements, v):
+    """``K_ij = <g_i g_j^* v, v>`` with one product per entry."""
+    n = len(elements)
+    K = np.zeros((n, n), dtype=complex)
+    for j, gj in enumerate(elements):
+        for i, gi in enumerate(elements):
+            K[i, j] = np.vdot(v, gi @ gj.conj().T @ v)
+    return K
+
+
+def _cauchy_per_point(rep, x, r, n_max, grid=8, safety=1.05):
+    """``C`` and the rows of ``cauchy_estimate_check`` with one expm per point."""
+    R = rep.matrix_of(x)
+    v = rep.cyclic_array()
+    e2vs = []
+    for b in range(grid):
+        z2 = r * np.exp(2j * np.pi * b / grid)
+        e2vs.append(matrix_exp(np.conj(z2) * R) @ v)
+    C = 0.0
+    for a in range(grid):
+        z1 = r * np.exp(2j * np.pi * a / grid)
+        e1v = matrix_exp(z1 * R) @ v
+        for e2v in e2vs:
+            C = max(C, abs(complex(np.vdot(e2v, e1v))))
+    C *= safety
+    rows, w, fact = [], v.copy(), 1.0
+    for n in range(n_max + 1):
+        if n:
+            w = R @ w
+            fact *= n
+        rows.append((n, float(np.linalg.norm(w)), float(np.sqrt(C) * fact * r ** (-n))))
+    return C, rows
+
+
+def _general_vector(rep):
+    """The rep with a cyclic vector whose entries all differ and are complex."""
+    v = [Scalar(Fraction(k + 1, 7), Fraction(-(2 * k + 1), 9)) for k in range(rep.dim_V)]
+    return MatrixRep(rep.spec, rep.dim_V, rep.generators, v, skew_hermitian=True)
+
+
+def _general_direction(spec):
+    return GVector(spec, [Scalar(Fraction((-1) ** k * (k + 2), 3 * k + 5))
+                          for k in range(spec.dim)])
+
+
+STACKED_REPS = [
+    pytest.param(make, id=name)
+    for name, make in [
+        ("spin-half", spin_half),
+        ("spin-one", spin_one),
+        ("spin-three-half", spin_three_half),
+        ("spin-half-general-v", lambda: _general_vector(spin_half())),
+        ("spin-one-general-v", lambda: _general_vector(spin_one())),
+        ("spin-three-half-general-v", lambda: _general_vector(spin_three_half())),
+    ] + [(f"skew-{size}", lambda size=size: random_skew_rep(size, 50 + size))
+         for size in range(2, 16)]
+]
+
+
+@pytest.mark.parametrize("make", STACKED_REPS)
+class TestStackedMatchesPerElement:
+    """Stacked ``expm`` and kernel rows give the per-element floats, bit for bit."""
+
+    def test_sample_elements(self, make):
+        rep = make()
+        for seed in range(3):
+            sample = sample_group(rep, 12, seed=seed)
+            elements, words = _sample_per_element(rep, 12, seed)
+            assert [g.tobytes() for g in sample.elements] == [g.tobytes() for g in elements]
+            assert sample.words == words
+
+    def test_kernel_matrix_and_min_eigenvalue(self, make):
+        rep = make()
+        v = rep.cyclic_array()
+        for seed in range(3):
+            sample = sample_group(rep, 12, seed=seed)
+            K = _kernel_per_pair(sample.elements, v)
+            assert _kernel_matrix(sample.elements, v).tobytes() == K.tobytes()
+            want = float(np.linalg.eigvalsh((K + K.conj().T) / 2)[0])
+            assert pd_kernel_check(sample).min_eigenvalue.hex() == want.hex()
+
+    def test_cauchy_constant_and_rows(self, make):
+        rep = make()
+        for x in (rep.spec.basis_vector(rep.spec.dim - 1), _general_direction(rep.spec)):
+            for r in (0.5, 1.0, 1.75):
+                report = cauchy_estimate_check(rep, x, r=r, n_max=10)
+                C, rows = _cauchy_per_point(rep, x, r, 10)
+                assert report.C.hex() == C.hex()
+                assert [(n, a.hex(), b.hex()) for n, a, b in report.rows] == \
+                    [(n, a.hex(), b.hex()) for n, a, b in rows]
+
+
+def test_cauchy_overflow_is_an_error_not_a_verdict():
+    with pytest.raises(OverflowError, match="overflows"):
+        cauchy_estimate_check(spin_half(), SO3.basis_vector(2), r=1e300)
