@@ -141,11 +141,21 @@ def _parse_multi_index(text, dim, context):
     return parts
 
 
+def _field(block, key, check, context):
+    """``block[key]`` once ``check`` passes; a failure names ``context.key``."""
+    value = block[key]
+    try:
+        check(value, None)
+    except ValueError as exc:
+        raise ConfigError(f"{context}.{key}: {exc}") from None
+    return value
+
+
 def _parse_algebra(block):
     _expect_keys(block, "lie_algebra", ("dim", "basis_names", "structure", "weights"))
-    dim = block["dim"]
-    if not isinstance(dim, int) or not (1 <= dim <= MAX_DIM):
-        raise ConfigError(f"lie_algebra.dim must be an integer in [1, {MAX_DIM}]")
+    dim = _field(block, "dim", _integer(1, MAX_DIM), "lie_algebra")
+    names = _field(block, "basis_names", _JSON_LIST, "lie_algebra")
+    weights = _field(block, "weights", _JSON_LIST, "lie_algebra")
     structure = {}
     if not isinstance(block["structure"], dict):
         raise ConfigError("lie_algebra.structure must be an object")
@@ -169,8 +179,8 @@ def _parse_algebra(block):
             parsed[kk] = parsed_c
         structure[(i, j)] = parsed
     try:
-        weights = [parse_fraction(w) for w in block["weights"]]
-        spec = LieAlgebraSpec(dim, block["basis_names"], structure, weights)
+        weights = [parse_fraction(w) for w in weights]
+        spec = LieAlgebraSpec(dim, names, structure, weights)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"lie_algebra: {exc}") from None
     jac = jacobi_validate(spec)
@@ -187,11 +197,7 @@ def _parse_algebra(block):
 
 def _parse_functional(name, block, spec):
     _expect_keys(block, f"functionals.{name}", ("max_degree", "values"))
-    degree = block["max_degree"]
-    if not isinstance(degree, int) or not (0 <= degree <= MAX_TABLE_DEGREE):
-        raise ConfigError(
-            f"functionals.{name}.max_degree must be an integer in [0, {MAX_TABLE_DEGREE}]"
-        )
+    degree = _field(block, "max_degree", _integer(0, MAX_TABLE_DEGREE), f"functionals.{name}")
     values = {}
     if not isinstance(block["values"], dict):
         raise ConfigError(f"functionals.{name}.values must be an object")
@@ -209,34 +215,29 @@ def _parse_functional(name, block, spec):
 
 
 def _parse_representation(name, block, spec):
+    context = f"representations.{name}"
     _expect_keys(
-        block,
-        f"representations.{name}",
-        ("dim_V", "generators", "cyclic_vector", "skew_hermitian"),
-        ("mode",),
+        block, context, ("dim_V", "generators", "cyclic_vector", "skew_hermitian"), ("mode",)
     )
-    dim_V = block["dim_V"]
-    if not isinstance(dim_V, int) or not (1 <= dim_V <= 16):
-        raise ConfigError(f"representations.{name}.dim_V must be an integer in [1, 16]")
+    dim_V = _field(block, "dim_V", _integer(1, 16), context)
+    skew = _field(block, "skew_hermitian", _JSON_BOOL, context)
     mode = block.get("mode", "exact")
     if mode not in ("exact", "float"):
-        raise ConfigError(f"representations.{name}.mode must be 'exact' or 'float'")
+        raise ConfigError(f"{context}.mode must be 'exact' or 'float'")
     gens = block["generators"]
     if not isinstance(gens, list) or len(gens) != spec.dim:
-        raise ConfigError(
-            f"representations.{name}.generators must list {spec.dim} matrices"
-        )
+        raise ConfigError(f"{context}.generators must list {spec.dim} matrices")
     decode = parse_scalar if mode == "exact" else complex
     try:
         rep = MatrixRep(
             spec, dim_V, [[[decode(c) for c in row] for row in g] for g in gens],
             [decode(c) for c in block["cyclic_vector"]],
-            skew_hermitian=bool(block["skew_hermitian"]),
+            skew_hermitian=skew,
             exact=(mode == "exact"), name=name,
         )
         rep.validate()
     except (ValueError, TypeError, WorkbenchError) as exc:
-        raise ConfigError(f"representations.{name}: {exc}") from None
+        raise ConfigError(f"{context}: {exc}") from None
     return rep
 
 
@@ -294,6 +295,8 @@ def _ref(kind, names):
     return check
 
 
+_JSON_LIST = _check(lambda v, c: isinstance(v, list), "a JSON list")
+_JSON_BOOL = _check(lambda v, c: isinstance(v, bool), "true or false")
 _DEGREE = _integer(0, MAX_DEGREE)
 _COUNT = _integer(0)
 _TOLERANCE = _real(lambda v: 0 <= v <= MAX_TOL, f"a number in [0, {MAX_TOL}]")
@@ -609,7 +612,7 @@ def _suite_radius(config, params, seed):
         checks.append(
             Check("estimate", True, "computed", f"{est.value:.15g}")
         )
-    sym, raw = growth_diagnostics(lam, t=1.0)
+    sym, raw = growth_diagnostics(lam)
     checks.append(
         Check(
             "growth-diagnostics",
@@ -745,8 +748,10 @@ def _suite_local_hom(config, params, seed):
     x = _vector(spec, params["x"])
     y = _vector(spec, params["y"])
     scales = [parse_fraction(s) for s in (params["scales"] or ["1/5", "1/10", "1/20", "1/40"])]
-    report = local_hom_check(rep, x, y, params["degree"], scales,
-                             min_slope=params["min_slope"])
+    min_slope = params["min_slope"]
+    if min_slope is None:
+        min_slope = params["degree"] + 0.5
+    report = local_hom_check(rep, x, y, params["degree"], scales, min_slope=min_slope)
     checks = []
     if report.exact:
         worst = max(report.residuals)
@@ -761,7 +766,7 @@ def _suite_local_hom(config, params, seed):
             Check(
                 "order",
                 report.ok,
-                f"fitted slope >= {params['min_slope'] or params['degree'] + 0.5}",
+                f"fitted slope >= {min_slope}",
                 f"slope {report.slope:.3f}",
             )
         )

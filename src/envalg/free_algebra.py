@@ -35,6 +35,16 @@ __all__ = [
 ]
 
 
+def _acc(table, key, coeff):
+    """``table[key] += coeff`` over a sparse dict, dropping an entry that cancels."""
+    got = table.get(key)
+    got = coeff if got is None else got + coeff
+    if got:
+        table[key] = got
+    elif key in table:
+        del table[key]
+
+
 class FreeSeries:
     """Truncated noncommutative power series with exact coefficients.
 
@@ -90,9 +100,6 @@ class FreeSeries:
             raise ValueError("truncation degree too small for a letter")
         return cls._raw(alphabet_size, trunc_degree, {(index,): ONE})
 
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), Scalar(0))
-
     def is_zero(self):
         return not self.terms
 
@@ -112,12 +119,7 @@ class FreeSeries:
         self._check_compatible(other)
         out = dict(self.terms)
         for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
+            _acc(out, word, coeff)
         return FreeSeries._raw(self.alphabet_size, self.trunc_degree, out)
 
     def __sub__(self, other):
@@ -165,14 +167,7 @@ class FreeSeries:
         for u, cu in self.terms.items():
             for bucket in buckets[: cut + 1 - len(u)]:
                 for v, cv in bucket:
-                    word = u + v
-                    prod = cu * cv
-                    acc = out.get(word)
-                    acc = prod if acc is None else acc + prod
-                    if acc:
-                        out[word] = acc
-                    elif word in out:
-                        del out[word]
+                    _acc(out, u + v, cu * cv)
         return FreeSeries._raw(self.alphabet_size, self.trunc_degree, out)
 
     def __eq__(self, other):
@@ -238,9 +233,7 @@ def fa_log(a):
     return result
 
 
-_BCH_CACHE = {}
-
-
+@cache
 def fa_bch(N):
     """The two-letter BCH series ``log(exp(X) exp(Y))`` truncated at degree N.
 
@@ -250,13 +243,9 @@ def fa_bch(N):
     """
     if N < 1:
         raise ValueError("fa_bch needs N >= 1")
-    cached = _BCH_CACHE.get(N)
-    if cached is None:
-        x = FreeSeries.letter(2, N, 0)
-        y = FreeSeries.letter(2, N, 1)
-        cached = fa_log(fa_exp(x) * fa_exp(y))
-        _BCH_CACHE[N] = cached
-    return cached
+    x = FreeSeries.letter(2, N, 0)
+    y = FreeSeries.letter(2, N, 1)
+    return fa_log(fa_exp(x) * fa_exp(y))
 
 
 @cache

@@ -4,7 +4,7 @@ A :class:`FunctionalTable` stores the values of a linear functional on every
 PBW monomial up to a degree; evaluation on any normal-form element follows by
 linearity.  The multilinear components ``beta_n``, their symmetrizations,
 exact weighted-l1 operator norms, the truncated Hadamard radius estimate,
-the regular actions, and the insertion-constant recursion all live here.
+the right regular action, and the insertion-constant recursion all live here.
 
 A symmetric n-linear map is fixed by its values on letter multisets, so the
 norm machinery never enumerates the ``dim**n`` words.  The symmetric sum
@@ -36,12 +36,11 @@ from .errors import (
     SpecMismatchError,
     SubmultiplicativityError,
 )
+from .free_algebra import _acc
 from .lie_structure import (
     PBWPoly,
-    _acc,
     _poly_right_letter,
     _right_letter,
-    _word_of_alpha,
     monomial_name,
     submult_check,
 )
@@ -246,13 +245,11 @@ def _symmetrize_values(spec, n, raw_lookup):
 
 def symmetrize(beta):
     """Exact average of ``beta_n`` over all argument permutations."""
-    if beta.symmetric:
-        return BetaComponent(beta.spec, beta.n, dict(beta.values), symmetric=True)
     values = _symmetrize_values(beta.spec, beta.n, beta.lookup)
     return BetaComponent(beta.spec, beta.n, values, symmetric=True)
 
 
-def pnorm(beta, spec=None):
+def pnorm(beta):
     """Exact weighted-l1 operator norm of a multilinear component.
 
     The sup of a multilinear map over the p-unit ball is attained at the
@@ -260,7 +257,7 @@ def pnorm(beta, spec=None):
     of ``|beta(tuple)| / (w_{i1} .. w_{in})``.  Returned as a
     :class:`SqrtFraction` whose square is exact.
     """
-    spec = spec or beta.spec
+    spec = beta.spec
     best = Fraction(0)
     for word, v in beta.values.items():
         wprod = Fraction(1)
@@ -405,36 +402,28 @@ def radius_estimate(lam, max_n=None):
     return RadiusEstimate(top, best, tuple(per_degree))
 
 
-def regular_act(lam, y, side="right"):
-    """The functional ``D -> lam(D y)`` (right) or ``D -> lam(y D)`` (left).
+def regular_act(lam, y):
+    """The right regular action: the functional ``D -> lam(D y)``.
 
     The result is defined on monomials of degree ``N - 1`` only, since one
     slot of the table is consumed by ``y``.  The value at alpha is
     ``sum_b c_b lam(b)``, where ``sum_b c_b b`` is the normal form of
-    ``x^alpha y`` (right: the cached ``x^alpha e_i``, times ``y_i``) or of
-    ``y x^alpha`` (left: ``y`` times the letters of alpha, one right-letter
-    step each).  The coefficients ``c_b`` are combined exactly, in the order
-    :func:`pbw_mul` would, before the ``lam`` values enter, so float tables
-    see the same operations in the same order as ``lam.eval`` of the product.
+    ``x^alpha y``: the cached ``x^alpha e_i``, times ``y_i``.  The
+    coefficients ``c_b`` are combined exactly, in the order :func:`pbw_mul`
+    would, before the ``lam`` values enter, so float tables see the same
+    operations in the same order as ``lam.eval`` of the product.
     """
     if lam.max_degree < 1:
         raise DegreeOverflowError("regular action needs max_degree >= 1")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if not (y.spec is lam.spec or y.spec == lam.spec):
         raise SpecMismatchError("vector and functional use different specs")
     spec = lam.spec
     values = {}
     ys = [(i, c) for i, c in enumerate(y.coeffs) if c]
     basis = len(ys) == 1 and ys[0][1] == ONE
-    left = PBWPoly.from_gvector(y).terms
     table, zero = lam.values, lam.field.zero
     for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
-        if side == "left":
-            terms = left
-            for letter in _word_of_alpha(alpha):
-                terms = _poly_right_letter(spec, terms, letter)
-        elif basis:
+        if basis:
             terms = _right_letter(spec, alpha, ys[0][0])
         else:
             terms = {}
@@ -523,7 +512,7 @@ def recursion_check(lam, n_max):
     if not sub.ok:
         raise SubmultiplicativityError(str(sub))
     spec = lam.spec
-    acted = [regular_act(lam, spec.basis_vector(i), "right") for i in range(spec.dim)]
+    acted = [regular_act(lam, spec.basis_vector(i)) for i in range(spec.dim)]
     sums = _symmetric_sums(spec, n_max + 1)
     constants = _insertion_chain(lam, sums, n_max)
     rows = []
@@ -544,8 +533,8 @@ def recursion_check(lam, n_max):
     return RecursionReport(tuple(rows))
 
 
-def growth_diagnostics(lam, t=1.0):
-    """Partial sums of ``sum ||beta_n^s|| t^n / n!`` and the unsymmetrized twin.
+def growth_diagnostics(lam):
+    """Partial sums of ``sum ||beta_n^s|| / n!`` and the unsymmetrized twin.
 
     Purely diagnostic: whether convergence of the symmetrized series forces
     convergence of the raw one is open, so nothing is asserted here.
@@ -557,7 +546,7 @@ def growth_diagnostics(lam, t=1.0):
         comp = beta_component(lam, n)
         raw_norm = pnorm(comp).to_float()
         sym_norm = pnorm(symmetrize(comp)).to_float()
-        scale = (t ** n) / factorial(n)
+        scale = 1.0 / factorial(n)
         sym_acc += sym_norm * scale
         raw_acc += raw_norm * scale
         sym_partial.append(sym_acc)

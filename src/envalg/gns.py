@@ -32,6 +32,7 @@ from .errors import (
     PositivityError,
     RepresentationError,
 )
+from .free_algebra import _acc
 from .functionals import (
     FunctionalTable,
     monomials_up_to,
@@ -39,9 +40,7 @@ from .functionals import (
     regular_act,
 )
 from .lie_structure import PBWPoly, _word_of_alpha, pbw_reduce, star
-from .scalars import (
-    ONE, ZERO, RootValue, Scalar, format_scalar, fraction_root_float, scalar_field,
-)
+from .scalars import ONE, ZERO, RootValue, Scalar, fraction_root_float, scalar_field
 
 __all__ = [
     "MatrixRep",
@@ -143,15 +142,6 @@ class MatrixRep:
             if c:
                 acc = acc + c.to_complex() * self._generator_arrays[i]
         return acc
-
-    def exact_matrix_of(self, x):
-        if not self.exact:
-            raise ValueError("exact_matrix_of needs an exact representation")
-        terms = [(c, gen) for c, gen in zip(x.coeffs, self.generators) if c]
-        return tuple(
-            tuple(sum((c * gen[r][s] for c, gen in terms), ZERO) for s in range(self.dim_V))
-            for r in range(self.dim_V)
-        )
 
     # -- validation ---------------------------------------------------------
 
@@ -300,7 +290,7 @@ def moment_matrix(lam, d_max):
     monos = monomials_up_to(spec.dim, d_max)
     # T_beta(D) = lam(D x^beta), one right regular action per peeled letter
     basis = [spec.basis_vector(i) for i in range(spec.dim)]
-    tables = _peel(monos, lam, lambda i, t: regular_act(t, basis[i], "right"))
+    tables = _peel(monos, lam, lambda i, t: regular_act(t, basis[i]))
     stars = [star(PBWPoly.monomial(spec, alpha)) for alpha in monos]
     rows = tuple(tuple(tables[beta].eval(st) for beta in monos) for st in stars)
     # ||M - M^*|| <= tol * max(1, ||M||), compared squared in the field's reals
@@ -414,26 +404,21 @@ def _exact_psd(rows):
 
 
 def psd_check(M, tol=0.0):
-    """PASS iff M is positive semidefinite (exact pivots, or eigenvalues >= -tol).
+    """PASS iff the moment matrix M is positive semidefinite.
 
-    Rejects non-hermitian input.  On FAIL the report carries a witness
-    vector ``u`` with ``<Mu, u> < -tol``.
+    Exact matrices are decided by their LDL* pivots, float ones by
+    eigenvalues >= -tol.  Rejects non-hermitian input.  On FAIL the report
+    carries a witness vector ``u`` with ``<Mu, u> < -tol``.
     """
-    if isinstance(M, MomentMatrix):
-        if not M.hermitian:
-            raise HermitianError("moment matrix is not hermitian")
-        if M.exact:
-            ok, rank, pivots, witness, wval = _exact_psd(M.rows)
-            return PsdReport(
-                ok, True, M.size, rank=rank, pivots=pivots,
-                witness=witness, witness_value=wval,
-            )
-        arr = M.to_array()
-    else:
-        arr = np.asarray(M, dtype=complex)
-        scale = max(1.0, float(np.linalg.norm(arr)))
-        if float(np.linalg.norm(arr - arr.conj().T)) > 1e-10 * scale:
-            raise HermitianError("matrix is not hermitian")
+    if not M.hermitian:
+        raise HermitianError("moment matrix is not hermitian")
+    if M.exact:
+        ok, rank, pivots, witness, wval = _exact_psd(M.rows)
+        return PsdReport(
+            ok, True, M.size, rank=rank, pivots=pivots,
+            witness=witness, witness_value=wval,
+        )
+    arr = M.to_array()
     vals, vecs = np.linalg.eigh((arr + arr.conj().T) / 2)
     min_eig = float(vals[0])
     if min_eig >= -tol:
@@ -477,38 +462,13 @@ class GnsModel:
     exact: bool
     vacuum: np.ndarray
 
-    def report(self):
-        """Structured, JSON-serializable view: Gram, rank and operators.
-
-        Exact Gram entries are encoded like the config scalars ("a/b" or
-        ["a/b", "c/d"]); operator matrices are [re, im] float pairs in the
-        orthonormalized quotient basis.
-        """
-        def pairs(mat):
-            return [[[z.real, z.imag] for z in row] for row in mat]
-
-        if self.exact:
-            gram = [[format_scalar(c) for c in row] for row in self.gram.rows]
-        else:
-            gram = pairs(self.gram.to_array())
-        ops = None if self.op_matrices is None else [pairs(m) for m in self.op_matrices]
-        return {
-            "degree": self.degree,
-            "quotient_rank": self.quotient_rank,
-            "sub_rank": self.sub_rank,
-            "pivot_monomials": [",".join(str(a) for a in m) for m in self.pivot_monomials],
-            "gram": gram,
-            "operators": ops,
-            "skew_exact": bool(self.skew_exact) if self.skew_exact is not None else None,
-            "skew_residual": self.skew_residual,
-        }
-
-    def operator(self, x, pad=True):
+    def operator(self, x):
         """Matrix of ``rho(x)`` composed with projection onto the sub-quotient.
 
-        The padded square matrix acts on the full quotient; each application
-        first projects onto the degree <= d_max-1 span, which is the
-        truncation that must shrink as the degree grows.
+        The square matrix acts on the full quotient, zero-padded past the
+        ``sub_rank`` columns; each application first projects onto the degree
+        <= d_max-1 span, which is the truncation that must shrink as the
+        degree grows.
         """
         if self.op_matrices is None:
             raise ValueError("model built with degree 0 has no operators")
@@ -517,25 +477,23 @@ class GnsModel:
         for i, c in enumerate(x.coeffs):
             if c:
                 acc = acc + c.to_complex() * self.op_matrices[i]
-        if not pad:
-            return acc
         out = np.zeros((r, r), dtype=complex)
         out[:, :r1] = acc
         return out
 
 
-def gns_build(lam, d_max, tol=None):
+def gns_build(lam, d_max):
     """Build the truncated GNS model of a positive functional.
 
     Requires the moment matrix at ``d_max`` to be PSD (exact pivots, or
-    within ``tol`` on the float path); otherwise the functional is not
-    positive at this degree and a :class:`PositivityError` is raised.
+    within the field's ``tol`` on the float path); otherwise the functional
+    is not positive at this degree and a :class:`PositivityError` is raised.
     """
     M = moment_matrix(lam, d_max)
     if not M.hermitian:
         raise HermitianError("functional is not hermitian; GNS needs <D1, D2> = lam(D2* D1)")
     field = lam.field
-    psd = psd_check(M, tol=field.tol if tol is None else tol)
+    psd = psd_check(M, tol=field.tol)
     if not psd.ok:
         raise PositivityError(
             f"functional is not positive at degree {d_max}", witness=psd.witness
@@ -558,11 +516,7 @@ def gns_build(lam, d_max, tol=None):
     def axpy(u, coeff, vec):
         # u += coeff * vec over sparse dicts, dropping entries that cancel
         for idx, val in vec.items():
-            got = u.get(idx, zero) + coeff * val
-            if got:
-                u[idx] = got
-            elif idx in u:
-                del u[idx]
+            _acc(u, idx, coeff * val)
 
     basis = []      # orthogonal vectors as sparse dicts over monomial indices
     norms2 = []
@@ -679,14 +633,15 @@ class AnalyticReport:
         )
 
 
-def analytic_diagnostics(lam, x, n_max, t=1.0):
+def analytic_diagnostics(lam, x, n_max):
     """Exact vector-norm squares along ``x`` plus convergence diagnostics.
 
     Computes ``s_n^2 = (-1)^n Re(lam(x^(2n)))`` for ``n <= n_max``; flags the
     first negative value as a certificate of non-positivity.  Reports the
-    partial sums of the vector series at ``t``, the exponential series
-    ``sum lam(x^n) t^n / n!``, the root-test radius estimate of the vector
-    series, and its ratio to half the functional radius estimate.
+    partial sums at t = 1 of the vector series ``sum s_n / n!`` and of the
+    exponential series ``sum lam(x^n) / n!``, the root-test radius estimate
+    of the vector series, and its ratio to half the functional radius
+    estimate.
     """
     lam._need_exact("analytic diagnostics")
     if 2 * n_max > lam.max_degree:
@@ -710,12 +665,12 @@ def analytic_diagnostics(lam, x, n_max, t=1.0):
     sums_vec = []
     acc = 0.0
     for n in range(n_max + 1):
-        acc += s_vals[n] * (t ** n) / factorial(n)
+        acc += s_vals[n] / factorial(n)
         sums_vec.append(acc)
     sums_exp = []
     acc_c = 0j
     for k in range(2 * n_max + 1):
-        acc_c += lam.eval(powers[k]).to_complex() * (t ** k) / factorial(k)
+        acc_c += lam.eval(powers[k]).to_complex() / factorial(k)
         sums_exp.append(acc_c)
     best = None
     if witness is None:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import free_algebra
+from .free_algebra import _acc
 from .errors import SpecMismatchError
 from .scalars import ONE, Scalar, as_scalar
 
@@ -302,15 +303,6 @@ def submult_check(spec):
 # ---------------------------------------------------------------------------
 
 
-def _acc(table, alpha, coeff):
-    got = table.get(alpha)
-    got = coeff if got is None else got + coeff
-    if got:
-        table[alpha] = got
-    elif alpha in table:
-        del table[alpha]
-
-
 def _right_letter(spec, alpha, letter):
     """Normal form of ``x^alpha * e_letter`` as ``{multi-index: Scalar}``.
 
@@ -412,8 +404,8 @@ class PBWPoly:
         return cls._raw(spec, {(0,) * spec.dim: ONE})
 
     @classmethod
-    def monomial(cls, spec, alpha, coeff=ONE):
-        return cls(spec, {tuple(alpha): coeff})
+    def monomial(cls, spec, alpha):
+        return cls(spec, {tuple(alpha): ONE})
 
     @classmethod
     def generator(cls, spec, i):
@@ -437,9 +429,6 @@ class PBWPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def coefficient(self, alpha):
-        return self.terms.get(tuple(alpha), Scalar(0))
 
     def __add__(self, other):
         if not isinstance(other, PBWPoly):

@@ -45,19 +45,19 @@ def random_vector(spec, rng, span=9, denominator=9):
     return GVector(spec, coeffs)
 
 
-def random_word(spec, rng, max_length=5, min_length=0):
-    length = rng.randint(min_length, max_length)
+def random_word(spec, rng, max_length=5):
+    length = rng.randint(0, max_length)
     return tuple(rng.randrange(spec.dim) for _ in range(length))
 
 
-def random_submultiplicative_weights(spec, rng, attempts=200):
+def random_submultiplicative_weights(spec, rng):
     """Random positive rational weights passing the vertex condition.
 
     Draws weights from a small grid and rejects until the reweighted spec is
-    submultiplicative; the all-ones choice is a guaranteed fallback for the
-    shipped algebras.
+    submultiplicative, for at most 200 draws; the spec's own weights are the
+    fallback.
     """
-    for _ in range(attempts):
+    for _ in range(200):
         weights = [Fraction(rng.randint(1, 8), rng.randint(1, 2)) for _ in range(spec.dim)]
         candidate = LieAlgebraSpec(
             spec.dim,
@@ -70,13 +70,13 @@ def random_submultiplicative_weights(spec, rng, attempts=200):
     return spec
 
 
-def random_skew_rep(size, seed, scale=1.0):
+def random_skew_rep(size, seed):
     """Random skew-hermitian generator on C^size for the abelian line."""
     from .catalog import abelian
 
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    A = scale * (B - B.conj().T) / 2.0
+    A = (B - B.conj().T) / 2.0
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     v = v / np.linalg.norm(v)
     return MatrixRep(abelian(1), size, [A], v, skew_hermitian=True, exact=False,

@@ -169,13 +169,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        a, b, d = self.a, self.b, self.d
-        n = a * a + b * b
-        if not n:
-            raise ZeroDivisionError("division by zero scalar")
-        return _reduced(d * a, -d * b, n)
-
     def __truediv__(self, other):
         if type(other) is Scalar:
             oa, ob, od = other.a, other.b, other.d

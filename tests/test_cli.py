@@ -324,6 +324,16 @@ def _set(suite, key, value=None, drop=False):
     return patch
 
 
+def _put(*path, value):
+    def patch(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return patch
+
+
 def _bad_target(doc):
     doc["lie_algebra"]["structure"]["0,1"] = {"x": "1"}
 
@@ -389,6 +399,20 @@ MALFORMED = [
                  ("suites[3] (recursion)", "n_max"), id="recursion-beyond-table"),
     pytest.param("su2.json", None, ["--degree", "6", "run", "recursion"],
                  ("recursion", "n_max"), id="degree-override-recursion"),
+    pytest.param("su2.json", _put("lie_algebra", "dim", value=True), ["validate"],
+                 ("lie_algebra.dim",), id="dim-bool"),
+    pytest.param("su2.json", _put("lie_algebra", "basis_names", value="xyz"), ["validate"],
+                 ("lie_algebra.basis_names",), id="basis-names-str"),
+    pytest.param("su2.json", _put("lie_algebra", "weights", value="111"), ["validate"],
+                 ("lie_algebra.weights",), id="weights-str"),
+    pytest.param("su2.json", _put("functionals", "spin_half", "max_degree", value=True),
+                 ["validate"], ("functionals.spin_half.max_degree",), id="max-degree-bool"),
+    pytest.param("su2.json", _put("representations", "spin_one", "dim_V", value=True),
+                 ["validate"], ("representations.spin_one.dim_V",), id="dim-v-bool"),
+    pytest.param("su2.json", _put("representations", "spin_half", "skew_hermitian",
+                                  value="false"),
+                 ["validate"], ("representations.spin_half.skew_hermitian",),
+                 id="skew-hermitian-str"),
 ]
 
 
@@ -458,6 +482,37 @@ def test_mutated_suite_params_validate_cleanly(tmp_path_factory, data):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         rc = main(["--config", str(path), "validate"])
     assert rc in (0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_block_keys_validate_cleanly(tmp_path_factory, data):
+    doc = shipped(data.draw(st.sampled_from(["su2.json", "gaussian.json"])))
+    blocks = [(doc["lie_algebra"], ("dim", "basis_names", "weights"))]
+    blocks += [(b, ("max_degree",)) for b in doc.get("functionals", {}).values()]
+    blocks += [(b, ("dim_V", "skew_hermitian", "mode"))
+               for b in doc.get("representations", {}).values()]
+    block, keys = data.draw(st.sampled_from(blocks))
+    block[data.draw(st.sampled_from(keys))] = data.draw(_JUNK)
+    path = tmp_path_factory.getbasetemp() / "fuzz-block.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = main(["--config", str(path), "validate"])
+    assert rc in (0, 2)
+
+
+@pytest.mark.parametrize("min_slope, shown", [(0, "0"), (None, "4.5"), (6, "6")])
+def test_local_hom_reports_the_slope_threshold_it_applies(tmp_path, min_slope, shown):
+    doc = shipped("su2.json")
+    _set("local-hom", "min_slope", min_slope, drop=min_slope is None)(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out = capture(["--config", str(path), "--format", "machine", "run", "local-hom"])
+    check = json.loads(out.splitlines()[0])
+    assert check["expected"] == f"fitted slope >= {shown}"
+    slope = float(check["actual"].split()[1])
+    assert (check["status"] == "PASS") == (slope >= float(shown))
+    assert rc == (0 if check["status"] == "PASS" else 1)
 
 
 def test_suite_names_cover_all_pipelines():

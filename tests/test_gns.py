@@ -119,13 +119,22 @@ class TestMomentMatrix:
             moment_matrix(lam, 2)
 
 
+def _float_moments(values):
+    """The float moment matrix at degree 1 of a degree-2 table on the line."""
+    return moment_matrix(FunctionalTable(abelian(1), 2, values, exact=False), 1)
+
+
 class TestPsdCheck:
     def test_identity(self):
-        report = psd_check(np.eye(3))
-        assert report.ok
+        # lam(x* x) = -lam(x^2) = 1: the moment matrix is the 2 x 2 identity
+        M = _float_moments({(0,): 1, (2,): -1})
+        assert np.array_equal(M.to_array(), np.eye(2))
+        report = psd_check(M)
+        assert report.ok and not report.exact
 
     def test_small_negative_direction(self):
-        report = psd_check(np.diag([1.0, -1e-3]), tol=1e-10)
+        M = _float_moments({(0,): 1, (2,): 1e-3})  # diag(1, -1e-3)
+        report = psd_check(M, tol=1e-10)
         assert not report.ok
         w = np.array(report.witness)
         assert abs(abs(w[1]) - 1.0) < 1e-9 and abs(w[0]) < 1e-9
@@ -173,8 +182,11 @@ class TestPsdCheck:
         assert quad.re < 0
 
     def test_non_hermitian_rejected(self):
+        # M[0][1] = lam(x) = 1 but M[1][0] = lam(x*) = -1
+        M = _float_moments({(0,): 1, (1,): 1, (2,): -1})
+        assert not M.hermitian
         with pytest.raises(HermitianError):
-            psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            psd_check(M)
 
 
 def _sym(c):
@@ -373,19 +385,6 @@ class TestGnsBuild:
         with pytest.raises(ValueError):
             model.operator(SO3.basis_vector(0))
 
-    def test_structured_report_is_serializable(self):
-        import json
-
-        lam = functional_from_rep(spin_half(), 4)
-        model = gns_build(lam, 2)
-        doc = model.report()
-        text = json.dumps(doc, sort_keys=True)
-        back = json.loads(text)
-        assert back["quotient_rank"] == 2
-        assert back["skew_exact"] is True
-        assert len(back["gram"]) == len(model.monomials)
-        assert len(back["operators"]) == 3
-
 
 class TestAnalyticDiagnostics:
     def test_positive_squares_for_rep_functionals(self):
@@ -408,7 +407,7 @@ class TestAnalyticDiagnostics:
         import cmath
 
         lam = functional_from_rep(spin_half(), 16)
-        report = analytic_diagnostics(lam, SO3.basis_vector(2), 8, t=1.0)
+        report = analytic_diagnostics(lam, SO3.basis_vector(2), 8)
         assert abs(report.partial_sums_exp[-1] - cmath.exp(-0.5j)) < 1e-9
 
     def test_non_positive_witness(self):

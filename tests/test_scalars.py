@@ -104,8 +104,8 @@ def test_unary_ops_match_reference(x):
     assert x.is_real() == (rx[1] == 0)
     assert x.is_zero() == (rx == (0, 0)) == (not x)
     if rx != (0, 0):
-        check(x.inverse(), ref_inverse(rx))
-        check(x * x.inverse(), (Fraction(1), Fraction(0)))
+        check(1 / x, ref_inverse(rx))
+        check(x * (1 / x), (Fraction(1), Fraction(0)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -182,8 +182,6 @@ def test_division_by_zero_raises(zero):
     x = Scalar(Fraction(2, 3), -1)
     with pytest.raises(ZeroDivisionError):
         x / zero
-    with pytest.raises(ZeroDivisionError):
-        Scalar(0).inverse()
     with pytest.raises(ZeroDivisionError):
         1 / Scalar(0)
     with pytest.raises(ZeroDivisionError):
