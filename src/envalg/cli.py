@@ -180,6 +180,9 @@ def _parse_algebra(block):
         structure[(i, j)] = parsed
     try:
         weights = [parse_fraction(w) for w in weights]
+    except ValueError as exc:
+        raise ConfigError(f"lie_algebra.weights: {exc}") from None
+    try:
         spec = LieAlgebraSpec(dim, names, structure, weights)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"lie_algebra: {exc}") from None
@@ -266,8 +269,7 @@ def _real(test, what):
 
 
 def _rational(test=lambda q: True, what="a rational"):
-    return _check(lambda v, c: type(v) is not bool and test(parse_fraction(v)),
-                  f"{what} like '1/2'")
+    return _check(lambda v, c: test(parse_fraction(v)), f"{what} like '1/2'")
 
 
 def _gvector(value, config):
@@ -767,7 +769,7 @@ def _suite_local_hom(config, params, seed):
                 "order",
                 report.ok,
                 f"fitted slope >= {min_slope}",
-                f"slope {report.slope:.3f}",
+                report.slope_text,
             )
         )
     return checks

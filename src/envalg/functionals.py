@@ -17,6 +17,16 @@ for ``|alpha| >= k``.  Both run over the ``C(n+dim-1, dim-1)`` multisets of
 each degree.  The word tables (:func:`beta_component`, :func:`symmetrize`)
 remain as the direct route for small n.
 
+Exact evaluation runs on integers.  An exact table's integer image
+``(den, {alpha: (V, W)})`` reads ``lam(x^alpha) = (V + W i) / (den *
+delta**|alpha|)``, and a normal form from the PBW engine is a graded int
+table ``{b: n_b}`` at grade ``top`` reading ``sum_b n_b / delta**(top -
+|b|) x^b``.  The powers of ``delta`` cancel term by term, so ``lam`` of
+the table is ``sum_b n_b (V_b + W_b i)`` over the single denominator
+``den * delta**top``.  The norm kernels, :func:`beta_component` and
+:func:`regular_act` sum those int products and build one Scalar per output
+entry; :func:`regular_act` hands on its result as an image too.
+
 Norms are values ``sqrt(q)`` with rational ``q``; every comparison is done
 on the exact squares (see :mod:`envalg.scalars`), and floating point shows
 up only in reports.
@@ -38,17 +48,20 @@ from .errors import (
 )
 from .free_algebra import _acc
 from .lie_structure import (
-    PBWPoly,
+    _acc_pair,
+    _float_terms,
+    _graded,
     _poly_right_letter,
     _right_letter,
     monomial_name,
     submult_check,
 )
 from .scalars import (
-    ONE,
     RootValue,
     Scalar,
     SqrtFraction,
+    _int_pairs,
+    _reduced,
     scalar_field,
     sqrt_leq_sqrt_plus_multiple,
 )
@@ -93,9 +106,18 @@ class FunctionalTable:
     Absent entries are zero.  ``exact`` tables hold :class:`Scalar` values;
     non-exact tables (from floating representations) hold complex numbers
     and only support evaluation-style operations.
+
+    An exact table also has an integer image ``(den, {alpha: (V, W)})``
+    with ``lam(x^alpha) = (V + W i) / (den * delta**|alpha|)`` (``delta`` of
+    the spec, see :mod:`envalg.lie_structure`).  Against a graded int table
+    at grade ``top`` every term then shares the denominator
+    ``den * delta**top``, so evaluation adds Python ints and builds one
+    Scalar at the end.  A table built from Scalars derives its image on first
+    use; a table computed by a kernel (:func:`regular_act`) is built from its
+    image and materializes ``values`` on first read.
     """
 
-    __slots__ = ("spec", "max_degree", "values", "field")
+    __slots__ = ("spec", "max_degree", "field", "_values", "_image")
 
     def __init__(self, spec, max_degree, values=None, exact=True):
         if max_degree < 0:
@@ -117,7 +139,45 @@ class FunctionalTable:
                 raise TypeError("exact tables need Scalar values")
             if v:
                 clean[alpha] = v
-        self.values = clean
+        self._values = clean
+        self._image = None
+
+    @classmethod
+    def _from_image(cls, spec, max_degree, den, image):
+        """An exact table from its integer image (nonzero pairs, degrees in range)."""
+        lam = object.__new__(cls)
+        lam.spec = spec
+        lam.max_degree = max_degree
+        lam.field = scalar_field(True)
+        lam._values = None
+        lam._image = (den, image)
+        return lam
+
+    @property
+    def values(self):
+        values = self._values
+        if values is None:
+            den, image = self._image
+            delta = self.spec.delta
+            values = self._values = {
+                alpha: _reduced(v, w, den * delta ** sum(alpha))
+                for alpha, (v, w) in image.items()
+            }
+        return values
+
+    def _int_image(self):
+        """The integer image ``(den, {alpha: (V, W)})`` of an exact table."""
+        image = self._image
+        if image is None:
+            values = self._values
+            den, pairs = _int_pairs(values.values())
+            delta = self.spec.delta
+            graded = {}
+            for alpha, (a, b) in zip(values, pairs):
+                s = delta ** sum(alpha)
+                graded[alpha] = (a * s, b * s)
+            image = self._image = (den, graded)
+        return image
 
     @property
     def exact(self):
@@ -135,23 +195,48 @@ class FunctionalTable:
     def eval(self, poly):
         """Evaluate on a PBW element by linearity; rejects degree overflow.
 
-        Stored keys passed the degree check at construction, so only a miss
-        needs it.
+        Exact tables sum int pairs over one denominator; float tables add
+        ``coeff * value`` term by term in the order of the terms.
         """
         if not (poly.spec is self.spec or poly.spec == self.spec):
             raise SpecMismatchError("functional and element use different specs")
-        total = self.field.zero
-        for alpha, coeff in poly.terms.items():
-            v = self.values.get(alpha)
-            if v is None:
-                if sum(alpha) > self.max_degree:
-                    raise DegreeOverflowError(
-                        f"monomial {monomial_name(self.spec, alpha)} exceeds "
-                        f"functional degree {self.max_degree}"
-                    )
-                continue
-            total = total + coeff * v
-        return total
+        if not self.exact:
+            return _float_dot(self._known(poly.terms.items(), self.values), self.values)
+        den_p, top, terms = _graded(self.spec, poly.terms)
+        den, image = self._int_image()
+        x = y = 0
+        for alpha, (a, b) in self._known(terms.items(), image):
+            vr, vi = image[alpha]
+            x += a * vr - b * vi
+            y += a * vi + b * vr
+        return _reduced(x, y, den_p * den * self.spec.delta ** top)
+
+    def _eval_graded(self, table, top):
+        """``lam`` of a real graded int table at grade ``top`` within the degree.
+
+        Exact: one Scalar over ``den * delta**top``.  Float: each coefficient
+        correctly rounded, summed in the table's order as :meth:`eval` sums.
+        """
+        if self.exact:
+            den, image = self._int_image()
+            return _reduced(*_contract(table, image), den * self.spec.delta ** top)
+        terms = _float_terms(self.spec, 1, top, {b: (n, 0) for b, n in table.items()})
+        return _float_dot(terms, self.values)
+
+    def _known(self, terms, table):
+        """The ``(alpha, coeff)`` terms whose alpha is stored in ``table``.
+
+        Stored keys passed the degree check at construction, so only a miss
+        needs it.
+        """
+        for alpha, coeff in terms:
+            if alpha in table:
+                yield alpha, coeff
+            elif sum(alpha) > self.max_degree:
+                raise DegreeOverflowError(
+                    f"monomial {monomial_name(self.spec, alpha)} exceeds "
+                    f"functional degree {self.max_degree}"
+                )
 
     def scale(self, c):
         c = self.field.coerce(c)
@@ -167,6 +252,28 @@ class FunctionalTable:
             f"FunctionalTable({self.field.name}, degree<={self.max_degree}, "
             f"{len(self.values)} nonzero values)"
         )
+
+
+def _float_dot(terms, values):
+    """``sum c * values[b]`` over ``(b, c)`` in order, skipping absent b, from 0j."""
+    total = 0j
+    for b, c in terms:
+        v = values.get(b)
+        if v is not None:
+            total = total + c * v
+    return total
+
+
+def _contract(table, image):
+    """``(X, Y)`` with ``X + Y i = sum_b table[b] * image[b]`` for a real int table."""
+    x = y = 0
+    get = image.get
+    for b, n in table.items():
+        v = get(b)
+        if v is not None:
+            x += n * v[0]
+            y += n * v[1]
+    return x, y
 
 
 class BetaComponent:
@@ -213,12 +320,12 @@ def beta_component(lam, n):
 
     def walk(word, table):
         if len(word) == n:
-            values[word] = lam.eval(PBWPoly._raw(spec, table))
+            values[word] = lam._eval_graded(table, n)
             return
         for letter in range(spec.dim):
             walk(word + (letter,), _poly_right_letter(spec, table, letter))
 
-    walk((), {(0,) * spec.dim: ONE})
+    walk((), {(0,) * spec.dim: 1})
     return BetaComponent(spec, n, values, symmetric=False)
 
 
@@ -270,7 +377,10 @@ def pnorm(beta):
 
 
 def _times_letters(spec, layer):
-    """One degree up: ``out[alpha] = sum_{j: alpha_j > 0} layer[alpha - e_j] e_j``."""
+    """One degree up: ``out[alpha] = sum_{j: alpha_j > 0} layer[alpha - e_j] e_j``.
+
+    The tables are graded int tables of one grade, and the result is one grade up.
+    """
     out = {}
     for alpha, table in layer.items():
         for j in range(spec.dim):
@@ -284,36 +394,52 @@ def _times_letters(spec, layer):
 
 
 def _symmetric_sums(spec, top):
-    """``sums[n][alpha] = S(alpha)`` for every multiset ``|alpha| = n <= top``."""
+    """``sums[n][alpha] = S(alpha)`` for every multiset ``|alpha| = n <= top``.
+
+    Each ``S(alpha)`` is a graded int table at grade n.
+    """
     zero = (0,) * spec.dim
-    sums = [{zero: {zero: ONE}}]
+    sums = [{zero: {zero: 1}}]
     for _ in range(top):
         sums.append(_times_letters(spec, sums[-1]))
     return sums
 
 
-def _symmetric_norm2(lam, layer):
+@cache
+def _vertex_scale2(weights, alpha):
+    """``(p, q)`` with ``(multinomial(alpha) * prod_l w_l**alpha_l)**2 == p / q``."""
+    multinomial = factorial(sum(alpha))
+    wprod = Fraction(1)
+    for w, a in zip(weights, alpha):
+        multinomial //= factorial(a)
+        wprod *= w ** a
+    scale2 = (multinomial * wprod) ** 2
+    return scale2.numerator, scale2.denominator
+
+
+def _symmetric_norm2(lam, layer, top):
     """Squared p-norm of the symmetric component whose multiset sums are ``layer``.
 
     The value at ``alpha`` is ``lam(layer[alpha]) / multinomial(alpha)`` and
     its vertex weight is ``prod_l w_l**alpha_l``; the norm is the max ratio.
+    ``layer`` holds graded int tables at grade ``top``, so every
+    ``lam(layer[alpha])`` is ``(X + Y i) / D`` over one denominator D; the
+    ratios ``|X + Y i|**2 / scale**2`` are compared as int cross products and
+    the max is divided by ``D**2`` once.
     """
     spec = lam.spec
-    best = Fraction(0)
+    den, image = lam._int_image()
+    den *= spec.delta ** top
+    best_num, best_den = 0, 1
     for alpha, table in layer.items():
-        v = lam.eval(PBWPoly._raw(spec, table))
-        if not v:
+        x, y = _contract(table, image)
+        if not (x or y):
             continue
-        multinomial = factorial(sum(alpha))
-        wprod = Fraction(1)
-        for w, a in zip(spec.weights, alpha):
-            multinomial //= factorial(a)
-            wprod *= w ** a
-        scale = multinomial * wprod
-        q = v.abs2() / (scale * scale)
-        if q > best:
-            best = q
-    return best
+        p, q = _vertex_scale2(spec.weights, alpha)
+        num = (x * x + y * y) * q
+        if num * best_den > best_num * p:
+            best_num, best_den = num, p
+    return Fraction(best_num, best_den * den * den)
 
 
 def _insertion_chain(lam, sums, n_max):
@@ -334,7 +460,7 @@ def _insertion_chain(lam, sums, n_max):
             for n in range(k - 1, n_max + 1):
                 if n >= k:
                     layer = _times_letters(spec, layer)
-                q = _symmetric_norm2(lam, layer) / w2
+                q = _symmetric_norm2(lam, layer, n + 1) / w2
                 if q > best[n]:
                     best[n] = q
     return [SqrtFraction(q) for q in best]
@@ -391,7 +517,7 @@ def radius_estimate(lam, max_n=None):
     best = None
     per_degree = []
     for n in range(1, top + 1):
-        norm2 = _symmetric_norm2(lam, sums[n])
+        norm2 = _symmetric_norm2(lam, sums[n], n)
         if not norm2:
             per_degree.append((n, None))
             continue
@@ -408,36 +534,78 @@ def regular_act(lam, y):
     The result is defined on monomials of degree ``N - 1`` only, since one
     slot of the table is consumed by ``y``.  The value at alpha is
     ``sum_b c_b lam(b)``, where ``sum_b c_b b`` is the normal form of
-    ``x^alpha y``: the cached ``x^alpha e_i``, times ``y_i``.  The
-    coefficients ``c_b`` are combined exactly, in the order :func:`pbw_mul`
-    would, before the ``lam`` values enter, so float tables see the same
-    operations in the same order as ``lam.eval`` of the product.
+    ``x^alpha y``: the cached ``x^alpha e_i``, times ``y_i``.  With ``y``
+    over one denominator ``den_y``, an exact table's image ``(den, V)``
+    gives the image ``(den_y * den * delta, X)`` of the result, where each
+    ``X[alpha]`` sums int products.  On a float table the coefficients
+    ``c_b`` are combined exactly, in the order :func:`pbw_mul` would, and
+    enter as correctly rounded complex numbers, so float tables see the
+    same operations in the same order as ``lam.eval`` of the product.
     """
     if lam.max_degree < 1:
         raise DegreeOverflowError("regular action needs max_degree >= 1")
     if not (y.spec is lam.spec or y.spec == lam.spec):
         raise SpecMismatchError("vector and functional use different specs")
     spec = lam.spec
+    den_y, pairs = _int_pairs(y.coeffs)
+    ys = [(i, p, q) for i, (p, q) in enumerate(pairs) if p or q]
+    monos = monomials_up_to(spec.dim, lam.max_degree - 1)
+    if lam.exact:
+        den, image = lam._int_image()
+        out = {}
+        for alpha in monos:
+            x = z = 0
+            for i, p, q in ys:
+                sr, si = _contract(_right_letter(spec, alpha, i), image)
+                x += p * sr - q * si
+                z += p * si + q * sr
+            if x or z:
+                out[alpha] = (x, z)
+        return FunctionalTable._from_image(
+            spec, lam.max_degree - 1, den_y * den * spec.delta, out
+        )
     values = {}
-    ys = [(i, c) for i, c in enumerate(y.coeffs) if c]
-    basis = len(ys) == 1 and ys[0][1] == ONE
-    table, zero = lam.values, lam.field.zero
-    for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
-        if basis:
-            terms = _right_letter(spec, alpha, ys[0][0])
-        else:
-            terms = {}
-            for i, yi in ys:
-                for b, c in _right_letter(spec, alpha, i).items():
-                    _acc(terms, b, c * yi)
-        total = zero
-        for b, c in terms.items():
-            v = table.get(b)
-            if v is not None:
-                total = total + c * v
+    for alpha in monos:
+        top = sum(alpha) + 1
+        terms = {}
+        for i, p, q in ys:
+            for b, c in _right_letter(spec, alpha, i).items():
+                _acc_pair(terms, b, c * p, c * q)
+        total = _float_dot(_float_terms(spec, den_y, top, terms), lam.values)
         if total:
             values[alpha] = total
-    return FunctionalTable(spec, lam.max_degree - 1, values, exact=lam.exact)
+    return FunctionalTable(spec, lam.max_degree - 1, values, exact=False)
+
+
+def _power_values(lam, x, top):
+    """``[lam(x^0), .., lam(x^top)]`` for an element x of g and an exact lam.
+
+    With x over one denominator ``den_x``, ``x^k`` is ``(R + I i) / den_x**k``
+    for two graded int tables R, I at grade k; each power is the previous
+    one times ``sum_i x_i e_i``, and each value is one Scalar.
+    """
+    spec = lam.spec
+    den, image = lam._int_image()
+    den_x, pairs = _int_pairs(x.coeffs)
+    xs = [(i, p, q) for i, (p, q) in enumerate(pairs) if p or q]
+    re, im = {(0,) * spec.dim: 1}, {}
+    out = []
+    for k in range(top + 1):
+        if k:
+            next_re, next_im = {}, {}
+            for i, p, q in xs:
+                # (R + I i)(p + q i) = (R p - I q) + (R q + I p) i
+                for table, fr, fi in ((re, p, q), (im, -q, p)):
+                    for b, c in _poly_right_letter(spec, table, i).items():
+                        if fr:
+                            _acc(next_re, b, fr * c)
+                        if fi:
+                            _acc(next_im, b, fi * c)
+            re, im = next_re, next_im
+        xr, yr = _contract(re, image)
+        xi, yi = _contract(im, image)
+        out.append(_reduced(xr - yi, yr + xi, den * (den_x * spec.delta) ** k))
+    return out
 
 
 def insertion_constants(lam, n):
@@ -518,13 +686,13 @@ def recursion_check(lam, n_max):
     rows = []
     for n in range(1, n_max + 1):
         c_prev, c_n = constants[n - 1], constants[n]
-        beta_next = SqrtFraction(_symmetric_norm2(lam, sums[n + 1]))
+        beta_next = SqrtFraction(_symmetric_norm2(lam, sums[n + 1], n + 1))
         ineq = sqrt_leq_sqrt_plus_multiple(
             c_n.squared, beta_next.squared, n, c_prev.squared
         )
         invariance = True
         for i in range(spec.dim):
-            acted_norm = SqrtFraction(_symmetric_norm2(acted[i], sums[n]))
+            acted_norm = SqrtFraction(_symmetric_norm2(acted[i], sums[n], n))
             bound = c_n * spec.weights[i]
             if not acted_norm <= bound:
                 invariance = False

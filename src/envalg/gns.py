@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,12 +35,22 @@ from .errors import (
 from .free_algebra import _acc
 from .functionals import (
     FunctionalTable,
+    _power_values,
     monomials_up_to,
     radius_estimate,
     regular_act,
 )
-from .lie_structure import PBWPoly, _word_of_alpha, pbw_reduce, star
-from .scalars import ONE, ZERO, RootValue, Scalar, fraction_root_float, scalar_field
+from .lie_structure import _normal_form, _word_of_alpha, pbw_reduce
+from .scalars import (
+    ONE,
+    ZERO,
+    RootValue,
+    Scalar,
+    _int_pairs,
+    _reduced,
+    fraction_root_float,
+    scalar_field,
+)
 
 __all__ = [
     "MatrixRep",
@@ -69,16 +79,49 @@ def _matrix(rows, size, coerce):
     return tuple(out)
 
 
-def _matvec(mat, vec, zero):
+def _matvec(mat, vec):
     return tuple(
-        sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), zero)
+        sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), 0j)
         for row in mat
     )
 
 
-def _inner(u, v, zero):
+def _inner(u, v):
     """``<u, v> = sum conj(v_i) u_i``."""
-    return sum((v[i].conjugate() * u[i] for i in range(len(u))), zero)
+    return sum((v[i].conjugate() * u[i] for i in range(len(u))), 0j)
+
+
+def _int_vector(vec):
+    """Scalars as ``(den, re, im)``: entry k is ``(re[k] + im[k] i) / den``."""
+    den, pairs = _int_pairs(vec)
+    return den, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def _int_matvec(mat, vec):
+    """``M u`` for ``mat = (den, rows)`` (rows of nonzero ``(j, A, B)``) and an int vector."""
+    den_m, rows = mat
+    den, xr, xi = vec
+    yr, yi = [], []
+    for row in rows:
+        r = i = 0
+        for j, a, b in row:
+            u, w = xr[j], xi[j]
+            r += a * u - b * w
+            i += a * w + b * u
+        yr.append(r)
+        yi.append(i)
+    return den_m * den, yr, yi
+
+
+def _int_inner(u, v):
+    """``<u, v> = sum conj(v_i) u_i`` of two int vectors, as one Scalar."""
+    du, ur, ui = u
+    dv, vr, vi = v
+    x = y = 0
+    for a, b, c, d in zip(ur, ui, vr, vi):
+        x += c * a + d * b
+        y += c * b - d * a
+    return _reduced(x, y, du * dv)
 
 
 def _norm2(field, entries):
@@ -127,6 +170,17 @@ class MatrixRep:
         for arr in arrays:
             arr.flags.writeable = False
         return arrays
+
+    @cached_property
+    def _int_generators(self):
+        """Each exact generator as ``(den, rows)``: the nonzero ``(j, A, B)`` of
+        each row, with entry ``(A + B i) / den``."""
+        out = []
+        for gen in self.generators:
+            den = lcm(*{c.d for row in gen for c in row})
+            out.append((den, [[(j, c.a * (den // c.d), c.b * (den // c.d))
+                               for j, c in enumerate(row) if c] for row in gen]))
+        return tuple(out)
 
     def generator_array(self, i):
         """``R(e_i)`` as a read-only complex array."""
@@ -196,8 +250,9 @@ def functional_from_rep(rep, N):
     """
     rep.validate()
     vecs = _orbit_vectors(rep, monomials_up_to(rep.spec.dim, N))
-    v0, zero = rep.cyclic_vector, rep.field.zero
-    values = {alpha: _inner(w, v0, zero) for alpha, w in vecs.items()}
+    v0 = vecs[(0,) * rep.spec.dim]
+    inner = _int_inner if rep.exact else _inner
+    values = {alpha: inner(w, v0) for alpha, w in vecs.items()}
     return FunctionalTable(rep.spec, N, values, exact=rep.exact)
 
 
@@ -220,9 +275,17 @@ def _peel(monos, base, step):
 
 
 def _orbit_vectors(rep, monos):
-    """``R(x^alpha) v`` for each alpha: ``R(x^alpha) = R(e_i) R(x^(alpha - e_i))``."""
-    zero = rep.field.zero
-    return _peel(monos, rep.cyclic_vector, lambda i, v: _matvec(rep.generators[i], v, zero))
+    """``R(x^alpha) v`` for each alpha: ``R(x^alpha) = R(e_i) R(x^(alpha - e_i))``.
+
+    An exact rep gives int vectors, one denominator per vector (the cyclic
+    vector's times the generators' along the peeled letters); a float rep
+    gives complex tuples.
+    """
+    if rep.exact:
+        gens = rep._int_generators
+        return _peel(monos, _int_vector(rep.cyclic_vector),
+                     lambda i, v: _int_matvec(gens[i], v))
+    return _peel(monos, rep.cyclic_vector, lambda i, v: _matvec(rep.generators[i], v))
 
 
 def orbit_gram(rep, d_max):
@@ -238,7 +301,7 @@ def orbit_gram(rep, d_max):
     monos = monomials_up_to(rep.spec.dim, d_max)
     vecs = _orbit_vectors(rep, monos)
     return tuple(
-        tuple(_inner(vecs[beta], vecs[alpha], ZERO) for beta in monos)
+        tuple(_int_inner(vecs[beta], vecs[alpha]) for beta in monos)
         for alpha in monos
     )
 
@@ -290,9 +353,14 @@ def moment_matrix(lam, d_max):
     monos = monomials_up_to(spec.dim, d_max)
     # T_beta(D) = lam(D x^beta), one right regular action per peeled letter
     basis = [spec.basis_vector(i) for i in range(spec.dim)]
-    tables = _peel(monos, lam, lambda i, t: regular_act(t, basis[i]))
-    stars = [star(PBWPoly.monomial(spec, alpha)) for alpha in monos]
-    rows = tuple(tuple(tables[beta].eval(st) for beta in monos) for st in stars)
+    tables = list(_peel(monos, lam, lambda i, t: regular_act(t, basis[i])).values())
+    # star(x^alpha) = (-1)^|alpha| NF(reversed word): a graded int table at grade |alpha|
+    stars = []
+    for alpha in monos:
+        word = _word_of_alpha(alpha)
+        sign = -1 if len(word) % 2 else 1
+        stars.append((len(word), {b: sign * n for b, n in _normal_form(spec, word[::-1]).items()}))
+    rows = tuple(tuple(t._eval_graded(st, k) for t in tables) for k, st in stars)
     # ||M - M^*|| <= tol * max(1, ||M||), compared squared in the field's reals
     field, n = lam.field, len(monos)
     defect2 = _norm2(field, (rows[a][b] - rows[b][a].conjugate()
@@ -649,14 +717,11 @@ def analytic_diagnostics(lam, x, n_max):
             f"diagnostics to n={n_max} need functional degree {2 * n_max}"
         )
     spec = lam.spec
-    xpoly = PBWPoly.from_gvector(x)
-    powers = [PBWPoly.one(spec)]
-    for _ in range(2 * n_max):
-        powers.append(powers[-1] * xpoly)
+    powers = _power_values(lam, x, 2 * n_max)
     s2 = []
     witness = None
     for n in range(n_max + 1):
-        val = lam.eval(powers[2 * n])
+        val = powers[2 * n]
         s2n = val.re if n % 2 == 0 else -val.re
         s2.append(s2n)
         if witness is None and s2n < 0:
@@ -670,7 +735,7 @@ def analytic_diagnostics(lam, x, n_max):
     sums_exp = []
     acc_c = 0j
     for k in range(2 * n_max + 1):
-        acc_c += lam.eval(powers[k]).to_complex() / factorial(k)
+        acc_c += powers[k].to_complex() / factorial(k)
         sums_exp.append(acc_c)
     best = None
     if witness is None:

@@ -12,18 +12,32 @@ shortens the word or removes an inversion, and the result is independent of
 the rewrite order.  The only memo is per spec: the normal form of
 ``x^alpha * e_l`` for a normal monomial ``x^alpha`` and a letter ``l``.  The
 normal form of any word or product is a fold of that step over its letters.
+
+The engine runs on Python ints.  Let ``delta`` be the lcm of the
+denominators of the (real, rational) structure constants.  Each rewrite
+step that brackets two letters costs one factor ``1/delta`` and one degree,
+so every coefficient of a normal form has a denominator that is a power of
+``delta`` fixed by the degree it lost.  A *graded table* ``{b: n_b}`` of
+ints at grade ``top`` stands for ``sum_b n_b / delta**(top - |b|) x^b``;
+the memo stores ``x^alpha * e_l`` at grade ``|alpha| + 1``, and multiplying
+a graded table by a letter on the right gives the graded table one grade
+up, with no rescaling.  Complex coefficients travel as int pairs
+``(A, B)`` over one common denominator ``den``, so a coefficient reads
+``(A + B i) / (den * delta**(top - |b|))``.  :class:`~envalg.scalars.Scalar`
+values appear only where a :class:`PBWPoly` is built, one per output term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Tuple
 
 from . import free_algebra
 from .free_algebra import _acc
 from .errors import SpecMismatchError
-from .scalars import ONE, Scalar, as_scalar
+from .scalars import ONE, Scalar, _int_pairs, _reduced, as_scalar
 
 __all__ = [
     "LieAlgebraSpec",
@@ -49,13 +63,16 @@ class LieAlgebraSpec:
     antisymmetry is implicit.  Structure constants must be real rationals
     (the Lie algebra itself is real; complex coefficients live in vectors
     and enveloping-algebra elements).  Instances are immutable after
-    construction apart from the internal normal-form cache.
+    construction apart from the internal normal-form cache.  ``delta`` is
+    the lcm of the structure constants' denominators (1 for integer
+    constants), the base of the PBW engine's graded int tables.
     """
 
     __slots__ = (
         "dim",
         "basis_names",
         "weights",
+        "delta",
         "_table",
         "_right_cache",
     )
@@ -91,6 +108,7 @@ class LieAlgebraSpec:
         self.dim = dim
         self.basis_names = basis_names
         self.weights = weights
+        self.delta = lcm(*(c.d for row in table.values() for c in row.values()))
         self._table = table
         self._right_cache = {}
 
@@ -298,18 +316,22 @@ def submult_check(spec):
 
 # ---------------------------------------------------------------------------
 # PBW engine.  A normal monomial x^alpha is its multi-index alpha, whose
-# letters read in ascending order; the helpers below multiply normal forms by
-# one letter on the right, with memoization per spec.
+# letters read in ascending order; the helpers below multiply graded int
+# tables (see the module docstring) by one letter on the right, with
+# memoization per spec.
 # ---------------------------------------------------------------------------
 
 
 def _right_letter(spec, alpha, letter):
-    """Normal form of ``x^alpha * e_letter`` as ``{multi-index: Scalar}``.
+    """Normal form of ``x^alpha * e_letter`` as a graded table ``{b: int}``.
 
-    The last letter of ``x^alpha`` is its largest nonzero index j.  For
+    The coefficient of ``x^b`` is ``n_b / delta**(|alpha| + 1 - |b|)``.  The
+    last letter of ``x^alpha`` is its largest nonzero index j.  For
     ``j > letter`` the rewrite ``x^a x_j x_l = x^a x_l x_j + x^a [x_j, x_l]``
     recurses on strictly smaller (length, inversion) ranks, so the recursion
-    terminates.
+    terminates.  In the first term the grades of the two steps add up; in
+    the second the bracket ``c_k = C_k / delta`` supplies the one factor
+    ``1/delta`` its lost degree calls for, so both sum plain ints.
     """
     cache = spec._right_cache
     key = (alpha, letter)
@@ -319,7 +341,7 @@ def _right_letter(spec, alpha, letter):
     grown = list(alpha)
     if not any(alpha[letter + 1:]):
         grown[letter] += 1
-        result = {tuple(grown): ONE}
+        result = {tuple(grown): 1}
     else:
         j = max(i for i, a in enumerate(alpha) if a)
         grown[j] -= 1
@@ -328,7 +350,9 @@ def _right_letter(spec, alpha, letter):
         for b, c in _right_letter(spec, prefix, letter).items():
             for b2, c2 in _right_letter(spec, b, j).items():
                 _acc(result, b2, c * c2)
+        delta = spec.delta
         for k, ck in spec.bracket_of(j, letter).items():
+            ck = ck.a * (delta // ck.d)
             for b2, c2 in _right_letter(spec, prefix, k).items():
                 _acc(result, b2, ck * c2)
     cache[key] = result
@@ -336,6 +360,7 @@ def _right_letter(spec, alpha, letter):
 
 
 def _poly_right_letter(spec, table, letter):
+    """A graded int table times ``e_letter``: the graded table one grade up."""
     out = {}
     for alpha, coeff in table.items():
         for b, c in _right_letter(spec, alpha, letter).items():
@@ -344,11 +369,62 @@ def _poly_right_letter(spec, table, letter):
 
 
 def _normal_form(spec, word):
-    """Normal form of an arbitrary word as a fresh ``{multi-index: Scalar}``."""
-    table = {(0,) * spec.dim: ONE}
+    """Normal form of an arbitrary word as a fresh graded table at grade ``len(word)``."""
+    table = {(0,) * spec.dim: 1}
     for letter in word:
         table = _poly_right_letter(spec, table, letter)
     return table
+
+
+def _acc_pair(table, key, a, b):
+    """``table[key] += (a, b)`` over Gaussian-int pairs, dropping an entry that cancels."""
+    got = table.get(key)
+    if got is not None:
+        a += got[0]
+        b += got[1]
+    if a or b:
+        table[key] = (a, b)
+    elif got is not None:
+        del table[key]
+
+
+def _graded(spec, terms):
+    """Scalar terms as ``(den, top, {alpha: (A, B)})`` over one denominator.
+
+    ``top`` is the largest degree and the coefficient at alpha is
+    ``(A + B i) / (den * delta**(top - |alpha|))``.
+    """
+    den, pairs = _int_pairs(terms.values())
+    top = max(map(sum, terms), default=0)
+    delta = spec.delta
+    out = {}
+    for alpha, (a, b) in zip(terms, pairs):
+        s = delta ** (top - sum(alpha))
+        out[alpha] = (a * s, b * s)
+    return den, top, out
+
+
+def _scalar_terms(spec, den, top, pairs):
+    """The Scalars of a pair table ``(A + B i) / (den * delta**(top - |alpha|))``."""
+    delta = spec.delta
+    return {
+        alpha: _reduced(a, b, den * delta ** (top - sum(alpha)))
+        for alpha, (a, b) in pairs.items()
+    }
+
+
+def _float_terms(spec, den, top, pairs):
+    """``[(alpha, c)]`` of a pair table with each coefficient c correctly rounded.
+
+    ``A / d`` is the correctly rounded int quotient, so c equals
+    ``to_complex()`` of the Scalar that :func:`_scalar_terms` would build.
+    """
+    delta = spec.delta
+    out = []
+    for alpha, (a, b) in pairs.items():
+        d = den * delta ** (top - sum(alpha))
+        out.append((alpha, complex(a / d, b / d)))
+    return out
 
 
 def _word_of_alpha(alpha):
@@ -489,21 +565,39 @@ def pbw_reduce(spec, word):
     word = tuple(word)
     if any(not (0 <= l < spec.dim) for l in word):
         raise ValueError(f"word {word} has letters outside the basis range")
-    return PBWPoly._raw(spec, _normal_form(spec, word))
+    delta, top = spec.delta, len(word)
+    return PBWPoly._raw(spec, {
+        b: _reduced(n, 0, delta ** (top - sum(b)))
+        for b, n in _normal_form(spec, word).items()
+    })
 
 
 def pbw_mul(a, b):
-    """Product in U(g): concatenate monomials and reduce to normal form."""
+    """Product in U(g): concatenate monomials and reduce to normal form.
+
+    The left factor's real and imaginary parts fold through the letters of
+    each right monomial as graded int tables; the product, at the sum of the
+    two grades over the product of the two denominators, is accumulated in
+    Gaussian-int pairs and read out as Scalars once.
+    """
     _check_same_spec(a.spec, b.spec, "multiplying U(g) elements")
     spec = a.spec
+    den_a, top_a, left = _graded(spec, a.terms)
+    den_b, top_b, right = _graded(spec, b.terms)
+    left_re = {alpha: a for alpha, (a, _) in left.items() if a}
+    left_im = {alpha: b for alpha, (_, b) in left.items() if b}
     out = {}
-    for beta, cb in b.terms.items():
-        table = a.terms
+    for beta, (p, q) in right.items():
+        re, im = left_re, left_im
         for letter in _word_of_alpha(beta):
-            table = _poly_right_letter(spec, table, letter)
-        for alpha, c in table.items():
-            _acc(out, alpha, c * cb)
-    return PBWPoly._raw(spec, out)
+            re = _poly_right_letter(spec, re, letter)
+            if im:
+                im = _poly_right_letter(spec, im, letter)
+        for alpha, c in re.items():
+            _acc_pair(out, alpha, c * p, c * q)
+        for alpha, c in im.items():
+            _acc_pair(out, alpha, -c * q, c * p)
+    return PBWPoly._raw(spec, _scalar_terms(spec, den_a * den_b, top_a + top_b, out))
 
 
 def star(a):
@@ -513,13 +607,14 @@ def star(a):
     ``(-1)^degree`` and reduces back to normal form.
     """
     spec = a.spec
+    den, top, pairs = _graded(spec, a.terms)
     out = {}
-    for alpha, coeff in a.terms.items():
+    for alpha, (p, q) in pairs.items():
         word = _word_of_alpha(alpha)
-        conj = coeff.conjugate() if len(word) % 2 == 0 else -coeff.conjugate()
+        p, q = (p, -q) if len(word) % 2 == 0 else (-p, q)
         for b, c in _normal_form(spec, word[::-1]).items():
-            _acc(out, b, conj * c)
-    return PBWPoly._raw(spec, out)
+            _acc_pair(out, b, p * c, q * c)
+    return PBWPoly._raw(spec, _scalar_terms(spec, den, top, out))
 
 
 def bch_in_g(x, y, N):

@@ -5,7 +5,20 @@ one integer triple ``(a + b*i)/d`` with ``d > 0`` and ``gcd(a, b, d) == 1``:
 each result is reduced by a single gcd (none when ``d == 1``), equality
 compares the triples, and the parts ``re``/``im`` are handed out as
 :class:`fractions.Fraction`.  Arithmetic is closed and exact, so repeated
-runs are bit-identical.  ``SqrtFraction`` and
+runs are bit-identical.
+
+Scalar is the type at every public boundary, but the hot exact kernels do
+not add Scalars term by term, since each ``+`` or ``*`` costs a gcd and a new
+object.  They keep the numerators of a whole table as Python ints (pairs
+``(A, B)`` for ``A + B i``) over one denominator that is known from the
+table's shape: a common ``den`` times a power of the Lie algebra's
+``delta`` (see :mod:`envalg.lie_structure`).  Sums of products of such
+numerators stay exact with no reduction, and each output entry becomes one
+Scalar through ``_reduced(A, B, den)``, which puts it in lowest terms.  A
+float value read from such an entry is ``A / den`` (and ``B / den``),
+correctly rounded like :meth:`Scalar.to_complex` of the reduced triple.
+
+``SqrtFraction`` and
 ``RootValue`` represent nonnegative reals of the form ``sqrt(q)`` and
 ``q**(1/(2n))`` for rational ``q``; they compare exactly by cross-powering,
 and floating point only appears when a value is rendered for a report.
@@ -65,6 +78,13 @@ def _reduced(a, b, d):
     s.b = b
     s.d = d
     return s
+
+
+def _int_pairs(values):
+    """Scalars over their common denominator: ``(den, [(A, B), ..])`` with
+    each value ``(A + B i) / den``."""
+    den = math.lcm(*{v.d for v in values})
+    return den, [(v.a * (den // v.d), v.b * (den // v.d)) for v in values]
 
 
 def _int_pair(q):
@@ -271,7 +291,13 @@ def scalar_field(exact):
 
 
 def parse_fraction(text):
-    """Parse ``"a/b"`` or ``"a"`` into an exact Fraction (integers only)."""
+    """Parse ``"a/b"`` or ``"a"`` into an exact Fraction (integers only).
+
+    JSON ``true``/``false`` arrive as Python bools, which are ints; they are
+    rejected rather than read as 1 and 0.
+    """
+    if isinstance(text, bool):
+        raise ValueError(f"expected a rational, got {str(text).lower()}")
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
@@ -291,7 +317,8 @@ def parse_scalar(value):
     """Parse the config encoding of a scalar.
 
     Real values are written ``"a/b"``; complex values are two-element lists
-    ``["a/b", "c/d"]`` holding real and imaginary parts.
+    ``["a/b", "c/d"]`` holding real and imaginary parts.  Bools are rejected,
+    as in :func:`parse_fraction`.
     """
     if isinstance(value, (str, int)):
         return Scalar(parse_fraction(value))

@@ -413,6 +413,27 @@ MALFORMED = [
                                   value="false"),
                  ["validate"], ("representations.spin_half.skew_hermitian",),
                  id="skew-hermitian-str"),
+    pytest.param("su2.json", _put("lie_algebra", "weights", value=[True, True, True]),
+                 ["validate"], ("lie_algebra.weights", "got true"), id="weights-bool"),
+    pytest.param("su2.json", _put("lie_algebra", "structure", "0,1", value={"2": True}),
+                 ["validate"], ("'0,1'", "got true"), id="structure-constant-bool"),
+    pytest.param("su2.json", _put("functionals", "spin_half", "values", "0,0,0", value=True),
+                 ["validate"], ("functionals.spin_half[0,0,0]", "got true"),
+                 id="functional-value-bool"),
+    pytest.param("su2.json", _put("functionals", "spin_half", "values", "0,0,1",
+                                  value=["0", False]),
+                 ["validate"], ("functionals.spin_half[0,0,1]", "got false"),
+                 id="functional-imaginary-part-bool"),
+    pytest.param("su2.json", _put("representations", "spin_one", "cyclic_vector",
+                                  value=[True, "0", "0"]),
+                 ["validate"], ("representations.spin_one", "got true"),
+                 id="cyclic-vector-bool"),
+    pytest.param("su2.json", _set("local-hom", "x", [True, "0", "0"]), ["validate"],
+                 ("suites[6]", "x:", "got true"), id="x-entry-bool"),
+    pytest.param("su2.json", _set("radius", "expected", True), ["validate"],
+                 ("suites[2]", "expected"), id="expected-bool"),
+    pytest.param("su2.json", _set("local-hom", "scales", [False]), ["validate"],
+                 ("suites[6]", "scales"), id="scale-bool"),
 ]
 
 
@@ -513,6 +534,21 @@ def test_local_hom_reports_the_slope_threshold_it_applies(tmp_path, min_slope, s
     slope = float(check["actual"].split()[1])
     assert (check["status"] == "PASS") == (slope >= float(shown))
     assert rc == (0 if check["status"] == "PASS" else 1)
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_local_hom_with_one_scale_reports_an_absent_slope(tmp_path, fmt):
+    doc = shipped("su2.json")
+    _set("local-hom", "scales", ["1/10"])(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out = capture(["--config", str(path), "--format", fmt, "run", "local-hom"])
+    assert rc == 1
+    if fmt == "machine":
+        check = json.loads(out.splitlines()[0])
+        assert (check["status"], check["actual"]) == ("FAIL", "slope n/a")
+    else:
+        assert "slope n/a" in out
 
 
 def test_suite_names_cover_all_pipelines():

@@ -39,6 +39,7 @@ from envalg.gns import functional_from_rep
 from envalg.lie_structure import GVector, PBWPoly, pbw_mul, pbw_reduce, star
 from envalg.sampling import random_functional
 from envalg.scalars import RootValue, Scalar, SqrtFraction, sqrt_leq_sqrt_plus_multiple
+from rational_algebras import HEIS_3_5, RATIONAL_ALGEBRAS, SO3_HALF, SO3_SIXTH, rational_reps
 
 
 HEIS = heisenberg()
@@ -113,7 +114,8 @@ class TestBetaComponent:
         with pytest.raises(DegreeOverflowError):
             beta_component(lam, 3)
 
-    @pytest.mark.parametrize("spec", [SO3, HEIS], ids=["so3", "heisenberg"])
+    @pytest.mark.parametrize("spec", [SO3, HEIS, SO3_SIXTH],
+                             ids=["so3", "heisenberg", "so3-sixth"])
     def test_walk_matches_word_reductions(self, spec):
         lam = rand_table(spec, 4, 14)
         for n in range(5):
@@ -332,7 +334,7 @@ def moment_matrix_rows_by_products(lam, d):
     )
 
 
-KERNEL_SPECS = {"so3": SO3, "heisenberg": HEIS, "abelian": abelian(3)}
+KERNEL_SPECS = {"so3": SO3, "heisenberg": HEIS, "abelian": abelian(3), **RATIONAL_ALGEBRAS}
 
 
 class TestRegularActionKernel:
@@ -388,6 +390,102 @@ class TestRegularActionKernel:
         assert gns.moment_matrix(lam, 2).rows == expected_rows
 
 
+def scalar_reference_act(lam, y):
+    """Float ``regular_act`` as it runs on Scalar normal forms, term by term.
+
+    Each ``x^alpha e_i`` is read from ``pbw_reduce`` as Scalars; the
+    ``c_b y_i`` are summed exactly in that order, dropping an entry that
+    cancels, and each coefficient enters as ``to_complex()`` times the value.
+    """
+    spec = lam.spec
+    values = {}
+    for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
+        word = tuple(i for i, a in enumerate(alpha) for _ in range(a))
+        terms = {}
+        for i, yi in enumerate(y.coeffs):
+            if not yi:
+                continue
+            for b, c in pbw_reduce(spec, word + (i,)).terms.items():
+                got = terms.get(b, Scalar(0)) + c * yi
+                if got:
+                    terms[b] = got
+                else:
+                    terms.pop(b, None)
+        total = 0j
+        for b, c in terms.items():
+            v = lam.values.get(b)
+            if v is not None:
+                total = total + c.to_complex() * v
+        if total:
+            values[alpha] = total
+    return values
+
+
+def scalar_reference_moments(lam, d):
+    """Float moment rows ``lam(star(x^alpha) x^beta)`` term by term over Scalar stars."""
+    spec = lam.spec
+    monos = monomials_up_to(spec.dim, d)
+    tables = {monos[0]: lam}
+    for beta in monos[1:]:
+        i = next(k for k, a in enumerate(beta) if a)
+        prev = tables[tuple(a - (k == i) for k, a in enumerate(beta))]
+        acted = scalar_reference_act(prev, spec.basis_vector(i))
+        tables[beta] = FunctionalTable(spec, prev.max_degree - 1, acted, exact=False)
+    rows = []
+    for alpha in monos:
+        st = star(PBWPoly.monomial(spec, alpha)).terms
+        row = []
+        for beta in monos:
+            total = 0j
+            for b, c in st.items():
+                v = tables[beta].values.get(b)
+                if v is not None:
+                    total = total + c.to_complex() * v
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def row_bits(rows):
+    return tuple(tuple((v.real.hex(), v.imag.hex()) for v in row) for row in rows)
+
+
+class TestFloatPathBits:
+    """Float tables read each exact coefficient correctly rounded, in the engine's order."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+    def test_regular_act_matches_scalar_reference(self, name):
+        spec = KERNEL_SPECS[name]
+        lam = float_copy(rand_table(spec, 4, 610))
+        for y in kernel_vectors(spec):
+            got = regular_act(lam, y).values
+            assert value_bits(got) == value_bits(scalar_reference_act(lam, y))
+            assert list(got) == list(scalar_reference_act(lam, y))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+    def test_moment_matrix_matches_scalar_reference(self, name):
+        spec = KERNEL_SPECS[name]
+        lam = float_copy(rand_table(spec, 4, 611))
+        got = gns.moment_matrix(lam, 2)
+        assert not got.exact
+        assert row_bits(got.rows) == row_bits(scalar_reference_moments(lam, 2))
+
+    @pytest.mark.parametrize("name", ["spin-one-sixth", "heisenberg-3/5"])
+    def test_float_rep_tables_match_scalar_reference(self, name):
+        rep = rational_reps()[name]
+        frep = gns.MatrixRep(
+            rep.spec, rep.dim_V,
+            [[[c.to_complex() for c in row] for row in g] for g in rep.generators],
+            [c.to_complex() for c in rep.cyclic_vector],
+            skew_hermitian=rep.skew_hermitian, exact=False,
+        )
+        lam = functional_from_rep(frep, 4)
+        y = kernel_vectors(rep.spec)[-2]
+        assert value_bits(regular_act(lam, y).values) == value_bits(scalar_reference_act(lam, y))
+        assert row_bits(gns.moment_matrix(lam, 2).rows) == row_bits(
+            scalar_reference_moments(lam, 2))
+
+
 def brute_force_insertion_constant(lam, n):
     """Plain-loop oracle for c_n: full tables, n!-fold symmetrization, max."""
     spec = lam.spec
@@ -430,8 +528,10 @@ class TestInsertionConstants:
             (HEIS, 5, (23, 24), True, (1, 2, 3)),
             (SO3, 4, (27, 28), False, (1, 2, 3)),
             (SO3, 3, (29, 30), True, (1, 2)),
+            (SO3_SIXTH, 3, (31, 32), True, (1, 2)),
+            (HEIS_3_5, 4, (33,), True, (1, 2, 3)),
         ],
-        ids=["heisenberg", "so3-real", "so3-complex"],
+        ids=["heisenberg", "so3-real", "so3-complex", "so3-sixth", "heisenberg-3/5"],
     )
     def test_matches_exhaustive_oracle(self, spec, degree, seeds, complex_values, arities):
         for seed in seeds:
@@ -519,13 +619,17 @@ ORACLE_FUNCTIONALS = {
     "spin1": lambda: functional_from_rep(spin_one(), 5),
     "spin3half": lambda: functional_from_rep(spin_three_half(), 5),
     "gaussian": lambda: gaussian_functional(5),
+    "so3-sixth-spin1": lambda: functional_from_rep(rational_reps()["spin-one-sixth"], 5),
+    "so3-half-complex": lambda: rand_table(SO3_HALF, 5, 504),
+    "heisenberg-3/5": lambda: rand_table(HEIS_3_5, 5, 505),
 }
 
 
 class TestMultisetRoute:
     """The multiset sums against the word tables they replace, at n <= 5."""
 
-    @pytest.mark.parametrize("spec", [SO3, HEIS, abelian(2)], ids=["so3", "heisenberg", "abelian2"])
+    @pytest.mark.parametrize("spec", [SO3, HEIS, abelian(2), SO3_SIXTH, HEIS_3_5],
+                             ids=["so3", "heisenberg", "abelian2", "so3-sixth", "heisenberg-3/5"])
     def test_symmetric_sums_are_word_sums(self, spec):
         sums = _symmetric_sums(spec, 4)
         for n in range(5):
@@ -533,7 +637,11 @@ class TestMultisetRoute:
             for word in itertools.product(range(spec.dim), repeat=n):
                 alpha = tuple(word.count(l) for l in range(spec.dim))
                 expect[alpha] = expect.get(alpha, PBWPoly.zero(spec)) + pbw_reduce(spec, word)
-            assert {a: PBWPoly(spec, t) for a, t in sums[n].items()} == expect
+            # S(alpha) is a graded int table at grade n
+            assert {
+                a: PBWPoly(spec, {b: Fraction(c, spec.delta ** (n - sum(b))) for b, c in t.items()})
+                for a, t in sums[n].items()
+            } == expect
 
     @pytest.mark.parametrize("name", sorted(ORACLE_FUNCTIONALS))
     def test_norms_and_radius_match_word_route(self, name):
@@ -542,7 +650,7 @@ class TestMultisetRoute:
         per_degree = dict(radius_estimate(lam).per_degree)
         for n in range(1, 6):
             norm = _word_route_norm(lam, n)
-            assert SqrtFraction(_symmetric_norm2(lam, sums[n])) == norm
+            assert SqrtFraction(_symmetric_norm2(lam, sums[n], n)) == norm
             if norm.is_zero():
                 assert per_degree[n] is None
             else:
@@ -550,7 +658,8 @@ class TestMultisetRoute:
 
     @pytest.mark.parametrize("spec, seed, complex_values, n_max", [
         (SO3, 510, False, 3), (SO3, 511, True, 2), (HEIS, 512, True, 3),
-    ], ids=["so3-real", "so3-complex", "heisenberg"])
+        (SO3_SIXTH, 513, True, 2), (HEIS_3_5, 514, True, 3),
+    ], ids=["so3-real", "so3-complex", "heisenberg", "so3-sixth", "heisenberg-3/5"])
     def test_recursion_rows_match_word_route(self, spec, seed, complex_values, n_max):
         lam = rand_table(spec, n_max + 1, seed, complex_values)
         got = [

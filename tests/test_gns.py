@@ -24,7 +24,7 @@ from envalg.errors import (
     PositivityError,
     RepresentationError,
 )
-from envalg.functionals import FunctionalTable, monomials_up_to, radius_estimate
+from envalg.functionals import FunctionalTable, _power_values, monomials_up_to, radius_estimate
 from envalg.gns import (
     MatrixRep,
     _exact_psd,
@@ -35,9 +35,10 @@ from envalg.gns import (
     orbit_gram,
     psd_check,
 )
-from envalg.lie_structure import GVector
-from envalg.sampling import random_skew_rep, random_vector
+from envalg.lie_structure import GVector, PBWPoly, pbw_mul
+from envalg.sampling import random_functional, random_skew_rep, random_vector
 from envalg.scalars import Scalar
+from rational_algebras import RATIONAL_ALGEBRAS, rational_reps
 
 
 SO3 = so3()
@@ -435,3 +436,40 @@ class TestAnalyticDiagnostics:
         lam = functional_from_rep(spin_half(), 4)
         with pytest.raises(DegreeOverflowError):
             analytic_diagnostics(lam, SO3.basis_vector(0), 3)
+
+
+class TestGradedDenominators:
+    """Algebras with non-integer structure constants through the exact kernels."""
+
+    @pytest.mark.parametrize("name", sorted(n for n in rational_reps() if n.startswith("spin")))
+    def test_moment_matrix_equals_orbit_gram(self, name):
+        rep = rational_reps()[name]
+        lam = functional_from_rep(rep, 4)
+        M = moment_matrix(lam, 2)
+        assert M.hermitian and psd_check(M).ok
+        assert orbit_gram(rep, 2) == M.rows
+        assert gns_build(lam, 2).gram.rows == M.rows
+
+    def test_rep_values_match_numpy_oracle(self):
+        rep = rational_reps()["spin-three-half-sixth"]
+        lam = functional_from_rep(rep, 4)
+        gens = [rep.generator_array(i) for i in range(3)]
+        v = rep.cyclic_array()
+        for alpha in monomials_up_to(3, 4):
+            mat = np.eye(rep.dim_V, dtype=complex)
+            for i, a in enumerate(alpha):
+                for _ in range(a):
+                    mat = mat @ gens[i]
+            assert abs(lam.value(alpha).to_complex() - complex(np.vdot(v, mat @ v))) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(RATIONAL_ALGEBRAS))
+    def test_power_values_match_pbw_powers(self, name):
+        spec = RATIONAL_ALGEBRAS[name]
+        lam = random_functional(spec, 6, random.Random(40))
+        x = GVector(spec, [Scalar(Fraction(1, 2), Fraction(-1, 3)), Scalar(Fraction(2, 5)),
+                           Scalar(0, Fraction(3, 7))])
+        xpoly = PBWPoly.from_gvector(x)
+        powers = [PBWPoly.one(spec)]
+        for _ in range(6):
+            powers.append(pbw_mul(powers[-1], xpoly))
+        assert _power_values(lam, x, 6) == [lam.eval(p) for p in powers]

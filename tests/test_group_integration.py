@@ -118,6 +118,15 @@ class TestLocalHom:
             report = local_hom_check(rep, x, y, N, scales)
             assert report.ok
             assert report.slope >= N + 0.5
+            assert str(report).endswith(f"PASS, slope {report.slope:.3f}")
+
+    def test_one_scale_has_no_slope_to_fit(self):
+        rep = spin_half()
+        x = vec(SO3, "1/2", 0, "1/3")
+        y = vec(SO3, 0, "2/5", "-1/4")
+        report = local_hom_check(rep, x, y, 2, [Fraction(1, 10)])
+        assert report.slope is None and not report.exact and not report.ok
+        assert str(report) == "local group law (N=2): FAIL, slope n/a"
 
 
 class TestMatrixCoefficients:
@@ -173,6 +182,32 @@ class TestKernel:
         rep = heisenberg_rep()
         g = matrix_exp(rep.matrix_of(vec(rep.spec, 1, 1, 0)))
         sample = GroupSample(rep, [g], [()])
+        with pytest.raises(RepresentationError):
+            pd_kernel_check(sample)
+
+    def test_sampled_unitary_elements_are_not_checked_again(self, monkeypatch):
+        from envalg import group_integration
+
+        sample = sample_group(spin_half(), 12, seed=5)
+        assert sample.unitary
+        seen = []
+        monkeypatch.setattr(group_integration, "unitarity_residual",
+                            lambda U: seen.append(U) or 0.0)
+        assert pd_kernel_check(sample).ok
+        assert seen == []
+
+    def test_hand_built_sample_of_a_skew_rep_is_still_checked(self):
+        rep = spin_half()
+        sampled = sample_group(rep, 3, seed=6)
+        sample = GroupSample(rep, sampled.elements + [2 * np.eye(2, dtype=complex)],
+                             sampled.words + [()])
+        assert not sample.unitary
+        with pytest.raises(RepresentationError):
+            pd_kernel_check(sample)
+
+    def test_sample_of_a_non_skew_rep_is_not_marked_unitary(self):
+        sample = sample_group(heisenberg_rep(), 4, seed=1)
+        assert not sample.unitary
         with pytest.raises(RepresentationError):
             pd_kernel_check(sample)
 

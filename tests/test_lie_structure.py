@@ -26,10 +26,16 @@ from envalg.lie_structure import (
 )
 from envalg.sampling import random_vector, random_word
 from envalg.scalars import Scalar
+from rational_algebras import RATIONAL_ALGEBRAS
 
 
 HEIS = heisenberg()
 SO3 = so3()
+
+
+def algebras():
+    """The shipped algebras (fresh) and the rescaled ones with non-integer constants."""
+    return {**shipped_algebras(), **RATIONAL_ALGEBRAS}
 
 
 def vec(spec, *coeffs):
@@ -166,9 +172,9 @@ class TestPbwReduce:
         expect = PBWPoly(HEIS, {(2, 1, 0): 1, (1, 0, 1): -2})
         assert pbw_reduce(HEIS, (1, 0, 0)) == expect
 
-    @pytest.mark.parametrize("name", sorted(shipped_algebras()))
+    @pytest.mark.parametrize("name", sorted(algebras()))
     def test_matches_brute_force_oracle(self, name):
-        spec = shipped_algebras()[name]
+        spec = algebras()[name]
         rng = random.Random(zlib.crc32(name.encode()))
         for _ in range(40):
             word = random_word(spec, rng, max_length=5)
@@ -176,6 +182,29 @@ class TestPbwReduce:
         for length in range(5):
             for word in itertools.product(range(spec.dim), repeat=length):
                 assert pbw_reduce(spec, word).terms == brute_force_reduce(spec, word)
+
+
+class TestGradedIntCache:
+    """The normal-form memo holds ints over powers of the spec's ``delta``."""
+
+    def test_delta_is_the_lcm_of_the_constant_denominators(self):
+        assert SO3.delta == HEIS.delta == 1
+        assert [RATIONAL_ALGEBRAS[n].delta for n in ("so3-half", "so3-sixth", "heisenberg-3/5")] \
+            == [2, 6, 5]
+
+    @pytest.mark.parametrize("name", sorted(algebras()))
+    def test_cached_entries_are_graded_ints(self, name):
+        spec = algebras()[name]
+        for word in itertools.product(range(spec.dim), repeat=4):
+            pbw_reduce(spec, word)
+        assert spec._right_cache
+        for (alpha, letter), table in spec._right_cache.items():
+            assert all(type(n) is int and n for n in table.values())
+            word = [i for i, a in enumerate(alpha) for _ in range(a)] + [letter]
+            top = sum(alpha) + 1
+            assert {
+                b: Scalar(Fraction(n, spec.delta ** (top - sum(b)))) for b, n in table.items()
+            } == brute_force_reduce(spec, word)
 
 
 class TestPbwMul:
@@ -195,9 +224,9 @@ class TestPbwMul:
         with pytest.raises(SpecMismatchError):
             pbw_mul(PBWPoly.generator(HEIS, 0), PBWPoly.generator(SO3, 0))
 
-    @pytest.mark.parametrize("name", sorted(shipped_algebras()))
+    @pytest.mark.parametrize("name", sorted(algebras()))
     def test_confluence(self, name):
-        spec = shipped_algebras()[name]
+        spec = algebras()[name]
         rng = random.Random(1 + zlib.crc32(name.encode()))
         for _ in range(60):
             w1 = random_word(spec, rng, max_length=5)
@@ -231,10 +260,10 @@ class TestStar:
         # (pq)^* = (-q)(-p) = qp = pq - z
         assert star(pbw_mul(p, q)) == PBWPoly(HEIS, {(1, 1, 0): 1, (0, 0, 1): -1})
 
-    @pytest.mark.parametrize("name", sorted(shipped_algebras()))
+    @pytest.mark.parametrize("name", sorted(algebras()))
     def test_matches_brute_force_oracle(self, name):
         # (x^alpha)^* = (-1)^|alpha| times the normal form of the reversed word
-        spec = shipped_algebras()[name]
+        spec = algebras()[name]
         for alpha in monomials_up_to(spec.dim, 4):
             word = [i for i, a in enumerate(alpha) for _ in range(a)]
             sign = -1 if sum(alpha) % 2 else 1
@@ -257,7 +286,7 @@ class TestStar:
 
     def test_involution_and_antiautomorphism(self):
         rng = random.Random(11)
-        for spec in (HEIS, SO3):
+        for spec in (HEIS, SO3, *RATIONAL_ALGEBRAS.values()):
             for _ in range(30):
                 a = self._random_poly(spec, rng)
                 b = self._random_poly(spec, rng)
