@@ -217,6 +217,13 @@ def _parse_functional(name, block, spec):
     return FunctionalTable(spec, degree, values)
 
 
+def _parse_complex(value):
+    """A float-mode entry; JSON ``true``/``false`` are rejected, as exact entries reject them."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {str(value).lower()}")
+    return complex(value)
+
+
 def _parse_representation(name, block, spec):
     context = f"representations.{name}"
     _expect_keys(
@@ -230,11 +237,18 @@ def _parse_representation(name, block, spec):
     gens = block["generators"]
     if not isinstance(gens, list) or len(gens) != spec.dim:
         raise ConfigError(f"{context}.generators must list {spec.dim} matrices")
-    decode = parse_scalar if mode == "exact" else complex
+    decode = parse_scalar if mode == "exact" else _parse_complex
+    try:
+        generators = [[[decode(c) for c in row] for row in g] for g in gens]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{context}.generators: {exc}") from None
+    try:
+        cyclic = [decode(c) for c in block["cyclic_vector"]]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{context}.cyclic_vector: {exc}") from None
     try:
         rep = MatrixRep(
-            spec, dim_V, [[[decode(c) for c in row] for row in g] for g in gens],
-            [decode(c) for c in block["cyclic_vector"]],
+            spec, dim_V, generators, cyclic,
             skew_hermitian=skew,
             exact=(mode == "exact"), name=name,
         )
@@ -793,6 +807,16 @@ def _suite_kernel(config, params, seed):
     return checks
 
 
+def _cauchy_fits(params, config):
+    # the bound sqrt(C) n! r**-n is a binary64 number only while r**-n is
+    try:
+        float(params["r"]) ** -params["n_max"]
+    except OverflowError:
+        raise ValueError(
+            f"r: r**-{params['n_max']} overflows binary64 at r = {params['r']!r}"
+        ) from None
+
+
 def _suite_cauchy(config, params, seed):
     rep = config.representations[params["representation"]]
     spec = rep.spec
@@ -928,7 +952,8 @@ SUITES = {
                      "r": (1.0, _real(lambda v: v > 0, "a positive number")),
                      "n_max": (12, _integer(0, 16)), "random_reps": (0, _COUNT),
                      "random_size": (4, _integer(1, 16))},
-                    requires=(("representation",),), degree="n_max"),
+                    requires=(("representation",),), degree="n_max",
+                    consistent=_cauchy_fits),
     "extension": Suite(_suite_extension,
                        {"representation": (None, _REPRESENTATION),
                         "functional": (None, _FUNCTIONAL),

@@ -9,11 +9,16 @@ Gram form and represents left multiplication by the generators as matrices
 from the degree ``d-1`` span into the degree ``d`` span, where skewness is
 exactly assertable.
 
-Both paths run the same code over a :class:`~envalg.scalars.Field`: exact
-Scalars, or binary64 complex numbers with 1e-10 relative zero thresholds.
-On the exact path the PSD test is a pivoted hermitian LDL* factorization in
-rational arithmetic (no square roots are needed to decide semidefiniteness),
-and a failed test returns a witness vector with exact entries.
+Both paths share their interfaces over a :class:`~envalg.scalars.Field`:
+exact Scalars, or binary64 complex numbers with 1e-10 relative zero
+thresholds.  On the exact path one fraction-free LDL* kernel over the
+Gaussian integers (:class:`_Ldl`) gives both certificates: the PSD test
+pivots on the largest diagonal entry (no square roots are needed to decide
+semidefiniteness, and a failed test returns a witness vector with exact
+entries), and the GNS model's Gram–Schmidt is the same factorization in
+monomial order.  A table keeps its moment matrices and a matrix its PSD
+report, so ``gns_build`` after ``moment_matrix`` and ``psd_check`` builds
+neither again.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .functionals import (
     radius_estimate,
     regular_act,
 )
-from .lie_structure import _normal_form, _word_of_alpha, pbw_reduce
+from .lie_structure import _acc_pair, _normal_form, _word_of_alpha, pbw_reduce
 from .scalars import (
     ONE,
     ZERO,
@@ -203,10 +208,54 @@ class MatrixRep:
         """Check the commutation law (and skewness if flagged); raise on failure.
 
         A residual counts as zero when its Frobenius norm is at most the
-        field's threshold: exactly zero, or 1e-10 on the float path.
+        field's threshold: exactly zero, or 1e-10 on the float path.  An
+        exact rep is decided by integer equality on :attr:`_int_generators`;
+        only a failure builds the Scalar residuals that word the error.
         """
         if self._validated:
             return
+        if not (self.exact and self._int_laws_hold()):
+            self._check_residuals()
+        self._validated = True
+
+    def _int_laws_hold(self):
+        """The commutation law (and skewness if flagged) by integer equality.
+
+        With ``R(e_i) = X_i / d_i`` and ``c_ijk = C_k / q_k``, the law for
+        ``i < j`` is ``L (X_i X_j - X_j X_i) = d_i d_j sum_k C_k (L / (q_k d_k)) X_k``
+        for ``L = lcm_k(q_k d_k)``; each row of the difference is summed
+        sparsely and must cancel.
+        """
+        gens = self._int_generators
+        for i in range(self.spec.dim):
+            di, X = gens[i]
+            for j in range(i + 1, self.spec.dim):
+                dj, Y = gens[j]
+                bracket = self.spec.bracket_of(i, j).items()
+                L = lcm(*(c.d * gens[k][0] for k, c in bracket))
+                weights = [(gens[k][1], di * dj * c.a * (L // (c.d * gens[k][0])))
+                           for k, c in bracket]
+                for r in range(self.dim_V):
+                    acc = {}
+                    for P, Q, sign in ((X, Y, L), (Y, X, -L)):
+                        for t, a, b in P[r]:
+                            for s, c, d in Q[t]:
+                                _acc_pair(acc, s, sign * (a * c - b * d), sign * (a * d + b * c))
+                    for rows, w in weights:
+                        for s, a, b in rows[r]:
+                            _acc_pair(acc, s, -w * a, -w * b)
+                    if acc:
+                        return False
+        if self.skew_hermitian:
+            # R^* = -R: the entry at (s, r) is minus the conjugate of the one at (r, s)
+            for _, rows in gens:
+                entries = {(r, s): (a, b) for r, row in enumerate(rows) for s, a, b in row}
+                if any(entries.get((s, r)) != (-a, b) for (r, s), (a, b) in entries.items()):
+                    return False
+        return True
+
+    def _check_residuals(self):
+        """Raise naming the worst pair's residual, or the first non-skew generator."""
         field, n, gens, zero = self.field, self.dim_V, self.generators, self.field.zero
         limit2 = field.tol ** 2
         worst = (None, 0)
@@ -234,7 +283,6 @@ class MatrixRep:
                 )
                 if resid2 > limit2:
                     raise RepresentationError(f"generator {i} is not skew-hermitian")
-        self._validated = True
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -307,9 +355,13 @@ def orbit_gram(rep, d_max):
 
 
 class MomentMatrix:
-    """Gram table ``M[a][b] = lam((x^alpha_a)^* x^beta_b)`` up to a degree."""
+    """Gram table ``M[a][b] = lam((x^alpha_a)^* x^beta_b)`` up to a degree.
 
-    __slots__ = ("spec", "d_max", "monomials", "rows", "field", "hermitian")
+    A matrix keeps the :class:`PsdReport` of each ``psd_check`` made on it
+    (one in all on the exact path, where ``tol`` is not read).
+    """
+
+    __slots__ = ("spec", "d_max", "monomials", "rows", "field", "hermitian", "_psd")
 
     def __init__(self, spec, d_max, monomials, rows, exact, hermitian):
         self.spec = spec
@@ -318,6 +370,7 @@ class MomentMatrix:
         self.rows = rows
         self.field = scalar_field(exact)
         self.hermitian = hermitian
+        self._psd = {}
 
     @property
     def exact(self):
@@ -338,13 +391,27 @@ class MomentMatrix:
         )
 
 
+def _exactly_hermitian(rows):
+    """``rows[a][b] == conj(rows[b][a])`` everywhere, compared as canonical triples."""
+    for a, row in enumerate(rows):
+        for b in range(a, len(rows)):
+            x, y = row[b], rows[b][a]
+            if x.a != y.a or x.b != -y.b or x.d != y.d:
+                return False
+    return True
+
+
 def moment_matrix(lam, d_max):
     """Hermitian Gram matrix of the monomials of degree <= d_max under lam.
 
     Requires ``2*d_max <= lam.max_degree``.  Hermitianness (equivalent to
     ``lam(D^*) = conj(lam(D))``) is checked and reported on the result, not
-    enforced.
+    enforced.  The table keeps the matrix, so a second call at the same
+    degree returns the same object.
     """
+    M = lam._moments.get(d_max)
+    if M is not None:
+        return M
     if 2 * d_max > lam.max_degree:
         raise DegreeOverflowError(
             f"moment matrix at degree {d_max} needs functional degree {2 * d_max}"
@@ -361,14 +428,19 @@ def moment_matrix(lam, d_max):
         sign = -1 if len(word) % 2 else 1
         stars.append((len(word), {b: sign * n for b, n in _normal_form(spec, word[::-1]).items()}))
     rows = tuple(tuple(t._eval_graded(st, k) for t in tables) for k, st in stars)
-    # ||M - M^*|| <= tol * max(1, ||M||), compared squared in the field's reals
     field, n = lam.field, len(monos)
-    defect2 = _norm2(field, (rows[a][b] - rows[b][a].conjugate()
-                             for a in range(n) for b in range(n)))
-    hermitian = not defect2 or defect2 <= field.tol ** 2 * max(
-        1, _norm2(field, (c for row in rows for c in row))
-    )
-    return MomentMatrix(spec, d_max, monos, rows, lam.exact, hermitian)
+    if field.exact:
+        # the exact threshold is 0, so ||M - M^*|| <= 0 is entrywise equality
+        hermitian = _exactly_hermitian(rows)
+    else:
+        # ||M - M^*|| <= tol * max(1, ||M||), compared squared in the field's reals
+        defect2 = _norm2(field, (rows[a][b] - rows[b][a].conjugate()
+                                 for a in range(n) for b in range(n)))
+        hermitian = not defect2 or defect2 <= field.tol ** 2 * max(
+            1, _norm2(field, (c for row in rows for c in row))
+        )
+    M = lam._moments[d_max] = MomentMatrix(spec, d_max, monos, rows, lam.exact, hermitian)
+    return M
 
 
 @dataclass(frozen=True)
@@ -400,75 +472,142 @@ class PsdReport:
         )
 
 
-def _exact_psd(rows):
-    """Pivoted hermitian LDL* in rational arithmetic.
+class _Ldl:
+    """Fraction-free hermitian LDL* of an exact matrix, one chosen pivot at a time.
 
-    Returns ``(ok, rank, pivots, witness, witness_value)``.  The witness is
-    produced by lifting a violating vector of the current Schur complement
-    back through the eliminated pivots, preserving the quadratic form value.
+    The matrix is ``N / den`` with ``N`` Gaussian-integer, held as rows of
+    real and of imaginary parts.  After the pivots ``p_1 .. p_k`` its Schur
+    complement is ``A / (den * det)``, where ``A[i][j]`` is the minor of
+    ``N`` on the rows ``p_1 .. p_k, i`` and the columns ``p_1 .. p_k, j``,
+    and ``det`` is the minor on ``p_1 .. p_k`` (1 before the first pivot).
+    Sylvester's identity gives Bareiss' integer step for the pivot p,
+
+        A'[i][j] = (A[p][p] A[i][j] - A[i][p] A[p][j]) / det,
+
+    whose division is exact; ``A[p][p]`` becomes the next ``det``, and the
+    pivot of the step is ``A[p][p] / (den * det)``.  A pivot row vanishes
+    on the columns of the earlier pivots.
+
+    The kernel keeps ``N``, the current diagonal and each step's pivot row
+    ``A[p]``, and builds any other row on demand by replaying the steps, so
+    a factorization of rank r that reads only its pivot rows costs O(r n)
+    per row.  The caller picks the pivots: :func:`_exact_psd` the largest
+    diagonal entry, :func:`_exact_gram` each nonzero one in monomial order.
+    """
+
+    def __init__(self, rows):
+        n = len(rows)
+        den, pairs = _int_pairs([c for row in rows for c in row])
+        self.den = den
+        self.re = [[a for a, _ in pairs[i * n:(i + 1) * n]] for i in range(n)]
+        self.im = [[b for _, b in pairs[i * n:(i + 1) * n]] for i in range(n)]
+        self.diag = [self.re[i][i] for i in range(n)]
+        self.det = 1
+        self.steps = []     # (p, real parts of A[p], imaginary parts of A[p], A[p][p])
+
+    def row(self, i):
+        """Row i of ``A`` after the current steps, as (real parts, imaginary parts)."""
+        re, im = self.re[i], self.im[i]
+        prev = 1
+        for _, pr, pi, det in self.steps:
+            cr, ci = pr[i], -pi[i]      # A[i][p] = conj(A[p][i])
+            if cr or ci:
+                re, im = (
+                    [(det * a - cr * x + ci * y) // prev for a, x, y in zip(re, pr, pi)],
+                    [(det * b - cr * y - ci * x) // prev for b, x, y in zip(im, pr, pi)],
+                )
+            elif det != prev:
+                re = [det * a // prev for a in re]
+                im = [det * b // prev for b in im]
+            prev = det
+        return re, im
+
+    def schur(self, i, j):
+        """The Schur complement's entry ``(i, j)`` after the current steps, as a Scalar."""
+        re, im = self.row(i)
+        return _reduced(re[j], im[j], self.den * self.det)
+
+    def eliminate(self, p):
+        re, im = self.row(p)
+        det, prev = re[p], self.det
+        self.diag = [(det * d - x * x - y * y) // prev for d, x, y in zip(self.diag, re, im)]
+        self.steps.append((p, re, im, det))
+        self.det = det
+
+    def pivots(self):
+        """The pivot of each step, ``A[p][p] / (den * det)``, as Fractions."""
+        out, prev = [], 1
+        for *_, det in self.steps:
+            out.append(Fraction(det, prev * self.den))
+            prev = det
+        return out
+
+    def lift(self, u, k=None):
+        """Extend ``u`` over the first k pivots (all by default), last pivot first.
+
+        ``u`` maps indices to Scalars.  At pivot p the entry
+        ``u_p = -sum_j A[p][j] u_j / A[p][p]`` (row and pivot share one
+        denominator) makes ``(M u)_p`` vanish, so the quadratic form
+        ``<M u, u>`` equals that of ``u`` on the Schur complement; from a unit
+        vector at the (k+1)-th pivot this is that pivot's Gram–Schmidt
+        vector.  Returns ``(den, {index: (A, B)})`` with entries
+        ``(A + B i) / den``.
+        """
+        den, pairs = _int_pairs(u.values())
+        vec = dict(zip(u, pairs))
+        for p, pr, pi, det in reversed(self.steps[:k]):
+            x = y = 0
+            for j, (a, b) in vec.items():
+                r, s = pr[j], pi[j]
+                x += r * a - s * b
+                y += r * b + s * a
+            if x or y:
+                vec = {j: (a * det, b * det) for j, (a, b) in vec.items()}
+                vec[p] = (-x, -y)
+                den *= det
+        return den, vec
+
+
+def _exact_psd(rows):
+    """Pivoted hermitian LDL* on the integer kernel :class:`_Ldl`.
+
+    Each step takes the largest remaining diagonal entry, the lowest index
+    on a tie.  Returns ``(ok, rank, pivots, witness, witness_value)``.  The
+    witness is a violating vector of the current Schur complement lifted
+    back through the eliminated pivots, which preserves the quadratic form.
     """
     n = len(rows)
-    S = [[rows[i][j] for j in range(n)] for i in range(n)]
+    ldl = _Ldl(rows)
     remaining = list(range(n))
-    pivots = []
-    steps = []  # (pivot index, {col: S[p][col]}, pivot value) at elimination time
 
-    def lift(u):
-        # u: dict over original indices; walk eliminations in reverse
-        for p, row, piv in reversed(steps):
-            dot = Scalar(0)
-            for idx, val in u.items():
-                entry = row.get(idx)
-                if entry is not None:
-                    dot = dot + entry * val
-            t = -(dot / Scalar(piv))
-            if t:
-                u[p] = t
-        return tuple(u.get(i, ZERO) for i in range(n))
-
-    def quad_value(u_dict, mat):
-        total = Scalar(0)
-        for a, ca in u_dict.items():
-            for b, cb in u_dict.items():
-                total = total + ca.conjugate() * mat[a][b] * cb
-        return total
+    def fail(u, value):
+        den, vec = ldl.lift(u)
+        witness = tuple(_reduced(*vec[i], den) if i in vec else ZERO for i in range(n))
+        return False, len(ldl.steps), tuple(ldl.pivots()), witness, value
 
     while remaining:
-        # diagonal entries are real for hermitian input
-        diag = [(S[i][i].re, i) for i in remaining]
-        best_val, best_idx = max(diag, key=lambda t: (t[0], -t[1]))
-        neg = [(v, i) for v, i in diag if v < 0]
+        diag = ldl.diag
+        neg = [i for i in remaining if diag[i] < 0]
         if neg:
-            _, i = min(neg, key=lambda t: (t[0], t[1]))
-            witness = lift({i: ONE})
-            return False, len(pivots), tuple(pivots), witness, S[i][i]
-        if best_val == 0:
-            # all remaining diagonals are zero: matrix is PSD iff the block vanishes
+            i = min(neg, key=lambda i: (diag[i], i))
+            return fail({i: ONE}, ldl.schur(i, i))
+        p = max(remaining, key=lambda i: (diag[i], -i))
+        if not diag[p]:
+            # all remaining diagonals are zero: the matrix is PSD iff the block vanishes
             for i in remaining:
+                re, im = ldl.row(i)
                 for j in remaining:
-                    if S[i][j]:
-                        s = S[i][j].conjugate()
-                        tau = -(S[j][j].re + 1) / (2 * S[i][j].abs2())
-                        u = {i: Scalar(tau), j: s}
-                        val = quad_value(u, S)
-                        witness = lift(u)
-                        return False, len(pivots), tuple(pivots), witness, val
-            return True, len(pivots), tuple(pivots), None, None
-        p = best_idx
-        piv = S[p][p].re
-        pivots.append(piv)
+                    if re[j] or im[j]:
+                        sij = ldl.schur(i, j)
+                        tau = -(ldl.schur(j, j).re + 1) / (2 * sij.abs2())
+                        u = {i: Scalar(tau), j: sij.conjugate()}
+                        value = sum((ca.conjugate() * ldl.schur(a, b) * cb
+                                     for a, ca in u.items() for b, cb in u.items()), ZERO)
+                        return fail(u, value)
+            break
+        ldl.eliminate(p)
         remaining.remove(p)
-        row = {j: S[p][j] for j in remaining if S[p][j]}
-        steps.append((p, dict(row), piv))
-        for i in remaining:
-            ci = S[i][p]
-            if not ci:
-                continue
-            for j in remaining:
-                rj = row.get(j)
-                if rj is not None:
-                    S[i][j] = S[i][j] - ci * rj / piv
-    return True, len(pivots), tuple(pivots), None, None
+    return True, len(ldl.steps), tuple(ldl.pivots()), None, None
 
 
 def psd_check(M, tol=0.0):
@@ -476,15 +615,23 @@ def psd_check(M, tol=0.0):
 
     Exact matrices are decided by their LDL* pivots, float ones by
     eigenvalues >= -tol.  Rejects non-hermitian input.  On FAIL the report
-    carries a witness vector ``u`` with ``<Mu, u> < -tol``.
+    carries a witness vector ``u`` with ``<Mu, u> < -tol``.  M keeps the
+    report, so a repeated check returns it.
     """
     if not M.hermitian:
         raise HermitianError("moment matrix is not hermitian")
+    key = None if M.exact else tol
+    report = M._psd.get(key)
+    if report is None:
+        report = M._psd[key] = _psd_report(M, tol)
+    return report
+
+
+def _psd_report(M, tol):
     if M.exact:
         ok, rank, pivots, witness, wval = _exact_psd(M.rows)
         return PsdReport(
-            ok, True, M.size, rank=rank, pivots=pivots,
-            witness=witness, witness_value=wval,
+            ok, True, M.size, rank=rank, pivots=pivots, witness=witness, witness_value=wval,
         )
     arr = M.to_array()
     vals, vecs = np.linalg.eigh((arr + arr.conj().T) / 2)
@@ -514,6 +661,9 @@ class GnsModel:
     ``op_matrices[i]`` is the matrix of left multiplication by
     ``e_i`` from the degree <= d_max-1 quotient (dimension ``sub_rank``)
     into the full quotient, expressed in the orthonormalized basis.
+    ``exact_op_matrices[i][j][k]`` (exact path only) is the same map in the
+    orthogonal basis: the coefficient of ``b_j`` in ``e_i b_k`` projected
+    onto the quotient, an exact Scalar.
     """
 
     degree: int
@@ -525,6 +675,7 @@ class GnsModel:
     quotient_basis: list
     basis_norms2: list
     op_matrices: Optional[List[np.ndarray]]
+    exact_op_matrices: Optional[tuple]
     skew_exact: Optional[bool]
     skew_residual: float
     exact: bool
@@ -550,25 +701,87 @@ class GnsModel:
         return out
 
 
-def gns_build(lam, d_max):
-    """Build the truncated GNS model of a positive functional.
+def _sub_rank(monos, pivot_idx, d_max):
+    return sum(1 for m in pivot_idx if sum(monos[m]) <= d_max - 1)
 
-    Requires the moment matrix at ``d_max`` to be PSD (exact pivots, or
-    within the field's ``tol`` on the float path); otherwise the functional
-    is not positive at this degree and a :class:`PositivityError` is raised.
+
+def _exact_gram(M, d_max):
+    """The Gram–Schmidt data of an exact PSD M, by the integer LDL* in monomial order.
+
+    Gram–Schmidt in monomial order, skipping null vectors, is the LDL* that
+    takes each index whose Schur diagonal is nonzero (a zero one has a zero
+    row, M being PSD).  With ``b_k`` the lifted unit vector of the k-th
+    pivot p, ``M b_k`` is column p of the Schur complement, so
+    ``<u, b_k> = sum_a A[p][a] u_a / (den * det_(k-1))`` reads the pivot row
+    ``A[p]`` and ``<b_k, b_k>`` is the k-th pivot.  Returns
+    ``(pivot_idx, basis, norms2, vacuum, ops)``, ``ops[i][j][k]`` the
+    exact coefficient of ``b_j`` in ``e_i b_k`` (None at degree 0).
     """
-    M = moment_matrix(lam, d_max)
-    if not M.hermitian:
-        raise HermitianError("functional is not hermitian; GNS needs <D1, D2> = lam(D2* D1)")
-    field = lam.field
-    psd = psd_check(M, tol=field.tol)
-    if not psd.ok:
-        raise PositivityError(
-            f"functional is not positive at degree {d_max}", witness=psd.witness
-        )
+    spec, monos = M.spec, M.monomials
+    ldl = _Ldl(M.rows)
+    for m in range(M.size):
+        if ldl.diag[m] > 0:
+            ldl.eliminate(m)
+    steps, den = ldl.steps, ldl.den
+    pivot_idx = [p for p, *_ in steps]
+    norms2 = ldl.pivots()
+    lifted = [ldl.lift({p: ONE}, k) for k, p in enumerate(pivot_idx)]
+    basis = []
+    for k, (den_k, vec) in enumerate(lifted):
+        order = [pivot_idx[k]] + [p for p in pivot_idx[:k] if p in vec]
+        basis.append({m: _reduced(*vec[m], den_k) for m in order})
+    # <1, b_k> = A[p][0] / (den * det_(k-1)), zero once index 0 is a pivot
+    vacuum, prev = [], 1
+    for (_, pr, pi, det), d2 in zip(steps, norms2):
+        vacuum.append(_reduced(pr[0], pi[0], prev * den).to_complex() / fraction_root_float(d2, 2))
+        prev = det
+    vacuum = np.array(vacuum, dtype=complex)
+    ops = None
+    if d_max >= 1 and steps:
+        # e_i b_k over monomials, on the denominator den_k * delta**d_max; then
+        # A[j][k] = <e_i b_k, b_j> / <b_j, b_j> = sum_a A[p_j][a] (e_i b_k)_a / det_j
+        delta = spec.delta
+        idx_of = {alpha: pos for pos, alpha in enumerate(monos)}
+        sub_rank = _sub_rank(monos, pivot_idx, d_max)
+        ops = []
+        for i in range(spec.dim):
+            nf = {}
+            A = [[] for _ in steps]
+            for den_k, vec in lifted[:sub_rank]:
+                image = {}
+                for m, (a, b) in vec.items():
+                    terms = nf.get(m)
+                    if terms is None:
+                        alpha = monos[m]
+                        lift_by = d_max - sum(alpha) - 1
+                        terms = nf[m] = [
+                            (idx_of[beta], c * delta ** (lift_by + sum(beta)))
+                            for beta, c in _normal_form(spec, (i,) + _word_of_alpha(alpha)).items()
+                        ]
+                    for idx, c in terms:
+                        _acc_pair(image, idx, a * c, b * c)
+                scale = den_k * delta ** d_max
+                for row, (_, pr, pi, det) in zip(A, steps):
+                    x = y = 0
+                    for idx, (a, b) in image.items():
+                        r, s = pr[idx], pi[idx]
+                        x += r * a - s * b
+                        y += r * b + s * a
+                    row.append(_reduced(x, y, det * scale))
+            ops.append(A)
+    return pivot_idx, basis, norms2, vacuum, ops
+
+
+def _float_gram(M, d_max):
+    """The Gram–Schmidt data of a float M: modified Gram–Schmidt in monomial order.
+
+    A vector counts as null when its squared norm is at most ``tol`` times
+    the largest diagonal entry.  Returns what :func:`_exact_gram` returns,
+    with complex entries.
+    """
+    field, spec, G = M.field, M.spec, M.rows
     monos = list(M.monomials)
     n = len(monos)
-    G = M.rows
     zero = field.zero
 
     def inner(u, w):
@@ -602,23 +815,17 @@ def gns_build(lam, d_max):
             norms2.append(nrm2)
             pivot_idx.append(m)
     rank = len(basis)
-    sub_rank = sum(1 for m in pivot_idx if sum(monos[m]) <= d_max - 1)
+    sub_rank = _sub_rank(monos, pivot_idx, d_max)
     idx_of = {alpha: pos for pos, alpha in enumerate(monos)}
 
     # vacuum = coordinates of the class of the monomial 1 in the orthonormal basis
     vacuum = np.array([field.to_complex(inner({0: field.one}, b)) / field.sqrt(d2)
                        for b, d2 in zip(basis, norms2)], dtype=complex)
-
-    op_matrices = None
-    skew_exact = None
-    skew_residual = 0.0
+    ops = None
     if d_max >= 1 and rank:
-        spec = lam.spec
-        op_matrices = []
-        worst2 = 0
+        ops = []
         for i in range(spec.dim):
             A = [[None] * sub_rank for _ in range(rank)]
-            mat = np.zeros((rank, sub_rank), dtype=complex)
             for k in range(sub_rank):
                 image = {}
                 for m_idx, coeff in basis[k].items():
@@ -626,6 +833,44 @@ def gns_build(lam, d_max):
                     axpy(image, coeff, {idx_of[alpha]: c for alpha, c in nf.terms.items()})
                 for j in range(rank):
                     A[j][k] = inner(image, basis[j]) / norms2[j]
+            ops.append(A)
+    return pivot_idx, basis, norms2, vacuum, ops
+
+
+def gns_build(lam, d_max):
+    """Build the truncated GNS model of a positive functional.
+
+    Requires the moment matrix at ``d_max`` to be PSD (exact pivots, or
+    within the field's ``tol`` on the float path); otherwise the functional
+    is not positive at this degree and a :class:`PositivityError` is raised.
+    The moment matrix and its PSD report are the ones the table and the
+    matrix keep, so they are built once for a caller that checked them.
+    """
+    M = moment_matrix(lam, d_max)
+    if not M.hermitian:
+        raise HermitianError("functional is not hermitian; GNS needs <D1, D2> = lam(D2* D1)")
+    field = lam.field
+    psd = psd_check(M, tol=field.tol)
+    if not psd.ok:
+        raise PositivityError(
+            f"functional is not positive at degree {d_max}", witness=psd.witness
+        )
+    monos = M.monomials
+    build = _exact_gram if lam.exact else _float_gram
+    pivot_idx, basis, norms2, vacuum, ops = build(M, d_max)
+    rank = len(basis)
+    sub_rank = _sub_rank(monos, pivot_idx, d_max)
+
+    op_matrices = None
+    skew_exact = None
+    skew_residual = 0.0
+    if ops is not None:
+        op_matrices = []
+        worst2 = 0
+        for A in ops:
+            mat = np.zeros((rank, sub_rank), dtype=complex)
+            for k in range(sub_rank):
+                for j in range(rank):
                     mat[j, k] = field.to_complex(A[j][k]) * field.sqrt(norms2[j] / norms2[k])
             op_matrices.append(mat)
             # skewness on the modeled domain: A_jk d_j + conj(A_kj) d_k = 0; over
@@ -638,7 +883,11 @@ def gns_build(lam, d_max):
                         defect2 += field.real(e * e.conjugate()) / (norms2[j] * norms2[k])
             worst2 = max(worst2, defect2)
         skew_residual = float(field.sqrt(worst2))
-        skew_exact = worst2 <= (field.tol * max(1.0, diag_scale)) ** 2
+        if field.exact:
+            skew_exact = worst2 <= 0
+        else:
+            diag_scale = max([abs(field.to_complex(M.rows[i][i])) for i in range(M.size)] + [1.0])
+            skew_exact = worst2 <= (field.tol * max(1.0, diag_scale)) ** 2
 
     return GnsModel(
         degree=d_max,
@@ -650,6 +899,8 @@ def gns_build(lam, d_max):
         quotient_basis=basis,
         basis_norms2=norms2,
         op_matrices=op_matrices,
+        exact_op_matrices=(tuple(tuple(tuple(row) for row in A) for A in ops)
+                           if field.exact and ops is not None else None),
         skew_exact=skew_exact,
         skew_residual=skew_residual,
         exact=lam.exact,

@@ -354,6 +354,20 @@ def _float_rep_in_positivity(doc):
     block["representations"] = block["representations"] + ["spin_one_float"]
 
 
+def _float_rep(key, index, value):
+    """A float-mode copy of spin_one, named spin_one_float, with one entry replaced."""
+    def patch(doc):
+        block = json.loads(json.dumps(doc["representations"]["spin_one"]))
+        block["mode"] = "float"
+        target = block[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+        doc["representations"]["spin_one_float"] = block
+
+    return patch
+
+
 # (config, patch, arguments, what stderr must name)
 MALFORMED = [
     pytest.param("su2.json", _set("pbw-confluence", "count", "many"), ["validate"],
@@ -434,6 +448,16 @@ MALFORMED = [
                  ("suites[2]", "expected"), id="expected-bool"),
     pytest.param("su2.json", _set("local-hom", "scales", [False]), ["validate"],
                  ("suites[6]", "scales"), id="scale-bool"),
+    pytest.param("su2.json", _float_rep("cyclic_vector", [0], True), ["validate"],
+                 ("representations.spin_one_float.cyclic_vector", "got true"),
+                 id="float-cyclic-vector-bool"),
+    pytest.param("su2.json", _float_rep("generators", [1, 0, 2], False), ["validate"],
+                 ("representations.spin_one_float.generators", "got false"),
+                 id="float-generator-bool"),
+    pytest.param("su2.json", _set("cauchy", "r", 1e-300), ["validate"],
+                 ("suites[8] (cauchy)", "r:", "overflows binary64"), id="cauchy-r-tiny"),
+    pytest.param("su2.json", _set("cauchy", "r", 1e-20), ["--degree", "16", "run", "cauchy"],
+                 ("suite 'cauchy'", "r:", "r**-16"), id="degree-override-cauchy-r"),
 ]
 
 
@@ -452,11 +476,10 @@ def test_malformed_input_exits_2_naming_key(tmp_path, capsys, config, patch, arg
         assert needle in err
 
 
-@pytest.mark.parametrize("r", [1e300, 1e-300], ids=["r-huge", "r-tiny"])
-def test_suite_failure_exits_2_naming_suite(tmp_path, capsys, r):
-    # valid at load; binary64 overflows inside the cauchy suite
+def test_suite_failure_exits_2_naming_suite(tmp_path, capsys):
+    # valid at load; exp(z R) overflows binary64 inside the cauchy suite
     doc = shipped("su2.json")
-    _set("cauchy", "r", r)(doc)
+    _set("cauchy", "r", 1e300)(doc)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["--config", str(path), "validate"]) == 0
@@ -556,3 +579,32 @@ def test_suite_names_cover_all_pipelines():
         "bch-identity", "pbw-confluence", "radius", "recursion", "positivity",
         "gns", "local-hom", "kernel", "cauchy", "extension",
     }
+
+
+@pytest.mark.parametrize("r", [1.0, 1e-20, 1e300])
+def test_cauchy_r_admitted_while_r_to_the_minus_n_max_is_finite(tmp_path, r):
+    # su2 ships r = 1.0; 1e-20 ** -12 is still a binary64 number
+    doc = shipped("su2.json")
+    _set("cauchy", "r", r)(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert capture(["--config", str(path), "validate"])[0] == 0
+
+
+_HEAVY_IMPORTS = """
+import sys
+{body}
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
+assert not heavy, heavy
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "import envalg",
+    "from envalg.cli import main\nassert main(['validate']) == 0",
+], ids=["import", "validate"])
+def test_import_and_validate_load_neither_scipy_nor_sympy(body):
+    env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _HEAVY_IMPORTS.format(body=body)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

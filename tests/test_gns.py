@@ -35,9 +35,9 @@ from envalg.gns import (
     orbit_gram,
     psd_check,
 )
-from envalg.lie_structure import GVector, PBWPoly, pbw_mul
+from envalg.lie_structure import GVector, PBWPoly, _word_of_alpha, pbw_mul, pbw_reduce
 from envalg.sampling import random_functional, random_skew_rep, random_vector
-from envalg.scalars import Scalar
+from envalg.scalars import Scalar, fraction_root_float
 from rational_algebras import RATIONAL_ALGEBRAS, rational_reps
 
 
@@ -473,3 +473,375 @@ class TestGradedDenominators:
         for _ in range(6):
             powers.append(pbw_mul(powers[-1], xpoly))
         assert _power_values(lam, x, 6) == [lam.eval(p) for p in powers]
+
+
+# -- Scalar references for the integer LDL* kernel -----------------------------
+#
+# The two exact factorizations as they stood before the integer kernel: the
+# pivoted Scalar LDL* of psd_check and the Scalar Gram–Schmidt of gns_build.
+
+
+def _reference_psd(rows):
+    """Pivoted hermitian LDL* in Scalar arithmetic: ``(ok, rank, pivots, witness, value)``."""
+    n = len(rows)
+    S = [[rows[i][j] for j in range(n)] for i in range(n)]
+    remaining = list(range(n))
+    pivots = []
+    steps = []  # (pivot index, {col: S[p][col]}, pivot value) at elimination time
+
+    def lift(u):
+        for p, row, piv in reversed(steps):
+            dot = Scalar(0)
+            for idx, val in u.items():
+                entry = row.get(idx)
+                if entry is not None:
+                    dot = dot + entry * val
+            t = -(dot / Scalar(piv))
+            if t:
+                u[p] = t
+        return tuple(u.get(i, Scalar(0)) for i in range(n))
+
+    def quad_value(u_dict, mat):
+        total = Scalar(0)
+        for a, ca in u_dict.items():
+            for b, cb in u_dict.items():
+                total = total + ca.conjugate() * mat[a][b] * cb
+        return total
+
+    while remaining:
+        diag = [(S[i][i].re, i) for i in remaining]
+        best_val, best_idx = max(diag, key=lambda t: (t[0], -t[1]))
+        neg = [(v, i) for v, i in diag if v < 0]
+        if neg:
+            _, i = min(neg, key=lambda t: (t[0], t[1]))
+            return False, len(pivots), tuple(pivots), lift({i: Scalar(1)}), S[i][i]
+        if best_val == 0:
+            for i in remaining:
+                for j in remaining:
+                    if S[i][j]:
+                        s = S[i][j].conjugate()
+                        tau = -(S[j][j].re + 1) / (2 * S[i][j].abs2())
+                        u = {i: Scalar(tau), j: s}
+                        val = quad_value(u, S)
+                        return False, len(pivots), tuple(pivots), lift(u), val
+            return True, len(pivots), tuple(pivots), None, None
+        p = best_idx
+        piv = S[p][p].re
+        pivots.append(piv)
+        remaining.remove(p)
+        row = {j: S[p][j] for j in remaining if S[p][j]}
+        steps.append((p, dict(row), piv))
+        for i in remaining:
+            ci = S[i][p]
+            if not ci:
+                continue
+            for j in remaining:
+                rj = row.get(j)
+                if rj is not None:
+                    S[i][j] = S[i][j] - ci * rj / piv
+    return True, len(pivots), tuple(pivots), None, None
+
+
+def _reference_gram(lam, d_max):
+    """Scalar Gram–Schmidt of an exact positive table, with the model it gives."""
+    M = moment_matrix(lam, d_max)
+    monos = list(M.monomials)
+    n, G, spec = len(monos), M.rows, lam.spec
+
+    def inner(u, w):
+        total = Scalar(0)
+        for a, wa in w.items():
+            for b, ub in u.items():
+                if G[a][b]:
+                    total = total + wa.conjugate() * G[a][b] * ub
+        return total
+
+    def axpy(u, coeff, vec):
+        for idx, val in vec.items():
+            got = u.get(idx, Scalar(0)) + coeff * val
+            if got:
+                u[idx] = got
+            else:
+                u.pop(idx, None)
+
+    basis, norms2, pivot_idx = [], [], []
+    for m in range(n):
+        u = {m: Scalar(1)}
+        for b, d2 in zip(basis, norms2):
+            coeff = inner(u, b) / d2
+            if coeff:
+                axpy(u, -coeff, b)
+        nrm2 = inner(u, u).re
+        if nrm2 > 0:
+            basis.append(u)
+            norms2.append(nrm2)
+            pivot_idx.append(m)
+    rank = len(basis)
+    sub_rank = sum(1 for m in pivot_idx if sum(monos[m]) <= d_max - 1)
+    idx_of = {alpha: pos for pos, alpha in enumerate(monos)}
+    vacuum = np.array([inner({0: Scalar(1)}, b).to_complex() / _sqrt(d2)
+                       for b, d2 in zip(basis, norms2)], dtype=complex)
+    ops, mats, worst2 = [], [], 0
+    if d_max >= 1 and rank:
+        for i in range(spec.dim):
+            A = [[None] * sub_rank for _ in range(rank)]
+            mat = np.zeros((rank, sub_rank), dtype=complex)
+            for k in range(sub_rank):
+                image = {}
+                for m_idx, coeff in basis[k].items():
+                    nf = pbw_reduce(spec, (i,) + _word_of_alpha(monos[m_idx]))
+                    axpy(image, coeff, {idx_of[alpha]: c for alpha, c in nf.terms.items()})
+                for j in range(rank):
+                    A[j][k] = inner(image, basis[j]) / norms2[j]
+                    mat[j, k] = A[j][k].to_complex() * _sqrt(norms2[j] / norms2[k])
+            ops.append(tuple(tuple(row) for row in A))
+            mats.append(mat)
+            defect2 = 0
+            for j in range(sub_rank):
+                for k in range(sub_rank):
+                    e = A[j][k] * norms2[j] + A[k][j].conjugate() * norms2[k]
+                    if e:
+                        defect2 += (e * e.conjugate()).re / (norms2[j] * norms2[k])
+            worst2 = max(worst2, defect2)
+    return dict(
+        pivot_monomials=tuple(monos[m] for m in pivot_idx), quotient_basis=basis,
+        basis_norms2=norms2, sub_rank=sub_rank, vacuum=vacuum.tobytes(),
+        op_matrices=[m.tobytes() for m in mats] if mats else None,
+        exact_op_matrices=tuple(ops) if ops else None,
+        skew_residual=float(_sqrt(worst2)) if ops else 0.0,
+        skew_exact=worst2 <= 0 if ops else None,
+    )
+
+
+def _sqrt(q):
+    return fraction_root_float(Fraction(q), 2)
+
+
+def _model_fields(model):
+    return dict(
+        pivot_monomials=model.pivot_monomials, quotient_basis=model.quotient_basis,
+        basis_norms2=model.basis_norms2, sub_rank=model.sub_rank,
+        vacuum=model.vacuum.tobytes(),
+        op_matrices=None if model.op_matrices is None else [m.tobytes() for m in model.op_matrices],
+        exact_op_matrices=model.exact_op_matrices,
+        skew_residual=model.skew_residual, skew_exact=model.skew_exact,
+    )
+
+
+def _random_scalar(rng):
+    return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+
+
+def _random_cyclic(factory, rng):
+    """A spin rep with a random Gaussian-rational cyclic vector: a positive table."""
+    rep = factory()
+    v = [_random_scalar(rng) for _ in range(rep.dim_V)]
+    if not any(v):
+        v[0] = Scalar(1)
+    return MatrixRep(rep.spec, rep.dim_V, rep.generators, v, skew_hermitian=True)
+
+
+def _positive_so3_table(seed, degree):
+    """The sum of two random-vector spin functionals: positive, of rank up to 3 + 8."""
+    rng = random.Random(seed)
+    one = functional_from_rep(_random_cyclic(spin_one, rng), degree)
+    three_half = functional_from_rep(_random_cyclic(spin_three_half, rng), degree)
+    values = {alpha: one.value(alpha) + three_half.value(alpha)
+              for alpha in monomials_up_to(3, degree)}
+    return FunctionalTable(SO3, degree, values)
+
+
+def _positive_tables():
+    """``(label, table, degrees)`` of exact positive tables for both references."""
+    cases = [(f"spin-{f.__name__}", functional_from_rep(f(), 6), (0, 1, 2, 3))
+             for f in (spin_half, spin_one, spin_three_half)]
+    cases += [(f"positive-so3-{s}", _positive_so3_table(s, 6), (1, 2, 3)) for s in range(4)]
+    cases += [(f"cyclic-{s}", functional_from_rep(
+        _random_cyclic((spin_half, spin_one, spin_three_half)[s % 3], random.Random(50 + s)), 6),
+        (1, 2, 3)) for s in range(3)]
+    cases += [(name, functional_from_rep(rep, 4), (1, 2)) for name, rep in
+              sorted(rational_reps().items())
+              if name.endswith(("three-half-half", "three-half-sixth", "3/5"))]
+    cases += [("gaussian", gaussian_functional(8), (1, 2, 3, 4)),
+              ("delta", delta_functional(abelian(1), 6), (1, 2, 3))]
+    return cases
+
+
+def _psd_inputs():
+    """Matrices through every branch of the pivoted LDL*: PASS, negative pivot, zero diagonal."""
+    rng = random.Random(21)
+    out = [("pass", _permuted(rng, _gram(rng, rng.randint(0, n), n)))
+           for n in (1, 2, 3, 4, 5, 5, 6)]
+    for _ in range(8):
+        n = rng.randint(2, 5)
+        M = _gram(rng, n, n)
+        k = rng.randrange(n)
+        M[k][k] = M[k][k] * Fraction(rng.randint(1, 3), 4)
+        out.append(("scaled-diagonal", _permuted(rng, M)))
+        M = _gram(rng, rng.randint(1, n), n)
+        M[k][k] = M[k][k] - 100
+        out.append(("negative-diagonal", _permuted(rng, M)))
+    for _ in range(6):
+        k, m = rng.randint(0, 3), rng.randint(2, 3)
+        P = _gram(rng, rng.randint(1, 3), k)
+        H = [[Scalar(0)] * m for _ in range(m)]
+        i, j = rng.sample(range(m), 2)
+        H[i][j] = _random_scalar(rng) or Scalar(1)
+        H[j][i] = H[i][j].conjugate()
+        zero = Scalar(0)
+        M = [P[r] + [zero] * m for r in range(k)] + [[zero] * k + H[r] for r in range(m)]
+        out.append(("zero-diagonal", _permuted(rng, M)))
+    out.append(("zero-after-pivot",
+                tuple(tuple(Scalar(c) for c in row) for row in ((1, 1, 1), (1, 1, 2), (1, 2, 1)))))
+    for label, lam, degrees in _positive_tables():
+        out.append((f"moments-{label}", moment_matrix(lam, max(degrees)).rows))
+    return out
+
+
+POSITIVE_TABLES = _positive_tables()
+PSD_INPUTS = _psd_inputs()
+
+
+class TestIntegerLdlAgainstScalarReference:
+    """The integer kernel gives the Scalar factorizations' values exactly."""
+
+    @pytest.mark.parametrize("label, rows", PSD_INPUTS,
+                             ids=[f"{i}-{label}" for i, (label, _) in enumerate(PSD_INPUTS)])
+    def test_psd_certificate(self, label, rows):
+        got = _exact_psd(rows)
+        want = _reference_psd(rows)
+        assert got == want
+        if label in ("negative-diagonal", "zero-diagonal", "zero-after-pivot"):
+            assert not got[0]
+
+    def test_every_psd_branch_is_covered(self):
+        # witnesses from a negative Schur diagonal and from a zero diagonal block
+        verdicts = {(label, _reference_psd(rows)[0]) for label, rows in PSD_INPUTS}
+        assert {("scaled-diagonal", False), ("scaled-diagonal", True),
+                ("zero-diagonal", False), ("pass", True)} <= verdicts
+
+    @pytest.mark.parametrize("label, lam, degrees", POSITIVE_TABLES,
+                             ids=[label for label, _, _ in POSITIVE_TABLES])
+    def test_gns_model(self, label, lam, degrees):
+        for d in degrees:
+            want = _reference_gram(lam, d)
+            model = gns_build(lam, d)
+            got = _model_fields(model)
+            assert got == want, d
+            assert model.quotient_rank == len(want["pivot_monomials"])
+
+    def test_gns_model_on_larger_rank(self):
+        lam = _positive_so3_table(9, 8)
+        model = gns_build(lam, 4)
+        assert model.quotient_rank == 11
+        assert _model_fields(model) == _reference_gram(lam, 4)
+
+
+class TestBuildOnce:
+    """Each table keeps its moment matrices, each matrix its PSD report."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_hermitian_verdict_is_entrywise(self, seed):
+        lam = random_functional(SO3, 4, random.Random(300 + seed))
+        M = moment_matrix(lam, 2)
+        defect2 = sum((M.rows[a][b] - M.rows[b][a].conjugate()).abs2()
+                      for a in range(M.size) for b in range(M.size))
+        assert M.hermitian == (defect2 == 0)
+        assert not M.hermitian
+        with pytest.raises(HermitianError):
+            psd_check(M)
+        with pytest.raises(HermitianError):
+            gns_build(lam, 2)
+
+    def test_imaginary_defect_is_not_hermitian(self):
+        # lam(x^2) = i: M[1][1] = -i, which equals its mirror but not its conjugate
+        lam = FunctionalTable(abelian(1), 2, {(0,): Scalar(1), (2,): Scalar(0, 1)})
+        assert not moment_matrix(lam, 1).hermitian
+        # lam(x) = i: M[0][1] = i = conj(M[1][0])
+        lam = FunctionalTable(abelian(1), 2, {(0,): Scalar(1), (1,): Scalar(0, 1)})
+        assert moment_matrix(lam, 1).hermitian
+
+    def test_hermitian_tables_pass(self):
+        for _, lam, degrees in POSITIVE_TABLES[:4]:
+            assert moment_matrix(lam, max(degrees)).hermitian
+
+    def test_matrix_and_report_are_kept(self):
+        lam = functional_from_rep(spin_one(), 4)
+        M = moment_matrix(lam, 2)
+        assert moment_matrix(lam, 2) is M
+        assert moment_matrix(lam, 1) is not M
+        report = psd_check(M)
+        assert psd_check(M) is report and psd_check(M, tol=1e-9) is report
+        assert gns_build(lam, 2).gram is M
+
+    def test_gns_after_checks_builds_neither_again(self, monkeypatch):
+        from envalg import gns
+
+        lam = functional_from_rep(spin_three_half(), 6)
+        psd_check(moment_matrix(lam, 3))
+
+        def rebuilt(*args):
+            raise AssertionError("built again")
+
+        monkeypatch.setattr(gns, "regular_act", rebuilt)
+        monkeypatch.setattr(gns, "_exact_psd", rebuilt)
+        checked = gns_build(lam, 3)
+        monkeypatch.undo()
+        fresh = gns_build(functional_from_rep(spin_three_half(), 6), 3)
+        assert _model_fields(checked) == _model_fields(fresh)
+        assert checked.gram.rows == fresh.gram.rows
+
+    def test_float_matrix_and_reports_are_kept_per_tol(self):
+        lam = functional_from_rep(random_skew_rep(3, seed=5), 4)
+        M = moment_matrix(lam, 2)
+        assert moment_matrix(lam, 2) is M
+        loose, strict = psd_check(M, tol=1e-8), psd_check(M, tol=1e-10)
+        assert psd_check(M, tol=1e-8) is loose and psd_check(M, tol=1e-10) is strict
+        assert loose is not strict
+
+
+def _perturbed(rep, rng):
+    gens = [[list(row) for row in gen] for gen in rep.generators]
+    k, r, s = rng.randrange(len(gens)), rng.randrange(rep.dim_V), rng.randrange(rep.dim_V)
+    gens[k][r][s] = gens[k][r][s] + _random_scalar(rng)
+    return MatrixRep(rep.spec, rep.dim_V, gens, rep.cyclic_vector,
+                     skew_hermitian=rep.skew_hermitian)
+
+
+class TestIntegerValidate:
+    """``validate`` decides exact reps on ints and words failures as before."""
+
+    def test_broken_exact_reps_keep_their_messages(self):
+        rep = spin_one()
+        gens = [[list(row) for row in gen] for gen in rep.generators]
+        gens[1][0][1] = gens[1][0][1] + Scalar(Fraction(1, 3), 1)
+        bad = MatrixRep(rep.spec, 3, gens, rep.cyclic_vector, skew_hermitian=True)
+        with pytest.raises(RepresentationError) as err:
+            bad.validate()
+        assert str(err.value) == "homomorphism law fails at pair (1, 2): residual 1.491e+00"
+        # a non-unitary similarity keeps the law but not skewness
+        rep = spin_three_half()
+        p = ([1, 2, 1, 3] * 4)[:rep.dim_V]
+        similar = [[[gen[r][s] * Fraction(p[r], p[s]) for s in range(rep.dim_V)]
+                    for r in range(rep.dim_V)] for gen in rep.generators]
+        MatrixRep(rep.spec, rep.dim_V, similar, rep.cyclic_vector,
+                  skew_hermitian=False).validate()
+        with pytest.raises(RepresentationError) as err:
+            MatrixRep(rep.spec, rep.dim_V, similar, rep.cyclic_vector,
+                      skew_hermitian=True).validate()
+        assert str(err.value) == "generator 0 is not skew-hermitian"
+
+    def test_integer_laws_agree_with_scalar_residuals(self):
+        rng = random.Random(31)
+        reps = [spin_half(), spin_one(), spin_three_half()] + list(rational_reps().values())
+        verdicts = []
+        for rep in reps:
+            for candidate in [rep] + [_perturbed(rep, rng) for _ in range(4)]:
+                try:
+                    candidate._check_residuals()
+                    holds = True
+                except RepresentationError:
+                    holds = False
+                assert candidate._int_laws_hold() == holds
+                verdicts.append(holds)
+        assert True in verdicts and False in verdicts
