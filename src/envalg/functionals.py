@@ -115,13 +115,9 @@ class FunctionalTable:
     Scalar at the end.  A table built from Scalars derives its image on first
     use; a table computed by a kernel (:func:`regular_act`) is built from its
     image and materializes ``values`` on first read.
-
-    A table also keeps each moment matrix built from it, one per degree (see
-    :func:`envalg.gns.moment_matrix`).  Both caches assume that a table is
-    not mutated after its first use.
     """
 
-    __slots__ = ("spec", "max_degree", "field", "_values", "_image", "_moments")
+    __slots__ = ("spec", "max_degree", "field", "_values", "_image")
 
     def __init__(self, spec, max_degree, values=None, exact=True):
         if max_degree < 0:
@@ -145,7 +141,6 @@ class FunctionalTable:
                 clean[alpha] = v
         self._values = clean
         self._image = None
-        self._moments = {}
 
     @classmethod
     def _from_image(cls, spec, max_degree, den, image):
@@ -156,7 +151,6 @@ class FunctionalTable:
         lam.field = scalar_field(True)
         lam._values = None
         lam._image = (den, image)
-        lam._moments = {}
         return lam
 
     @property

@@ -355,13 +355,9 @@ def orbit_gram(rep, d_max):
 
 
 class MomentMatrix:
-    """Gram table ``M[a][b] = lam((x^alpha_a)^* x^beta_b)`` up to a degree.
+    """Gram table ``M[a][b] = lam((x^alpha_a)^* x^beta_b)`` up to a degree."""
 
-    A matrix keeps the :class:`PsdReport` of each ``psd_check`` made on it
-    (one in all on the exact path, where ``tol`` is not read).
-    """
-
-    __slots__ = ("spec", "d_max", "monomials", "rows", "field", "hermitian", "_psd")
+    __slots__ = ("spec", "d_max", "monomials", "rows", "field", "hermitian")
 
     def __init__(self, spec, d_max, monomials, rows, exact, hermitian):
         self.spec = spec
@@ -370,7 +366,6 @@ class MomentMatrix:
         self.rows = rows
         self.field = scalar_field(exact)
         self.hermitian = hermitian
-        self._psd = {}
 
     @property
     def exact(self):
@@ -406,12 +401,8 @@ def moment_matrix(lam, d_max):
 
     Requires ``2*d_max <= lam.max_degree``.  Hermitianness (equivalent to
     ``lam(D^*) = conj(lam(D))``) is checked and reported on the result, not
-    enforced.  The table keeps the matrix, so a second call at the same
-    degree returns the same object.
+    enforced.
     """
-    M = lam._moments.get(d_max)
-    if M is not None:
-        return M
     if 2 * d_max > lam.max_degree:
         raise DegreeOverflowError(
             f"moment matrix at degree {d_max} needs functional degree {2 * d_max}"
@@ -439,8 +430,7 @@ def moment_matrix(lam, d_max):
         hermitian = not defect2 or defect2 <= field.tol ** 2 * max(
             1, _norm2(field, (c for row in rows for c in row))
         )
-    M = lam._moments[d_max] = MomentMatrix(spec, d_max, monos, rows, lam.exact, hermitian)
-    return M
+    return MomentMatrix(spec, d_max, monos, rows, lam.exact, hermitian)
 
 
 @dataclass(frozen=True)
@@ -615,23 +605,15 @@ def psd_check(M, tol=0.0):
 
     Exact matrices are decided by their LDL* pivots, float ones by
     eigenvalues >= -tol.  Rejects non-hermitian input.  On FAIL the report
-    carries a witness vector ``u`` with ``<Mu, u> < -tol``.  M keeps the
-    report, so a repeated check returns it.
+    carries a witness vector ``u`` with ``<Mu, u> < -tol``.
     """
     if not M.hermitian:
         raise HermitianError("moment matrix is not hermitian")
-    key = None if M.exact else tol
-    report = M._psd.get(key)
-    if report is None:
-        report = M._psd[key] = _psd_report(M, tol)
-    return report
-
-
-def _psd_report(M, tol):
     if M.exact:
         ok, rank, pivots, witness, wval = _exact_psd(M.rows)
         return PsdReport(
-            ok, True, M.size, rank=rank, pivots=pivots, witness=witness, witness_value=wval,
+            ok, True, M.size, rank=rank, pivots=pivots,
+            witness=witness, witness_value=wval,
         )
     arr = M.to_array()
     vals, vecs = np.linalg.eigh((arr + arr.conj().T) / 2)
@@ -772,12 +754,12 @@ def _exact_gram(M, d_max):
     return pivot_idx, basis, norms2, vacuum, ops
 
 
-def _float_gram(M, d_max):
+def _float_gram(M, d_max, diag_scale):
     """The Gram–Schmidt data of a float M: modified Gram–Schmidt in monomial order.
 
     A vector counts as null when its squared norm is at most ``tol`` times
-    the largest diagonal entry.  Returns what :func:`_exact_gram` returns,
-    with complex entries.
+    ``diag_scale``, the largest diagonal entry (at least 1).  Returns what
+    :func:`_exact_gram` returns, with complex entries.
     """
     field, spec, G = M.field, M.spec, M.rows
     monos = list(M.monomials)
@@ -802,7 +784,6 @@ def _float_gram(M, d_max):
     basis = []      # orthogonal vectors as sparse dicts over monomial indices
     norms2 = []
     pivot_idx = []
-    diag_scale = max([abs(field.to_complex(G[i][i])) for i in range(n)] + [1.0])
     for m in range(n):
         u = {m: field.one}
         for b, d2 in zip(basis, norms2):
@@ -843,8 +824,6 @@ def gns_build(lam, d_max):
     Requires the moment matrix at ``d_max`` to be PSD (exact pivots, or
     within the field's ``tol`` on the float path); otherwise the functional
     is not positive at this degree and a :class:`PositivityError` is raised.
-    The moment matrix and its PSD report are the ones the table and the
-    matrix keep, so they are built once for a caller that checked them.
     """
     M = moment_matrix(lam, d_max)
     if not M.hermitian:
@@ -856,8 +835,11 @@ def gns_build(lam, d_max):
             f"functional is not positive at degree {d_max}", witness=psd.witness
         )
     monos = M.monomials
-    build = _exact_gram if lam.exact else _float_gram
-    pivot_idx, basis, norms2, vacuum, ops = build(M, d_max)
+    if field.exact:
+        pivot_idx, basis, norms2, vacuum, ops = _exact_gram(M, d_max)
+    else:
+        diag_scale = max([abs(field.to_complex(M.rows[i][i])) for i in range(M.size)] + [1.0])
+        pivot_idx, basis, norms2, vacuum, ops = _float_gram(M, d_max, diag_scale)
     rank = len(basis)
     sub_rank = _sub_rank(monos, pivot_idx, d_max)
 
@@ -886,7 +868,6 @@ def gns_build(lam, d_max):
         if field.exact:
             skew_exact = worst2 <= 0
         else:
-            diag_scale = max([abs(field.to_complex(M.rows[i][i])) for i in range(M.size)] + [1.0])
             skew_exact = worst2 <= (field.tol * max(1.0, diag_scale)) ** 2
 
     return GnsModel(

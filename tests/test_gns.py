@@ -737,8 +737,8 @@ class TestIntegerLdlAgainstScalarReference:
         assert _model_fields(model) == _reference_gram(lam, 4)
 
 
-class TestBuildOnce:
-    """Each table keeps its moment matrices, each matrix its PSD report."""
+class TestHermitianAndRebuild:
+    """The exact hermitian test, and a GNS build on a table already checked."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_hermitian_verdict_is_entrywise(self, seed):
@@ -765,39 +765,13 @@ class TestBuildOnce:
         for _, lam, degrees in POSITIVE_TABLES[:4]:
             assert moment_matrix(lam, max(degrees)).hermitian
 
-    def test_matrix_and_report_are_kept(self):
-        lam = functional_from_rep(spin_one(), 4)
-        M = moment_matrix(lam, 2)
-        assert moment_matrix(lam, 2) is M
-        assert moment_matrix(lam, 1) is not M
-        report = psd_check(M)
-        assert psd_check(M) is report and psd_check(M, tol=1e-9) is report
-        assert gns_build(lam, 2).gram is M
-
-    def test_gns_after_checks_builds_neither_again(self, monkeypatch):
-        from envalg import gns
-
+    def test_gns_after_checks_equals_fresh_build(self):
         lam = functional_from_rep(spin_three_half(), 6)
         psd_check(moment_matrix(lam, 3))
-
-        def rebuilt(*args):
-            raise AssertionError("built again")
-
-        monkeypatch.setattr(gns, "regular_act", rebuilt)
-        monkeypatch.setattr(gns, "_exact_psd", rebuilt)
         checked = gns_build(lam, 3)
-        monkeypatch.undo()
         fresh = gns_build(functional_from_rep(spin_three_half(), 6), 3)
         assert _model_fields(checked) == _model_fields(fresh)
         assert checked.gram.rows == fresh.gram.rows
-
-    def test_float_matrix_and_reports_are_kept_per_tol(self):
-        lam = functional_from_rep(random_skew_rep(3, seed=5), 4)
-        M = moment_matrix(lam, 2)
-        assert moment_matrix(lam, 2) is M
-        loose, strict = psd_check(M, tol=1e-8), psd_check(M, tol=1e-10)
-        assert psd_check(M, tol=1e-8) is loose and psd_check(M, tol=1e-10) is strict
-        assert loose is not strict
 
 
 def _perturbed(rep, rng):
