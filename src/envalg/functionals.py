@@ -238,11 +238,6 @@ class FunctionalTable:
                     f"functional degree {self.max_degree}"
                 )
 
-    def scale(self, c):
-        c = self.field.coerce(c)
-        vals = {a: c * v for a, v in self.values.items()}
-        return FunctionalTable(self.spec, self.max_degree, vals, exact=self.exact)
-
     def _need_exact(self, what):
         if not self.exact:
             raise ValueError(f"{what} requires an exact functional table")

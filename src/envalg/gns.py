@@ -196,10 +196,20 @@ class MatrixRep:
 
     def matrix_of(self, x):
         """Complex matrix of ``R(x)`` for a coefficient vector x in g."""
-        acc = np.zeros((self.dim_V, self.dim_V), dtype=complex)
-        for i, c in enumerate(x.coeffs):
-            if c:
-                acc = acc + c.to_complex() * self._generator_arrays[i]
+        return self.matrices_of([[c.to_complex() for c in x.coeffs]])[0]
+
+    def matrices_of(self, coeffs):
+        """The stack of ``R(x)``, one per row of an ``(n, dim)`` coefficient array.
+
+        Generator ``i`` adds ``c_i R(e_i)`` to the rows where ``c_i`` is
+        nonzero, so every matrix is the sum of its own nonzero terms in basis
+        order and gets the floats it would get alone.
+        """
+        coeffs = np.asarray(coeffs, dtype=complex)
+        acc = np.zeros((len(coeffs), self.dim_V, self.dim_V), dtype=complex)
+        for col, gen in zip(coeffs.T, self._generator_arrays):
+            rows = np.flatnonzero(col)
+            acc[rows] += col[rows, None, None] * gen
         return acc
 
     # -- validation ---------------------------------------------------------
@@ -341,17 +351,22 @@ def orbit_gram(rep, d_max):
 
     For a skew-hermitian representation on exact entries this must equal the
     GNS Gram of the matrix-coefficient functional entry for entry, which is
-    the round-trip fidelity check between the two constructions.
+    the round-trip fidelity check between the two constructions.  The Gram
+    is hermitian, so the lower triangle is the conjugate of the upper one.
     """
     if not rep.exact:
         raise ValueError("orbit_gram needs an exact representation")
     rep.validate()
     monos = monomials_up_to(rep.spec.dim, d_max)
     vecs = _orbit_vectors(rep, monos)
-    return tuple(
-        tuple(_int_inner(vecs[beta], vecs[alpha]) for beta in monos)
-        for alpha in monos
-    )
+    vs = [vecs[alpha] for alpha in monos]
+    rows = [[None] * len(vs) for _ in vs]
+    for a, u in enumerate(vs):
+        rows[a][a] = _int_inner(u, u)
+        for b in range(a + 1, len(vs)):
+            rows[a][b] = _int_inner(vs[b], u)
+            rows[b][a] = rows[a][b].conjugate()
+    return tuple(map(tuple, rows))
 
 
 class MomentMatrix:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import RepresentationError
 from .gns import functional_from_rep, gns_build
 from .lie_structure import GVector, bch_in_g
-from .scalars import Scalar
+from .scalars import Scalar, _reduced
 
 __all__ = [
     "matrix_exp",
@@ -45,6 +46,7 @@ __all__ = [
 
 _UNITARY_TOL = 1e-10
 _NOISE_FLOOR = 1e-12
+_QUANTUM = 4096  # sampled coefficients are multiples of 1/_QUANTUM before rescaling
 
 
 def matrix_exp(A):
@@ -89,29 +91,49 @@ class GroupSample:
 
 def _quantized_vector(spec, rng, max_norm):
     """Random rational vector with seminorm <= max_norm (exact coefficients)."""
-    coeffs = [Fraction(int(rng.integers(-4096, 4097)), 4096) for _ in range(spec.dim)]
-    x = GVector(spec, [Scalar(c) for c in coeffs])
-    p = x.seminorm()
+    return _quantized(spec, rng.integers(-_QUANTUM, _QUANTUM + 1, size=spec.dim).tolist(),
+                      max_norm)
+
+
+def _quantized(spec, ks, max_norm):
+    """``x = k / 4096`` for the int numerators ``ks``, rescaled onto the
+    seminorm ``max_norm`` when it lies outside.
+
+    With the weights ``W_i / L`` over their common denominator the seminorm
+    is ``P / (4096 L)`` for ``P = sum W_i |k_i|``, so the test and the
+    rescale are done in ints; each coefficient is one reduced Scalar.
+    """
+    L = lcm(*(w.denominator for w in spec.weights))
+    P = sum(w.numerator * (L // w.denominator) * abs(k) for w, k in zip(spec.weights, ks))
     bound = Fraction(max_norm)
-    if p > bound:
-        x = x.scale(Scalar(bound / p))
-    return x
+    if P * bound.denominator > _QUANTUM * L * bound.numerator:
+        # k/4096 times bound/seminorm
+        num, den = L * bound.numerator, P * bound.denominator
+    else:
+        num, den = 1, _QUANTUM
+    return GVector(spec, [_reduced(k * num, 0, den) for k in ks])
 
 
 def sample_group(rep, count, seed=0):
     """Sample ``count`` elements as products of one to three exponentials.
 
-    Generating vectors are quantized rationals with seminorm <= 1, so runs
-    are reproducible bit-for-bit for a fixed seed.  For skew-hermitian
+    Generating vectors are ``k / 4096`` for integer numerators
+    ``|k| <= 4096``, rescaled onto seminorm 1 when outside, so runs are
+    reproducible bit-for-bit for a fixed seed.  Each element draws its
+    number of factors, then all their numerators in one call (the same
+    stream as one draw per numerator).  All factors of the sample are built
+    as one stack and exponentiated in one call.  For skew-hermitian
     representations every element is checked to be unitary to 1e-10.
     """
     rng = np.random.default_rng(seed)
+    dim = rep.spec.dim
     words = []
     for _ in range(count):
-        k = int(rng.integers(1, 4))
-        words.append(tuple(_quantized_vector(rep.spec, rng, 1) for _ in range(k)))
-    factors = [rep.matrix_of(x) for xs in words for x in xs]
-    exps = iter(matrix_exp(factors) if factors else ())
+        n = int(rng.integers(1, 4)) * dim
+        ks = rng.integers(-_QUANTUM, _QUANTUM + 1, size=n).tolist()
+        words.append(tuple(_quantized(rep.spec, ks[j:j + dim], 1) for j in range(0, n, dim)))
+    coeffs = [[c.to_complex() for c in x.coeffs] for xs in words for x in xs]
+    exps = iter(matrix_exp(rep.matrices_of(coeffs)))
     elements = []
     for xs in words:
         g = np.eye(rep.dim_V, dtype=complex)
@@ -155,9 +177,12 @@ def pd_kernel_check(sample, tol=_UNITARY_TOL):
 
     Since ``K_ij = <g_j^-1 v, g_i^-1 v>`` for unitary elements, the kernel
     is a Gram matrix and PASS is mathematically guaranteed; a FAIL flags a
-    numerical or implementation error.  Rejects non-unitary samples; a
-    sample that :func:`sample_group` already checked is not checked again.
+    numerical or implementation error.  Rejects empty and non-unitary
+    samples; a sample that :func:`sample_group` already checked is not
+    checked again.
     """
+    if not sample.elements:
+        raise ValueError("pd_kernel_check: the sample is empty")
     if not sample.unitary:
         for g in sample.elements:
             if unitarity_residual(g) > _UNITARY_TOL:

@@ -12,6 +12,7 @@ from envalg.catalog import (
     abelian,
     delta_functional,
     gaussian_functional,
+    heisenberg_rep,
     laplace_functional,
     so3,
     spin_half,
@@ -313,6 +314,16 @@ class TestGnsBuild:
         model = gns_build(lam, 2)
         assert orbit_gram(rep, 2) == model.gram.rows
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(heisenberg_rep, id="heisenberg"),
+        pytest.param(spin_three_half, id="spin-three-half"),
+        pytest.param(lambda: rational_reps()["spin-one-sixth"], id="spin-one-sixth"),
+    ])
+    def test_orbit_gram_equals_every_inner_product(self, make):
+        # the mirrored lower triangle, also on a rep that is not skew-hermitian
+        rep = make()
+        assert orbit_gram(rep, 2) == _orbit_gram_per_entry(rep, 2)
+
     @pytest.mark.parametrize(
         "factory,two_j", [(spin_half, 1), (spin_one, 2), (spin_three_half, 3)]
     )
@@ -479,6 +490,26 @@ class TestGradedDenominators:
 #
 # The two exact factorizations as they stood before the integer kernel: the
 # pivoted Scalar LDL* of psd_check and the Scalar Gram–Schmidt of gns_build.
+
+
+def _orbit_gram_per_entry(rep, d_max):
+    """All n^2 entries ``<R(x^beta) v, R(x^alpha) v>`` from Scalar products."""
+    monos = monomials_up_to(rep.spec.dim, d_max)
+    n = rep.dim_V
+    vecs = {}
+    for alpha in monos:  # degree order: x^alpha = e_i x^(alpha - e_i), i its first letter
+        if not any(alpha):
+            vecs[alpha] = rep.cyclic_vector
+            continue
+        i = next(k for k, a in enumerate(alpha) if a)
+        prev = vecs[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
+        gen = rep.generators[i]
+        vecs[alpha] = [sum((gen[r][s] * prev[s] for s in range(n)), Scalar(0)) for r in range(n)]
+
+    def inner(u, w):
+        return sum((c.conjugate() * a for a, c in zip(u, w)), Scalar(0))
+
+    return tuple(tuple(inner(vecs[b], vecs[a]) for b in monos) for a in monos)
 
 
 def _reference_psd(rows):

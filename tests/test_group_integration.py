@@ -34,6 +34,7 @@ from envalg.group_integration import (
 from envalg.lie_structure import GVector
 from envalg.sampling import random_skew_rep
 from envalg.scalars import Scalar
+from rational_algebras import rational_reps
 
 
 SO3 = so3()
@@ -316,7 +317,45 @@ def test_empty_sample():
     assert len(sample) == 0 and sample.words == []
 
 
+def test_kernel_of_empty_sample_is_an_error():
+    with pytest.raises(ValueError, match="sample is empty"):
+        pd_kernel_check(sample_group(spin_one(), 0, seed=3))
+    with pytest.raises(ValueError, match="sample is empty"):
+        pd_kernel_check(GroupSample(spin_half(), [], []))
+
+
+@pytest.mark.parametrize("max_norm", [1, Fraction(1, 2), Fraction(3, 7)])
+def test_quantized_vector_matches_per_coefficient_draws(max_norm):
+    for rep in [spin_half(), random_skew_rep(3, 1)] + list(rational_reps().values()):
+        new, old = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(40):
+            x = _quantized_vector(rep.spec, new, max_norm)
+            # Scalars compare by their (a, b, d) triples, so this also checks lowest terms
+            assert x == _quantized_per_coefficient(rep.spec, old, max_norm)
+            assert x.seminorm() <= max_norm
+
+
 # -- the stacked group side against its per-element formulas ----------------
+
+
+def _quantized_per_coefficient(spec, rng, max_norm):
+    """The sampler's quantizer with one draw per coefficient and a Fraction seminorm."""
+    coeffs = [Fraction(int(rng.integers(-4096, 4097)), 4096) for _ in range(spec.dim)]
+    x = GVector(spec, [Scalar(c) for c in coeffs])
+    p = x.seminorm()
+    bound = Fraction(max_norm)
+    if p > bound:
+        x = x.scale(Scalar(bound / p))
+    return x
+
+
+def _matrix_per_term(rep, x):
+    """``R(x) = sum_i x_i R(e_i)`` adding one nonzero term at a time."""
+    acc = np.zeros((rep.dim_V, rep.dim_V), dtype=complex)
+    for i, c in enumerate(x.coeffs):
+        if c:
+            acc = acc + c.to_complex() * rep.generator_array(i)
+    return acc
 
 
 def _sample_per_element(rep, count, seed, max_factors=3, max_norm=1):
@@ -325,10 +364,10 @@ def _sample_per_element(rep, count, seed, max_factors=3, max_norm=1):
     elements, words = [], []
     for _ in range(count):
         k = int(rng.integers(1, max_factors + 1))
-        xs = tuple(_quantized_vector(rep.spec, rng, max_norm) for _ in range(k))
+        xs = tuple(_quantized_per_coefficient(rep.spec, rng, max_norm) for _ in range(k))
         g = np.eye(rep.dim_V, dtype=complex)
         for x in xs:
-            g = g @ matrix_exp(rep.matrix_of(x))
+            g = g @ matrix_exp(_matrix_per_term(rep, x))
         elements.append(g)
         words.append(xs)
     return elements, words
@@ -374,6 +413,15 @@ def _general_vector(rep):
     return MatrixRep(rep.spec, rep.dim_V, rep.generators, v, skew_hermitian=True)
 
 
+def _rotated(rep):
+    """``R(O e_i)`` for a rational rotation O of so(3): each generator mixes all three."""
+    c, s, p, q = Fraction(3, 5), Fraction(4, 5), Fraction(5, 13), Fraction(12, 13)
+    O = [[c, -s * p, s * q], [s, c * p, -c * q], [0, q, p]]  # rotation about z after x
+    gens = [[[sum(O[j][i] * rep.generators[j][r][t] for j in range(3))
+              for t in range(rep.dim_V)] for r in range(rep.dim_V)] for i in range(3)]
+    return MatrixRep(rep.spec, rep.dim_V, gens, rep.cyclic_vector, skew_hermitian=True)
+
+
 def _general_direction(spec):
     return GVector(spec, [Scalar(Fraction((-1) ** k * (k + 2), 3 * k + 5))
                           for k in range(spec.dim)])
@@ -388,23 +436,49 @@ STACKED_REPS = [
         ("spin-half-general-v", lambda: _general_vector(spin_half())),
         ("spin-one-general-v", lambda: _general_vector(spin_one())),
         ("spin-three-half-general-v", lambda: _general_vector(spin_three_half())),
+        ("spin-one-rotated", lambda: _rotated(spin_one())),
+        ("spin-three-half-rotated", lambda: _rotated(spin_three_half())),
     ] + [(f"skew-{size}", lambda size=size: random_skew_rep(size, 50 + size))
          for size in range(2, 16)]
 ]
 
 
-@pytest.mark.parametrize("make", STACKED_REPS)
+RATIONAL_REPS = [pytest.param(lambda name=name: rational_reps()[name], id=name)
+                 for name in rational_reps()]
+
+# seed 222 draws a zero numerator in its second sample (for three coefficients)
+SAMPLE_SEEDS = (0, 1, 2, 222)
+
+
 class TestStackedMatchesPerElement:
     """Stacked ``expm`` and kernel rows give the per-element floats, bit for bit."""
 
+    @pytest.mark.parametrize("make", STACKED_REPS + RATIONAL_REPS)
     def test_sample_elements(self, make):
         rep = make()
-        for seed in range(3):
+        v = rep.cyclic_array()
+        for seed in SAMPLE_SEEDS:
             sample = sample_group(rep, 12, seed=seed)
             elements, words = _sample_per_element(rep, 12, seed)
             assert [g.tobytes() for g in sample.elements] == [g.tobytes() for g in elements]
             assert sample.words == words
+            if rep.skew_hermitian:
+                K = _kernel_per_pair(elements, v)
+                want = float(np.linalg.eigvalsh((K + K.conj().T) / 2)[0])
+                assert pd_kernel_check(sample).min_eigenvalue.hex() == want.hex()
 
+    @pytest.mark.parametrize("make", RATIONAL_REPS)
+    def test_seeds_reach_both_branches_and_a_zero(self, make):
+        # the reference covers unscaled and rescaled vectors and a skipped zero term
+        rep = make()
+        assert rep.spec.dim == 3
+        xs = [x for seed in SAMPLE_SEEDS for xs in sample_group(rep, 12, seed).words
+              for x in xs]
+        assert any(x.seminorm() < 1 for x in xs)
+        assert any(x.seminorm() == 1 for x in xs)
+        assert any(not c for x in xs for c in x.coeffs)
+
+    @pytest.mark.parametrize("make", STACKED_REPS)
     def test_kernel_matrix_and_min_eigenvalue(self, make):
         rep = make()
         v = rep.cyclic_array()
@@ -415,6 +489,7 @@ class TestStackedMatchesPerElement:
             want = float(np.linalg.eigvalsh((K + K.conj().T) / 2)[0])
             assert pd_kernel_check(sample).min_eigenvalue.hex() == want.hex()
 
+    @pytest.mark.parametrize("make", STACKED_REPS)
     def test_cauchy_constant_and_rows(self, make):
         rep = make()
         for x in (rep.spec.basis_vector(rep.spec.dim - 1), _general_direction(rep.spec)):
