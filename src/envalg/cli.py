@@ -743,12 +743,17 @@ def _suite_gns(config, params, seed):
                 "equal" if same else "mismatch",
             )
         )
+    if model.skew_exact is None:
+        # degree 0 or a zero quotient: no operators, so skewness holds vacuously
+        actual = f"no operators (degree {d_max}, quotient rank {model.quotient_rank})"
+    else:
+        actual = "exact" if model.skew_exact else f"residual {model.skew_residual:.3e}"
     checks.append(
         Check(
             "skew-symmetry",
-            bool(model.skew_exact),
+            model.skew_exact is not False,
             "exact skewness on the modeled domain",
-            "exact" if model.skew_exact else f"residual {model.skew_residual:.3e}",
+            actual,
         )
     )
     return checks

@@ -572,37 +572,6 @@ def regular_act(lam, y):
     return FunctionalTable(spec, lam.max_degree - 1, values, exact=False)
 
 
-def _power_values(lam, x, top):
-    """``[lam(x^0), .., lam(x^top)]`` for an element x of g and an exact lam.
-
-    With x over one denominator ``den_x``, ``x^k`` is ``(R + I i) / den_x**k``
-    for two graded int tables R, I at grade k; each power is the previous
-    one times ``sum_i x_i e_i``, and each value is one Scalar.
-    """
-    spec = lam.spec
-    den, image = lam._int_image()
-    den_x, pairs = _int_pairs(x.coeffs)
-    xs = [(i, p, q) for i, (p, q) in enumerate(pairs) if p or q]
-    re, im = {(0,) * spec.dim: 1}, {}
-    out = []
-    for k in range(top + 1):
-        if k:
-            next_re, next_im = {}, {}
-            for i, p, q in xs:
-                # (R + I i)(p + q i) = (R p - I q) + (R q + I p) i
-                for table, fr, fi in ((re, p, q), (im, -q, p)):
-                    for b, c in _poly_right_letter(spec, table, i).items():
-                        if fr:
-                            _acc(next_re, b, fr * c)
-                        if fi:
-                            _acc(next_im, b, fi * c)
-            re, im = next_re, next_im
-        xr, yr = _contract(re, image)
-        xi, yi = _contract(im, image)
-        out.append(_reduced(xr - yi, yr + xi, den * (den_x * spec.delta) ** k))
-    return out
-
-
 def insertion_constants(lam, n):
     """Exact insertion constant ``c_n`` of the norm recursion.
 

@@ -16,9 +16,8 @@ Gaussian integers (:class:`_Ldl`) gives both certificates: the PSD test
 pivots on the largest diagonal entry (no square roots are needed to decide
 semidefiniteness, and a failed test returns a witness vector with exact
 entries), and the GNS model's Gram–Schmidt is the same factorization in
-monomial order.  A table keeps its moment matrices and a matrix its PSD
-report, so ``gns_build`` after ``moment_matrix`` and ``psd_check`` builds
-neither again.
+monomial order, which certifies positivity on its own, so ``gns_build``
+factors its matrix once.
 """
 
 from __future__ import annotations
@@ -40,12 +39,11 @@ from .errors import (
 from .free_algebra import _acc
 from .functionals import (
     FunctionalTable,
-    _power_values,
     monomials_up_to,
     radius_estimate,
     regular_act,
 )
-from .lie_structure import _acc_pair, _normal_form, _word_of_alpha, pbw_reduce
+from .lie_structure import _acc_pair, _normal_form, _star_monomial, _word_of_alpha, pbw_reduce
 from .scalars import (
     ONE,
     ZERO,
@@ -427,12 +425,7 @@ def moment_matrix(lam, d_max):
     # T_beta(D) = lam(D x^beta), one right regular action per peeled letter
     basis = [spec.basis_vector(i) for i in range(spec.dim)]
     tables = list(_peel(monos, lam, lambda i, t: regular_act(t, basis[i])).values())
-    # star(x^alpha) = (-1)^|alpha| NF(reversed word): a graded int table at grade |alpha|
-    stars = []
-    for alpha in monos:
-        word = _word_of_alpha(alpha)
-        sign = -1 if len(word) % 2 else 1
-        stars.append((len(word), {b: sign * n for b, n in _normal_form(spec, word[::-1]).items()}))
+    stars = [(sum(alpha), _star_monomial(spec, alpha)) for alpha in monos]
     rows = tuple(tuple(t._eval_graded(st, k) for t in tables) for k, st in stars)
     field, n = lam.field, len(monos)
     if field.exact:
@@ -497,7 +490,7 @@ class _Ldl:
     ``A[p]``, and builds any other row on demand by replaying the steps, so
     a factorization of rank r that reads only its pivot rows costs O(r n)
     per row.  The caller picks the pivots: :func:`_exact_psd` the largest
-    diagonal entry, :func:`_exact_gram` each nonzero one in monomial order.
+    diagonal entry, :func:`_exact_gram` each positive one in monomial order.
     """
 
     def __init__(self, rows):
@@ -703,12 +696,14 @@ def _sub_rank(monos, pivot_idx, d_max):
 
 
 def _exact_gram(M, d_max):
-    """The Gram–Schmidt data of an exact PSD M, by the integer LDL* in monomial order.
+    """The Gram–Schmidt data of an exact hermitian M, or None if M is not PSD.
 
     Gram–Schmidt in monomial order, skipping null vectors, is the LDL* that
-    takes each index whose Schur diagonal is nonzero (a zero one has a zero
-    row, M being PSD).  With ``b_k`` the lifted unit vector of the k-th
-    pivot p, ``M b_k`` is column p of the Schur complement, so
+    takes each index whose Schur diagonal is positive.  The same loop
+    certifies positivity: M is PSD iff each index it skips has a zero Schur
+    row, read with :meth:`_Ldl.row` (so no diagonal is negative, and a zero
+    row stays zero under later steps).  With ``b_k`` the lifted unit vector
+    of the k-th pivot p, ``M b_k`` is column p of the Schur complement, so
     ``<u, b_k> = sum_a A[p][a] u_a / (den * det_(k-1))`` reads the pivot row
     ``A[p]`` and ``<b_k, b_k>`` is the k-th pivot.  Returns
     ``(pivot_idx, basis, norms2, vacuum, ops)``, ``ops[i][j][k]`` the
@@ -719,6 +714,8 @@ def _exact_gram(M, d_max):
     for m in range(M.size):
         if ldl.diag[m] > 0:
             ldl.eliminate(m)
+        elif any(map(any, ldl.row(m))):
+            return None     # a negative diagonal, or a zero one on a nonzero row
     steps, den = ldl.steps, ldl.den
     pivot_idx = [p for p, *_ in steps]
     norms2 = ldl.pivots()
@@ -836,25 +833,27 @@ def _float_gram(M, d_max, diag_scale):
 def gns_build(lam, d_max):
     """Build the truncated GNS model of a positive functional.
 
-    Requires the moment matrix at ``d_max`` to be PSD (exact pivots, or
-    within the field's ``tol`` on the float path); otherwise the functional
-    is not positive at this degree and a :class:`PositivityError` is raised.
+    Requires the moment matrix at ``d_max`` to be PSD (exact: certified by
+    its Gram–Schmidt LDL*; float: eigenvalues >= -``tol``); otherwise a
+    :class:`PositivityError` carrying :func:`psd_check`'s witness is raised.
     """
     M = moment_matrix(lam, d_max)
     if not M.hermitian:
         raise HermitianError("functional is not hermitian; GNS needs <D1, D2> = lam(D2* D1)")
     field = lam.field
-    psd = psd_check(M, tol=field.tol)
-    if not psd.ok:
+    if field.exact:
+        gram = _exact_gram(M, d_max)
+        psd = None if gram else psd_check(M)
+    else:
+        psd = psd_check(M, tol=field.tol)
+        diag_scale = max([abs(field.to_complex(M.rows[i][i])) for i in range(M.size)] + [1.0])
+        gram = _float_gram(M, d_max, diag_scale) if psd.ok else None
+    if gram is None:
         raise PositivityError(
             f"functional is not positive at degree {d_max}", witness=psd.witness
         )
+    pivot_idx, basis, norms2, vacuum, ops = gram
     monos = M.monomials
-    if field.exact:
-        pivot_idx, basis, norms2, vacuum, ops = _exact_gram(M, d_max)
-    else:
-        diag_scale = max([abs(field.to_complex(M.rows[i][i])) for i in range(M.size)] + [1.0])
-        pivot_idx, basis, norms2, vacuum, ops = _float_gram(M, d_max, diag_scale)
     rank = len(basis)
     sub_rank = _sub_rank(monos, pivot_idx, d_max)
 
@@ -951,12 +950,13 @@ class AnalyticReport:
 def analytic_diagnostics(lam, x, n_max):
     """Exact vector-norm squares along ``x`` plus convergence diagnostics.
 
-    Computes ``s_n^2 = (-1)^n Re(lam(x^(2n)))`` for ``n <= n_max``; flags the
-    first negative value as a certificate of non-positivity.  Reports the
-    partial sums at t = 1 of the vector series ``sum s_n / n!`` and of the
-    exponential series ``sum lam(x^n) / n!``, the root-test radius estimate
-    of the vector series, and its ratio to half the functional radius
-    estimate.
+    Computes ``s_n^2 = (-1)^n Re(lam(x^(2n)))`` for ``n <= n_max``, each
+    ``lam(x^k)`` read off k right regular actions (:func:`regular_act`);
+    flags the first negative value as a certificate of non-positivity.
+    Reports the partial sums at t = 1 of the vector series ``sum s_n / n!``
+    and of the exponential series ``sum lam(x^n) / n!``, the root-test
+    radius estimate of the vector series, and its ratio to half the
+    functional radius estimate.
     """
     lam._need_exact("analytic diagnostics")
     if 2 * n_max > lam.max_degree:
@@ -964,7 +964,15 @@ def analytic_diagnostics(lam, x, n_max):
             f"diagnostics to n={n_max} need functional degree {2 * n_max}"
         )
     spec = lam.spec
-    powers = _power_values(lam, x, 2 * n_max)
+    # lam(x^k) reads lam to degree k only, so the chain starts from lam cut at 2 n_max
+    den, image = lam._int_image()
+    cut = {alpha: v for alpha, v in image.items() if sum(alpha) <= 2 * n_max}
+    table = FunctionalTable._from_image(spec, 2 * n_max, den, cut)
+    one = {(0,) * spec.dim: 1}
+    powers = [table._eval_graded(one, 0)]
+    for _ in range(2 * n_max):
+        table = regular_act(table, x)
+        powers.append(table._eval_graded(one, 0))
     s2 = []
     witness = None
     for n in range(n_max + 1):

@@ -610,11 +610,15 @@ def star(a):
     den, top, pairs = _graded(spec, a.terms)
     out = {}
     for alpha, (p, q) in pairs.items():
-        word = _word_of_alpha(alpha)
-        p, q = (p, -q) if len(word) % 2 == 0 else (-p, q)
-        for b, c in _normal_form(spec, word[::-1]).items():
-            _acc_pair(out, b, p * c, q * c)
+        for b, c in _star_monomial(spec, alpha).items():
+            _acc_pair(out, b, p * c, -q * c)
     return PBWPoly._raw(spec, _scalar_terms(spec, den, top, out))
+
+
+def _star_monomial(spec, alpha):
+    """``(x^alpha)^* = (-1)^|alpha| NF(reversed word)`` as a graded int table at grade |alpha|."""
+    sign = (-1) ** sum(alpha)
+    return {b: sign * c for b, c in _normal_form(spec, _word_of_alpha(alpha)[::-1]).items()}
 
 
 def bch_in_g(x, y, N):

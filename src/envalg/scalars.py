@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Callable
 
 __all__ = [
@@ -350,6 +351,7 @@ def fraction_root_float(q, k):
     return 2.0 ** (log2 / k)
 
 
+@total_ordering
 class SqrtFraction:
     """The exact nonnegative real ``sqrt(squared)`` for a rational ``squared``.
 
@@ -372,53 +374,20 @@ class SqrtFraction:
         return bool(self.squared)
 
     def _square_of(self, other):
+        """The square of ``other``, -1 for a negative rational (below every root)."""
         if isinstance(other, SqrtFraction):
             return other.squared
         if isinstance(other, (int, Fraction)):
-            if other < 0:
-                return None  # sqrt >= 0 > other
-            return Fraction(other) ** 2
+            return -1 if other < 0 else Fraction(other) ** 2
         return NotImplemented
-
-    def __le__(self, other):
-        sq = self._square_of(other)
-        if sq is NotImplemented:
-            return NotImplemented
-        if sq is None:
-            return False
-        return self.squared <= sq
 
     def __lt__(self, other):
         sq = self._square_of(other)
-        if sq is NotImplemented:
-            return NotImplemented
-        if sq is None:
-            return False
-        return self.squared < sq
-
-    def __ge__(self, other):
-        sq = self._square_of(other)
-        if sq is NotImplemented:
-            return NotImplemented
-        if sq is None:
-            return True
-        return self.squared >= sq
-
-    def __gt__(self, other):
-        sq = self._square_of(other)
-        if sq is NotImplemented:
-            return NotImplemented
-        if sq is None:
-            return True
-        return self.squared > sq
+        return sq if sq is NotImplemented else self.squared < sq
 
     def __eq__(self, other):
         sq = self._square_of(other)
-        if sq is NotImplemented:
-            return NotImplemented
-        if sq is None:
-            return False
-        return self.squared == sq
+        return sq if sq is NotImplemented else self.squared == sq
 
     def __hash__(self):
         return hash(("SqrtFraction", self.squared))
@@ -462,6 +431,7 @@ def sqrt_leq_sqrt_plus_multiple(a, b, m, c):
     return lhs * lhs <= 4 * m * m * b * c
 
 
+@total_ordering
 class RootValue:
     """The exact nonnegative real ``squared**(1/(2*degree))``.
 
@@ -481,17 +451,10 @@ class RootValue:
         self.squared = squared
         self.degree = degree
 
-    def __le__(self, other):
-        return self.squared ** other.degree <= other.squared ** self.degree
-
     def __lt__(self, other):
+        if not isinstance(other, RootValue):
+            return NotImplemented
         return self.squared ** other.degree < other.squared ** self.degree
-
-    def __ge__(self, other):
-        return self.squared ** other.degree >= other.squared ** self.degree
-
-    def __gt__(self, other):
-        return self.squared ** other.degree > other.squared ** self.degree
 
     def __eq__(self, other):
         if not isinstance(other, RootValue):

@@ -574,6 +574,21 @@ def test_local_hom_with_one_scale_reports_an_absent_slope(tmp_path, fmt):
         assert "slope n/a" in out
 
 
+def test_gns_at_degree_zero_passes_skewness_vacuously(tmp_path):
+    # a degree-0 model has no operators; the schema admits d_max 0
+    doc = shipped("su2.json")
+    _set("gns", "expected_rank", drop=True)(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out = capture(["--config", str(path), "--format", "machine", "--degree", "0",
+                       "run", "gns"])
+    checks = {rec["id"]: rec for rec in map(json.loads, out.splitlines())
+              if rec["kind"] == "check"}
+    assert checks["skew-symmetry"]["status"] == "PASS"
+    assert checks["skew-symmetry"]["actual"].startswith("no operators (degree 0")
+    assert rc == 0
+
+
 def test_suite_names_cover_all_pipelines():
     assert set(SUITE_NAMES) == {
         "bch-identity", "pbw-confluence", "radius", "recursion", "positivity",

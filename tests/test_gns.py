@@ -25,10 +25,16 @@ from envalg.errors import (
     PositivityError,
     RepresentationError,
 )
-from envalg.functionals import FunctionalTable, _power_values, monomials_up_to, radius_estimate
+from envalg.functionals import (
+    FunctionalTable,
+    monomials_up_to,
+    radius_estimate,
+    regular_act,
+)
 from envalg.gns import (
     MatrixRep,
     _exact_psd,
+    _Ldl,
     analytic_diagnostics,
     functional_from_rep,
     gns_build,
@@ -293,6 +299,22 @@ class TestExactPsdSympyOracle:
         assert self.check(rows) == "fail"
 
 
+def _float_copy(rep):
+    """The exact ``rep`` on complex entries."""
+    return MatrixRep(
+        rep.spec, rep.dim_V, [rep.generator_array(i) for i in range(rep.spec.dim)],
+        rep.cyclic_array(), skew_hermitian=True, exact=False,
+    )
+
+
+def _minus_delta(lam, t):
+    """``lam - t delta``: lam with t taken off its value at 1."""
+    one = (0,) * lam.spec.dim
+    values = dict(lam.values)
+    values[one] = lam.value(one) - t
+    return FunctionalTable(lam.spec, lam.max_degree, values, exact=lam.exact)
+
+
 class TestGnsBuild:
     def test_delta_functional_rank_one(self):
         lam = delta_functional(abelian(1), 4)
@@ -337,10 +359,44 @@ class TestGnsBuild:
         assert orbit_gram(rep, d_max) == model.gram.rows
 
     def test_rejects_non_positive(self):
-        vals = {(0,): Scalar(1), (2,): Scalar(1)}  # lam(x*x) = -lam(x^2) = -1
-        lam = FunctionalTable(abelian(1), 4, vals)
-        with pytest.raises(PositivityError):
-            gns_build(lam, 1)
+        cases = [
+            # lam(x*x) = -lam(x^2) = -1: a negative diagonal in monomial order
+            (FunctionalTable(abelian(1), 4, {(0,): Scalar(1), (2,): Scalar(1)}), 1),
+            # M = [[0, i], [-i, 1]]: a zero diagonal on a nonzero row
+            (FunctionalTable(abelian(1), 2, {(1,): Scalar(0, 1), (2,): Scalar(-1)}), 1),
+            # float: an eigenvalue below -tol
+            (_minus_delta(functional_from_rep(_float_copy(spin_one()), 4), 0.5), 2),
+        ]
+        for lam, d_max in cases:
+            with pytest.raises(PositivityError) as err:
+                gns_build(lam, d_max)
+            witness = psd_check(moment_matrix(lam, d_max)).witness
+            assert witness is not None and err.value.witness == witness
+
+    def test_one_factorization_decides_as_psd_check(self, monkeypatch):
+        # lam - t delta on spin one is PSD for t <= 0; for 0 < t < 1 the
+        # monomial-order LDL* fails after its first pivots, at t = 1 on a zero
+        # diagonal with a nonzero row, beyond on a negative diagonal
+        built = []
+
+        def counting(rows):
+            built.append(rows)
+            return _Ldl(rows)
+
+        monkeypatch.setattr("envalg.gns._Ldl", counting)
+        lam = functional_from_rep(spin_one(), 4)
+        for t in (Fraction(k, 8) for k in range(-2, 11)):
+            mu = _minus_delta(lam, t)
+            psd = psd_check(moment_matrix(mu, 2))
+            built.clear()
+            if psd.ok:
+                assert gns_build(mu, 2).quotient_rank == psd.rank
+            else:
+                with pytest.raises(PositivityError) as err:
+                    gns_build(mu, 2)
+                assert err.value.witness == psd.witness
+            # the certificate is the Gram–Schmidt LDL*; only a failure runs psd_check's
+            assert len(built) == (1 if psd.ok else 2)
 
     def test_monomial_order_covariance(self):
         # reversing the processed monomial order permutes the Gram matrix
@@ -360,11 +416,7 @@ class TestGnsBuild:
     def test_float_path_matches_exact(self, factory, d_max):
         # the same rep on complex entries must give the same GNS model
         exact_rep = factory()
-        float_rep = MatrixRep(
-            exact_rep.spec, exact_rep.dim_V,
-            [exact_rep.generator_array(i) for i in range(exact_rep.spec.dim)],
-            exact_rep.cyclic_array(), skew_hermitian=True, exact=False,
-        )
+        float_rep = _float_copy(exact_rep)
         models = []
         for rep in (exact_rep, float_rep):
             lam = functional_from_rep(rep, 2 * d_max)
@@ -483,7 +535,15 @@ class TestGradedDenominators:
         powers = [PBWPoly.one(spec)]
         for _ in range(6):
             powers.append(pbw_mul(powers[-1], xpoly))
-        assert _power_values(lam, x, 6) == [lam.eval(p) for p in powers]
+        expect = [lam.eval(p) for p in powers]
+        # lam(x^k) = T_k(1) for T_0 = lam and T_k = regular_act(T_(k-1), x)
+        table, got = lam, [lam.eval(powers[0])]
+        for _ in range(6):
+            table = regular_act(table, x)
+            got.append(table.eval(powers[0]))
+        assert got == expect
+        report = analytic_diagnostics(lam, x, 3)
+        assert list(report.s_squared) == [(-1) ** n * expect[2 * n].re for n in range(4)]
 
 
 # -- Scalar references for the integer LDL* kernel -----------------------------

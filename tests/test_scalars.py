@@ -7,12 +7,13 @@ and ``gcd(a, b, d) == 1``, and the same rounded floats.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envalg.scalars import Scalar
+from envalg.scalars import RootValue, Scalar, SqrtFraction
 
 # -- reference ---------------------------------------------------------------
 
@@ -196,3 +197,48 @@ def test_unsupported_operands():
         with pytest.raises(TypeError):
             x / bad
     assert (x == 1.5) is False
+
+
+# -- exact roots -----------------------------------------------------------------
+
+COMPARISONS = (operator.lt, operator.le, operator.eq, operator.ne, operator.ge, operator.gt)
+squares = st.fractions(min_value=0, max_value=20, max_denominator=12)
+rationals = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=12))
+
+
+def signed_square(v):
+    """``v |v|``: strictly increasing on the reals, so it keeps every comparison."""
+    if isinstance(v, SqrtFraction):
+        return v.squared
+    return Fraction(v) * abs(Fraction(v))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(squares, st.one_of(squares.map(SqrtFraction), rationals))
+def test_sqrt_fraction_compares_like_its_square(a, other):
+    # a negative rational sorts below every root; int and Fraction mix freely
+    root = SqrtFraction(a)
+    for op in COMPARISONS:
+        assert op(root, other) is op(a, signed_square(other))
+        assert op(other, root) is op(signed_square(other), a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(squares, st.integers(1, 4), squares, st.integers(1, 4))
+def test_root_value_compares_across_degrees(a, m, b, n):
+    # a**(1/2m) against b**(1/2n): raise both to the power 2 lcm(m, n)
+    k = math.lcm(m, n)
+    u, v = RootValue(a, m), RootValue(b, n)
+    for op in COMPARISONS:
+        assert op(u, v) is op(a ** (k // m), b ** (k // n))
+
+
+@pytest.mark.parametrize("bad", ["1", 1.5, None])
+def test_roots_leave_foreign_operands_unordered(bad):
+    for value in (SqrtFraction(4), RootValue(4, 1)):
+        assert (value == bad) is False and (value != bad) is True
+        for op in COMPARISONS[:2] + COMPARISONS[4:]:
+            with pytest.raises(TypeError):
+                op(value, bad)
+            with pytest.raises(TypeError):
+                op(bad, value)
