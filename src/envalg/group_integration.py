@@ -2,22 +2,32 @@
 
 Floating point (binary64) lives on this side of the package; the algebra
 side stays exact and the two meet in the matrix-coefficient functionals.
-``matrix_exp`` wraps the scaling-and-squaring implementation in SciPy, which
-carries a backward error bound well below 1e-13 for the shipped sizes
-(<= 16).  It takes one matrix or a stack ``(..., n, n)`` and exponentiates a
-stack slice by slice, so sampling and the Cauchy check make one stacked call
-each and still produce the floats of one call per matrix; the kernel check
-makes one stacked product per row.  The checks here quantify how well
-``exp(R(x)) exp(R(y))`` matches ``exp(R(x*y))`` for the truncated BCH
-product, that matrix-coefficient kernels ``(g, h) -> phi(g h^-1)`` are
-positive semidefinite, the factorial derivative bounds of analytic kernels,
-and the reconstruction of matrix coefficients from a truncated GNS model.
+``matrix_exp`` is the Al-Mohy--Higham scaling and squaring of
+``scipy.linalg.expm``, which carries a backward error bound well below 1e-13
+for the shipped sizes (<= 16).  It runs SciPy's short Python driver here and
+calls SciPy's compiled Padé kernels (``pick_pade_structure``,
+``pade_UV_calc``) directly, loaded from their extension file: importing
+``scipy.linalg`` would also load SciPy's array-API layer (``numpy.f2py``,
+``numpy.testing`` and more), which was most of a CLI run's start-up.  It
+takes one matrix or a stack ``(..., n, n)`` and exponentiates a stack slice
+by slice, so sampling, the Cauchy, local-group-law and extension checks make
+one stacked call each (per degree) and still produce the floats of one call
+per matrix; the kernel check makes one stacked product per row.  The checks
+here quantify how well ``exp(R(x)) exp(R(y))`` matches ``exp(R(x*y))`` for
+the truncated BCH product, that matrix-coefficient kernels
+``(g, h) -> phi(g h^-1)`` are positive semidefinite, the factorial
+derivative bounds of analytic kernels, and the reconstruction of matrix
+coefficients from a truncated GNS model.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from math import lcm
 from typing import List, Optional, Tuple
 
@@ -49,22 +59,107 @@ _NOISE_FLOOR = 1e-12
 _QUANTUM = 4096  # sampled coefficients are multiples of 1/_QUANTUM before rescaling
 
 
+def _expm_kernels():
+    """SciPy's compiled Padé kernels, without running ``scipy/linalg/__init__``.
+
+    The module is registered under its own name, so a later ``import
+    scipy.linalg`` shares it, and an earlier one is reused here.
+    """
+    name = "scipy.linalg._matfuncs_expm"
+    module = sys.modules.get(name)
+    if module is None:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        finder = FileFinder(os.path.join(root, "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
 def matrix_exp(A):
     """Matrix exponential of one square matrix or of a stack ``(..., n, n)``.
 
-    SciPy's scaling and squaring runs the same code on every slice of a
-    stack, so one stacked call gives the same floats as one call per slice.
-    Rejects non-square and non-finite input.
+    This is the driver of ``scipy.linalg.expm`` in SciPy 1.17.1, branch for
+    branch, around the same compiled kernels ``pick_pade_structure`` and
+    ``pade_UV_calc``, so it returns the same floats; ``scipy.linalg`` is not
+    imported (see the module docstring).  1x1 slices take ``np.exp``,
+    diagonal ones ``exp`` of the diagonal, triangular ones recompute the
+    diagonal and first off-diagonal while squaring.  Each slice is
+    exponentiated on its own, so one stacked call gives the same floats as
+    one call per slice.  Rejects non-square and non-finite input.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix_exp needs a square matrix or a stack of them")
     if not np.all(np.isfinite(A.view(float))):
         raise ValueError("matrix_exp needs finite entries")
-    # imported here: scipy.linalg is most of the package's import time, and
-    # only the group side needs it
-    import scipy.linalg
-    return scipy.linalg.expm(A)
+    if A.size == 0:
+        return np.empty_like(A)
+    if A.shape[-2:] == (1, 1):
+        return np.exp(A)
+    # After ``expm`` in scipy/linalg/_matfuncs.py, SciPy 1.17.1 (BSD-3-Clause;
+    # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), which
+    # is Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009.  Unlike
+    # SciPy the bandwidths are taken once for the whole stack.
+    kernels = _expm_kernels()
+    n = A.shape[-1]
+    slices = A.reshape(-1, n, n)
+    # lower and upper bandwidth of every slice
+    below = np.arange(n)[:, None] - np.arange(n)
+    nonzero = slices != 0
+    lower = np.where(nonzero, below, 0).max(axis=(1, 2))
+    upper = np.where(nonzero, -below, 0).max(axis=(1, 2))
+    eA = np.empty_like(slices)
+    Am = np.empty((5, n, n), dtype=complex)
+    for k, (aw, lo, up) in enumerate(zip(slices, lower, upper)):
+        if not lo and not up:
+            eA[k] = np.diag(np.exp(np.diag(aw)))
+            continue
+        Am[0] = aw
+        m, s = kernels.pick_pade_structure(Am)
+        if m < 0:
+            raise MemoryError(f"matrix_exp: Padé structure failed (error code {m})")
+        info = kernels.pade_UV_calc(Am, m)
+        if info != 0:
+            raise RuntimeError(f"matrix_exp: Padé step failed (error code {info})")
+        eAw = Am[0]
+        if s != 0:
+            if up == 0 or lo == 0:
+                # Code Fragment 2.1: recompute the diagonal and the first
+                # off-diagonal exactly after each squaring
+                diag_aw = np.diag(aw)
+                np.einsum('ii->i', eAw)[:] = np.exp(diag_aw * 2**(-s))
+                sd = np.diag(aw, k=-1 if up == 0 else 1)
+                for i in range(s - 1, -1, -1):
+                    eAw = eAw @ eAw
+                    np.einsum('ii->i', eAw)[:] = np.exp(diag_aw * 2.**(-i))
+                    exp_sd = _exp_sinch(diag_aw * (2.**(-i))) * (sd * 2**(-i))
+                    if up == 0:
+                        np.einsum('ii->i', eAw[1:, :-1])[:] = exp_sd
+                    else:
+                        np.einsum('ii->i', eAw[:-1, 1:])[:] = exp_sd
+            else:
+                for _ in range(s):
+                    eAw = eAw @ eAw
+        if lo == 0:
+            eA[k] = np.triu(eAw)
+        elif up == 0:
+            eA[k] = np.tril(eAw)
+        else:
+            eA[k] = eAw
+    return eA.reshape(A.shape)
+
+
+def _exp_sinch(x):
+    """Higham's formula (10.42) for the first off-diagonal (after SciPy)."""
+    lexp_diff = np.diff(np.exp(x))
+    l_diff = np.diff(x)
+    mask_z = l_diff == 0.
+    lexp_diff[~mask_z] /= l_diff[~mask_z]
+    lexp_diff[mask_z] = np.exp(x[:-1][mask_z])
+    return lexp_diff
 
 
 def unitarity_residual(U):
@@ -297,14 +392,14 @@ def local_hom_check(rep, x, y, N, scales, min_slope=None):
     """
     rep.validate()
     min_slope = (N + 0.5) if min_slope is None else min_slope
-    residuals = []
+    mats = []
     for s in scales:
-        s = Fraction(s)
-        xs = x.scale(Scalar(s))
-        ys = y.scale(Scalar(s))
-        lhs = matrix_exp(rep.matrix_of(xs)) @ matrix_exp(rep.matrix_of(ys))
-        rhs = matrix_exp(rep.matrix_of(bch_in_g(xs, ys, N)))
-        residuals.append(float(np.linalg.norm(lhs - rhs)))
+        s = Scalar(Fraction(s))
+        xs, ys = x.scale(s), y.scale(s)
+        mats += [rep.matrix_of(xs), rep.matrix_of(ys), rep.matrix_of(bch_in_g(xs, ys, N))]
+    exps = matrix_exp(mats)
+    residuals = [float(np.linalg.norm(ex @ ey - exy))
+                 for ex, ey, exy in zip(exps[0::3], exps[1::3], exps[2::3])]
     exact = max(residuals) <= _NOISE_FLOOR
     pairs = [] if exact else [
         (float(np.log(float(Fraction(s)))), float(np.log(e)))
@@ -352,11 +447,6 @@ class ExtensionReport:
         return f"extension demo [{pairs}] ({trend})"
 
 
-def _gns_coefficient(model, x):
-    A = model.operator(x)
-    return complex(model.vacuum.conj() @ (matrix_exp(A) @ model.vacuum))
-
-
 def _extension_report(degrees, build, probes):
     """Per degree d, the max over ``(x, phi)`` in ``probes`` of the model's error.
 
@@ -368,10 +458,11 @@ def _extension_report(degrees, build, probes):
     ranks = []
     for d in degrees:
         model = build(d)
+        vac = model.vacuum
+        exps = matrix_exp([model.operator(x) for x, _ in probes]) if probes else []
         worst = 0.0
-        for x, phi in probes:
-            approx = _gns_coefficient(model, x)
-            worst = max(worst, abs(approx - phi))
+        for E, (_, phi) in zip(exps, probes):
+            worst = max(worst, abs(complex(vac.conj() @ (E @ vac)) - phi))
         deviations.append(worst)
         ranks.append(model.quotient_rank)
     return ExtensionReport(degrees, tuple(deviations), tuple(ranks))
@@ -389,9 +480,8 @@ def extension_demo(rep, degrees, probes):
     if not rep.skew_hermitian:
         raise RepresentationError("extension_demo needs a skew-hermitian rep")
     v = rep.cyclic_array()
-    truth = [
-        (x, complex(np.vdot(v, matrix_exp(rep.matrix_of(x)) @ v))) for x in probes
-    ]
+    exps = matrix_exp([rep.matrix_of(x) for x in probes]) if probes else []
+    truth = [(x, complex(np.vdot(v, E @ v))) for x, E in zip(probes, exps)]
     return _extension_report(
         degrees, lambda d: gns_build(functional_from_rep(rep, 2 * d), d), truth
     )

@@ -351,6 +351,25 @@ def fraction_root_float(q, k):
     return 2.0 ** (log2 / k)
 
 
+def _int_root(n, k):
+    """The integer ``n**(1/k)`` for an int ``n >= 0``, or None if it is not one."""
+    if n < 2:
+        return n
+    # Newton's iteration from above; it stops at floor(n**(1/k))
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x ** k == n else None
+        x = y
+
+
+def _rational_root(q, k):
+    """The Fraction ``q**(1/k)`` for a Fraction ``q >= 0``, or None if it is irrational."""
+    num, den = _int_root(q.numerator, k), _int_root(q.denominator, k)
+    return None if num is None or den is None else Fraction(num, den)
+
+
 @total_ordering
 class SqrtFraction:
     """The exact nonnegative real ``sqrt(squared)`` for a rational ``squared``.
@@ -390,7 +409,9 @@ class SqrtFraction:
         return sq if sq is NotImplemented else self.squared == sq
 
     def __hash__(self):
-        return hash(("SqrtFraction", self.squared))
+        # a rational root equals, and so hashes like, that int or Fraction
+        root = _rational_root(self.squared, 2)
+        return hash(("SqrtFraction", self.squared)) if root is None else hash(root)
 
     def __mul__(self, other):
         if isinstance(other, SqrtFraction):
@@ -462,7 +483,13 @@ class RootValue:
         return self.squared ** other.degree == other.squared ** self.degree
 
     def __hash__(self):
-        return hash(("RootValue", self.squared, self.degree))
+        # equal values share the least degree whose radicand is rational: the
+        # degrees with a rational radicand are the multiples of that one
+        for m in range(self.degree, 0, -1):
+            if self.degree % m == 0:
+                root = _rational_root(self.squared, m)
+                if root is not None:
+                    return hash(("RootValue", root, self.degree // m))
 
     def equals_rational(self, r):
         """Exact test of ``value == r`` for a rational ``r >= 0``."""

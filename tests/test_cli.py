@@ -609,17 +609,25 @@ def test_cauchy_r_admitted_while_r_to_the_minus_n_max_is_finite(tmp_path, r):
 _HEAVY_IMPORTS = """
 import sys
 {body}
-heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy")
+               and m != {allowed!r})
 assert not heavy, heavy
 """
 
+_RUN_ALL = """from envalg.cli import default_config_path, main
+assert main(['--config', str(default_config_path().parent / {name!r}), 'run-all']) == 0"""
+_KERNELS = "scipy.linalg._matfuncs_expm"
 
-@pytest.mark.parametrize("body", [
-    "import envalg",
-    "from envalg.cli import main\nassert main(['validate']) == 0",
-], ids=["import", "validate"])
-def test_import_and_validate_load_neither_scipy_nor_sympy(body):
+
+@pytest.mark.parametrize("body, allowed", [
+    ("import envalg", None),
+    ("from envalg.cli import main\nassert main(['validate']) == 0", None),
+    # the group side loads SciPy's compiled expm kernels and nothing else
+    (_RUN_ALL.format(name="su2.json"), _KERNELS),
+    (_RUN_ALL.format(name="gaussian.json"), _KERNELS),
+], ids=["import", "validate", "run-all-su2", "run-all-gaussian"])
+def test_import_and_validate_load_neither_scipy_nor_sympy(body, allowed):
     env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _HEAVY_IMPORTS.format(body=body)],
+    proc = subprocess.run([sys.executable, "-c", _HEAVY_IMPORTS.format(body=body, allowed=allowed)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,17 @@
 """Matrix exponentials, kernels, Cauchy bounds and the extension round trip."""
 
 import cmath
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import envalg
 
 from envalg.catalog import (
     gaussian_char,
@@ -89,6 +96,65 @@ class TestMatrixExp:
         stack[2, 1, 0] = complex(0.0, np.nan)
         with pytest.raises(ValueError, match="finite"):
             matrix_exp(stack)
+
+
+def _expm_cases():
+    """Seeded inputs for every branch of SciPy's ``expm`` driver."""
+    rng = np.random.default_rng(2)
+    cases = {}
+    for n in (2, 3, 5, 9, 16):
+        B = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        cases[f"generic-{n}"] = B
+        cases[f"small-{n}"] = 1e-4 * B
+        # 1-norms far above 5.4 need squaring (s > 0), so the triangular
+        # slices run Code Fragment 2.1
+        cases[f"upper-{n}"] = 20 * np.triu(B)
+        cases[f"lower-{n}"] = 20 * np.tril(B)
+        cases[f"diagonal-{n}"] = 20 * B * np.eye(n)
+        cases[f"tridiagonal-{n}"] = 20 * np.triu(np.tril(B, 1), -1)
+        cases[f"skew-{n}"] = 5 * (B - B.conj().transpose(0, 2, 1))
+        cases[f"real-{n}"] = 20 * B.real.astype(complex)
+        negzero = 20 * np.triu(B)
+        negzero[:, np.tri(n, k=-1, dtype=bool)] = -0.0
+        cases[f"negzero-upper-{n}"] = negzero
+        cases[f"negzero-diagonal-{n}"] = np.where(np.eye(n, dtype=bool), 20 * B, -0.0)
+        cases[f"nested-{n}"] = 20 * B.reshape(3, 1, n, n)
+    cases["one-by-one"] = np.array([[2.5 - 1j]])
+    cases["one-by-one-stack"] = np.array([[[2.5 - 1j]], [[-0.0]]])
+    cases["empty"] = np.zeros((0, 0), dtype=complex)
+    cases["empty-stack"] = np.zeros((2, 0, 0), dtype=complex)
+    return cases
+
+
+@pytest.mark.parametrize("A", list(_expm_cases().values()), ids=list(_expm_cases()))
+def test_matrix_exp_is_bit_identical_to_scipy(A):
+    got, want = matrix_exp(A), scipy.linalg.expm(A)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+_SHARED_KERNELS = """
+import sys
+import numpy as np
+{before}
+from envalg.group_integration import matrix_exp
+A = 7 * np.array([[1, 2j, 0], [-3, 4, 1j], [0, 0.5, -2]])
+got = matrix_exp(A)
+import scipy.linalg
+from scipy.linalg import _matfuncs
+kernels = sys.modules["scipy.linalg._matfuncs_expm"]
+assert kernels.pick_pade_structure is _matfuncs.pick_pade_structure
+assert kernels.pade_UV_calc is _matfuncs.pade_UV_calc
+assert got.tobytes() == scipy.linalg.expm(A).tobytes()
+"""
+
+
+@pytest.mark.parametrize("before", ["import scipy.linalg", ""], ids=["scipy-first", "envalg-first"])
+def test_scipy_linalg_shares_the_loaded_kernels(before):
+    env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SHARED_KERNELS.format(before=before)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestLocalHom:
@@ -270,6 +336,12 @@ class TestExtension:
         zero = vec(SO3, 0, 0, 0)
         report = extension_demo(rep, [1], [zero])
         assert report.final_deviation <= 1e-14
+
+    def test_no_probes_deviate_by_zero(self):
+        # the CLI admits ``probes: 0``
+        report = extension_demo(spin_half(), [1, 2], [])
+        assert report.deviations == (0.0, 0.0) and report.ranks == (2, 2)
+        assert extension_demo_table(gaussian_functional(4), [2], [], gaussian_char).deviations == (0.0,)
 
     def test_su2_round_trip(self):
         rep = spin_half()

@@ -233,6 +233,49 @@ def test_root_value_compares_across_degrees(a, m, b, n):
         assert op(u, v) is op(a ** (k // m), b ** (k // n))
 
 
+roots = st.fractions(min_value=0, max_value=6, max_denominator=6)
+
+
+@st.composite
+def equal_prone_pairs(draw):
+    """Two roots, or a root and a rational, that are often equal.
+
+    Radicands are powers of one rational, so equal values built at
+    different degrees (``4**(1/2) == 16**(1/4)``) come up often.
+    """
+    r = draw(roots)
+    kind = draw(st.sampled_from(["sqrt-rational", "sqrt-sqrt", "root-root"]))
+    if kind == "sqrt-rational":
+        other = draw(st.one_of(st.just(r), st.integers(0, 6), roots))
+        if other.denominator == 1 and draw(st.booleans()):
+            other = int(other)
+        return SqrtFraction(r * r), other
+    if kind == "sqrt-sqrt":
+        return SqrtFraction(r), SqrtFraction(draw(st.sampled_from([r, r * r, r + 1])))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    p, q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return RootValue(r ** p, m * p), RootValue(draw(st.sampled_from([r, r + 1])) ** q, m * q)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(equal_prone_pairs())
+def test_equal_roots_hash_equal(pair):
+    a, b = pair
+    if a == b:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("a, b", [
+    (SqrtFraction(4), 2), (SqrtFraction(Fraction(9, 4)), Fraction(3, 2)),
+    (SqrtFraction(0), 0), (RootValue(4, 1), RootValue(16, 2)),
+    (RootValue(8, 3), RootValue(2, 1)), (RootValue(0, 5), RootValue(0, 2)),
+    (RootValue(Fraction(1, 81), 4), RootValue(Fraction(1, 3), 1)),
+])
+def test_equal_roots_hash_equal_examples(a, b):
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 @pytest.mark.parametrize("bad", ["1", 1.5, None])
 def test_roots_leave_foreign_operands_unordered(bad):
     for value in (SqrtFraction(4), RootValue(4, 1)):
