@@ -315,6 +315,7 @@ _JSON_LIST = _check(lambda v, c: isinstance(v, list), "a JSON list")
 _JSON_BOOL = _check(lambda v, c: isinstance(v, bool), "true or false")
 _DEGREE = _integer(0, MAX_DEGREE)
 _COUNT = _integer(0)
+_POSITIVE = _integer(1)
 _TOLERANCE = _real(lambda v: 0 <= v <= MAX_TOL, f"a number in [0, {MAX_TOL}]")
 _FUNCTIONAL = _ref("functional", lambda config: config.functionals)
 _REPRESENTATION = _ref("representation", lambda config: config.representations)
@@ -919,7 +920,7 @@ def _suite_extension(config, params, seed):
 SUITES = {
     "bch-identity": Suite(_suite_bch_identity, {"degree": (6, _DEGREE)}, degree="degree"),
     "pbw-confluence": Suite(_suite_pbw_confluence,
-                            {"count": (200, _COUNT), "max_length": (5, _DEGREE)},
+                            {"count": (200, _POSITIVE), "max_length": (5, _DEGREE)},
                             degree="max_length"),
     "radius": Suite(_suite_radius,
                     {"functional": (None, _FUNCTIONAL), "expected": (None, _rational()),
@@ -932,7 +933,7 @@ SUITES = {
     "positivity": Suite(_suite_positivity,
                         {"representations": (None, _list(_REPRESENTATION)),
                          "d_max": (2, _DEGREE), "power_max": (3, _DEGREE),
-                         "directions": (10, _COUNT)},
+                         "directions": (10, _POSITIVE)},
                         requires=(("representations",),), degree="d_max",
                         consistent=_positivity_exact),
     "gns": Suite(_suite_gns,
@@ -947,8 +948,8 @@ SUITES = {
                         "max_residual": (None, _real(lambda v: v >= 0, "a nonnegative number"))},
                        requires=(("representation", "x", "y"),), degree="degree"),
     "kernel": Suite(_suite_kernel,
-                    {"representation": (None, _REPRESENTATION), "count": (20, _integer(1)),
-                     "repetitions": (10, _COUNT), "tolerance": (1e-10, _TOLERANCE)},
+                    {"representation": (None, _REPRESENTATION), "count": (20, _POSITIVE),
+                     "repetitions": (10, _POSITIVE), "tolerance": (1e-10, _TOLERANCE)},
                     requires=(("representation",),)),
     # n_max is a derivative order rather than a truncation degree, so it gets
     # a looser cap; random_size is capped like a representation's dim_V
@@ -964,7 +965,7 @@ SUITES = {
                         "functional": (None, _FUNCTIONAL),
                         "truth": (None, _ref("truth function", lambda config: _TRUTH_FUNCTIONS)),
                         "degrees": (None, _list(_integer(1, MAX_DEGREE))),
-                        "probes": (8, _COUNT),
+                        "probes": (8, _POSITIVE),
                         "probe_norm": ("1/2", _rational(lambda q: q >= 0,
                                                         "a nonnegative rational")),
                         "times": (None, _list(_rational())), "tolerance": (1e-6, _TOLERANCE)},

@@ -11,11 +11,13 @@ norm machinery never enumerates the ``dim**n`` words.  The symmetric sum
 ``S(alpha)``, the sum of all words whose letter multiset is ``alpha``, obeys
 ``S(0) = 1`` and ``S(alpha) = sum_{j: alpha_j > 0} S(alpha - e_j) e_j`` in
 normal form, and ``beta_n^s(alpha) = lam(S(alpha)) / multinomial(alpha)``.
-Inserting ``e_i`` at position k follows ``T_{k,i}(alpha) = S(alpha) e_i`` for
-``|alpha| = k - 1`` and ``T_{k,i}(alpha) = sum_j T_{k,i}(alpha - e_j) e_j``
-for ``|alpha| >= k``.  Both run over the ``C(n+dim-1, dim-1)`` multisets of
-each degree.  The word tables (:func:`beta_component`, :func:`symmetrize`)
-remain as the direct route for small n.
+Inserting ``e_i`` at position k gives ``T_{k,i}(alpha)``, the sum of the
+words with letter i at position k and the multiset alpha elsewhere; split
+after the inserted letter, ``lam(T_{k,i}(alpha))`` is a sum of
+``mu_{alpha''}(S(alpha') e_i)`` with ``mu_beta = lam(. S(beta))``.  Both run
+over the ``C(n+dim-1, dim-1)`` multisets of each degree.  The word tables
+(:func:`beta_component`, :func:`symmetrize`) remain as the direct route for
+small n.
 
 Exact evaluation runs on integers.  An exact table's integer image
 ``(den, {alpha: (V, W)})`` reads ``lam(x^alpha) = (V + W i) / (den *
@@ -38,7 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd
+from operator import add
 from typing import Optional, Tuple
 
 from .errors import (
@@ -356,19 +359,27 @@ def pnorm(beta):
 
     The sup of a multilinear map over the p-unit ball is attained at the
     ball vertices ``+-e_i / w_i``, so the norm is the max over letter tuples
-    of ``|beta(tuple)| / (w_{i1} .. w_{in})``.  Returned as a
-    :class:`SqrtFraction` whose square is exact.
+    of ``|beta(tuple)| / (w_{i1} .. w_{in})``.  With each value ``(a + b i)
+    / d`` and the weight product ``W / V`` as ints, the ratio squared is
+    ``(a**2 + b**2) V**2 / (d W)**2``; the max is decided by int cross
+    products and returned as a :class:`SqrtFraction` whose square is exact.
     """
-    spec = beta.spec
-    best = Fraction(0)
+    weights = _weight_pairs(beta.spec)
+    best_num, best_den = 0, 1
     for word, v in beta.values.items():
-        wprod = Fraction(1)
+        a, b = v.a, v.b
+        if not (a or b):
+            continue
+        top, bottom = v.d, 1
         for l in word:
-            wprod *= spec.weights[l]
-        q = v.abs2() / (wprod * wprod)
-        if q > best:
-            best = q
-    return SqrtFraction(best)
+            wn, wd = weights[l]
+            top *= wn
+            bottom *= wd
+        num = (a * a + b * b) * bottom * bottom
+        den = top * top
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return SqrtFraction(Fraction(best_num, best_den))
 
 
 def _times_letters(spec, layer):
@@ -400,16 +411,27 @@ def _symmetric_sums(spec, top):
     return sums
 
 
+def _weight_pairs(spec):
+    """The spec's weights as ``(numerator, denominator)`` int pairs."""
+    return tuple((w.numerator, w.denominator) for w in spec.weights)
+
+
 @cache
 def _vertex_scale2(weights, alpha):
-    """``(p, q)`` with ``(multinomial(alpha) * prod_l w_l**alpha_l)**2 == p / q``."""
+    """Lowest-terms ``(p, q)`` with ``(multinomial(alpha) * prod w_l**alpha_l)**2 == p / q``.
+
+    ``weights`` are :func:`_weight_pairs`: the cache key hashes and compares
+    plain ints, not Fractions.
+    """
     multinomial = factorial(sum(alpha))
-    wprod = Fraction(1)
-    for w, a in zip(weights, alpha):
+    top = bottom = 1
+    for (wn, wd), a in zip(weights, alpha):
         multinomial //= factorial(a)
-        wprod *= w ** a
-    scale2 = (multinomial * wprod) ** 2
-    return scale2.numerator, scale2.denominator
+        top *= wn ** a
+        bottom *= wd ** a
+    top *= multinomial
+    g = gcd(top, bottom)
+    return (top // g) ** 2, (bottom // g) ** 2
 
 
 def _symmetric_norm2(lam, layer, top):
@@ -423,6 +445,7 @@ def _symmetric_norm2(lam, layer, top):
     the max is divided by ``D**2`` once.
     """
     spec = lam.spec
+    weights = _weight_pairs(spec)
     den, image = lam._int_image()
     den *= spec.delta ** top
     best_num, best_den = 0, 1
@@ -430,35 +453,92 @@ def _symmetric_norm2(lam, layer, top):
         x, y = _contract(table, image)
         if not (x or y):
             continue
-        p, q = _vertex_scale2(spec.weights, alpha)
+        p, q = _vertex_scale2(weights, alpha)
         num = (x * x + y * y) * q
         if num * best_den > best_num * p:
             best_num, best_den = num, p
     return Fraction(best_num, best_den * den * den)
 
 
-def _insertion_chain(lam, sums, n_max):
-    """Insertion constants ``[c_0, .., c_{n_max}]``; ``sums`` reaches degree n_max.
+def _right_shifts(lam, top):
+    """``shifts[b][beta]`` is the table ``mu_beta = lam(. S(beta))`` for ``|beta| = b <= top``.
 
-    One chain ``T_{k,i}`` per position k and letter i serves every arity
-    ``n >= k - 1``.
+    Only ``lam`` on degree ``<= top + 1`` is read, so ``mu_beta`` is kept on
+    degree ``<= top + 1 - b``.  The first-letter split ``S(beta) =
+    sum_{j: beta_j > 0} e_j S(beta - e_j)`` gives ``mu_beta = sum_j
+    regular_act(mu_{beta - e_j}, e_j)``.  Every table of level b has its
+    image over ``den * delta**b`` (``den`` of ``lam``'s image), so the
+    images of one level add as int pairs.  ``shifts[1]`` holds the tables
+    ``D -> lam(D e_j)`` of the right regular action.
     """
     spec = lam.spec
-    best = [Fraction(0)] * (n_max + 1)
+    den, image = lam._int_image()
+    degree = top + 1
+    if lam.max_degree > degree:
+        image = {alpha: v for alpha, v in image.items() if sum(alpha) <= degree}
+        lam = FunctionalTable._from_image(spec, degree, den, image)
+    letters = [spec.basis_vector(j) for j in range(spec.dim)]
+    shifts = [{(0,) * spec.dim: lam}]
+    for b in range(1, top + 1):
+        level = {}
+        for gamma, table in shifts[-1].items():
+            for j, e_j in enumerate(letters):
+                grown = list(gamma)
+                grown[j] += 1
+                target = level.setdefault(tuple(grown), {})
+                for alpha, (x, y) in regular_act(table, e_j)._int_image()[1].items():
+                    _acc_pair(target, alpha, x, y)
+        den_b = den * spec.delta ** b
+        shifts.append({
+            beta: FunctionalTable._from_image(spec, degree - b, den_b, pairs)
+            for beta, pairs in level.items()
+        })
+    return shifts
+
+
+def _insertion_chain(sums, shifts, n_max):
+    """Insertion constants ``[c_0, .., c_{n_max}]`` from heads and shifted tables.
+
+    ``sums`` and ``shifts`` (:func:`_right_shifts`) reach degree n_max.
+    Splitting each word of ``T_{k,i}(alpha)`` after its inserted letter
+    gives ``lam(T_{k,i}(alpha)) = sum mu_{alpha''}(H_{k,i}(alpha'))`` over
+    ``alpha' + alpha'' = alpha`` with ``|alpha'| = k - 1``, where the head
+    ``H_{k,i}(alpha') = S(alpha') e_i`` is one graded table at grade k.
+    Every term of arity n is an int pair over ``den * delta**(n + 1)``, so
+    the values of one ``(k, i)`` add as ints and the ratios of all
+    ``(k, i, alpha)`` are compared as int cross products, as in
+    :func:`_symmetric_norm2`, with ``w_i**2`` folded in.  The cost is one
+    head per ``(k, i, alpha')`` and one contraction per head and tail
+    multiset ``alpha''``; no normal-form layer is grown per ``(k, i)``.
+    """
+    (lam,) = shifts[0].values()
+    spec = lam.spec
+    weights = _weight_pairs(spec)
+    tails = [[(beta, t._int_image()[1]) for beta, t in level.items()] for level in shifts]
+    best = [(0, 1)] * (n_max + 1)
     for k in range(1, n_max + 2):
-        for i in range(spec.dim):
-            w2 = spec.weights[i] ** 2
-            layer = {
-                alpha: _poly_right_letter(spec, table, i)
-                for alpha, table in sums[k - 1].items()
-            }
+        for i, (wn, wd) in enumerate(weights):
+            heads = [
+                (a1, _poly_right_letter(spec, table, i)) for a1, table in sums[k - 1].items()
+            ]
             for n in range(k - 1, n_max + 1):
-                if n >= k:
-                    layer = _times_letters(spec, layer)
-                q = _symmetric_norm2(lam, layer, n + 1) / w2
-                if q > best[n]:
-                    best[n] = q
-    return [SqrtFraction(q) for q in best]
+                values = {}
+                for a1, head in heads:
+                    for a2, image in tails[n - k + 1]:
+                        _acc_pair(values, tuple(map(add, a1, a2)), *_contract(head, image))
+                best_num, best_den = best[n]
+                for alpha, (x, y) in values.items():
+                    p, q = _vertex_scale2(weights, alpha)
+                    num = (x * x + y * y) * q * wd * wd
+                    den = p * wn * wn
+                    if num * best_den > best_num * den:
+                        best_num, best_den = num, den
+                best[n] = best_num, best_den
+    den = lam._int_image()[0]
+    return [
+        SqrtFraction(Fraction(num, d * (den * spec.delta ** (n + 1)) ** 2))
+        for n, (num, d) in enumerate(best)
+    ]
 
 
 @dataclass(frozen=True)
@@ -579,17 +659,22 @@ def insertion_constants(lam, n):
     over all positions ``k <= n+1`` and all ``y``; by linearity in ``y`` the
     sup reduces to the ball vertices, i.e. a max over ``(k, basis index)``.
     The symmetrized value of ``(i_{e_i}^k beta)_n`` at a multiset alpha is
-    ``lam(T_{k,i}(alpha)) / multinomial(alpha)``, where ``T_{k,i}(alpha)``,
+    ``lam(T_{k,i}(alpha)) / multinomial(alpha)``, where ``T_{k,i}(alpha)`` is
     the sum of the words with letter i at position k and the multiset alpha
-    elsewhere, is ``S(alpha) e_i`` for ``|alpha| = k - 1`` and
-    ``sum_j T_{k,i}(alpha - e_j) e_j`` beyond.
+    elsewhere.  Each such word is a word of multiset ``alpha'`` (length
+    ``k - 1``), then ``e_i``, then a word of multiset ``alpha''``, so
+    ``lam(T_{k,i}(alpha)) = sum mu_{alpha''}(S(alpha') e_i)`` over
+    ``alpha' + alpha'' = alpha``, with ``mu_beta = lam(. S(beta))``.  The
+    ``mu_beta`` for ``|beta| <= n`` cost one :func:`regular_act` per
+    ``(beta, j)`` with ``beta_j > 0``, and each head ``S(alpha') e_i`` one
+    right-letter step; see :func:`_insertion_chain`.
     """
     lam._need_exact("insertion constants")
     if n + 1 > lam.max_degree:
         raise DegreeOverflowError(
             f"insertion constants at arity {n} need degree {n + 1} <= {lam.max_degree}"
         )
-    return _insertion_chain(lam, _symmetric_sums(lam.spec, n), n)[n]
+    return _insertion_chain(_symmetric_sums(lam.spec, n), _right_shifts(lam, n), n)[n]
 
 
 @dataclass(frozen=True)
@@ -644,9 +729,9 @@ def recursion_check(lam, n_max):
     if not sub.ok:
         raise SubmultiplicativityError(str(sub))
     spec = lam.spec
-    acted = [regular_act(lam, spec.basis_vector(i)) for i in range(spec.dim)]
     sums = _symmetric_sums(spec, n_max + 1)
-    constants = _insertion_chain(lam, sums, n_max)
+    shifts = _right_shifts(lam, n_max)
+    constants = _insertion_chain(sums, shifts, n_max)
     rows = []
     for n in range(1, n_max + 1):
         c_prev, c_n = constants[n - 1], constants[n]
@@ -656,7 +741,8 @@ def recursion_check(lam, n_max):
         )
         invariance = True
         for i in range(spec.dim):
-            acted_norm = SqrtFraction(_symmetric_norm2(acted[i], sums[n], n))
+            acted = shifts[1][tuple(int(l == i) for l in range(spec.dim))]
+            acted_norm = SqrtFraction(_symmetric_norm2(acted, sums[n], n))
             bound = c_n * spec.weights[i]
             if not acted_norm <= bound:
                 invariance = False

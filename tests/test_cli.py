@@ -454,6 +454,14 @@ MALFORMED = [
     pytest.param("su2.json", _float_rep("generators", [1, 0, 2], False), ["validate"],
                  ("representations.spin_one_float.generators", "got false"),
                  id="float-generator-bool"),
+    pytest.param("su2.json", _set("extension", "probes", 0), ["validate"],
+                 ("suites[9] (extension)", "probes"), id="extension-probes-zero"),
+    pytest.param("su2.json", _set("kernel", "repetitions", 0), ["validate"],
+                 ("suites[7] (kernel)", "repetitions"), id="kernel-repetitions-zero"),
+    pytest.param("su2.json", _set("pbw-confluence", "count", 0), ["validate"],
+                 ("suites[1] (pbw-confluence)", "count"), id="pbw-confluence-count-zero"),
+    pytest.param("su2.json", _set("positivity", "directions", 0), ["validate"],
+                 ("suites[4] (positivity)", "directions"), id="positivity-directions-zero"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-300), ["validate"],
                  ("suites[8] (cauchy)", "r:", "overflows binary64"), id="cauchy-r-tiny"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-20), ["--degree", "16", "run", "cauchy"],
@@ -474,6 +482,16 @@ def test_malformed_input_exits_2_naming_key(tmp_path, capsys, config, patch, arg
     assert err.startswith("config error: ")
     for needle in needles:
         assert needle in err
+
+
+@pytest.mark.parametrize("suite, key", [("gns", "expected_rank"), ("cauchy", "random_reps")])
+def test_zero_admitted_where_it_is_a_real_value(tmp_path, suite, key):
+    doc = shipped("su2.json")
+    _set(suite, key, 0)(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["--config", str(path), "validate"]) == 0
 
 
 def test_suite_failure_exits_2_naming_suite(tmp_path, capsys):

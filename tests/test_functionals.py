@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -10,6 +11,7 @@ import pytest
 from envalg import functionals, gns, lie_structure
 from envalg.catalog import (
     abelian,
+    affine_line,
     delta_functional,
     factorial_functional,
     gaussian_functional,
@@ -25,6 +27,8 @@ from envalg.functionals import (
     FunctionalTable,
     _symmetric_norm2,
     _symmetric_sums,
+    _vertex_scale2,
+    _weight_pairs,
     beta_component,
     growth_diagnostics,
     insertion_constants,
@@ -37,7 +41,7 @@ from envalg.functionals import (
 )
 from envalg.gns import functional_from_rep
 from envalg.lie_structure import GVector, PBWPoly, pbw_mul, pbw_reduce, star
-from envalg.sampling import random_functional
+from envalg.sampling import random_functional, random_submultiplicative_weights
 from envalg.scalars import RootValue, Scalar, SqrtFraction, sqrt_leq_sqrt_plus_multiple
 from rational_algebras import HEIS_3_5, RATIONAL_ALGEBRAS, SO3_HALF, SO3_SIXTH, rational_reps
 
@@ -682,6 +686,143 @@ class TestMultisetRoute:
         assert radius_estimate(lam).per_degree
         assert insertion_constants(lam, 2) is not None
         assert recursion_check(lam, 3).rows
+
+
+def fraction_vertex_scale(weights, alpha):
+    """``multinomial(alpha) * prod_l w_l**alpha_l`` as a Fraction."""
+    multinomial = factorial(sum(alpha))
+    wprod = Fraction(1)
+    for w, a in zip(weights, alpha):
+        multinomial //= factorial(a)
+        wprod *= w ** a
+    return multinomial * wprod
+
+
+def layer_chain_reference(lam, n_max):
+    """``[c_0, .., c_{n_max}]`` from grown ``T_{k,i}`` layers, maxed as Fractions.
+
+    ``T_{k,i}(alpha) = S(alpha) e_i`` for ``|alpha| = k - 1`` and
+    ``sum_j T_{k,i}(alpha - e_j) e_j`` beyond: one full normal-form layer per
+    position, letter and arity.
+    """
+    spec = lam.spec
+    sums = _symmetric_sums(spec, n_max)
+    best = [Fraction(0)] * (n_max + 1)
+    for k in range(1, n_max + 2):
+        for i in range(spec.dim):
+            layer = {
+                alpha: lie_structure._poly_right_letter(spec, table, i)
+                for alpha, table in sums[k - 1].items()
+            }
+            for n in range(k - 1, n_max + 1):
+                if n >= k:
+                    layer = functionals._times_letters(spec, layer)
+                for alpha, table in layer.items():
+                    scale = fraction_vertex_scale(spec.weights, alpha) * spec.weights[i]
+                    best[n] = max(best[n], lam._eval_graded(table, n + 1).abs2() / scale ** 2)
+    return [SqrtFraction(q) for q in best]
+
+
+def _layer_route_rows(lam, n_max):
+    """Every ``recursion_check`` row field from the layer chain and the full regular action."""
+    spec = lam.spec
+    constants = layer_chain_reference(lam, n_max)
+    acted = [regular_act(lam, spec.basis_vector(i)) for i in range(spec.dim)]
+    sums = _symmetric_sums(spec, n_max + 1)
+    rows = []
+    for n in range(1, n_max + 1):
+        c_n, c_prev = constants[n], constants[n - 1]
+        beta_next = SqrtFraction(_symmetric_norm2(lam, sums[n + 1], n + 1))
+        ineq = sqrt_leq_sqrt_plus_multiple(c_n.squared, beta_next.squared, n, c_prev.squared)
+        invariance = all(
+            SqrtFraction(_symmetric_norm2(acted[i], sums[n], n)) <= c_n * spec.weights[i]
+            for i in range(spec.dim)
+        )
+        rows.append((n, c_n, beta_next, c_prev, ineq, invariance))
+    return rows
+
+
+WEIGHTED_SO3 = random_submultiplicative_weights(SO3, random.Random(2))
+
+# (spec, table degree, seed, complex values); degrees above 6 cut the shifted tables short
+CHAIN_CASES = {
+    "so3-real": (SO3, 6, 520, False),
+    "so3-complex": (SO3, 6, 521, True),
+    "so3-half": (SO3_HALF, 6, 522, True),
+    "so3-sixth": (SO3_SIXTH, 6, 523, True),
+    "heisenberg-3/5": (HEIS_3_5, 6, 524, True),
+    "so3-weighted": (WEIGHTED_SO3, 6, 525, True),
+    "abelian1": (abelian(1), 6, 526, True),
+    "affine": (affine_line(), 6, 527, False),
+    "so3-degree-8": (SO3, 8, 528, True),
+    "heisenberg-3/5-degree-7": (HEIS_3_5, 7, 529, True),
+    "affine-degree-9": (affine_line(), 9, 530, True),
+}
+
+
+class TestInsertionChain:
+    """Shifted tables and heads against the grown ``T_{k,i}`` layers they replace."""
+
+    def test_weighted_case_has_fractional_unequal_weights(self):
+        assert len(set(WEIGHTED_SO3.weights)) > 1
+        assert any(w.denominator > 1 for w in WEIGHTED_SO3.weights)
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+    def test_insertion_constants_match_layer_chain(self, name):
+        spec, degree, seed, complex_values = CHAIN_CASES[name]
+        lam = rand_table(spec, degree, seed, complex_values)
+        expect = layer_chain_reference(lam, 5)
+        assert [insertion_constants(lam, n) for n in range(6)] == expect
+
+    @pytest.mark.parametrize("name", ["so3-degree-8", "so3-weighted", "heisenberg-3/5-degree-7",
+                                      "affine-degree-9"])
+    def test_recursion_rows_match_layer_chain(self, name):
+        spec, degree, seed, complex_values = CHAIN_CASES[name]
+        lam = rand_table(spec, degree, seed, complex_values)
+        got = [
+            (r.n, r.c_n, r.beta_next_norm, r.c_prev, r.inequality_ok, r.invariance_ok)
+            for r in recursion_check(lam, 5).rows
+        ]
+        assert got == _layer_route_rows(lam, 5)
+
+    def test_recursion_grows_no_insertion_layers(self, monkeypatch):
+        callers = []
+        grow = functionals._times_letters
+
+        def counted(spec, layer):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return grow(spec, layer)
+
+        monkeypatch.setattr(functionals, "_times_letters", counted)
+        lam = rand_table(SO3, 6, 531)
+        assert recursion_check(lam, 5).rows
+        # only the symmetric sums S(alpha) up to degree n_max + 1 are grown
+        assert callers == ["_symmetric_sums"] * 6
+
+    @pytest.mark.parametrize("spec", [SO3, WEIGHTED_SO3, SO3_SIXTH, heisenberg((2, 3, 6))],
+                             ids=["so3", "so3-weighted", "so3-sixth", "heisenberg-weighted"])
+    def test_vertex_scale_matches_fraction_formula(self, spec):
+        weights = _weight_pairs(spec)
+        for alpha in monomials_up_to(spec.dim, 6):
+            scale2 = fraction_vertex_scale(spec.weights, alpha) ** 2
+            assert _vertex_scale2(weights, alpha) == (scale2.numerator, scale2.denominator)
+
+    @pytest.mark.parametrize("spec, seed", [
+        (SO3, 532), (WEIGHTED_SO3, 533), (SO3_SIXTH, 534), (heisenberg((2, 3, 6)), 535),
+        (abelian(1, [Fraction(3, 2)]), 536),
+    ], ids=["so3", "so3-weighted", "so3-sixth", "heisenberg-weighted", "abelian1-weighted"])
+    def test_integer_pnorm_matches_fraction_max(self, spec, seed):
+        lam = rand_table(spec, 4, seed)
+        for n in range(5):
+            raw = beta_component(lam, n)
+            for comp in (raw, symmetrize(raw)):
+                best = Fraction(0)
+                for word, v in comp.values.items():
+                    wprod = Fraction(1)
+                    for l in word:
+                        wprod *= spec.weights[l]
+                    best = max(best, v.abs2() / wprod ** 2)
+                assert pnorm(comp) == SqrtFraction(best)
 
 
 def test_growth_diagnostics_monotone():
