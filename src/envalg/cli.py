@@ -314,11 +314,19 @@ def _ref(kind, names):
 _JSON_LIST = _check(lambda v, c: isinstance(v, list), "a JSON list")
 _JSON_BOOL = _check(lambda v, c: isinstance(v, bool), "true or false")
 _DEGREE = _integer(0, MAX_DEGREE)
+_POSITIVE_DEGREE = _integer(1, MAX_DEGREE)
 _COUNT = _integer(0)
 _POSITIVE = _integer(1)
 _TOLERANCE = _real(lambda v: 0 <= v <= MAX_TOL, f"a number in [0, {MAX_TOL}]")
 _FUNCTIONAL = _ref("functional", lambda config: config.functionals)
 _REPRESENTATION = _ref("representation", lambda config: config.representations)
+
+
+def _exact_representation(value, config):
+    # the algebra-side suites build exact functionals, moment matrices and models
+    _REPRESENTATION(value, config)
+    if not config.representations[value].exact:
+        raise ValueError(f"{value!r} is a float representation; this suite needs exact ones")
 
 
 @dataclass(frozen=True)
@@ -668,16 +676,6 @@ def _suite_recursion(config, params, seed):
     return checks
 
 
-def _positivity_exact(params, config):
-    # the analytic diagnostics read exact word tables of each functional
-    for name in params["representations"]:
-        if not config.representations[name].exact:
-            raise ValueError(
-                f"representations: {name!r} is a float representation; "
-                "positivity needs exact ones"
-            )
-
-
 def _suite_positivity(config, params, seed):
     rng = random.Random(seed)
     checks = []
@@ -733,17 +731,15 @@ def _suite_gns(config, params, seed):
                 str(model.quotient_rank),
             )
         )
-    if rep.exact:
-        orbit = orbit_gram(rep, d_max)
-        same = orbit == model.gram.rows
-        checks.append(
-            Check(
-                "orbit-gram",
-                same,
-                "GNS Gram equals orbit Gram exactly",
-                "equal" if same else "mismatch",
-            )
+    same = orbit_gram(rep, d_max) == model.gram.rows
+    checks.append(
+        Check(
+            "orbit-gram",
+            same,
+            "GNS Gram equals orbit Gram exactly",
+            "equal" if same else "mismatch",
         )
+    )
     if model.skew_exact is None:
         # degree 0 or a zero quotient: no operators, so skewness holds vacuously
         actual = f"no operators (degree {d_max}, quotient rank {model.quotient_rank})"
@@ -920,28 +916,28 @@ def _suite_extension(config, params, seed):
 SUITES = {
     "bch-identity": Suite(_suite_bch_identity, {"degree": (6, _DEGREE)}, degree="degree"),
     "pbw-confluence": Suite(_suite_pbw_confluence,
-                            {"count": (200, _POSITIVE), "max_length": (5, _DEGREE)},
+                            {"count": (200, _POSITIVE), "max_length": (5, _POSITIVE_DEGREE)},
                             degree="max_length"),
     "radius": Suite(_suite_radius,
                     {"functional": (None, _FUNCTIONAL), "expected": (None, _rational()),
                      "tolerance": (1e-9, _TOLERANCE)},
                     requires=(("functional",),)),
     "recursion": Suite(_suite_recursion,
-                       {"functional": (None, _FUNCTIONAL), "n_max": (3, _DEGREE)},
+                       {"functional": (None, _FUNCTIONAL), "n_max": (3, _POSITIVE_DEGREE)},
                        requires=(("functional",),), degree="n_max",
                        consistent=_recursion_fits),
     "positivity": Suite(_suite_positivity,
-                        {"representations": (None, _list(_REPRESENTATION)),
+                        {"representations": (None, _list(_exact_representation)),
                          "d_max": (2, _DEGREE), "power_max": (3, _DEGREE),
                          "directions": (10, _POSITIVE)},
-                        requires=(("representations",),), degree="d_max",
-                        consistent=_positivity_exact),
+                        requires=(("representations",),), degree="d_max"),
     "gns": Suite(_suite_gns,
-                 {"representation": (None, _REPRESENTATION), "d_max": (2, _DEGREE),
+                 {"representation": (None, _exact_representation), "d_max": (2, _DEGREE),
                   "expected_rank": (None, _COUNT)},
                  requires=(("representation",),), degree="d_max"),
     "local-hom": Suite(_suite_local_hom,
-                       {"representation": (None, _REPRESENTATION), "degree": (4, _DEGREE),
+                       {"representation": (None, _REPRESENTATION),
+                        "degree": (4, _POSITIVE_DEGREE),
                         "scales": (None, _list(_rational(lambda q: q > 0, "a positive rational"))),
                         "x": (None, _gvector), "y": (None, _gvector),
                         "min_slope": (None, _real(lambda v: True, "a number")),
@@ -961,7 +957,7 @@ SUITES = {
                     requires=(("representation",),), degree="n_max",
                     consistent=_cauchy_fits),
     "extension": Suite(_suite_extension,
-                       {"representation": (None, _REPRESENTATION),
+                       {"representation": (None, _exact_representation),
                         "functional": (None, _FUNCTIONAL),
                         "truth": (None, _ref("truth function", lambda config: _TRUTH_FUNCTIONS)),
                         "degrees": (None, _list(_integer(1, MAX_DEGREE))),

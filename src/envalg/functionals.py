@@ -19,15 +19,17 @@ over the ``C(n+dim-1, dim-1)`` multisets of each degree.  The word tables
 (:func:`beta_component`, :func:`symmetrize`) remain as the direct route for
 small n.
 
-Exact evaluation runs on integers.  An exact table's integer image
-``(den, {alpha: (V, W)})`` reads ``lam(x^alpha) = (V + W i) / (den *
-delta**|alpha|)``, and a normal form from the PBW engine is a graded int
-table ``{b: n_b}`` at grade ``top`` reading ``sum_b n_b / delta**(top -
-|b|) x^b``.  The powers of ``delta`` cancel term by term, so ``lam`` of
-the table is ``sum_b n_b (V_b + W_b i)`` over the single denominator
-``den * delta**top``.  The norm kernels, :func:`beta_component` and
-:func:`regular_act` sum those int products and build one Scalar per output
-entry; :func:`regular_act` hands on its result as an image too.
+Every table holds exact Scalars, including the matrix-coefficient tables
+of float representations (see :mod:`envalg.gns`), and evaluation runs on
+integers.  A table's integer image ``(den, {alpha: (V, W)})`` reads
+``lam(x^alpha) = (V + W i) / (den * delta**|alpha|)``, and a normal form
+from the PBW engine is a graded int table ``{b: n_b}`` at grade ``top``
+reading ``sum_b n_b / delta**(top - |b|) x^b``.  The powers of ``delta``
+cancel term by term, so ``lam`` of the table is ``sum_b n_b (V_b + W_b
+i)`` over the single denominator ``den * delta**top``.  The norm kernels,
+:func:`beta_component` and :func:`regular_act` sum those int products and
+build one Scalar per output entry; :func:`regular_act` hands on its result
+as an image too.
 
 Norms are values ``sqrt(q)`` with rational ``q``; every comparison is done
 on the exact squares (see :mod:`envalg.scalars`), and floating point shows
@@ -52,7 +54,6 @@ from .errors import (
 from .free_algebra import _acc
 from .lie_structure import (
     _acc_pair,
-    _float_terms,
     _graded,
     _poly_right_letter,
     _right_letter,
@@ -60,12 +61,13 @@ from .lie_structure import (
     submult_check,
 )
 from .scalars import (
+    ZERO,
     RootValue,
     Scalar,
     SqrtFraction,
     _int_pairs,
     _reduced,
-    scalar_field,
+    as_scalar,
     sqrt_leq_sqrt_plus_multiple,
 )
 
@@ -106,11 +108,8 @@ def monomials_up_to(dim, degree):
 class FunctionalTable:
     """Values of a linear functional on all PBW monomials of degree <= N.
 
-    Absent entries are zero.  ``exact`` tables hold :class:`Scalar` values;
-    non-exact tables (from floating representations) hold complex numbers
-    and only support evaluation-style operations.
-
-    An exact table also has an integer image ``(den, {alpha: (V, W)})``
+    Absent entries are zero; every value is an exact :class:`Scalar`.  A
+    table also has an integer image ``(den, {alpha: (V, W)})``
     with ``lam(x^alpha) = (V + W i) / (den * delta**|alpha|)`` (``delta`` of
     the spec, see :mod:`envalg.lie_structure`).  Against a graded int table
     at grade ``top`` every term then shares the denominator
@@ -120,14 +119,16 @@ class FunctionalTable:
     image and materializes ``values`` on first read.
     """
 
-    __slots__ = ("spec", "max_degree", "field", "_values", "_image")
+    __slots__ = ("spec", "max_degree", "_values", "_image")
 
-    def __init__(self, spec, max_degree, values=None, exact=True):
+    # every table is exact; perfbench/tracing.py still reads the flag
+    exact = True
+
+    def __init__(self, spec, max_degree, values=None):
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         self.spec = spec
         self.max_degree = max_degree
-        self.field = scalar_field(exact)
         clean = {}
         for alpha, v in (values or {}).items():
             alpha = tuple(alpha)
@@ -137,9 +138,9 @@ class FunctionalTable:
                 raise DegreeOverflowError(
                     f"value for {monomial_name(spec, alpha)} exceeds degree {max_degree}"
                 )
-            v = self.field.coerce(v)
+            v = as_scalar(v)
             if v is NotImplemented:
-                raise TypeError("exact tables need Scalar values")
+                raise TypeError("functional tables need Scalar values")
             if v:
                 clean[alpha] = v
         self._values = clean
@@ -147,11 +148,10 @@ class FunctionalTable:
 
     @classmethod
     def _from_image(cls, spec, max_degree, den, image):
-        """An exact table from its integer image (nonzero pairs, degrees in range)."""
+        """A table from its integer image (nonzero pairs, degrees in range)."""
         lam = object.__new__(cls)
         lam.spec = spec
         lam.max_degree = max_degree
-        lam.field = scalar_field(True)
         lam._values = None
         lam._image = (den, image)
         return lam
@@ -169,7 +169,7 @@ class FunctionalTable:
         return values
 
     def _int_image(self):
-        """The integer image ``(den, {alpha: (V, W)})`` of an exact table."""
+        """The integer image ``(den, {alpha: (V, W)})`` of the table."""
         image = self._image
         if image is None:
             values = self._values
@@ -182,10 +182,6 @@ class FunctionalTable:
             image = self._image = (den, graded)
         return image
 
-    @property
-    def exact(self):
-        return self.field.exact
-
     def value(self, alpha):
         alpha = tuple(alpha)
         if sum(alpha) > self.max_degree:
@@ -193,18 +189,13 @@ class FunctionalTable:
                 f"functional not defined on {monomial_name(self.spec, alpha)} "
                 f"(degree {sum(alpha)} > {self.max_degree})"
             )
-        return self.values.get(alpha, self.field.zero)
+        return self.values.get(alpha, ZERO)
 
     def eval(self, poly):
-        """Evaluate on a PBW element by linearity; rejects degree overflow.
-
-        Exact tables sum int pairs over one denominator; float tables add
-        ``coeff * value`` term by term in the order of the terms.
-        """
+        """Evaluate on a PBW element by linearity, summing int pairs over one
+        denominator; rejects degree overflow."""
         if not (poly.spec is self.spec or poly.spec == self.spec):
             raise SpecMismatchError("functional and element use different specs")
-        if not self.exact:
-            return _float_dot(self._known(poly.terms.items(), self.values), self.values)
         den_p, top, terms = _graded(self.spec, poly.terms)
         den, image = self._int_image()
         x = y = 0
@@ -215,16 +206,10 @@ class FunctionalTable:
         return _reduced(x, y, den_p * den * self.spec.delta ** top)
 
     def _eval_graded(self, table, top):
-        """``lam`` of a real graded int table at grade ``top`` within the degree.
-
-        Exact: one Scalar over ``den * delta**top``.  Float: each coefficient
-        correctly rounded, summed in the table's order as :meth:`eval` sums.
-        """
-        if self.exact:
-            den, image = self._int_image()
-            return _reduced(*_contract(table, image), den * self.spec.delta ** top)
-        terms = _float_terms(self.spec, 1, top, {b: (n, 0) for b, n in table.items()})
-        return _float_dot(terms, self.values)
+        """``lam`` of a real graded int table at grade ``top`` within the degree,
+        as one Scalar over ``den * delta**top``."""
+        den, image = self._int_image()
+        return _reduced(*_contract(table, image), den * self.spec.delta ** top)
 
     def _known(self, terms, table):
         """The ``(alpha, coeff)`` terms whose alpha is stored in ``table``.
@@ -241,25 +226,11 @@ class FunctionalTable:
                     f"functional degree {self.max_degree}"
                 )
 
-    def _need_exact(self, what):
-        if not self.exact:
-            raise ValueError(f"{what} requires an exact functional table")
-
     def __repr__(self):
         return (
-            f"FunctionalTable({self.field.name}, degree<={self.max_degree}, "
+            f"FunctionalTable(degree<={self.max_degree}, "
             f"{len(self.values)} nonzero values)"
         )
-
-
-def _float_dot(terms, values):
-    """``sum c * values[b]`` over ``(b, c)`` in order, skipping absent b, from 0j."""
-    total = 0j
-    for b, c in terms:
-        v = values.get(b)
-        if v is not None:
-            total = total + c * v
-    return total
 
 
 def _contract(table, image):
@@ -310,7 +281,6 @@ def beta_component(lam, n):
     one right-letter step from its prefix's normal form, and only the normal
     forms on the current path are held.
     """
-    lam._need_exact("beta components")
     if n > lam.max_degree:
         raise DegreeOverflowError(f"arity {n} exceeds functional degree {lam.max_degree}")
     spec = lam.spec
@@ -434,6 +404,25 @@ def _vertex_scale2(weights, alpha):
     return (top // g) ** 2, (bottom // g) ** 2
 
 
+def _max_ratio(best, values, weights, wn=1, wd=1):
+    """Fold ``|X + Y i|**2 / (multinomial(alpha) prod_l w_l**alpha_l * w)**2`` into ``best``.
+
+    ``values`` yields ``(alpha, (X, Y))`` over one common denominator, and
+    ``w = wn / wd`` is an extra weight.  ``best`` is the running max as an
+    int pair ``(num, den)``; the ratios are compared as int cross products.
+    """
+    best_num, best_den = best
+    for alpha, (x, y) in values:
+        if not (x or y):
+            continue
+        p, q = _vertex_scale2(weights, alpha)
+        num = (x * x + y * y) * q * wd * wd
+        den = p * wn * wn
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
+
+
 def _symmetric_norm2(lam, layer, top):
     """Squared p-norm of the symmetric component whose multiset sums are ``layer``.
 
@@ -441,23 +430,14 @@ def _symmetric_norm2(lam, layer, top):
     its vertex weight is ``prod_l w_l**alpha_l``; the norm is the max ratio.
     ``layer`` holds graded int tables at grade ``top``, so every
     ``lam(layer[alpha])`` is ``(X + Y i) / D`` over one denominator D; the
-    ratios ``|X + Y i|**2 / scale**2`` are compared as int cross products and
-    the max is divided by ``D**2`` once.
+    max of :func:`_max_ratio` is divided by ``D**2`` once.
     """
-    spec = lam.spec
-    weights = _weight_pairs(spec)
     den, image = lam._int_image()
-    den *= spec.delta ** top
-    best_num, best_den = 0, 1
-    for alpha, table in layer.items():
-        x, y = _contract(table, image)
-        if not (x or y):
-            continue
-        p, q = _vertex_scale2(weights, alpha)
-        num = (x * x + y * y) * q
-        if num * best_den > best_num * p:
-            best_num, best_den = num, p
-    return Fraction(best_num, best_den * den * den)
+    num, scale = _max_ratio(
+        (0, 1), ((alpha, _contract(t, image)) for alpha, t in layer.items()),
+        _weight_pairs(lam.spec),
+    )
+    return Fraction(num, scale * (den * lam.spec.delta ** top) ** 2)
 
 
 def _right_shifts(lam, top):
@@ -506,10 +486,10 @@ def _insertion_chain(sums, shifts, n_max):
     ``H_{k,i}(alpha') = S(alpha') e_i`` is one graded table at grade k.
     Every term of arity n is an int pair over ``den * delta**(n + 1)``, so
     the values of one ``(k, i)`` add as ints and the ratios of all
-    ``(k, i, alpha)`` are compared as int cross products, as in
-    :func:`_symmetric_norm2`, with ``w_i**2`` folded in.  The cost is one
-    head per ``(k, i, alpha')`` and one contraction per head and tail
-    multiset ``alpha''``; no normal-form layer is grown per ``(k, i)``.
+    ``(k, i, alpha)`` go through :func:`_max_ratio` with the extra weight
+    ``w_i``.  The cost is one head per ``(k, i, alpha')`` and one
+    contraction per head and tail multiset ``alpha''``; no normal-form layer
+    is grown per ``(k, i)``.
     """
     (lam,) = shifts[0].values()
     spec = lam.spec
@@ -526,19 +506,14 @@ def _insertion_chain(sums, shifts, n_max):
                 for a1, head in heads:
                     for a2, image in tails[n - k + 1]:
                         _acc_pair(values, tuple(map(add, a1, a2)), *_contract(head, image))
-                best_num, best_den = best[n]
-                for alpha, (x, y) in values.items():
-                    p, q = _vertex_scale2(weights, alpha)
-                    num = (x * x + y * y) * q * wd * wd
-                    den = p * wn * wn
-                    if num * best_den > best_num * den:
-                        best_num, best_den = num, den
-                best[n] = best_num, best_den
-    den = lam._int_image()[0]
-    return [
-        SqrtFraction(Fraction(num, d * (den * spec.delta ** (n + 1)) ** 2))
-        for n, (num, d) in enumerate(best)
-    ]
+                best[n] = _max_ratio(best[n], values.items(), weights, wn, wd)
+    return [_arity_norm(lam, n, best[n]) for n in range(n_max + 1)]
+
+
+def _arity_norm(lam, n, ratio):
+    """The :class:`SqrtFraction` of a :func:`_max_ratio` max over ``den * delta**(n + 1)``."""
+    num, d = ratio
+    return SqrtFraction(Fraction(num, d * (lam._int_image()[0] * lam.spec.delta ** (n + 1)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -586,7 +561,6 @@ def radius_estimate(lam, max_n=None):
     n costs one normal-form product per letter and multiset, and the
     C(n+dim-1, dim-1) multisets grow polynomially in n, not like dim**n.
     """
-    lam._need_exact("radius estimate")
     top = lam.max_degree if max_n is None else min(max_n, lam.max_degree)
     sums = _symmetric_sums(lam.spec, top)
     best = None
@@ -610,12 +584,9 @@ def regular_act(lam, y):
     slot of the table is consumed by ``y``.  The value at alpha is
     ``sum_b c_b lam(b)``, where ``sum_b c_b b`` is the normal form of
     ``x^alpha y``: the cached ``x^alpha e_i``, times ``y_i``.  With ``y``
-    over one denominator ``den_y``, an exact table's image ``(den, V)``
+    over one denominator ``den_y``, the table's image ``(den, V)``
     gives the image ``(den_y * den * delta, X)`` of the result, where each
-    ``X[alpha]`` sums int products.  On a float table the coefficients
-    ``c_b`` are combined exactly, in the order :func:`pbw_mul` would, and
-    enter as correctly rounded complex numbers, so float tables see the
-    same operations in the same order as ``lam.eval`` of the product.
+    ``X[alpha]`` sums int products.
     """
     if lam.max_degree < 1:
         raise DegreeOverflowError("regular action needs max_degree >= 1")
@@ -624,32 +595,17 @@ def regular_act(lam, y):
     spec = lam.spec
     den_y, pairs = _int_pairs(y.coeffs)
     ys = [(i, p, q) for i, (p, q) in enumerate(pairs) if p or q]
-    monos = monomials_up_to(spec.dim, lam.max_degree - 1)
-    if lam.exact:
-        den, image = lam._int_image()
-        out = {}
-        for alpha in monos:
-            x = z = 0
-            for i, p, q in ys:
-                sr, si = _contract(_right_letter(spec, alpha, i), image)
-                x += p * sr - q * si
-                z += p * si + q * sr
-            if x or z:
-                out[alpha] = (x, z)
-        return FunctionalTable._from_image(
-            spec, lam.max_degree - 1, den_y * den * spec.delta, out
-        )
-    values = {}
-    for alpha in monos:
-        top = sum(alpha) + 1
-        terms = {}
+    den, image = lam._int_image()
+    out = {}
+    for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
+        x = z = 0
         for i, p, q in ys:
-            for b, c in _right_letter(spec, alpha, i).items():
-                _acc_pair(terms, b, c * p, c * q)
-        total = _float_dot(_float_terms(spec, den_y, top, terms), lam.values)
-        if total:
-            values[alpha] = total
-    return FunctionalTable(spec, lam.max_degree - 1, values, exact=False)
+            sr, si = _contract(_right_letter(spec, alpha, i), image)
+            x += p * sr - q * si
+            z += p * si + q * sr
+        if x or z:
+            out[alpha] = (x, z)
+    return FunctionalTable._from_image(spec, lam.max_degree - 1, den_y * den * spec.delta, out)
 
 
 def insertion_constants(lam, n):
@@ -669,7 +625,6 @@ def insertion_constants(lam, n):
     ``(beta, j)`` with ``beta_j > 0``, and each head ``S(alpha') e_i`` one
     right-letter step; see :func:`_insertion_chain`.
     """
-    lam._need_exact("insertion constants")
     if n + 1 > lam.max_degree:
         raise DegreeOverflowError(
             f"insertion constants at arity {n} need degree {n + 1} <= {lam.max_degree}"
@@ -719,8 +674,14 @@ class RecursionReport:
 
 
 def recursion_check(lam, n_max):
-    """Verify the insertion-constant recursion exactly for ``1 <= n <= n_max``."""
-    lam._need_exact("recursion check")
+    """Verify the insertion-constant recursion exactly for ``1 <= n <= n_max``.
+
+    ``lam(S(alpha))`` for ``|alpha| = n + 1`` is ``sum_{j: alpha_j > 0}
+    mu_{alpha - e_j}(x_j)`` by the first-letter split, so ``beta_{n+1}^s``
+    is read off the shifted tables and the symmetric sums stop at n_max.
+    The action bounds contract ``sums[n]`` against ``D -> lam(D e_i)``
+    independently of the insertion chain.
+    """
     if n_max + 1 > lam.max_degree:
         raise DegreeOverflowError(
             f"recursion to n={n_max} needs functional degree {n_max + 1}"
@@ -729,19 +690,29 @@ def recursion_check(lam, n_max):
     if not sub.ok:
         raise SubmultiplicativityError(str(sub))
     spec = lam.spec
-    sums = _symmetric_sums(spec, n_max + 1)
+    sums = _symmetric_sums(spec, n_max)
     shifts = _right_shifts(lam, n_max)
     constants = _insertion_chain(sums, shifts, n_max)
+    weights = _weight_pairs(spec)
+    letters = [tuple(int(l == j) for l in range(spec.dim)) for j in range(spec.dim)]
     rows = []
     for n in range(1, n_max + 1):
         c_prev, c_n = constants[n - 1], constants[n]
-        beta_next = SqrtFraction(_symmetric_norm2(lam, sums[n + 1], n + 1))
+        # every mu_beta(x_j) of level n is an int pair over den * delta**(n + 1)
+        values = {}
+        for beta, table in shifts[n].items():
+            image = table._int_image()[1]
+            for e_j in letters:
+                v = image.get(e_j)
+                if v is not None:
+                    _acc_pair(values, tuple(map(add, beta, e_j)), *v)
+        beta_next = _arity_norm(lam, n, _max_ratio((0, 1), values.items(), weights))
         ineq = sqrt_leq_sqrt_plus_multiple(
             c_n.squared, beta_next.squared, n, c_prev.squared
         )
         invariance = True
         for i in range(spec.dim):
-            acted = shifts[1][tuple(int(l == i) for l in range(spec.dim))]
+            acted = shifts[1][letters[i]]
             acted_norm = SqrtFraction(_symmetric_norm2(acted, sums[n], n))
             bound = c_n * spec.weights[i]
             if not acted_norm <= bound:
@@ -757,7 +728,6 @@ def growth_diagnostics(lam):
     Purely diagnostic: whether convergence of the symmetrized series forces
     convergence of the raw one is open, so nothing is asserted here.
     """
-    lam._need_exact("growth diagnostics")
     sym_partial, raw_partial = [], []
     sym_acc = raw_acc = 0.0
     for n in range(0, lam.max_degree + 1):

@@ -1,7 +1,7 @@
 """Positivity, moment matrices and truncated GNS models.
 
 ``MatrixRep`` wraps concrete matrix generators of a Lie algebra (exact
-Gaussian-rational or floating entries) with a cyclic vector; it generates
+Gaussian-rational or binary64 entries) with a cyclic vector; it generates
 functionals ``lam(x^alpha) = <R(x^alpha) v, v>`` that are positive by
 construction.  ``moment_matrix`` and ``psd_check`` certify positivity of a
 functional up to a degree; ``gns_build`` quotients out the null space of the
@@ -9,14 +9,15 @@ Gram form and represents left multiplication by the generators as matrices
 from the degree ``d-1`` span into the degree ``d`` span, where skewness is
 exactly assertable.
 
-Both paths share their interfaces over a :class:`~envalg.scalars.Field`:
-exact Scalars, or binary64 complex numbers with 1e-10 relative zero
-thresholds.  On the exact path one fraction-free LDL* kernel over the
-Gaussian integers (:class:`_Ldl`) gives both certificates: the PSD test
-pivots on the largest diagonal entry (no square roots are needed to decide
-semidefiniteness, and a failed test returns a witness vector with exact
-entries), and the GNS model's Gram–Schmidt is the same factorization in
-monomial order, which certifies positivity on its own, so ``gns_build``
+Everything from the functional on is exact.  A binary64 entry is a dyadic
+rational, so a float representation is read as the exact one it stores,
+and its functional is exact too (:func:`functional_from_rep` rejects one
+whose stored entries break the laws).  One fraction-free LDL* kernel over
+the Gaussian integers (:class:`_Ldl`) gives both certificates: the PSD
+test pivots on the largest diagonal entry (no square roots are needed to
+decide semidefiniteness, and a failed test returns a witness vector with
+exact entries), and the GNS model's Gram–Schmidt is the same factorization
+in monomial order, which certifies positivity on its own, so ``gns_build``
 factors its matrix once.
 """
 
@@ -36,14 +37,13 @@ from .errors import (
     PositivityError,
     RepresentationError,
 )
-from .free_algebra import _acc
 from .functionals import (
     FunctionalTable,
     monomials_up_to,
     radius_estimate,
     regular_act,
 )
-from .lie_structure import _acc_pair, _normal_form, _star_monomial, _word_of_alpha, pbw_reduce
+from .lie_structure import _acc_pair, _normal_form, _star_monomial, _word_of_alpha
 from .scalars import (
     ONE,
     ZERO,
@@ -82,21 +82,14 @@ def _matrix(rows, size, coerce):
     return tuple(out)
 
 
-def _matvec(mat, vec):
-    return tuple(
-        sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), 0j)
-        for row in mat
-    )
-
-
-def _inner(u, v):
-    """``<u, v> = sum conj(v_i) u_i``."""
-    return sum((v[i].conjugate() * u[i] for i in range(len(u))), 0j)
+def _dyadic(c):
+    """A matrix entry as a Scalar: a binary64 complex is the dyadic rational it stores."""
+    return c if type(c) is Scalar else Scalar(Fraction(c.real), Fraction(c.imag))
 
 
 def _int_vector(vec):
-    """Scalars as ``(den, re, im)``: entry k is ``(re[k] + im[k] i) / den``."""
-    den, pairs = _int_pairs(vec)
+    """Entries as ``(den, re, im)``: entry k is ``(re[k] + im[k] i) / den``."""
+    den, pairs = _int_pairs([_dyadic(c) for c in vec])
     return den, [a for a, _ in pairs], [b for _, b in pairs]
 
 
@@ -135,11 +128,12 @@ def _norm2(field, entries):
 class MatrixRep:
     """Matrix generators ``R(e_i)`` with a cyclic vector.
 
-    ``exact`` reps hold Gaussian-rational entries and support exact
-    functional extraction; float reps hold complex entries.  Both store
-    matrices as tuples of rows.  The homomorphism law
-    ``[R(e_i), R(e_j)] = sum c_ijk R(e_k)`` is validated on demand, exactly or
-    to 1e-10; ``skew_hermitian`` additionally asserts ``R(e_i)^* = -R(e_i)``.
+    ``exact`` reps hold Gaussian-rational entries; float reps hold complex
+    entries, which the group side reads as they are and the algebra side as
+    the dyadic rationals they store.  Both store matrices as tuples of rows.
+    The homomorphism law ``[R(e_i), R(e_j)] = sum c_ijk R(e_k)`` is validated
+    on demand, exactly or to 1e-10; ``skew_hermitian`` additionally asserts
+    ``R(e_i)^* = -R(e_i)``.
     """
 
     def __init__(self, spec, dim_V, generators, cyclic_vector, *, skew_hermitian,
@@ -176,10 +170,11 @@ class MatrixRep:
 
     @cached_property
     def _int_generators(self):
-        """Each exact generator as ``(den, rows)``: the nonzero ``(j, A, B)`` of
-        each row, with entry ``(A + B i) / den``."""
+        """Each generator as ``(den, rows)``: the nonzero ``(j, A, B)`` of each
+        row, with entry ``(A + B i) / den`` (a float entry read exactly)."""
         out = []
         for gen in self.generators:
+            gen = [[_dyadic(c) for c in row] for row in gen]
             den = lcm(*{c.d for row in gen for c in row})
             out.append((den, [[(j, c.a * (den // c.d), c.b * (den // c.d))
                                for j, c in enumerate(row) if c] for row in gen]))
@@ -216,7 +211,8 @@ class MatrixRep:
         """Check the commutation law (and skewness if flagged); raise on failure.
 
         A residual counts as zero when its Frobenius norm is at most the
-        field's threshold: exactly zero, or 1e-10 on the float path.  An
+        field's threshold: exactly zero, or 1e-10 for a float rep (the
+        group side's test; :func:`functional_from_rep` asks more).  An
         exact rep is decided by integer equality on :attr:`_int_generators`;
         only a failure builds the Scalar residuals that word the error.
         """
@@ -297,19 +293,28 @@ class MatrixRep:
         return f"MatrixRep({self.field.name}{label}, dim_V={self.dim_V})"
 
 
+def _validate_exactly(rep):
+    """Validate ``rep``; a float rep must also obey its laws exactly as stored."""
+    rep.validate()
+    if not rep.exact and not rep._int_laws_hold():
+        raise RepresentationError(
+            f"the binary64 entries of {rep!r} are not an exact representation"
+        )
+
+
 def functional_from_rep(rep, N):
     """The matrix-coefficient functional ``lam(x^alpha) = <R(x^alpha) v, v>``.
 
-    Exact when the representation is exact.  These are the designated
-    generators of known-good positive functionals: positivity holds by
-    construction since ``lam(D^* D) = ||R(D) v||^2``.
+    Always exact: a float representation is read as the dyadic rationals it
+    stores, and must satisfy its laws exactly on them, else
+    :class:`RepresentationError`.  These are the designated generators of
+    known-good positive functionals: positivity holds by construction since
+    ``lam(D^* D) = ||R(D) v||^2``.
     """
-    rep.validate()
+    _validate_exactly(rep)
     vecs = _orbit_vectors(rep, monomials_up_to(rep.spec.dim, N))
     v0 = vecs[(0,) * rep.spec.dim]
-    inner = _int_inner if rep.exact else _inner
-    values = {alpha: inner(w, v0) for alpha, w in vecs.items()}
-    return FunctionalTable(rep.spec, N, values, exact=rep.exact)
+    return FunctionalTable(rep.spec, N, {alpha: _int_inner(w, v0) for alpha, w in vecs.items()})
 
 
 def _peel(monos, base, step):
@@ -333,15 +338,11 @@ def _peel(monos, base, step):
 def _orbit_vectors(rep, monos):
     """``R(x^alpha) v`` for each alpha: ``R(x^alpha) = R(e_i) R(x^(alpha - e_i))``.
 
-    An exact rep gives int vectors, one denominator per vector (the cyclic
-    vector's times the generators' along the peeled letters); a float rep
-    gives complex tuples.
+    The results are int vectors, one denominator per vector (the cyclic
+    vector's times the generators' along the peeled letters).
     """
-    if rep.exact:
-        gens = rep._int_generators
-        return _peel(monos, _int_vector(rep.cyclic_vector),
-                     lambda i, v: _int_matvec(gens[i], v))
-    return _peel(monos, rep.cyclic_vector, lambda i, v: _matvec(rep.generators[i], v))
+    gens = rep._int_generators
+    return _peel(monos, _int_vector(rep.cyclic_vector), lambda i, v: _int_matvec(gens[i], v))
 
 
 def orbit_gram(rep, d_max):
@@ -352,9 +353,7 @@ def orbit_gram(rep, d_max):
     the round-trip fidelity check between the two constructions.  The Gram
     is hermitian, so the lower triangle is the conjugate of the upper one.
     """
-    if not rep.exact:
-        raise ValueError("orbit_gram needs an exact representation")
-    rep.validate()
+    _validate_exactly(rep)
     monos = monomials_up_to(rep.spec.dim, d_max)
     vecs = _orbit_vectors(rep, monos)
     vs = [vecs[alpha] for alpha in monos]
@@ -370,31 +369,25 @@ def orbit_gram(rep, d_max):
 class MomentMatrix:
     """Gram table ``M[a][b] = lam((x^alpha_a)^* x^beta_b)`` up to a degree."""
 
-    __slots__ = ("spec", "d_max", "monomials", "rows", "field", "hermitian")
+    __slots__ = ("spec", "d_max", "monomials", "rows", "hermitian")
 
-    def __init__(self, spec, d_max, monomials, rows, exact, hermitian):
+    def __init__(self, spec, d_max, monomials, rows, hermitian):
         self.spec = spec
         self.d_max = d_max
         self.monomials = monomials
         self.rows = rows
-        self.field = scalar_field(exact)
         self.hermitian = hermitian
-
-    @property
-    def exact(self):
-        return self.field.exact
 
     @property
     def size(self):
         return len(self.monomials)
 
     def to_array(self):
-        to_complex = self.field.to_complex
-        return np.array([[to_complex(c) for c in row] for row in self.rows], dtype=complex)
+        return np.array([[c.to_complex() for c in row] for row in self.rows], dtype=complex)
 
     def __repr__(self):
         return (
-            f"MomentMatrix({self.field.name}, size={self.size}, d_max={self.d_max}, "
+            f"MomentMatrix(size={self.size}, d_max={self.d_max}, "
             f"hermitian={self.hermitian})"
         )
 
@@ -413,8 +406,8 @@ def moment_matrix(lam, d_max):
     """Hermitian Gram matrix of the monomials of degree <= d_max under lam.
 
     Requires ``2*d_max <= lam.max_degree``.  Hermitianness (equivalent to
-    ``lam(D^*) = conj(lam(D))``) is checked and reported on the result, not
-    enforced.
+    ``lam(D^*) = conj(lam(D))``) is checked exactly and reported on the
+    result, not enforced.
     """
     if 2 * d_max > lam.max_degree:
         raise DegreeOverflowError(
@@ -427,47 +420,32 @@ def moment_matrix(lam, d_max):
     tables = list(_peel(monos, lam, lambda i, t: regular_act(t, basis[i])).values())
     stars = [(sum(alpha), _star_monomial(spec, alpha)) for alpha in monos]
     rows = tuple(tuple(t._eval_graded(st, k) for t in tables) for k, st in stars)
-    field, n = lam.field, len(monos)
-    if field.exact:
-        # the exact threshold is 0, so ||M - M^*|| <= 0 is entrywise equality
-        hermitian = _exactly_hermitian(rows)
-    else:
-        # ||M - M^*|| <= tol * max(1, ||M||), compared squared in the field's reals
-        defect2 = _norm2(field, (rows[a][b] - rows[b][a].conjugate()
-                                 for a in range(n) for b in range(n)))
-        hermitian = not defect2 or defect2 <= field.tol ** 2 * max(
-            1, _norm2(field, (c for row in rows for c in row))
-        )
-    return MomentMatrix(spec, d_max, monos, rows, lam.exact, hermitian)
+    return MomentMatrix(spec, d_max, monos, rows, _exactly_hermitian(rows))
 
 
 @dataclass(frozen=True)
 class PsdReport:
-    """Outcome of a positive-semidefiniteness certificate.
+    """Outcome of the exact positive-semidefiniteness certificate.
 
-    Exact path: ``pivots`` holds the rational pivots of the hermitian LDL*
-    factorization, all >= 0 on PASS.  Float path: ``min_eigenvalue`` is
-    compared against ``-tol``.  On FAIL, ``witness`` is a vector u with
-    ``<Mu, u> < -tol`` (exact scalars on the exact path).
+    ``pivots`` holds the rational pivots of the hermitian LDL*
+    factorization, all > 0; ``rank`` is their number.  On FAIL,
+    ``witness`` is a vector u of exact Scalars with ``<Mu, u> < 0``, which
+    is ``witness_value``.
     """
 
     ok: bool
-    exact: bool
     size: int
-    rank: Optional[int] = None
-    pivots: Optional[Tuple[Fraction, ...]] = None
-    min_eigenvalue: Optional[float] = None
+    rank: int
+    pivots: Tuple[Fraction, ...]
     witness: Optional[tuple] = None
-    witness_value: Optional[object] = None
+    witness_value: Optional[Scalar] = None
+
+    # every report is exact; perfbench/tracing.py still reads the flag
+    exact = True
 
     def __str__(self):
         status = "PASS" if self.ok else "FAIL"
-        if self.exact:
-            return f"psd (exact, size {self.size}): {status}, rank {self.rank}"
-        return (
-            f"psd (float, size {self.size}): {status}, "
-            f"min eigenvalue {self.min_eigenvalue:.3e}"
-        )
+        return f"psd (exact, size {self.size}): {status}, rank {self.rank}"
 
 
 class _Ldl:
@@ -608,37 +586,17 @@ def _exact_psd(rows):
     return True, len(ldl.steps), tuple(ldl.pivots()), None, None
 
 
-def psd_check(M, tol=0.0):
-    """PASS iff the moment matrix M is positive semidefinite.
+# ``tol`` is accepted and ignored: perfbench/workloads.py still passes one
+def psd_check(M, tol=None):
+    """PASS iff the moment matrix M is positive semidefinite, decided exactly.
 
-    Exact matrices are decided by their LDL* pivots, float ones by
-    eigenvalues >= -tol.  Rejects non-hermitian input.  On FAIL the report
-    carries a witness vector ``u`` with ``<Mu, u> < -tol``.
+    The verdict comes from the LDL* pivots.  Rejects non-hermitian input.
+    On FAIL the report carries a witness vector ``u`` with ``<Mu, u> < 0``.
     """
     if not M.hermitian:
         raise HermitianError("moment matrix is not hermitian")
-    if M.exact:
-        ok, rank, pivots, witness, wval = _exact_psd(M.rows)
-        return PsdReport(
-            ok, True, M.size, rank=rank, pivots=pivots,
-            witness=witness, witness_value=wval,
-        )
-    arr = M.to_array()
-    vals, vecs = np.linalg.eigh((arr + arr.conj().T) / 2)
-    min_eig = float(vals[0])
-    if min_eig >= -tol:
-        return PsdReport(True, False, arr.shape[0], min_eigenvalue=min_eig)
-    w = vecs[:, 0]
-    # deterministic sign: first nonzero component positive real
-    for c in w:
-        if abs(c) > 1e-12:
-            w = w * (abs(c) / c)
-            break
-    return PsdReport(
-        False, False, arr.shape[0], min_eigenvalue=min_eig,
-        witness=tuple(np.round(w.real, 12) + 1j * np.round(w.imag, 12)),
-        witness_value=min_eig,
-    )
+    ok, rank, pivots, witness, wval = _exact_psd(M.rows)
+    return PsdReport(ok, M.size, rank, pivots, witness, wval)
 
 
 @dataclass
@@ -646,13 +604,12 @@ class GnsModel:
     """Truncated GNS data for a positive functional.
 
     ``quotient_basis`` holds mutually orthogonal coefficient vectors over
-    ``monomials`` (coordinates of ``b_j`` with squared norms
-    ``basis_norms2[j]``), exact or complex as the functional's field.
-    ``op_matrices[i]`` is the matrix of left multiplication by
-    ``e_i`` from the degree <= d_max-1 quotient (dimension ``sub_rank``)
-    into the full quotient, expressed in the orthonormalized basis.
-    ``exact_op_matrices[i][j][k]`` (exact path only) is the same map in the
-    orthogonal basis: the coefficient of ``b_j`` in ``e_i b_k`` projected
+    ``monomials`` (coordinates of ``b_j``, exact Scalars, with squared norms
+    ``basis_norms2[j]``).  ``op_matrices[i]`` is the complex matrix of left
+    multiplication by ``e_i`` from the degree <= d_max-1 quotient
+    (dimension ``sub_rank``) into the full quotient, expressed in the
+    orthonormalized basis.  ``exact_op_matrices[i][j][k]`` is the same map in
+    the orthogonal basis: the coefficient of ``b_j`` in ``e_i b_k`` projected
     onto the quotient, an exact Scalar.
     """
 
@@ -668,7 +625,6 @@ class GnsModel:
     exact_op_matrices: Optional[tuple]
     skew_exact: Optional[bool]
     skew_residual: float
-    exact: bool
     vacuum: np.ndarray
 
     def operator(self, x):
@@ -766,91 +722,20 @@ def _exact_gram(M, d_max):
     return pivot_idx, basis, norms2, vacuum, ops
 
 
-def _float_gram(M, d_max, diag_scale):
-    """The Gram–Schmidt data of a float M: modified Gram–Schmidt in monomial order.
-
-    A vector counts as null when its squared norm is at most ``tol`` times
-    ``diag_scale``, the largest diagonal entry (at least 1).  Returns what
-    :func:`_exact_gram` returns, with complex entries.
-    """
-    field, spec, G = M.field, M.spec, M.rows
-    monos = list(M.monomials)
-    n = len(monos)
-    zero = field.zero
-
-    def inner(u, w):
-        # <u, w> = sum conj(w_a) G[a][b] u_b over sparse dict vectors
-        total = zero
-        for a, wa in w.items():
-            row = G[a]
-            for b, ub in u.items():
-                if row[b]:
-                    total = total + wa.conjugate() * row[b] * ub
-        return total
-
-    def axpy(u, coeff, vec):
-        # u += coeff * vec over sparse dicts, dropping entries that cancel
-        for idx, val in vec.items():
-            _acc(u, idx, coeff * val)
-
-    basis = []      # orthogonal vectors as sparse dicts over monomial indices
-    norms2 = []
-    pivot_idx = []
-    for m in range(n):
-        u = {m: field.one}
-        for b, d2 in zip(basis, norms2):
-            coeff = inner(u, b) / d2
-            if coeff:
-                axpy(u, -coeff, b)
-        nrm2 = field.real(inner(u, u))
-        if nrm2 > field.tol * diag_scale:
-            basis.append(u)
-            norms2.append(nrm2)
-            pivot_idx.append(m)
-    rank = len(basis)
-    sub_rank = _sub_rank(monos, pivot_idx, d_max)
-    idx_of = {alpha: pos for pos, alpha in enumerate(monos)}
-
-    # vacuum = coordinates of the class of the monomial 1 in the orthonormal basis
-    vacuum = np.array([field.to_complex(inner({0: field.one}, b)) / field.sqrt(d2)
-                       for b, d2 in zip(basis, norms2)], dtype=complex)
-    ops = None
-    if d_max >= 1 and rank:
-        ops = []
-        for i in range(spec.dim):
-            A = [[None] * sub_rank for _ in range(rank)]
-            for k in range(sub_rank):
-                image = {}
-                for m_idx, coeff in basis[k].items():
-                    nf = pbw_reduce(spec, (i,) + _word_of_alpha(monos[m_idx]))
-                    axpy(image, coeff, {idx_of[alpha]: c for alpha, c in nf.terms.items()})
-                for j in range(rank):
-                    A[j][k] = inner(image, basis[j]) / norms2[j]
-            ops.append(A)
-    return pivot_idx, basis, norms2, vacuum, ops
-
-
 def gns_build(lam, d_max):
     """Build the truncated GNS model of a positive functional.
 
-    Requires the moment matrix at ``d_max`` to be PSD (exact: certified by
-    its Gram–Schmidt LDL*; float: eigenvalues >= -``tol``); otherwise a
-    :class:`PositivityError` carrying :func:`psd_check`'s witness is raised.
+    Requires the moment matrix at ``d_max`` to be PSD, which its
+    Gram–Schmidt LDL* certifies; otherwise a :class:`PositivityError`
+    carrying :func:`psd_check`'s witness is raised.
     """
     M = moment_matrix(lam, d_max)
     if not M.hermitian:
         raise HermitianError("functional is not hermitian; GNS needs <D1, D2> = lam(D2* D1)")
-    field = lam.field
-    if field.exact:
-        gram = _exact_gram(M, d_max)
-        psd = None if gram else psd_check(M)
-    else:
-        psd = psd_check(M, tol=field.tol)
-        diag_scale = max([abs(field.to_complex(M.rows[i][i])) for i in range(M.size)] + [1.0])
-        gram = _float_gram(M, d_max, diag_scale) if psd.ok else None
+    gram = _exact_gram(M, d_max)
     if gram is None:
         raise PositivityError(
-            f"functional is not positive at degree {d_max}", witness=psd.witness
+            f"functional is not positive at degree {d_max}", witness=psd_check(M).witness
         )
     pivot_idx, basis, norms2, vacuum, ops = gram
     monos = M.monomials
@@ -867,7 +752,8 @@ def gns_build(lam, d_max):
             mat = np.zeros((rank, sub_rank), dtype=complex)
             for k in range(sub_rank):
                 for j in range(rank):
-                    mat[j, k] = field.to_complex(A[j][k]) * field.sqrt(norms2[j] / norms2[k])
+                    scale = fraction_root_float(norms2[j] / norms2[k], 2)
+                    mat[j, k] = A[j][k].to_complex() * scale
             op_matrices.append(mat)
             # skewness on the modeled domain: A_jk d_j + conj(A_kj) d_k = 0; over
             # sqrt(d_j d_k) this is the residual of the orthonormalized block
@@ -876,13 +762,10 @@ def gns_build(lam, d_max):
                 for k in range(sub_rank):
                     e = A[j][k] * norms2[j] + A[k][j].conjugate() * norms2[k]
                     if e:
-                        defect2 += field.real(e * e.conjugate()) / (norms2[j] * norms2[k])
+                        defect2 += e.abs2() / (norms2[j] * norms2[k])
             worst2 = max(worst2, defect2)
-        skew_residual = float(field.sqrt(worst2))
-        if field.exact:
-            skew_exact = worst2 <= 0
-        else:
-            skew_exact = worst2 <= (field.tol * max(1.0, diag_scale)) ** 2
+        skew_residual = fraction_root_float(worst2, 2)
+        skew_exact = not worst2
 
     return GnsModel(
         degree=d_max,
@@ -894,11 +777,10 @@ def gns_build(lam, d_max):
         quotient_basis=basis,
         basis_norms2=norms2,
         op_matrices=op_matrices,
-        exact_op_matrices=(tuple(tuple(tuple(row) for row in A) for A in ops)
-                           if field.exact and ops is not None else None),
+        exact_op_matrices=(None if ops is None
+                           else tuple(tuple(tuple(row) for row in A) for A in ops)),
         skew_exact=skew_exact,
         skew_residual=skew_residual,
-        exact=lam.exact,
         vacuum=vacuum,
     )
 
@@ -958,7 +840,6 @@ def analytic_diagnostics(lam, x, n_max):
     radius estimate of the vector series, and its ratio to half the
     functional radius estimate.
     """
-    lam._need_exact("analytic diagnostics")
     if 2 * n_max > lam.max_degree:
         raise DegreeOverflowError(
             f"diagnostics to n={n_max} need functional degree {2 * n_max}"

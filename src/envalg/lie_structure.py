@@ -413,20 +413,6 @@ def _scalar_terms(spec, den, top, pairs):
     }
 
 
-def _float_terms(spec, den, top, pairs):
-    """``[(alpha, c)]`` of a pair table with each coefficient c correctly rounded.
-
-    ``A / d`` is the correctly rounded int quotient, so c equals
-    ``to_complex()`` of the Scalar that :func:`_scalar_terms` would build.
-    """
-    delta = spec.delta
-    out = []
-    for alpha, (a, b) in pairs.items():
-        d = den * delta ** (top - sum(alpha))
-        out.append((alpha, complex(a / d, b / d)))
-    return out
-
-
 def _word_of_alpha(alpha):
     out = []
     for i, a in enumerate(alpha):

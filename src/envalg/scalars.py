@@ -184,7 +184,7 @@ class Scalar:
             p = other.numerator
             return _reduced(self.a * p, self.b * p, self.d * other.denominator)
         if type(other) is complex:
-            # an exact coefficient acting on a float-path value
+            # an exact structure constant acting on a float representation's entry
             return self.to_complex() * other
         return NotImplemented
 
@@ -261,18 +261,19 @@ def as_scalar(value):
 
 @dataclass(frozen=True)
 class Field:
-    """The scalars one construction runs on: exact Scalar or binary64 complex.
+    """The entries of a :class:`~envalg.gns.MatrixRep`: exact Scalar or binary64 complex.
 
-    Both types share ``+ - * /``, ``conjugate()`` and "nonzero is truthy", and
-    a Scalar times a complex is their complex product, so a field holds only
-    what differs.  ``tol`` is the relative zero threshold: 0 on the exact
-    field, where only exact zeros count as zero.
+    Only matrix representations carry a field: float ones serve the group
+    side, and everything from a functional on is exact.  Both types share
+    ``+ - * /``, ``conjugate()`` and "nonzero is truthy", and a Scalar times
+    a complex is their complex product, so a field holds only what differs.
+    ``tol`` is the relative zero threshold of the residual checks: 0 on the
+    exact field, where only exact zeros count as zero.
     """
 
     name: str
     exact: bool
     zero: object
-    one: object
     tol: float
     coerce: Callable      # a Scalar or number into the field (exact: NotImplemented if not)
     real: Callable        # real part
@@ -280,9 +281,9 @@ class Field:
     sqrt: Callable        # float square root of a nonnegative real of the field
 
 
-EXACT = Field("exact", True, ZERO, ONE, 0, as_scalar, lambda z: z.re,
+EXACT = Field("exact", True, ZERO, 0, as_scalar, lambda z: z.re,
               Scalar.to_complex, lambda q: fraction_root_float(q, 2))
-FLOAT = Field("float", False, 0j, 1 + 0j, 1e-10,
+FLOAT = Field("float", False, 0j, 1e-10,
               lambda v: v.to_complex() if type(v) is Scalar else complex(v),
               lambda z: z.real, complex, math.sqrt)
 

@@ -347,11 +347,18 @@ def _kernel_twice(doc):
     doc["suites"].append({"name": "kernel", "representation": "spin_one", "repetitions": 2})
 
 
-def _float_rep_in_positivity(doc):
-    doc["representations"]["spin_one_float"] = dict(doc["representations"]["spin_one"],
-                                                    mode="float")
-    block = next(b for b in doc["suites"] if b["name"] == "positivity")
-    block["representations"] = block["representations"] + ["spin_one_float"]
+def _float_rep_in(suite):
+    """A float-mode copy of spin_one, named spin_one_float, used by ``suite``."""
+    def patch(doc):
+        doc["representations"]["spin_one_float"] = dict(doc["representations"]["spin_one"],
+                                                        mode="float")
+        block = next(b for b in doc["suites"] if b["name"] == suite)
+        if suite == "positivity":
+            block["representations"] = block["representations"] + ["spin_one_float"]
+        else:
+            block["representation"] = "spin_one_float"
+
+    return patch
 
 
 def _float_rep(key, index, value):
@@ -406,9 +413,15 @@ MALFORMED = [
                  ("suites[9] (extension)", "functional"), id="extension-table-not-1d"),
     pytest.param("su2.json", _kernel_twice, ["validate"],
                  ("suites[10] (kernel)", "name"), id="suite-listed-twice"),
-    pytest.param("su2.json", _float_rep_in_positivity, ["run-all"],
+    pytest.param("su2.json", _float_rep_in("positivity"), ["run-all"],
                  ("suites[4] (positivity)", "representations", "'spin_one_float'"),
                  id="positivity-float-representation"),
+    pytest.param("su2.json", _float_rep_in("gns"), ["run-all"],
+                 ("suites[5] (gns)", "representation", "'spin_one_float'"),
+                 id="gns-float-representation"),
+    pytest.param("su2.json", _float_rep_in("extension"), ["run-all"],
+                 ("suites[9] (extension)", "representation", "'spin_one_float'"),
+                 id="extension-float-representation"),
     pytest.param("su2.json", _set("recursion", "n_max", 6), ["validate"],
                  ("suites[3] (recursion)", "n_max"), id="recursion-beyond-table"),
     pytest.param("su2.json", None, ["--degree", "6", "run", "recursion"],
@@ -462,6 +475,19 @@ MALFORMED = [
                  ("suites[1] (pbw-confluence)", "count"), id="pbw-confluence-count-zero"),
     pytest.param("su2.json", _set("positivity", "directions", 0), ["validate"],
                  ("suites[4] (positivity)", "directions"), id="positivity-directions-zero"),
+    pytest.param("su2.json", _set("recursion", "n_max", 0), ["validate"],
+                 ("suites[3] (recursion)", "n_max"), id="recursion-n-max-zero"),
+    pytest.param("su2.json", None, ["--degree", "0", "run", "recursion"],
+                 ("suite 'recursion'", "n_max"), id="degree-zero-override-recursion"),
+    pytest.param("su2.json", _set("pbw-confluence", "max_length", 0), ["validate"],
+                 ("suites[1] (pbw-confluence)", "max_length"), id="pbw-confluence-length-zero"),
+    pytest.param("su2.json", None, ["--degree", "0", "run", "pbw-confluence"],
+                 ("suite 'pbw-confluence'", "max_length"),
+                 id="degree-zero-override-pbw-confluence"),
+    pytest.param("su2.json", _set("local-hom", "degree", 0), ["validate"],
+                 ("suites[6] (local-hom)", "degree"), id="local-hom-degree-zero"),
+    pytest.param("su2.json", None, ["--degree", "0", "run", "local-hom"],
+                 ("suite 'local-hom'", "degree"), id="degree-zero-override-local-hom"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-300), ["validate"],
                  ("suites[8] (cauchy)", "r:", "overflows binary64"), id="cauchy-r-tiny"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-20), ["--degree", "16", "run", "cauchy"],

@@ -304,21 +304,6 @@ def product_route_act(lam, y):
     return values
 
 
-def value_bits(values):
-    """Exact values as they are; complex values by the bits of both parts."""
-    return {
-        a: (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v
-        for a, v in values.items()
-    }
-
-
-def float_copy(lam):
-    return FunctionalTable(
-        lam.spec, lam.max_degree, {a: v.to_complex() for a, v in lam.values.items()},
-        exact=False,
-    )
-
-
 def kernel_vectors(spec):
     """Every basis vector, a scaled basis vector, general and zero vectors."""
     q = lambda a, b=0: Scalar(Fraction(a), Fraction(b))
@@ -350,17 +335,14 @@ class TestRegularActionKernel:
     """The direct right action against the PBW-product formula it replaced."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-    def test_matches_product_route(self, name, exact):
+    def test_matches_product_route(self, name):
         spec = KERNEL_SPECS[name]
         for seed in (600, 601):
             lam = rand_table(spec, 4, seed)
-            if not exact:
-                lam = float_copy(lam)
             for y in kernel_vectors(spec):
                 acted = regular_act(lam, y)
-                assert acted.max_degree == 3 and acted.exact == exact
-                assert value_bits(acted.values) == value_bits(product_route_act(lam, y))
+                assert acted.max_degree == 3
+                assert acted.values == product_route_act(lam, y)
                 if y.is_zero():
                     assert acted.values == {}
 
@@ -397,102 +379,6 @@ class TestRegularActionKernel:
         monkeypatch.setattr(gns, "regular_act", counted)
         assert [counted(lam, y).values for y in basis] == expected
         assert gns.moment_matrix(lam, 2).rows == expected_rows
-
-
-def scalar_reference_act(lam, y):
-    """Float ``regular_act`` as it runs on Scalar normal forms, term by term.
-
-    Each ``x^alpha e_i`` is read from ``pbw_reduce`` as Scalars; the
-    ``c_b y_i`` are summed exactly in that order, dropping an entry that
-    cancels, and each coefficient enters as ``to_complex()`` times the value.
-    """
-    spec = lam.spec
-    values = {}
-    for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
-        word = tuple(i for i, a in enumerate(alpha) for _ in range(a))
-        terms = {}
-        for i, yi in enumerate(y.coeffs):
-            if not yi:
-                continue
-            for b, c in pbw_reduce(spec, word + (i,)).terms.items():
-                got = terms.get(b, Scalar(0)) + c * yi
-                if got:
-                    terms[b] = got
-                else:
-                    terms.pop(b, None)
-        total = 0j
-        for b, c in terms.items():
-            v = lam.values.get(b)
-            if v is not None:
-                total = total + c.to_complex() * v
-        if total:
-            values[alpha] = total
-    return values
-
-
-def scalar_reference_moments(lam, d):
-    """Float moment rows ``lam(star(x^alpha) x^beta)`` term by term over Scalar stars."""
-    spec = lam.spec
-    monos = monomials_up_to(spec.dim, d)
-    tables = {monos[0]: lam}
-    for beta in monos[1:]:
-        i = next(k for k, a in enumerate(beta) if a)
-        prev = tables[tuple(a - (k == i) for k, a in enumerate(beta))]
-        acted = scalar_reference_act(prev, spec.basis_vector(i))
-        tables[beta] = FunctionalTable(spec, prev.max_degree - 1, acted, exact=False)
-    rows = []
-    for alpha in monos:
-        st = star(PBWPoly.monomial(spec, alpha)).terms
-        row = []
-        for beta in monos:
-            total = 0j
-            for b, c in st.items():
-                v = tables[beta].values.get(b)
-                if v is not None:
-                    total = total + c.to_complex() * v
-            row.append(total)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def row_bits(rows):
-    return tuple(tuple((v.real.hex(), v.imag.hex()) for v in row) for row in rows)
-
-
-class TestFloatPathBits:
-    """Float tables read each exact coefficient correctly rounded, in the engine's order."""
-
-    @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
-    def test_regular_act_matches_scalar_reference(self, name):
-        spec = KERNEL_SPECS[name]
-        lam = float_copy(rand_table(spec, 4, 610))
-        for y in kernel_vectors(spec):
-            got = regular_act(lam, y).values
-            assert value_bits(got) == value_bits(scalar_reference_act(lam, y))
-            assert list(got) == list(scalar_reference_act(lam, y))
-
-    @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
-    def test_moment_matrix_matches_scalar_reference(self, name):
-        spec = KERNEL_SPECS[name]
-        lam = float_copy(rand_table(spec, 4, 611))
-        got = gns.moment_matrix(lam, 2)
-        assert not got.exact
-        assert row_bits(got.rows) == row_bits(scalar_reference_moments(lam, 2))
-
-    @pytest.mark.parametrize("name", ["spin-one-sixth", "heisenberg-3/5"])
-    def test_float_rep_tables_match_scalar_reference(self, name):
-        rep = rational_reps()[name]
-        frep = gns.MatrixRep(
-            rep.spec, rep.dim_V,
-            [[[c.to_complex() for c in row] for row in g] for g in rep.generators],
-            [c.to_complex() for c in rep.cyclic_vector],
-            skew_hermitian=rep.skew_hermitian, exact=False,
-        )
-        lam = functional_from_rep(frep, 4)
-        y = kernel_vectors(rep.spec)[-2]
-        assert value_bits(regular_act(lam, y).values) == value_bits(scalar_reference_act(lam, y))
-        assert row_bits(gns.moment_matrix(lam, 2).rows) == row_bits(
-            scalar_reference_moments(lam, 2))
 
 
 def brute_force_insertion_constant(lam, n):
@@ -796,8 +682,9 @@ class TestInsertionChain:
         monkeypatch.setattr(functionals, "_times_letters", counted)
         lam = rand_table(SO3, 6, 531)
         assert recursion_check(lam, 5).rows
-        # only the symmetric sums S(alpha) up to degree n_max + 1 are grown
-        assert callers == ["_symmetric_sums"] * 6
+        # only the symmetric sums S(alpha) up to degree n_max are grown: the
+        # beta_(n+1) values come from the shifted tables
+        assert callers == ["_symmetric_sums"] * 5
 
     @pytest.mark.parametrize("spec", [SO3, WEIGHTED_SO3, SO3_SIXTH, heisenberg((2, 3, 6))],
                              ids=["so3", "so3-weighted", "so3-sixth", "heisenberg-weighted"])

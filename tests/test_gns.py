@@ -1,5 +1,6 @@
 """Moment matrices, exact PSD certificates, GNS models, analytic diagnostics."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from envalg.functionals import (
     regular_act,
 )
 from envalg.gns import (
+    GnsModel,
     MatrixRep,
     _exact_psd,
     _Ldl,
@@ -127,26 +129,27 @@ class TestMomentMatrix:
             moment_matrix(lam, 2)
 
 
-def _float_moments(values):
-    """The float moment matrix at degree 1 of a degree-2 table on the line."""
-    return moment_matrix(FunctionalTable(abelian(1), 2, values, exact=False), 1)
+def _line_moments(values):
+    """The moment matrix at degree 1 of a degree-2 table on the line."""
+    table = {alpha: Scalar(Fraction(v)) for alpha, v in values.items()}
+    return moment_matrix(FunctionalTable(abelian(1), 2, table), 1)
 
 
 class TestPsdCheck:
     def test_identity(self):
         # lam(x* x) = -lam(x^2) = 1: the moment matrix is the 2 x 2 identity
-        M = _float_moments({(0,): 1, (2,): -1})
+        M = _line_moments({(0,): 1, (2,): -1})
         assert np.array_equal(M.to_array(), np.eye(2))
         report = psd_check(M)
-        assert report.ok and not report.exact
+        assert report.ok and report.rank == 2 and report.pivots == (1, 1)
+        assert report.witness is None
 
     def test_small_negative_direction(self):
-        M = _float_moments({(0,): 1, (2,): 1e-3})  # diag(1, -1e-3)
-        report = psd_check(M, tol=1e-10)
+        M = _line_moments({(0,): 1, (2,): Fraction(1, 1000)})  # diag(1, -1/1000)
+        report = psd_check(M)
         assert not report.ok
-        w = np.array(report.witness)
-        assert abs(abs(w[1]) - 1.0) < 1e-9 and abs(w[0]) < 1e-9
-        assert report.min_eigenvalue < -1e-4
+        assert report.witness == (Scalar(0), Scalar(1))
+        assert report.witness_value == Scalar(Fraction(-1, 1000))
 
     def test_gaussian_hankel_psd_all_sizes(self):
         lam = gaussian_functional(12)
@@ -191,7 +194,7 @@ class TestPsdCheck:
 
     def test_non_hermitian_rejected(self):
         # M[0][1] = lam(x) = 1 but M[1][0] = lam(x*) = -1
-        M = _float_moments({(0,): 1, (1,): 1, (2,): -1})
+        M = _line_moments({(0,): 1, (1,): 1, (2,): -1})
         assert not M.hermitian
         with pytest.raises(HermitianError):
             psd_check(M)
@@ -312,7 +315,22 @@ def _minus_delta(lam, t):
     one = (0,) * lam.spec.dim
     values = dict(lam.values)
     values[one] = lam.value(one) - t
-    return FunctionalTable(lam.spec, lam.max_degree, values, exact=lam.exact)
+    return FunctionalTable(lam.spec, lam.max_degree, values)
+
+
+def _assert_same_model(a, b):
+    """Two GNS models agree field by field; float arrays bit for bit."""
+    for f in dataclasses.fields(GnsModel):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "gram":
+            assert (x.d_max, x.monomials, x.rows, x.hermitian) == (
+                y.d_max, y.monomials, y.rows, y.hermitian)
+        elif f.name == "op_matrices":
+            assert [m.tobytes() for m in x] == [m.tobytes() for m in y]
+        elif f.name == "vacuum":
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert x == y, f.name
 
 
 class TestGnsBuild:
@@ -364,8 +382,8 @@ class TestGnsBuild:
             (FunctionalTable(abelian(1), 4, {(0,): Scalar(1), (2,): Scalar(1)}), 1),
             # M = [[0, i], [-i, 1]]: a zero diagonal on a nonzero row
             (FunctionalTable(abelian(1), 2, {(1,): Scalar(0, 1), (2,): Scalar(-1)}), 1),
-            # float: an eigenvalue below -tol
-            (_minus_delta(functional_from_rep(_float_copy(spin_one()), 4), 0.5), 2),
+            # spin one minus delta/2: a negative pivot after the first eliminations
+            (_minus_delta(functional_from_rep(spin_one(), 4), Fraction(1, 2)), 2),
         ]
         for lam, d_max in cases:
             with pytest.raises(PositivityError) as err:
@@ -414,32 +432,55 @@ class TestGnsBuild:
         "factory,d_max", [(spin_half, 1), (spin_one, 2), (spin_three_half, 3)]
     )
     def test_float_path_matches_exact(self, factory, d_max):
-        # the same rep on complex entries must give the same GNS model
+        # the same rep on complex entries is read as the same dyadic rationals,
+        # so it gives the same table, moment matrix and GNS model
         exact_rep = factory()
         float_rep = _float_copy(exact_rep)
-        models = []
-        for rep in (exact_rep, float_rep):
-            lam = functional_from_rep(rep, 2 * d_max)
-            assert psd_check(moment_matrix(lam, d_max), tol=1e-9).ok
-            models.append(gns_build(lam, d_max))
-        ex, fl = models
-        assert ex.exact and not fl.exact
-        assert (fl.quotient_rank, fl.sub_rank, fl.pivot_monomials) == (
-            ex.quotient_rank, ex.sub_rank, ex.pivot_monomials
-        )
-        assert np.max(np.abs(fl.gram.to_array() - ex.gram.to_array())) <= 1e-9
-        assert len(fl.op_matrices) == len(ex.op_matrices)
-        for a, b in zip(fl.op_matrices, ex.op_matrices):
-            assert np.max(np.abs(a - b)) <= 1e-9
-        assert np.max(np.abs(fl.vacuum - ex.vacuum)) <= 1e-9
-        assert fl.skew_exact
+        assert not float_rep.exact
+        tables = [functional_from_rep(rep, 2 * d_max) for rep in (exact_rep, float_rep)]
+        assert tables[0].values == tables[1].values
+        reports = [psd_check(moment_matrix(lam, d_max)) for lam in tables]
+        assert reports[0] == reports[1] and reports[0].ok
+        ex, fl = (gns_build(lam, d_max) for lam in tables)
+        _assert_same_model(ex, fl)
+        assert fl.skew_exact and fl.quotient_rank == d_max + 1
+
+    def test_float_rep_not_exact_in_binary64_rejected(self):
+        # spin one conjugated by a random float unitary: the laws hold to
+        # rounding, so the group side takes it, but not exactly as stored
+        rep = spin_one()
+        rng = np.random.default_rng(7)
+        U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        gens = [U @ rep.generator_array(i) @ U.conj().T for i in range(3)]
+        turned = MatrixRep(SO3, 3, gens, U @ rep.cyclic_array(),
+                           skew_hermitian=True, exact=False)
+        turned.validate()
+        assert not turned._int_laws_hold()
+        with pytest.raises(RepresentationError, match="not an exact representation"):
+            functional_from_rep(turned, 4)
+        with pytest.raises(RepresentationError, match="not an exact representation"):
+            orbit_gram(turned, 2)
 
     def test_float_path(self):
         rep = random_skew_rep(3, seed=5)
         lam = functional_from_rep(rep, 4)
         model = gns_build(lam, 2)
         assert model.quotient_rank >= 1
-        assert model.skew_residual <= 1e-12
+        assert model.skew_exact and model.skew_residual == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_skew_rep_reads_exactly(self, seed):
+        # random_skew_rep's (B - B^*) / 2 is skew-hermitian in binary64 as
+        # stored, so its functional, moment matrix and model are exact: the
+        # abelian line on C^8 with a generic cyclic vector has rank 5 at d = 4
+        rep = random_skew_rep(8, 1000 + seed)
+        lam = functional_from_rep(rep, 8)
+        M = moment_matrix(lam, 4)
+        assert M.size == 5 and M.hermitian
+        psd = psd_check(M)
+        assert psd.ok and psd.rank == 5
+        model = gns_build(lam, 4)
+        assert model.quotient_rank == 5 and model.skew_exact
 
     def test_degree_zero_model(self):
         lam = functional_from_rep(spin_half(), 2)
