@@ -21,7 +21,7 @@ from envalg.catalog import (
     spin_one,
     spin_three_half,
 )
-from envalg.errors import DegreeOverflowError, SpecMismatchError
+from envalg.errors import DegreeOverflowError, RepresentationError, SpecMismatchError
 from envalg.functionals import (
     BetaComponent,
     FunctionalTable,
@@ -381,6 +381,42 @@ class TestRegularActionKernel:
         assert gns.moment_matrix(lam, 2).rows == expected_rows
 
 
+def float_copy(rep):
+    """``rep`` on complex entries: each exact entry rounded to binary64."""
+    return gns.MatrixRep(
+        rep.spec, rep.dim_V,
+        [[[c.to_complex() for c in row] for row in gen] for gen in rep.generators],
+        [c.to_complex() for c in rep.cyclic_vector],
+        skew_hermitian=rep.skew_hermitian, exact=False,
+    )
+
+
+class TestFloatRepTables:
+    """A float rep's tables read its entries as the dyadic rationals they store."""
+
+    @pytest.mark.parametrize("name", ["spin-half-half", "spin-one-half", "spin-three-half-half"])
+    def test_dyadic_rep_gives_exact_tables(self, name):
+        # so3-half scales by 1 and 1/2, so every entry survives binary64
+        rep = rational_reps()[name]
+        lam = functional_from_rep(float_copy(rep), 4)
+        assert lam.values == functional_from_rep(rep, 4).values
+        assert all(type(v) is Scalar for v in lam.values.values())
+        for y in kernel_vectors(rep.spec):
+            assert regular_act(lam, y).values == product_route_act(lam, y)
+        assert gns.moment_matrix(lam, 2).rows == moment_matrix_rows_by_products(lam, 2)
+
+    @pytest.mark.parametrize("name", ["spin-half-sixth", "spin-one-sixth",
+                                      "spin-three-half-sixth", "heisenberg-3/5"])
+    def test_rounded_rep_rejected(self, name):
+        # thirds and fifths round in binary64: the group side's tolerance
+        # takes the copy, but its laws fail on the stored entries
+        rep = float_copy(rational_reps()[name])
+        rep.validate()
+        assert not rep._int_laws_hold()
+        with pytest.raises(RepresentationError, match="not an exact representation"):
+            functional_from_rep(rep, 4)
+
+
 def brute_force_insertion_constant(lam, n):
     """Plain-loop oracle for c_n: full tables, n!-fold symmetrization, max."""
     spec = lam.spec
@@ -710,6 +746,23 @@ class TestInsertionChain:
                         wprod *= spec.weights[l]
                     best = max(best, v.abs2() / wprod ** 2)
                 assert pnorm(comp) == SqrtFraction(best)
+
+
+@pytest.mark.parametrize("wn,wd", [(1, 1), (3, 2), (2, 7)])
+def test_max_ratio_matches_fraction_max(wn, wd):
+    rng = random.Random(71)
+    values = [(alpha, (rng.randint(-40, 40), rng.randint(-40, 40)))
+              for alpha in monomials_up_to(3, 4)]
+    values.append(((0, 0, 5), (0, 0)))  # a zero value never wins
+    ratios = [Fraction(x * x + y * y)
+              / (fraction_vertex_scale(WEIGHTED_SO3.weights, alpha) * Fraction(wn, wd)) ** 2
+              for alpha, (x, y) in values]
+    weights = _weight_pairs(WEIGHTED_SO3)
+    num, den = functionals._max_ratio((0, 1), values, weights, wn, wd)
+    assert Fraction(num, den) == max(ratios)
+    # a running max above every ratio is kept as it is
+    top = (max(ratios) * 2).as_integer_ratio()
+    assert functionals._max_ratio(top, values, weights, wn, wd) == top
 
 
 def test_growth_diagnostics_monotone():

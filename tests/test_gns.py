@@ -35,6 +35,7 @@ from envalg.functionals import (
 from envalg.gns import (
     GnsModel,
     MatrixRep,
+    _dyadic,
     _exact_psd,
     _Ldl,
     analytic_diagnostics,
@@ -51,6 +52,15 @@ from rational_algebras import RATIONAL_ALGEBRAS, rational_reps
 
 
 SO3 = so3()
+
+
+@pytest.mark.parametrize("z", [0.1 + 0j, complex(-0.0, 1 / 3), complex(5e-324, -1e308),
+                               0.5 - 0.25j])
+def test_dyadic_reads_binary64_exactly(z):
+    s = _dyadic(z)
+    assert (s.re, s.im) == (Fraction(z.real), Fraction(z.imag))
+    assert s.to_complex() == z
+    assert _dyadic(s) is s
 
 
 class TestFunctionalFromRep:
