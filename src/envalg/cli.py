@@ -302,6 +302,17 @@ def _list(item):
     return check
 
 
+def _increasing(item):
+    listed = _list(item)
+
+    def check(value, config):
+        listed(value, config)
+        if any(a >= b for a, b in zip(value, value[1:])):
+            raise ValueError("must be strictly increasing")
+
+    return check
+
+
 def _ref(kind, names):
     def check(value, config):
         known = names(config)
@@ -317,6 +328,7 @@ _DEGREE = _integer(0, MAX_DEGREE)
 _POSITIVE_DEGREE = _integer(1, MAX_DEGREE)
 _COUNT = _integer(0)
 _POSITIVE = _integer(1)
+_POSITIVE_RATIONAL = _rational(lambda q: q > 0, "a positive rational")
 _TOLERANCE = _real(lambda v: 0 <= v <= MAX_TOL, f"a number in [0, {MAX_TOL}]")
 _FUNCTIONAL = _ref("functional", lambda config: config.functionals)
 _REPRESENTATION = _ref("representation", lambda config: config.representations)
@@ -919,7 +931,7 @@ SUITES = {
                             {"count": (200, _POSITIVE), "max_length": (5, _POSITIVE_DEGREE)},
                             degree="max_length"),
     "radius": Suite(_suite_radius,
-                    {"functional": (None, _FUNCTIONAL), "expected": (None, _rational()),
+                    {"functional": (None, _FUNCTIONAL), "expected": (None, _POSITIVE_RATIONAL),
                      "tolerance": (1e-9, _TOLERANCE)},
                     requires=(("functional",),)),
     "recursion": Suite(_suite_recursion,
@@ -928,7 +940,7 @@ SUITES = {
                        consistent=_recursion_fits),
     "positivity": Suite(_suite_positivity,
                         {"representations": (None, _list(_exact_representation)),
-                         "d_max": (2, _DEGREE), "power_max": (3, _DEGREE),
+                         "d_max": (2, _DEGREE), "power_max": (3, _POSITIVE_DEGREE),
                          "directions": (10, _POSITIVE)},
                         requires=(("representations",),), degree="d_max"),
     "gns": Suite(_suite_gns,
@@ -938,7 +950,7 @@ SUITES = {
     "local-hom": Suite(_suite_local_hom,
                        {"representation": (None, _REPRESENTATION),
                         "degree": (4, _POSITIVE_DEGREE),
-                        "scales": (None, _list(_rational(lambda q: q > 0, "a positive rational"))),
+                        "scales": (None, _list(_POSITIVE_RATIONAL)),
                         "x": (None, _gvector), "y": (None, _gvector),
                         "min_slope": (None, _real(lambda v: True, "a number")),
                         "max_residual": (None, _real(lambda v: v >= 0, "a nonnegative number"))},
@@ -960,10 +972,9 @@ SUITES = {
                        {"representation": (None, _exact_representation),
                         "functional": (None, _FUNCTIONAL),
                         "truth": (None, _ref("truth function", lambda config: _TRUTH_FUNCTIONS)),
-                        "degrees": (None, _list(_integer(1, MAX_DEGREE))),
+                        "degrees": (None, _increasing(_POSITIVE_DEGREE)),
                         "probes": (8, _POSITIVE),
-                        "probe_norm": ("1/2", _rational(lambda q: q >= 0,
-                                                        "a nonnegative rational")),
+                        "probe_norm": ("1/2", _POSITIVE_RATIONAL),
                         "times": (None, _list(_rational())), "tolerance": (1e-6, _TOLERANCE)},
                        requires=(("representation",), ("functional", "truth")),
                        consistent=_extension_fits),

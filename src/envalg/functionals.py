@@ -29,7 +29,10 @@ cancel term by term, so ``lam`` of the table is ``sum_b n_b (V_b + W_b
 i)`` over the single denominator ``den * delta**top``.  The norm kernels,
 :func:`beta_component` and :func:`regular_act` sum those int products and
 build one Scalar per output entry; :func:`regular_act` hands on its result
-as an image too.
+as an image too.  The right action is a scatter over the table's support:
+each stored value goes to the monomials listed in the spec's column cache,
+the transpose of the right-letter memo, so a sparse table costs only its
+nonzero entries' columns.
 
 Norms are values ``sqrt(q)`` with rational ``q``; every comparison is done
 on the exact squares (see :mod:`envalg.scalars`), and floating point shows
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 from math import factorial, gcd
 from operator import add
 from typing import Optional, Tuple
@@ -54,10 +57,12 @@ from .errors import (
 from .free_algebra import _acc
 from .lie_structure import (
     _acc_pair,
+    _columns,
     _graded,
     _poly_right_letter,
     _right_letter,
     monomial_name,
+    monomials_up_to,
     submult_check,
 )
 from .scalars import (
@@ -86,23 +91,6 @@ __all__ = [
     "growth_diagnostics",
     "monomials_up_to",
 ]
-
-
-@cache
-def monomials_up_to(dim, degree):
-    """All multi-indices with ``|alpha| <= degree`` in graded lexicographic order.
-
-    The multi-indices of one degree are the gaps between ``dim - 1`` bars
-    placed among ``total + dim - 1`` slots; bar positions in lexicographic
-    order give the multi-indices in lexicographic order.
-    """
-    out = []
-    for total in range(degree + 1):
-        end = total + dim - 1
-        for bars in combinations(range(end), dim - 1):
-            edges = (-1,) + bars + (end,)
-            out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
-    return tuple(out)
 
 
 class FunctionalTable:
@@ -587,25 +575,43 @@ def regular_act(lam, y):
     over one denominator ``den_y``, the table's image ``(den, V)``
     gives the image ``(den_y * den * delta, X)`` of the result, where each
     ``X[alpha]`` sums int products.
+
+    The sum is scattered over the table's support: each stored ``V_b`` and
+    each nonzero ``y_i`` add ``n * y_i V_b`` to every ``X[alpha]`` listed in
+    the spec's column of ``(i, b)`` (see
+    :func:`~envalg.lie_structure._columns`) with ``|alpha| <= N - 1``.  A
+    sparse table, such as the matrix coefficients of a weight vector, costs
+    only the columns of its nonzero entries.
     """
     if lam.max_degree < 1:
         raise DegreeOverflowError("regular action needs max_degree >= 1")
     if not (y.spec is lam.spec or y.spec == lam.spec):
         raise SpecMismatchError("vector and functional use different specs")
     spec = lam.spec
+    top = lam.max_degree - 1
     den_y, pairs = _int_pairs(y.coeffs)
-    ys = [(i, p, q) for i, (p, q) in enumerate(pairs) if p or q]
+    columns = _columns(spec, top)
+    ys = [(columns[i], p, q) for i, (p, q) in enumerate(pairs) if p or q]
     den, image = lam._int_image()
     out = {}
-    for alpha in monomials_up_to(spec.dim, lam.max_degree - 1):
-        x = z = 0
-        for i, p, q in ys:
-            sr, si = _contract(_right_letter(spec, alpha, i), image)
-            x += p * sr - q * si
-            z += p * si + q * sr
-        if x or z:
-            out[alpha] = (x, z)
-    return FunctionalTable._from_image(spec, lam.max_degree - 1, den_y * den * spec.delta, out)
+    for b, (vr, vi) in image.items():
+        for column, p, q in ys:
+            entries = column.get(b)
+            if entries is None:
+                continue
+            x = p * vr - q * vi
+            z = p * vi + q * vr
+            for size, alpha, n in entries:
+                if size > top:
+                    break
+                got = out.get(alpha)
+                if got is None:
+                    out[alpha] = [n * x, n * z]
+                else:
+                    got[0] += n * x
+                    got[1] += n * z
+    nonzero = {alpha: (x, z) for alpha, (x, z) in out.items() if x or z}
+    return FunctionalTable._from_image(spec, top, den_y * den * spec.delta, nonzero)
 
 
 def insertion_constants(lam, n):

@@ -9,9 +9,11 @@ BCH product evaluated inside g via right-normed bracketing.
 Monomials are kept in ascending basis order (declaration order); rewriting
 ``x_j x_i -> x_i x_j + [x_j, x_i]`` terminates because each step either
 shortens the word or removes an inversion, and the result is independent of
-the rewrite order.  The only memo is per spec: the normal form of
+the rewrite order.  The memo is per spec: the normal form of
 ``x^alpha * e_l`` for a normal monomial ``x^alpha`` and a letter ``l``.  The
 normal form of any word or product is a fold of that step over its letters.
+The spec also keeps the memo's transpose, its columns: for each letter l and
+monomial ``x^b``, every ``x^alpha`` whose ``x^alpha * e_l`` holds ``x^b``.
 
 The engine runs on Python ints.  Let ``delta`` be the lcm of the
 denominators of the (real, rational) structure constants.  Each rewrite
@@ -31,7 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from itertools import combinations
+from math import comb, lcm
 from typing import Optional, Tuple
 
 from . import free_algebra
@@ -63,9 +67,11 @@ class LieAlgebraSpec:
     antisymmetry is implicit.  Structure constants must be real rationals
     (the Lie algebra itself is real; complex coefficients live in vectors
     and enveloping-algebra elements).  Instances are immutable after
-    construction apart from the internal normal-form cache.  ``delta`` is
-    the lcm of the structure constants' denominators (1 for integer
-    constants), the base of the PBW engine's graded int tables.
+    construction apart from two internal caches of the PBW engine: the
+    normal forms of ``x^alpha * e_l`` (``_right_cache``) and their
+    transpose (``_column_cache``, see :func:`_columns`).  ``delta`` is the
+    lcm of the structure constants' denominators (1 for integer constants),
+    the base of the PBW engine's graded int tables.
     """
 
     __slots__ = (
@@ -75,6 +81,7 @@ class LieAlgebraSpec:
         "delta",
         "_table",
         "_right_cache",
+        "_column_cache",
     )
 
     def __init__(self, dim, basis_names, structure, weights):
@@ -111,6 +118,7 @@ class LieAlgebraSpec:
         self.delta = lcm(*(c.d for row in table.values() for c in row.values()))
         self._table = table
         self._right_cache = {}
+        self._column_cache = (-1, tuple({} for _ in range(dim)))
 
     def bracket_rows(self):
         """Iterate stored ``((i, j), {k: c})`` pairs with i < j."""
@@ -357,6 +365,45 @@ def _right_letter(spec, alpha, letter):
                 _acc(result, b2, ck * c2)
     cache[key] = result
     return result
+
+
+@cache
+def monomials_up_to(dim, degree):
+    """All multi-indices with ``|alpha| <= degree`` in graded lexicographic order.
+
+    The multi-indices of one degree are the gaps between ``dim - 1`` bars
+    placed among ``total + dim - 1`` slots; bar positions in lexicographic
+    order give the multi-indices in lexicographic order.
+    """
+    out = []
+    for total in range(degree + 1):
+        end = total + dim - 1
+        for bars in combinations(range(end), dim - 1):
+            edges = (-1,) + bars + (end,)
+            out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return tuple(out)
+
+
+def _columns(spec, degree):
+    """The transpose of :func:`_right_letter` for every ``|alpha| <= degree``.
+
+    ``columns[l][b]`` lists ``(|alpha|, alpha, n)`` for every normal
+    monomial ``x^alpha`` whose ``x^alpha * e_l`` holds ``x^b`` with the
+    graded coefficient n, in ascending ``|alpha|``.  The spec's columns grow
+    one degree layer at a time up to the largest degree asked for so far,
+    so a caller that needs ``|alpha| <= d < degree`` stops at the first
+    entry past d.
+    """
+    built, columns = spec._column_cache
+    if degree > built:
+        monos = monomials_up_to(spec.dim, degree)
+        for alpha in monos[comb(built + spec.dim, spec.dim):]:
+            size = sum(alpha)
+            for letter, column in enumerate(columns):
+                for b, n in _right_letter(spec, alpha, letter).items():
+                    column.setdefault(b, []).append((size, alpha, n))
+        spec._column_cache = (degree, columns)
+    return columns
 
 
 def _poly_right_letter(spec, table, letter):

@@ -488,6 +488,21 @@ MALFORMED = [
                  ("suites[6] (local-hom)", "degree"), id="local-hom-degree-zero"),
     pytest.param("su2.json", None, ["--degree", "0", "run", "local-hom"],
                  ("suite 'local-hom'", "degree"), id="degree-zero-override-local-hom"),
+    pytest.param("su2.json", _set("radius", "expected", "0"), ["validate"],
+                 ("suites[2] (radius)", "expected", "positive"), id="radius-expected-zero"),
+    pytest.param("su2.json", _set("radius", "expected", "-1"), ["validate"],
+                 ("suites[2] (radius)", "expected", "positive"), id="radius-expected-negative"),
+    pytest.param("su2.json", _set("extension", "probe_norm", "0"), ["validate"],
+                 ("suites[9] (extension)", "probe_norm", "positive"),
+                 id="extension-probe-norm-zero"),
+    pytest.param("su2.json", _set("extension", "degrees", [3, 2]), ["validate"],
+                 ("suites[9] (extension)", "degrees", "increasing"),
+                 id="extension-degrees-decreasing"),
+    pytest.param("gaussian.json", _set("extension", "degrees", [4, 4, 8]), ["validate"],
+                 ("suites[2] (extension)", "degrees", "increasing"),
+                 id="extension-degrees-repeated"),
+    pytest.param("su2.json", _set("positivity", "power_max", 0), ["validate"],
+                 ("suites[4] (positivity)", "power_max"), id="positivity-power-max-zero"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-300), ["validate"],
                  ("suites[8] (cauchy)", "r:", "overflows binary64"), id="cauchy-r-tiny"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-20), ["--degree", "16", "run", "cauchy"],

@@ -310,6 +310,9 @@ def kernel_vectors(spec):
     out = [spec.basis_vector(i) for i in range(spec.dim)]
     out.append(spec.basis_vector(spec.dim - 1).scale(q(-3, 2)))
     out.append(GVector(spec, [q(1, 1), q(-2, 3)] + [q(1, -1)] * (spec.dim - 2)))
+    # several complex coordinates, no two alike
+    coords = [q(2, -1), q(Fraction(-1, 3), 3), q(0, Fraction(5, 2)), q(-4, 1)]
+    out.append(GVector(spec, coords[:spec.dim]))
     out.append(GVector(spec, [q(1)] * spec.dim))
     out.append(GVector(spec, [q(0)] * spec.dim))
     return out
@@ -337,13 +340,12 @@ class TestRegularActionKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
     def test_matches_product_route(self, name):
         spec = KERNEL_SPECS[name]
-        for seed in (600, 601):
-            lam = rand_table(spec, 4, seed)
+        for lam in (rand_table(spec, 4, 600), rand_table(spec, 4, 601), FunctionalTable(spec, 4)):
             for y in kernel_vectors(spec):
                 acted = regular_act(lam, y)
                 assert acted.max_degree == 3
                 assert acted.values == product_route_act(lam, y)
-                if y.is_zero():
+                if y.is_zero() or not lam.values:
                     assert acted.values == {}
 
     def test_right_action_builds_no_products(self, monkeypatch):
@@ -379,6 +381,56 @@ class TestRegularActionKernel:
         monkeypatch.setattr(gns, "regular_act", counted)
         assert [counted(lam, y).values for y in basis] == expected
         assert gns.moment_matrix(lam, 2).rows == expected_rows
+
+    @pytest.mark.parametrize("rep, support", [(spin_one, 10), (spin_three_half, 44)],
+                             ids=["spin1", "spin3half"])
+    def test_sparse_weight_vector_tables(self, rep, support):
+        rep = rep()
+        lam = functional_from_rep(rep, 6)
+        # a weight vector's matrix coefficients vanish on many of the 84 monomials
+        assert len(lam.values) == support
+        for y in kernel_vectors(rep.spec):
+            acted = regular_act(lam, y)
+            assert acted.values == product_route_act(lam, y)
+            # the action of x_0 on a weight-vector table is again sparse and exact
+            assert regular_act(acted, rep.spec.basis_vector(0)).values == product_route_act(
+                acted, rep.spec.basis_vector(0))
+
+    def test_columns_extend_like_a_fresh_build(self):
+        """A spec that acts at degree 3 and then at degree 7 matches a fresh spec."""
+        grown, fresh = so3(), so3()
+        small = rand_table(grown, 4, 603)
+        large = rand_table(grown, 8, 604)
+        y = GVector(grown, [Scalar(1, 2), Scalar(-3), Scalar(Fraction(1, 2), 1)])
+        assert regular_act(small, y).values == product_route_act(small, y)
+        assert grown._column_cache[0] == 3
+        acted = regular_act(large, y)
+        assert grown._column_cache[0] == 7
+        twin = FunctionalTable(fresh, 8, large.values)
+        assert acted.values == regular_act(twin, GVector(fresh, y.coeffs)).values
+        assert acted.values == product_route_act(large, y)
+        # the layered columns equal the columns built in one go
+        assert grown._column_cache == fresh._column_cache
+        # a lower-degree action on the grown spec reads the same columns
+        assert regular_act(small, y).values == product_route_act(small, y)
+
+    def test_built_columns_need_no_right_letter_steps(self, monkeypatch):
+        spec = so3()
+        lam = rand_table(spec, 6, 605)
+        regular_act(lam, spec.basis_vector(0))
+        steps = [0]
+        right_letter = lie_structure._right_letter
+
+        def counted(*args):
+            steps[0] += 1
+            return right_letter(*args)
+
+        monkeypatch.setattr(lie_structure, "_right_letter", counted)
+        y = GVector(spec, [Scalar(2, 1), Scalar(0), Scalar(-1, 3)])
+        acted = regular_act(lam, y)
+        assert steps[0] == 0
+        monkeypatch.undo()
+        assert acted.values == product_route_act(lam, y)
 
 
 def float_copy(rep):
