@@ -15,6 +15,7 @@ byte-identical across repetitions.
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import json
 import math
@@ -218,10 +219,26 @@ def _parse_functional(name, block, spec):
 
 
 def _parse_complex(value):
-    """A float-mode entry; JSON ``true``/``false`` are rejected, as exact entries reject them."""
+    """A float-mode entry: a finite number (a JSON number or a ``complex()`` string).
+
+    JSON ``true``/``false`` are rejected, as exact entries reject them, and so
+    are NaN and the infinities, in JSON or in a string.
+    """
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {str(value).lower()}")
-    return complex(value)
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return z
+
+
+def _format_complex(z):
+    """A float-mode entry as ``"re+imj"``, which :func:`_parse_complex` reads back bit for bit.
+
+    Both parts are written, so neither loses the sign of a zero, and equal
+    strings mean equal bits (config equality compares them).
+    """
+    return f"{z.real!r}{z.imag:+}j"
 
 
 def _parse_representation(name, block, spec):
@@ -451,17 +468,16 @@ def _functional_to_dict(lam):
 
 
 def _representation_to_dict(rep):
-    if not rep.exact:
-        raise ConfigError("float representations cannot be serialized exactly")
+    encode = format_scalar if rep.exact else _format_complex
     return {
         "dim_V": rep.dim_V,
-        "mode": "exact",
+        "mode": "exact" if rep.exact else "float",
         "skew_hermitian": rep.skew_hermitian,
         "generators": [
-            [[format_scalar(c) for c in row] for row in gen]
+            [[encode(c) for c in row] for row in gen]
             for gen in rep.generators
         ],
-        "cyclic_vector": [format_scalar(c) for c in rep.cyclic_vector],
+        "cyclic_vector": [encode(c) for c in rep.cyclic_vector],
     }
 
 

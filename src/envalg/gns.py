@@ -12,7 +12,10 @@ exactly assertable.
 Everything from the functional on is exact.  A binary64 entry is a dyadic
 rational, so a float representation is read as the exact one it stores,
 and its functional is exact too (:func:`functional_from_rep` rejects one
-whose stored entries break the laws).  One fraction-free LDL* kernel over
+whose stored entries break the laws).  The laws of every representation
+are decided once, on Gaussian integers: the exact squared residuals of the
+stored entries, compared with 0, or with 1e-10 squared for a float rep on
+the group side.  One fraction-free LDL* kernel over
 the Gaussian integers (:class:`_Ldl`) gives both certificates: the PSD
 test pivots on the largest diagonal entry (no square roots are needed to
 decide semidefiniteness, and a failed test returns a witness vector with
@@ -23,6 +26,7 @@ factors its matrix once.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,8 +55,8 @@ from .scalars import (
     Scalar,
     _int_pairs,
     _reduced,
+    as_scalar,
     fraction_root_float,
-    scalar_field,
 )
 
 __all__ = [
@@ -70,10 +74,14 @@ __all__ = [
 ]
 
 
-def _matrix(rows, size, coerce):
+# a float rep's residual norms count as zero up to this (the group side's test)
+_FLOAT_TOL = 1e-10
+
+
+def _matrix(rows, size, entry):
     out = []
     for row in rows:
-        row = tuple(coerce(c) for c in row)
+        row = tuple(entry(c) for c in row)
         if any(c is NotImplemented for c in row) or len(row) != size:
             raise ValueError("bad matrix row")
         out.append(row)
@@ -82,14 +90,30 @@ def _matrix(rows, size, coerce):
     return tuple(out)
 
 
-def _dyadic(c):
-    """A matrix entry as a Scalar: a binary64 complex is the dyadic rational it stores."""
-    return c if type(c) is Scalar else Scalar(Fraction(c.real), Fraction(c.imag))
+def _binary64(c):
+    """A float rep's entry as a finite Python complex (a Scalar by its value)."""
+    z = c.to_complex() if type(c) is Scalar else complex(c)
+    if not isfinite(z):
+        raise ValueError(f"non-finite entry {z!r}")
+    return z
 
 
-def _int_vector(vec):
+def _int_entries(entries, exact):
+    """Entries over one denominator: ``(den, [(A, B), ..])``, entry k ``(A_k + B_k i) / den``.
+
+    A binary64 complex is read as the dyadic rational it stores; its
+    denominators are powers of two, so the largest one is common.
+    """
+    if exact:
+        return _int_pairs(entries)
+    parts = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in entries]
+    den = max(q for pair in parts for _, q in pair)
+    return den, [(p * (den // q), r * (den // t)) for (p, q), (r, t) in parts]
+
+
+def _int_vector(vec, exact):
     """Entries as ``(den, re, im)``: entry k is ``(re[k] + im[k] i) / den``."""
-    den, pairs = _int_pairs([_dyadic(c) for c in vec])
+    den, pairs = _int_entries(vec, exact)
     return den, [a for a, _ in pairs], [b for _, b in pairs]
 
 
@@ -120,20 +144,15 @@ def _int_inner(u, v):
     return _reduced(x, y, du * dv)
 
 
-def _norm2(field, entries):
-    """Squared Frobenius norm of ``entries`` in the field's reals."""
-    return sum(field.real(c * c.conjugate()) for c in entries if c)
-
-
 class MatrixRep:
     """Matrix generators ``R(e_i)`` with a cyclic vector.
 
-    ``exact`` reps hold Gaussian-rational entries; float reps hold complex
-    entries, which the group side reads as they are and the algebra side as
-    the dyadic rationals they store.  Both store matrices as tuples of rows.
-    The homomorphism law ``[R(e_i), R(e_j)] = sum c_ijk R(e_k)`` is validated
-    on demand, exactly or to 1e-10; ``skew_hermitian`` additionally asserts
-    ``R(e_i)^* = -R(e_i)``.
+    ``exact`` reps hold Gaussian-rational entries (Scalars); float reps hold
+    finite binary64 entries (Python complex), which the group side reads as
+    they are and the algebra side as the dyadic rationals they store.  Both
+    store matrices as tuples of rows.  :meth:`validate` checks the
+    homomorphism law ``[R(e_i), R(e_j)] = sum c_ijk R(e_k)`` and, when
+    ``skew_hermitian`` is set, ``R(e_i)^* = -R(e_i)``.
     """
 
     def __init__(self, spec, dim_V, generators, cyclic_vector, *, skew_hermitian,
@@ -143,27 +162,25 @@ class MatrixRep:
         self.spec = spec
         self.dim_V = dim_V
         self.skew_hermitian = skew_hermitian
-        self.field = field = scalar_field(exact)
+        self.exact = exact
         self.name = name
-        self.generators = tuple(_matrix(g, dim_V, field.coerce) for g in generators)
-        vec = tuple(field.coerce(c) for c in cyclic_vector)
+        entry = as_scalar if exact else _binary64
+        self.generators = tuple(_matrix(g, dim_V, entry) for g in generators)
+        vec = tuple(entry(c) for c in cyclic_vector)
         if len(vec) != dim_V or any(c is NotImplemented for c in vec):
             raise ValueError("bad cyclic vector")
         self.cyclic_vector = vec
-        self._validated = False
-
-    @property
-    def exact(self):
-        return self.field.exact
 
     # -- numeric views -----------------------------------------------------
+
+    def _complex(self, entries):
+        """A row (or the cyclic vector) as Python complex values."""
+        return [c.to_complex() for c in entries] if self.exact else entries
 
     @cached_property
     def _generator_arrays(self):
         """Read-only complex arrays of the generators, built on first use."""
-        to_complex = self.field.to_complex
-        arrays = tuple(np.array([[to_complex(c) for c in row] for row in gen])
-                       for gen in self.generators)
+        arrays = tuple(np.array([self._complex(row) for row in gen]) for gen in self.generators)
         for arr in arrays:
             arr.flags.writeable = False
         return arrays
@@ -172,12 +189,12 @@ class MatrixRep:
     def _int_generators(self):
         """Each generator as ``(den, rows)``: the nonzero ``(j, A, B)`` of each
         row, with entry ``(A + B i) / den`` (a float entry read exactly)."""
+        n = self.dim_V
         out = []
         for gen in self.generators:
-            gen = [[_dyadic(c) for c in row] for row in gen]
-            den = lcm(*{c.d for row in gen for c in row})
-            out.append((den, [[(j, c.a * (den // c.d), c.b * (den // c.d))
-                               for j, c in enumerate(row) if c] for row in gen]))
+            den, pairs = _int_entries([c for row in gen for c in row], self.exact)
+            out.append((den, [[(j, a, b) for j, (a, b) in enumerate(pairs[r * n:r * n + n])
+                               if a or b] for r in range(n)]))
         return tuple(out)
 
     def generator_array(self, i):
@@ -185,7 +202,7 @@ class MatrixRep:
         return self._generator_arrays[i]
 
     def cyclic_array(self):
-        return np.array([self.field.to_complex(c) for c in self.cyclic_vector])
+        return np.array(self._complex(self.cyclic_vector))
 
     def matrix_of(self, x):
         """Complex matrix of ``R(x)`` for a coefficient vector x in g."""
@@ -207,30 +224,20 @@ class MatrixRep:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self):
-        """Check the commutation law (and skewness if flagged); raise on failure.
+    @cached_property
+    def _residual_norms2(self):
+        """Exact squared Frobenius norms of the stored entries' law residuals.
 
-        A residual counts as zero when its Frobenius norm is at most the
-        field's threshold: exactly zero, or 1e-10 for a float rep (the
-        group side's test; :func:`functional_from_rep` asks more).  An
-        exact rep is decided by integer equality on :attr:`_int_generators`;
-        only a failure builds the Scalar residuals that word the error.
-        """
-        if self._validated:
-            return
-        if not (self.exact and self._int_laws_hold()):
-            self._check_residuals()
-        self._validated = True
-
-    def _int_laws_hold(self):
-        """The commutation law (and skewness if flagged) by integer equality.
-
-        With ``R(e_i) = X_i / d_i`` and ``c_ijk = C_k / q_k``, the law for
-        ``i < j`` is ``L (X_i X_j - X_j X_i) = d_i d_j sum_k C_k (L / (q_k d_k)) X_k``
-        for ``L = lcm_k(q_k d_k)``; each row of the difference is summed
-        sparsely and must cancel.
+        ``(laws, skews)``: ``laws[(i, j)]`` for ``i < j`` is the norm of
+        ``[R(e_i), R(e_j)] - sum_k c_ijk R(e_k)`` and ``skews[i]`` that of
+        ``R(e_i)^* + R(e_i)`` (empty unless the rep is flagged skew-hermitian).
+        With ``R(e_i) = X_i / d_i`` and ``c_ijk = C_k / q_k``, ``L d_i d_j``
+        times the law residual is ``L (X_i X_j - X_j X_i) - d_i d_j sum_k
+        C_k (L / (q_k d_k)) X_k`` for ``L = lcm_k(q_k d_k)``, an integer
+        matrix whose rows are summed sparsely.
         """
         gens = self._int_generators
+        laws = {}
         for i in range(self.spec.dim):
             di, X = gens[i]
             for j in range(i + 1, self.spec.dim):
@@ -239,6 +246,7 @@ class MatrixRep:
                 L = lcm(*(c.d * gens[k][0] for k, c in bracket))
                 weights = [(gens[k][1], di * dj * c.a * (L // (c.d * gens[k][0])))
                            for k, c in bracket]
+                total = 0
                 for r in range(self.dim_V):
                     acc = {}
                     for P, Q, sign in ((X, Y, L), (Y, X, -L)):
@@ -248,55 +256,56 @@ class MatrixRep:
                     for rows, w in weights:
                         for s, a, b in rows[r]:
                             _acc_pair(acc, s, -w * a, -w * b)
-                    if acc:
-                        return False
-        if self.skew_hermitian:
-            # R^* = -R: the entry at (s, r) is minus the conjugate of the one at (r, s)
-            for _, rows in gens:
-                entries = {(r, s): (a, b) for r, row in enumerate(rows) for s, a, b in row}
-                if any(entries.get((s, r)) != (-a, b) for (r, s), (a, b) in entries.items()):
-                    return False
-        return True
+                    total += sum(a * a + b * b for a, b in acc.values())
+                laws[(i, j)] = Fraction(total, (L * di * dj) ** 2)
+        skews = []
+        for den, rows in gens if self.skew_hermitian else ():
+            # entry (r, s) of X^* + X is conj(X[s][r]) + X[r][s]; an entry whose
+            # transpose is zero meets only zero, at (r, s) and again at (s, r)
+            entries = {(r, s): (a, b) for r, row in enumerate(rows) for s, a, b in row}
+            total = 0
+            for (r, s), (a, b) in entries.items():
+                other = entries.get((s, r))
+                if other is None:
+                    total += 2 * (a * a + b * b)
+                else:
+                    x, y = a + other[0], b - other[1]
+                    total += x * x + y * y
+            skews.append(Fraction(total, den * den))
+        return laws, skews
 
-    def _check_residuals(self):
-        """Raise naming the worst pair's residual, or the first non-skew generator."""
-        field, n, gens, zero = self.field, self.dim_V, self.generators, self.field.zero
-        limit2 = field.tol ** 2
-        worst = (None, 0)
-        for i in range(self.spec.dim):
-            for j in range(i + 1, self.spec.dim):
-                A, B = gens[i], gens[j]
-                bracket = self.spec.bracket_of(i, j).items()
-                # entries of [A, B] - sum_k c_ijk R(e_k)
-                resid2 = _norm2(field, (
-                    sum((A[r][t] * B[t][s] - B[r][t] * A[t][s] for t in range(n)), zero)
-                    - sum((c * gens[k][r][s] for k, c in bracket), zero)
-                    for r in range(n) for s in range(n)
-                ))
-                if resid2 > worst[1]:
-                    worst = ((i, j), resid2)
-        if worst[1] > limit2:
+    def validate(self):
+        """Check the commutation law (and skewness if flagged); raise on failure.
+
+        Every verdict reads :attr:`_residual_norms2`, the exact residuals of
+        the stored entries.  ``exact`` picks the tolerance: a residual counts
+        as zero when its Frobenius norm is exactly 0, or at most 1e-10 for a
+        float rep (the group side's test; :func:`functional_from_rep` asks
+        for 0).  A failure names the first pair with the worst residual, or
+        the first non-skew generator.
+        """
+        laws, skews = self._residual_norms2
+        limit2 = 0 if self.exact else _FLOAT_TOL ** 2
+        worst = max(laws, key=laws.get, default=None)
+        if worst is not None and laws[worst] > limit2:
             raise RepresentationError(
-                f"homomorphism law fails at pair {worst[0]}: "
-                f"residual {field.sqrt(worst[1]):.3e}"
+                f"homomorphism law fails at pair {worst}: "
+                f"residual {fraction_root_float(laws[worst], 2):.3e}"
             )
-        if self.skew_hermitian:
-            for i, gen in enumerate(gens):
-                resid2 = _norm2(
-                    field, (gen[r][s].conjugate() + gen[s][r] for r in range(n) for s in range(n))
-                )
-                if resid2 > limit2:
-                    raise RepresentationError(f"generator {i} is not skew-hermitian")
+        for i, resid2 in enumerate(skews):
+            if resid2 > limit2:
+                raise RepresentationError(f"generator {i} is not skew-hermitian")
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
-        return f"MatrixRep({self.field.name}{label}, dim_V={self.dim_V})"
+        return f"MatrixRep({'exact' if self.exact else 'float'}{label}, dim_V={self.dim_V})"
 
 
 def _validate_exactly(rep):
     """Validate ``rep``; a float rep must also obey its laws exactly as stored."""
     rep.validate()
-    if not rep.exact and not rep._int_laws_hold():
+    laws, skews = rep._residual_norms2
+    if any(laws.values()) or any(skews):
         raise RepresentationError(
             f"the binary64 entries of {rep!r} are not an exact representation"
         )
@@ -342,7 +351,8 @@ def _orbit_vectors(rep, monos):
     vector's times the generators' along the peeled letters).
     """
     gens = rep._int_generators
-    return _peel(monos, _int_vector(rep.cyclic_vector), lambda i, v: _int_matvec(gens[i], v))
+    base = _int_vector(rep.cyclic_vector, rep.exact)
+    return _peel(monos, base, lambda i, v: _int_matvec(gens[i], v))
 
 
 def orbit_gram(rep, d_max):

@@ -18,6 +18,10 @@ Scalar through ``_reduced(A, B, den)``, which puts it in lowest terms.  A
 float value read from such an entry is ``A / den`` (and ``B / den``),
 correctly rounded like :meth:`Scalar.to_complex` of the reduced triple.
 
+There is no float arithmetic here: a Scalar combines only with Scalars,
+ints and Fractions.  A binary64 value enters the exact side as the dyadic
+rational it stores (see :class:`envalg.gns.MatrixRep`).
+
 ``SqrtFraction`` and
 ``RootValue`` represent nonnegative reals of the form ``sqrt(q)`` and
 ``q**(1/(2n))`` for rational ``q``; they compare exactly by cross-powering,
@@ -27,10 +31,8 @@ and floating point only appears when a value is rendered for a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable
 
 __all__ = [
     "Scalar",
@@ -46,10 +48,6 @@ __all__ = [
     "RootValue",
     "sqrt_leq_sqrt_plus_multiple",
     "fraction_root_float",
-    "Field",
-    "EXACT",
-    "FLOAT",
-    "scalar_field",
 ]
 
 _gcd = math.gcd
@@ -183,9 +181,6 @@ class Scalar:
         if isinstance(other, (int, Fraction)):
             p = other.numerator
             return _reduced(self.a * p, self.b * p, self.d * other.denominator)
-        if type(other) is complex:
-            # an exact structure constant acting on a float representation's entry
-            return self.to_complex() * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -257,39 +252,6 @@ def as_scalar(value):
     if isinstance(value, (int, Fraction)):
         return _triple(value.numerator, 0, value.denominator)
     return NotImplemented
-
-
-@dataclass(frozen=True)
-class Field:
-    """The entries of a :class:`~envalg.gns.MatrixRep`: exact Scalar or binary64 complex.
-
-    Only matrix representations carry a field: float ones serve the group
-    side, and everything from a functional on is exact.  Both types share
-    ``+ - * /``, ``conjugate()`` and "nonzero is truthy", and a Scalar times
-    a complex is their complex product, so a field holds only what differs.
-    ``tol`` is the relative zero threshold of the residual checks: 0 on the
-    exact field, where only exact zeros count as zero.
-    """
-
-    name: str
-    exact: bool
-    zero: object
-    tol: float
-    coerce: Callable      # a Scalar or number into the field (exact: NotImplemented if not)
-    real: Callable        # real part
-    to_complex: Callable
-    sqrt: Callable        # float square root of a nonnegative real of the field
-
-
-EXACT = Field("exact", True, ZERO, 0, as_scalar, lambda z: z.re,
-              Scalar.to_complex, lambda q: fraction_root_float(q, 2))
-FLOAT = Field("float", False, 0j, 1e-10,
-              lambda v: v.to_complex() if type(v) is Scalar else complex(v),
-              lambda z: z.real, complex, math.sqrt)
-
-
-def scalar_field(exact):
-    return EXACT if exact else FLOAT
 
 
 def parse_fraction(text):

@@ -1,0 +1,35 @@
+"""The benchmark's in-process workloads reproduce their recorded digests.
+
+Each of ``word-tables``, ``moments-gns`` and ``group-float`` from
+``perfbench/workloads.py`` is built at the small size with seed 0 and every
+step runs once: each check must pass with the digest recorded in
+``perfbench/reference.json["small"]``.  The test only reads ``perfbench/``.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["word-tables", "moments-gns", "group-float"])
+def test_small_workload_matches_reference(name):
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    expected = reference["small"][name]
+    workload = _workloads().WORKLOADS[name](0, small=True)
+    checks = [check for step in workload.steps for check in step(None)]
+    assert sorted(label for label, _, _ in checks) == sorted(expected)
+    for label, ok, digest in checks:
+        assert ok, label
+        assert digest == expected[label], label

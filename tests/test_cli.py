@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +18,8 @@ import envalg
 from envalg.cli import (
     SUITE_NAMES,
     SUITES,
+    _format_complex,
+    _parse_complex,
     default_config_path,
     main,
     parse_config,
@@ -76,6 +79,39 @@ class TestParsing:
         again = parse_config(text)
         assert config == again
         assert serialize_config(again) == text
+
+    def test_float_representation_round_trips_bit_for_bit(self, tmp_path):
+        # "-0.5j" reads as complex(-0.0, -0.5): the dump keeps the signed zero
+        doc = shipped("su2.json")
+        doc["representations"]["spin_half_float"] = {
+            "dim_V": 2, "mode": "float", "skew_hermitian": True,
+            "generators": [[[0, "-0.5j"], ["-0.5j", 0]], [[0, -0.5], [0.5, 0]],
+                           [["-0.5j", -0.0], [0, "0.5j"]]],
+            "cyclic_vector": [0.6, "-0.0+0.8j"],
+        }
+        config = parse_config(json.dumps(doc))
+        again = parse_config(serialize_config(config))
+        assert again == config
+        rep = config.representations["spin_half_float"]
+        back = again.representations["spin_half_float"]
+        assert not back.exact
+        for i in range(3):
+            assert back.generator_array(i).tobytes() == rep.generator_array(i).tobytes()
+        assert back.cyclic_array().tobytes() == rep.cyclic_array().tobytes()
+        # equality is bitwise: +0.0 in place of -0.0 is another config
+        doc["representations"]["spin_half_float"]["cyclic_vector"] = [0.6, "0.8j"]
+        assert parse_config(json.dumps(doc)) != config
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for target in ("config", "suites", "representation/spin_half_float"):
+            rc, _ = capture(["--config", str(path), "dump", target])
+            assert rc == 0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_entry_text_reads_back_bit_for_bit(self, re, im):
+        z = _parse_complex(json.loads(json.dumps(_format_complex(complex(re, im)))))
+        assert struct.pack("dd", z.real, z.imag) == struct.pack("dd", re, im)
 
     def test_jacobi_violation_reported_with_witness(self):
         doc = json.loads(MINIMAL)
@@ -467,6 +503,12 @@ MALFORMED = [
     pytest.param("su2.json", _float_rep("generators", [1, 0, 2], False), ["validate"],
                  ("representations.spin_one_float.generators", "got false"),
                  id="float-generator-bool"),
+    pytest.param("su2.json", _float_rep("generators", [1, 0, 2], "nan"), ["validate"],
+                 ("representations.spin_one_float.generators", "finite"),
+                 id="float-generator-nan"),
+    pytest.param("su2.json", _float_rep("cyclic_vector", [0], float("inf")), ["validate"],
+                 ("representations.spin_one_float.cyclic_vector", "finite"),
+                 id="float-cyclic-vector-infinite"),
     pytest.param("su2.json", _set("extension", "probes", 0), ["validate"],
                  ("suites[9] (extension)", "probes"), id="extension-probes-zero"),
     pytest.param("su2.json", _set("kernel", "repetitions", 0), ["validate"],

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +37,8 @@ from envalg.functionals import (
 from envalg.gns import (
     GnsModel,
     MatrixRep,
-    _dyadic,
     _exact_psd,
+    _int_entries,
     _Ldl,
     analytic_diagnostics,
     functional_from_rep,
@@ -54,13 +56,30 @@ from rational_algebras import RATIONAL_ALGEBRAS, rational_reps
 SO3 = so3()
 
 
-@pytest.mark.parametrize("z", [0.1 + 0j, complex(-0.0, 1 / 3), complex(5e-324, -1e308),
-                               0.5 - 0.25j])
-def test_dyadic_reads_binary64_exactly(z):
-    s = _dyadic(z)
-    assert (s.re, s.im) == (Fraction(z.real), Fraction(z.imag))
-    assert s.to_complex() == z
-    assert _dyadic(s) is s
+BINARY64 = [0.1 + 0j, complex(-0.0, 1 / 3), complex(5e-324, -1e308), 0.5 - 0.25j, 3 + 0j]
+
+
+@pytest.mark.parametrize("zs", [[z] for z in BINARY64] + [BINARY64])
+def test_binary64_entries_read_exactly(zs):
+    # one power-of-two denominator serves every entry
+    den, pairs = _int_entries(zs, exact=False)
+    assert den & (den - 1) == 0
+    for z, (a, b) in zip(zs, pairs):
+        assert (Fraction(a, den), Fraction(b, den)) == (Fraction(z.real), Fraction(z.imag))
+        assert Scalar(Fraction(a, den), Fraction(b, den)).to_complex() == z
+
+
+@pytest.mark.parametrize("where", ["generator", "cyclic vector"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_float_rep_rejects_non_finite_entries(where, bad):
+    gens = [[[0j, 1j], [1j, 0j]]]
+    v = [1 + 0j, 0j]
+    if where == "generator":
+        gens[0][1][0] = bad
+    else:
+        v[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        MatrixRep(abelian(1), 2, gens, v, skew_hermitian=True, exact=False)
 
 
 class TestFunctionalFromRep:
@@ -316,7 +335,7 @@ def _float_copy(rep):
     """The exact ``rep`` on complex entries."""
     return MatrixRep(
         rep.spec, rep.dim_V, [rep.generator_array(i) for i in range(rep.spec.dim)],
-        rep.cyclic_array(), skew_hermitian=True, exact=False,
+        rep.cyclic_array(), skew_hermitian=rep.skew_hermitian, exact=False,
     )
 
 
@@ -465,7 +484,6 @@ class TestGnsBuild:
         turned = MatrixRep(SO3, 3, gens, U @ rep.cyclic_array(),
                            skew_hermitian=True, exact=False)
         turned.validate()
-        assert not turned._int_laws_hold()
         with pytest.raises(RepresentationError, match="not an exact representation"):
             functional_from_rep(turned, 4)
         with pytest.raises(RepresentationError, match="not an exact representation"):
@@ -924,8 +942,18 @@ def _perturbed(rep, rng):
                      skew_hermitian=rep.skew_hermitian)
 
 
+def _similar(rep, skew_hermitian):
+    """``rep`` conjugated by ``diag(1, 2, 1, 3, ..)``: the law holds, skewness does not."""
+    n = rep.dim_V
+    p = ([1, 2, 1, 3] * 4)[:n]
+    gens = [[[gen[r][s] * Fraction(p[r], p[s]) for s in range(n)] for r in range(n)]
+            for gen in rep.generators]
+    return MatrixRep(rep.spec, n, gens, rep.cyclic_vector, skew_hermitian=skew_hermitian)
+
+
 class TestIntegerValidate:
-    """``validate`` decides exact reps on ints and words failures as before."""
+    """``validate`` decides every rep on ints, with the verdicts and messages
+    of Scalar residuals summed entry by entry."""
 
     def test_broken_exact_reps_keep_their_messages(self):
         rep = spin_one()
@@ -936,28 +964,86 @@ class TestIntegerValidate:
             bad.validate()
         assert str(err.value) == "homomorphism law fails at pair (1, 2): residual 1.491e+00"
         # a non-unitary similarity keeps the law but not skewness
-        rep = spin_three_half()
-        p = ([1, 2, 1, 3] * 4)[:rep.dim_V]
-        similar = [[[gen[r][s] * Fraction(p[r], p[s]) for s in range(rep.dim_V)]
-                    for r in range(rep.dim_V)] for gen in rep.generators]
-        MatrixRep(rep.spec, rep.dim_V, similar, rep.cyclic_vector,
-                  skew_hermitian=False).validate()
+        _similar(spin_three_half(), skew_hermitian=False).validate()
         with pytest.raises(RepresentationError) as err:
-            MatrixRep(rep.spec, rep.dim_V, similar, rep.cyclic_vector,
-                      skew_hermitian=True).validate()
+            _similar(spin_three_half(), skew_hermitian=True).validate()
         assert str(err.value) == "generator 0 is not skew-hermitian"
 
-    def test_integer_laws_agree_with_scalar_residuals(self):
+    def test_validate_agrees_with_scalar_residual_oracle(self):
         rng = random.Random(31)
         reps = [spin_half(), spin_one(), spin_three_half()] + list(rational_reps().values())
         verdicts = []
         for rep in reps:
-            for candidate in [rep] + [_perturbed(rep, rng) for _ in range(4)]:
-                try:
-                    candidate._check_residuals()
-                    holds = True
-                except RepresentationError:
-                    holds = False
-                assert candidate._int_laws_hold() == holds
-                verdicts.append(holds)
+            similar = _similar(rep, rep.skew_hermitian)
+            for candidate in [rep, similar] + [_perturbed(rep, rng) for _ in range(4)]:
+                for copy in (candidate, _float_copy(candidate)):
+                    expected = _scalar_residual_failure(copy, 0 if copy.exact else 1e-10)
+                    if expected is None:
+                        copy.validate()
+                    else:
+                        with pytest.raises(RepresentationError) as err:
+                            copy.validate()
+                        assert str(err.value) == expected
+                    verdicts.append(expected is None)
+                    # the algebra side asks the stored entries for exact laws
+                    if expected is None and _scalar_residual_failure(copy, 0) is None:
+                        orbit_gram(copy, 1)
+                    else:
+                        with pytest.raises(RepresentationError):
+                            orbit_gram(copy, 1)
         assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("size, ok", [(1e-11, True), (1e-9, False)])
+    def test_float_tolerance_boundary(self, size, ok):
+        # spin one-half scaled by 1 + size: the law residual is about size / sqrt(2)
+        rep = spin_half()
+        scaled = MatrixRep(rep.spec, 2, [rep.generator_array(i) * (1 + size) for i in range(3)],
+                           rep.cyclic_array(), skew_hermitian=True, exact=False)
+        # one off-diagonal entry moved by size: the skewness residual is size * sqrt(2)
+        gen = np.array([[0, 1j], [1j, 0]])
+        gen[0, 1] += size
+        tilted = MatrixRep(abelian(1), 2, [gen], [1, 0], skew_hermitian=True, exact=False)
+        for bad, message in ((scaled, "homomorphism law fails at pair (0, 1)"),
+                             (tilted, "generator 0 is not skew-hermitian")):
+            if ok:
+                bad.validate()
+                with pytest.raises(RepresentationError, match="not an exact representation"):
+                    functional_from_rep(bad, 2)
+            else:
+                with pytest.raises(RepresentationError, match=re.escape(message)):
+                    bad.validate()
+
+
+def _scalar_residual_failure(rep, tol):
+    """The error ``validate`` must raise for ``rep`` at tolerance ``tol``, or None.
+
+    The oracle sums the residuals as Scalars, entry by entry, on the stored
+    entries (a binary64 entry read as the dyadic rational it stores).
+    """
+    def scalar(c):
+        return c if type(c) is Scalar else Scalar(Fraction(c.real), Fraction(c.imag))
+
+    gens = [[[scalar(c) for c in row] for row in gen] for gen in rep.generators]
+    n, zero, limit2 = rep.dim_V, Scalar(0), tol ** 2
+
+    def norm2(entries):
+        return sum(c.abs2() for c in entries)
+
+    worst, worst2 = None, 0
+    for i, j in itertools.combinations(range(rep.spec.dim), 2):
+        A, B = gens[i], gens[j]
+        resid2 = norm2(
+            sum((A[r][t] * B[t][s] - B[r][t] * A[t][s] for t in range(n)), zero)
+            - sum((c * gens[k][r][s] for k, c in rep.spec.bracket_of(i, j).items()), zero)
+            for r in range(n) for s in range(n)
+        )
+        if resid2 > worst2:
+            worst, worst2 = (i, j), resid2
+    if worst2 > limit2:
+        return f"homomorphism law fails at pair {worst}: residual {math.sqrt(worst2):.3e}"
+    if rep.skew_hermitian:
+        for i, gen in enumerate(gens):
+            skew2 = norm2(gen[r][s].conjugate() + gen[s][r] for r in range(n) for s in range(n))
+            if skew2 > limit2:
+                return f"generator {i} is not skew-hermitian"
+    return None

@@ -172,10 +172,13 @@ def test_text_forms_read_the_fraction_parts(x):
         assert str(x).endswith("i")
 
 
-def test_complex_operand_gives_complex_product():
+def test_complex_operand_raises():
+    # Scalars do no float arithmetic: a binary64 value is converted first
     s = Scalar(Fraction(1, 3), 2)
-    assert s * 2j == s.to_complex() * 2j
-    assert 2j * s == s.to_complex() * 2j
+    with pytest.raises(TypeError):
+        s * 1j
+    with pytest.raises(TypeError):
+        1j * s
 
 
 @pytest.mark.parametrize("zero", [Scalar(0), Scalar(Fraction(0), Fraction(0)), 0, Fraction(0)])
