@@ -358,6 +358,16 @@ def _exact_representation(value, config):
         raise ValueError(f"{value!r} is a float representation; this suite needs exact ones")
 
 
+def _skew(check):
+    # cauchy and extension bound unitary orbits, so they need skew-hermitian reps
+    def skew(value, config):
+        check(value, config)
+        if not config.representations[value].skew_hermitian:
+            raise ValueError(f"{value!r} is not skew-hermitian; this suite needs unitary ones")
+
+    return skew
+
+
 @dataclass(frozen=True)
 class Suite:
     """A verification suite: its runner and its parameters.
@@ -978,14 +988,14 @@ SUITES = {
     # n_max is a derivative order rather than a truncation degree, so it gets
     # a looser cap; random_size is capped like a representation's dim_V
     "cauchy": Suite(_suite_cauchy,
-                    {"representation": (None, _REPRESENTATION), "x": (None, _gvector),
+                    {"representation": (None, _skew(_REPRESENTATION)), "x": (None, _gvector),
                      "r": (1.0, _real(lambda v: v > 0, "a positive number")),
                      "n_max": (12, _integer(0, 16)), "random_reps": (0, _COUNT),
                      "random_size": (4, _integer(1, 16))},
                     requires=(("representation",),), degree="n_max",
                     consistent=_cauchy_fits),
     "extension": Suite(_suite_extension,
-                       {"representation": (None, _exact_representation),
+                       {"representation": (None, _skew(_exact_representation)),
                         "functional": (None, _FUNCTIONAL),
                         "truth": (None, _ref("truth function", lambda config: _TRUTH_FUNCTIONS)),
                         "degrees": (None, _increasing(_POSITIVE_DEGREE)),

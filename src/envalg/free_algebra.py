@@ -12,6 +12,11 @@ degree minus ``len(u)``.
 
 The truncation degree is a hard parameter: series with different degrees (or
 alphabets) never mix, so the provenance of discarded terms stays explicit.
+
+The vector-space operations (sum, difference, negation, scaling, equality
+and hash) live once, in the private base :class:`_SparseTerms`, which
+:class:`FreeSeries` and :class:`~envalg.lie_structure.PBWPoly` share; each
+class adds its parameters, its mismatch error and its product.
 """
 
 from __future__ import annotations
@@ -45,7 +50,74 @@ def _acc(table, key, coeff):
         del table[key]
 
 
-class FreeSeries:
+class _SparseTerms:
+    """Vector-space operations shared by the sparse term algebras.
+
+    An element holds ``terms``, a dict from keys (words, or PBW
+    multi-indices) to nonzero :class:`Scalar` values, beside the parameters
+    that fix its algebra.  A subclass supplies three things: ``_params()``,
+    the parameters that ``==`` compares and that its ``_raw(*params,
+    terms)`` builds an element from; ``_check_compatible``, which raises the
+    class's mismatch error; and ``_product``, the algebra product.  The hash
+    reads the terms only, which is consistent with ``==``.
+    """
+
+    __slots__ = ()
+
+    def _with(self, terms):
+        """An element with the same parameters and the given terms."""
+        return self._raw(*self._params(), terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _acc(out, key, coeff)
+        return self._with(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def scale(self, value):
+        value = as_scalar(value)
+        if value is NotImplemented:
+            raise TypeError("scale expects a rational or Gaussian rational")
+        if not value:
+            return self._with({})
+        return self._with({k: c * value for k, c in self.terms.items()})
+
+    def __rmul__(self, value):
+        if isinstance(value, (int, Fraction, Scalar)):
+            return self.scale(value)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Scalar)):
+            return self.scale(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._product(other)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._params() == other._params() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class FreeSeries(_SparseTerms):
     """Truncated noncommutative power series with exact coefficients.
 
     ``terms`` maps words (tuples of letters) to nonzero :class:`Scalar`
@@ -100,9 +172,6 @@ class FreeSeries:
             raise ValueError("truncation degree too small for a letter")
         return cls._raw(alphabet_size, trunc_degree, {(index,): ONE})
 
-    def is_zero(self):
-        return not self.terms
-
     def _check_compatible(self, other):
         if self.alphabet_size != other.alphabet_size:
             raise SeriesMismatchError(
@@ -113,49 +182,10 @@ class FreeSeries:
                 f"truncation degree mismatch: {self.trunc_degree} vs {other.trunc_degree}"
             )
 
-    def __add__(self, other):
-        if not isinstance(other, FreeSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _acc(out, word, coeff)
-        return FreeSeries._raw(self.alphabet_size, self.trunc_degree, out)
+    def _params(self):
+        return self.alphabet_size, self.trunc_degree
 
-    def __sub__(self, other):
-        if not isinstance(other, FreeSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return FreeSeries._raw(
-            self.alphabet_size,
-            self.trunc_degree,
-            {w: -c for w, c in self.terms.items()},
-        )
-
-    def scale(self, value):
-        value = as_scalar(value)
-        if value is NotImplemented:
-            raise TypeError("scale expects a rational or Gaussian rational")
-        if not value:
-            return FreeSeries.zero(self.alphabet_size, self.trunc_degree)
-        return FreeSeries._raw(
-            self.alphabet_size,
-            self.trunc_degree,
-            {w: c * value for w, c in self.terms.items()},
-        )
-
-    def __rmul__(self, value):
-        if isinstance(value, (int, Fraction, Scalar)):
-            return self.scale(value)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        if not isinstance(other, FreeSeries):
-            return NotImplemented
+    def _product(self, other):
         self._check_compatible(other)
         cut = self.trunc_degree
         # buckets[k] holds the terms of `other` of length k, so each left word
@@ -168,28 +198,10 @@ class FreeSeries:
             for bucket in buckets[: cut + 1 - len(u)]:
                 for v, cv in bucket:
                     _acc(out, u + v, cu * cv)
-        return FreeSeries._raw(self.alphabet_size, self.trunc_degree, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeSeries):
-            return NotImplemented
-        return (
-            self.alphabet_size == other.alphabet_size
-            and self.trunc_degree == other.trunc_degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.alphabet_size, self.trunc_degree, frozenset(self.terms.items()))
-        )
+        return self._with(out)
 
     def homogeneous_part(self, degree):
-        return FreeSeries._raw(
-            self.alphabet_size,
-            self.trunc_degree,
-            {w: c for w, c in self.terms.items() if len(w) == degree},
-        )
+        return self._with({w: c for w, c in self.terms.items() if len(w) == degree})
 
     def __repr__(self):
         if not self.terms:

@@ -15,9 +15,11 @@ Inserting ``e_i`` at position k gives ``T_{k,i}(alpha)``, the sum of the
 words with letter i at position k and the multiset alpha elsewhere; split
 after the inserted letter, ``lam(T_{k,i}(alpha))`` is a sum of
 ``mu_{alpha''}(S(alpha') e_i)`` with ``mu_beta = lam(. S(beta))``.  Both run
-over the ``C(n+dim-1, dim-1)`` multisets of each degree.  The word tables
-(:func:`beta_component`, :func:`symmetrize`) remain as the direct route for
-small n.
+over the ``C(n+dim-1, dim-1)`` multisets of each degree.  Every
+symmetrized norm, :func:`growth_diagnostics`' included, takes this route.
+The word tables (:func:`beta_component`, :func:`symmetrize`) serve only the
+raw, unsymmetrized twin in :func:`growth_diagnostics`, the demos and the
+tests, which keep them as an oracle.
 
 Every table holds exact Scalars, including the matrix-coefficient tables
 of float representations (see :mod:`envalg.gns`), and evaluation runs on
@@ -170,6 +172,14 @@ class FunctionalTable:
             image = self._image = (den, graded)
         return image
 
+    def _cut(self, degree):
+        """The table on degree ``<= degree``; the table itself when nothing is cut."""
+        if self.max_degree <= degree:
+            return self
+        den, image = self._int_image()
+        kept = {alpha: v for alpha, v in image.items() if sum(alpha) <= degree}
+        return FunctionalTable._from_image(self.spec, degree, den, kept)
+
     def value(self, alpha):
         alpha = tuple(alpha)
         if sum(alpha) > self.max_degree:
@@ -182,7 +192,7 @@ class FunctionalTable:
     def eval(self, poly):
         """Evaluate on a PBW element by linearity, summing int pairs over one
         denominator; rejects degree overflow."""
-        if not (poly.spec is self.spec or poly.spec == self.spec):
+        if poly.spec != self.spec:
             raise SpecMismatchError("functional and element use different specs")
         den_p, top, terms = _graded(self.spec, poly.terms)
         den, image = self._int_image()
@@ -440,11 +450,9 @@ def _right_shifts(lam, top):
     ``D -> lam(D e_j)`` of the right regular action.
     """
     spec = lam.spec
-    den, image = lam._int_image()
     degree = top + 1
-    if lam.max_degree > degree:
-        image = {alpha: v for alpha, v in image.items() if sum(alpha) <= degree}
-        lam = FunctionalTable._from_image(spec, degree, den, image)
+    lam = lam._cut(degree)
+    den = lam._int_image()[0]
     letters = [spec.basis_vector(j) for j in range(spec.dim)]
     shifts = [{(0,) * spec.dim: lam}]
     for b in range(1, top + 1):
@@ -585,7 +593,7 @@ def regular_act(lam, y):
     """
     if lam.max_degree < 1:
         raise DegreeOverflowError("regular action needs max_degree >= 1")
-    if not (y.spec is lam.spec or y.spec == lam.spec):
+    if y.spec != lam.spec:
         raise SpecMismatchError("vector and functional use different specs")
     spec = lam.spec
     top = lam.max_degree - 1
@@ -731,15 +739,18 @@ def recursion_check(lam, n_max):
 def growth_diagnostics(lam):
     """Partial sums of ``sum ||beta_n^s|| / n!`` and the unsymmetrized twin.
 
-    Purely diagnostic: whether convergence of the symmetrized series forces
-    convergence of the raw one is open, so nothing is asserted here.
+    The symmetrized norms come from the multiset sums, as in
+    :func:`radius_estimate`; the raw twin reads the word tables of
+    :func:`beta_component`.  Purely diagnostic: whether convergence of the
+    symmetrized series forces convergence of the raw one is open, so nothing
+    is asserted here.
     """
+    sums = _symmetric_sums(lam.spec, lam.max_degree)
     sym_partial, raw_partial = [], []
     sym_acc = raw_acc = 0.0
     for n in range(0, lam.max_degree + 1):
-        comp = beta_component(lam, n)
-        raw_norm = pnorm(comp).to_float()
-        sym_norm = pnorm(symmetrize(comp)).to_float()
+        raw_norm = pnorm(beta_component(lam, n)).to_float()
+        sym_norm = SqrtFraction(_symmetric_norm2(lam, sums[n], n)).to_float()
         scale = 1.0 / factorial(n)
         sym_acc += sym_norm * scale
         raw_acc += raw_norm * scale

@@ -425,9 +425,11 @@ def moment_matrix(lam, d_max):
         )
     spec = lam.spec
     monos = monomials_up_to(spec.dim, d_max)
-    # T_beta(D) = lam(D x^beta), one right regular action per peeled letter
+    # T_beta(D) = lam(D x^beta), one right regular action per peeled letter;
+    # T_beta is read on degree <= d_max only, so the chain starts from lam cut at 2 d_max
     basis = [spec.basis_vector(i) for i in range(spec.dim)]
-    tables = list(_peel(monos, lam, lambda i, t: regular_act(t, basis[i])).values())
+    start = lam._cut(2 * d_max)
+    tables = list(_peel(monos, start, lambda i, t: regular_act(t, basis[i])).values())
     stars = [(sum(alpha), _star_monomial(spec, alpha)) for alpha in monos]
     rows = tuple(tuple(t._eval_graded(st, k) for t in tables) for k, st in stars)
     return MomentMatrix(spec, d_max, monos, rows, _exactly_hermitian(rows))
@@ -856,9 +858,7 @@ def analytic_diagnostics(lam, x, n_max):
         )
     spec = lam.spec
     # lam(x^k) reads lam to degree k only, so the chain starts from lam cut at 2 n_max
-    den, image = lam._int_image()
-    cut = {alpha: v for alpha, v in image.items() if sum(alpha) <= 2 * n_max}
-    table = FunctionalTable._from_image(spec, 2 * n_max, den, cut)
+    table = lam._cut(2 * n_max)
     one = {(0,) * spec.dim: 1}
     powers = [table._eval_graded(one, 0)]
     for _ in range(2 * n_max):

@@ -39,7 +39,7 @@ from math import comb, lcm
 from typing import Optional, Tuple
 
 from . import free_algebra
-from .free_algebra import _acc
+from .free_algebra import _SparseTerms, _acc
 from .errors import SpecMismatchError
 from .scalars import ONE, Scalar, _int_pairs, _reduced, as_scalar
 
@@ -165,14 +165,8 @@ class LieAlgebraSpec:
         return f"LieAlgebraSpec(dim={self.dim}, basis={'/'.join(self.basis_names)})"
 
 
-def _same_spec(a, b):
-    if a is b:
-        return True
-    return a == b
-
-
 def _check_same_spec(a, b, what):
-    if not _same_spec(a, b):
+    if a != b:
         raise SpecMismatchError(f"{what} across different Lie algebra specs")
 
 
@@ -225,7 +219,7 @@ class GVector:
     def __eq__(self, other):
         if not isinstance(other, GVector):
             return NotImplemented
-        return _same_spec(self.spec, other.spec) and self.coeffs == other.coeffs
+        return self.spec == other.spec and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -478,7 +472,7 @@ def monomial_name(spec, alpha):
     return "*".join(bits) or "1"
 
 
-class PBWPoly:
+class PBWPoly(_SparseTerms):
     """Element of U(g) in PBW normal form: multi-index -> nonzero Scalar."""
 
     __slots__ = ("spec", "terms")
@@ -536,53 +530,14 @@ class PBWPoly:
         """Max total degree of the stored monomials; -1 for the zero element."""
         return max((sum(a) for a in self.terms), default=-1)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, PBWPoly):
-            return NotImplemented
+    def _check_compatible(self, other):
         _check_same_spec(self.spec, other.spec, "adding U(g) elements")
-        out = dict(self.terms)
-        for alpha, coeff in other.terms.items():
-            _acc(out, alpha, coeff)
-        return PBWPoly._raw(self.spec, out)
 
-    def __sub__(self, other):
-        if not isinstance(other, PBWPoly):
-            return NotImplemented
-        return self + (-other)
+    def _params(self):
+        return (self.spec,)
 
-    def __neg__(self):
-        return PBWPoly._raw(self.spec, {a: -c for a, c in self.terms.items()})
-
-    def scale(self, value):
-        value = as_scalar(value)
-        if value is NotImplemented:
-            raise TypeError("scale expects a scalar")
-        if not value:
-            return PBWPoly.zero(self.spec)
-        return PBWPoly._raw(self.spec, {a: c * value for a, c in self.terms.items()})
-
-    def __rmul__(self, value):
-        if isinstance(value, (int, Fraction, Scalar)):
-            return self.scale(value)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        if isinstance(other, PBWPoly):
-            return pbw_mul(self, other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWPoly):
-            return NotImplemented
-        return _same_spec(self.spec, other.spec) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def _product(self, other):
+        return pbw_mul(self, other)
 
     def __repr__(self):
         if not self.terms:

@@ -411,6 +411,27 @@ def _float_rep(key, index, value):
     return patch
 
 
+def _heisenberg_rep_in(suite):
+    """The Heisenberg algebra with its upper-triangular rep 'h', which is not
+    skew-hermitian, as the representation of a lone ``suite``."""
+    def patch(doc):
+        unit = [["0"] * 3 for _ in range(3)]
+        gens = [json.loads(json.dumps(unit)) for _ in range(3)]
+        for gen, (i, j) in zip(gens, [(0, 1), (1, 2), (0, 2)]):
+            gen[i][j] = "1"
+        doc.clear()
+        doc.update({
+            "lie_algebra": {"dim": 3, "basis_names": ["p", "q", "z"],
+                            "structure": {"0,1": {"2": "1"}}, "weights": ["1", "1", "1"]},
+            "representations": {"h": {"dim_V": 3, "generators": gens,
+                                      "cyclic_vector": ["1", "0", "0"],
+                                      "skew_hermitian": False}},
+            "suites": [{"name": suite, "representation": "h"}],
+        })
+
+    return patch
+
+
 # (config, patch, arguments, what stderr must name)
 MALFORMED = [
     pytest.param("su2.json", _set("pbw-confluence", "count", "many"), ["validate"],
@@ -549,6 +570,12 @@ MALFORMED = [
                  ("suites[8] (cauchy)", "r:", "overflows binary64"), id="cauchy-r-tiny"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-20), ["--degree", "16", "run", "cauchy"],
                  ("suite 'cauchy'", "r:", "r**-16"), id="degree-override-cauchy-r"),
+    pytest.param("su2.json", _heisenberg_rep_in("cauchy"), ["validate"],
+                 ("suites[0] (cauchy): representation: 'h' is not skew-hermitian",),
+                 id="cauchy-not-skew-hermitian"),
+    pytest.param("su2.json", _heisenberg_rep_in("extension"), ["validate"],
+                 ("suites[0] (extension): representation: 'h' is not skew-hermitian",),
+                 id="extension-not-skew-hermitian"),
 ]
 
 

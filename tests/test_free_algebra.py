@@ -6,7 +6,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envalg.errors import ConstantTermError, SeriesMismatchError
+from envalg.catalog import heisenberg, so3
+from envalg.errors import ConstantTermError, SeriesMismatchError, SpecMismatchError
 from envalg.free_algebra import (
     ExpIdentityReport,
     FreeSeries,
@@ -17,7 +18,8 @@ from envalg.free_algebra import (
     fa_exp,
     fa_log,
 )
-from envalg.scalars import Scalar
+from envalg.lie_structure import PBWPoly
+from envalg.scalars import Scalar, as_scalar
 
 
 def series(terms, N=4, d=2):
@@ -327,3 +329,64 @@ def test_product_cancels_across_splits():
     N = 3
     got = (ONE(N) + X(N)) * (X(N) - X(N) * X(N))
     assert got.terms == {(0,): Scalar(1), (0, 0, 0): Scalar(-1)}
+
+
+# Two compatible elements, one of a different algebra, and the mismatch error:
+# the operations of the shared sparse-term base, per term algebra.
+TERM_ALGEBRAS = {
+    "free-series": (
+        lambda terms: FreeSeries(2, 3, terms),
+        {(): 1, (0,): 2, (0, 1): Fraction(1, 3)},
+        {(0,): -2, (1,): Scalar(0, 1), (1, 1, 0): 5},
+        FreeSeries(2, 4, {(0,): 1}),
+        SeriesMismatchError,
+    ),
+    "pbw-poly": (
+        lambda terms: PBWPoly(so3(), terms),
+        {(0, 0, 0): 1, (1, 0, 0): 2, (0, 1, 1): Fraction(1, 3)},
+        {(1, 0, 0): -2, (0, 0, 1): Scalar(0, 1), (2, 1, 0): 5},
+        PBWPoly(heisenberg(), {(1, 0, 0): 1}),
+        SpecMismatchError,
+    ),
+}
+
+
+def _combined(x, y, sign):
+    out = {k: as_scalar(v) for k, v in x.items()}
+    for k, v in y.items():
+        out[k] = out.get(k, Scalar(0)) + sign * as_scalar(v)
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("kind", list(TERM_ALGEBRAS))
+def test_shared_term_base(kind):
+    make, ta, tb, foreign, mismatch = TERM_ALGEBRAS[kind]
+    a, b = make(ta), make(tb)
+    assert (a + b).terms == _combined(ta, tb, 1)
+    assert (a - b).terms == _combined(ta, tb, -1)
+    assert (-a).terms == _combined({}, ta, -1)
+    assert (2 * a).terms == _combined(ta, ta, 1)
+    assert (a * Fraction(1, 2)).terms == {k: as_scalar(v) * Fraction(1, 2) for k, v in ta.items()}
+    zero = a.scale(0)
+    assert zero.is_zero() and not a.is_zero()
+    assert zero._params() == a._params() and zero == a - a
+    # b's terms cancel back out of a fresh element, which hashes like a
+    again = (a + b) - b
+    assert again == a and again is not a
+    assert hash(again) == hash(a) == hash(make(ta))
+    assert a != b
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(mismatch):
+            op(a, foreign)
+
+
+def test_term_algebras_do_not_mix():
+    series_ = FreeSeries(2, 3, {(0,): 1})
+    poly = PBWPoly(so3(), {(1, 0, 0): 1})
+    for x, y in ((series_, poly), (poly, series_)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+        with pytest.raises(TypeError):
+            x * y

@@ -826,6 +826,26 @@ def test_growth_diagnostics_monotone():
     assert all(r >= s - 1e-12 for s, r in zip(sym, raw))
 
 
+GROWTH_TABLES = {
+    "spin-half": lambda: functional_from_rep(spin_half(), 6),
+    "spin-one": lambda: functional_from_rep(spin_one(), 6),
+    "spin-three-half": lambda: functional_from_rep(spin_three_half(), 5),
+    **{f"so3-N{n}-seed{seed}": (lambda n=n, seed=seed: rand_table(SO3, n, seed))
+       for n, seed in ((4, 830), (5, 831), (6, 832), (7, 833))},
+}
+
+
+@pytest.mark.parametrize("name", list(GROWTH_TABLES))
+def test_growth_symmetric_sums_match_word_route(name):
+    # the word route, kept here as the oracle of the multiset route
+    lam = GROWTH_TABLES[name]()
+    want, acc = [], 0.0
+    for n in range(lam.max_degree + 1):
+        acc += pnorm(symmetrize(beta_component(lam, n))).to_float() * (1.0 / factorial(n))
+        want.append(acc)
+    assert growth_diagnostics(lam)[0] == want
+
+
 def test_growth_diagnostics_memoizes_only_right_letter_steps():
     spec = so3()
     growth_diagnostics(rand_table(spec, 8, 16))

@@ -615,6 +615,34 @@ class TestGradedDenominators:
         assert list(report.s_squared) == [(-1) ** n * expect[2 * n].re for n in range(4)]
 
 
+CUT_REPS = {"spin-half": spin_half, "spin-one": spin_one, "spin-three-half": spin_three_half,
+            "spin-three-half-sixth": lambda: rational_reps()["spin-three-half-sixth"],
+            "heisenberg-3/5": lambda: rational_reps()["heisenberg-3/5"]}
+
+
+@pytest.mark.parametrize("d_max", [1, 2])
+@pytest.mark.parametrize("name", list(CUT_REPS))
+def test_moment_chain_acts_on_tables_cut_to_twice_the_degree(monkeypatch, name, d_max):
+    rep = CUT_REPS[name]()
+    lam = functional_from_rep(rep, 2 * d_max + 3)
+    acted = []
+
+    def spy(table, y):
+        acted.append(table.max_degree)
+        return regular_act(table, y)
+
+    monkeypatch.setattr("envalg.gns.regular_act", spy)
+    M = moment_matrix(lam, d_max)
+    monkeypatch.undo()
+    # the k-th action peels the k-th nonconstant monomial x^alpha from T_beta,
+    # |beta| = |alpha| - 1, which is read on degree <= d_max only
+    monos = monomials_up_to(rep.spec.dim, d_max)[1:]
+    assert len(acted) == len(monos)
+    for degree, alpha in zip(acted, monos):
+        assert degree <= 2 * d_max - (sum(alpha) - 1)
+    assert M.rows == moment_matrix(functional_from_rep(rep, 2 * d_max), d_max).rows
+
+
 # -- Scalar references for the integer LDL* kernel -----------------------------
 #
 # The two exact factorizations as they stood before the integer kernel: the

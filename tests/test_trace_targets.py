@@ -5,6 +5,9 @@ import importlib.util
 from pathlib import Path
 
 from envalg import cli
+from envalg.catalog import delta_functional, so3
+from envalg.functionals import FunctionalTable
+from envalg.gns import PsdReport, moment_matrix, psd_check
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +33,15 @@ def test_every_target_resolves_like_install_needs():
 
 def test_traced_suites_are_the_cli_suites():
     assert _tracing().SUITES == cli.SUITE_NAMES
+
+
+def test_names_read_outside_targets_stay():
+    # perfbench reads these directly: the `.exact` flags, psd_check's `tol`
+    # keyword and the moment matrix's rows and size
+    lam = delta_functional(so3(), 2)
+    M = moment_matrix(lam, 1)
+    report = psd_check(M, tol=1e-8)
+    assert lam.exact is FunctionalTable.exact is True
+    assert report.exact is PsdReport.exact is True
+    assert M.size == len(M.rows) == 4
+    assert report.ok and report.size == M.size
