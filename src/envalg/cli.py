@@ -128,16 +128,16 @@ def _expect_keys(mapping, context, required, optional=()):
             raise ConfigError(f"missing key {key!r} in {context}")
 
 
-def _parse_multi_index(text, dim, context):
-    if not isinstance(text, str):
-        raise ConfigError(f"{context}: multi-index must be a string like '0,1,0'")
+def _parse_index(text, dim, context):
+    """The ``dim`` ints of a key like ``'0,1,0'``, in its one canonical text."""
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ConfigError(f"{context}: malformed multi-index {text!r}") from None
-    if len(parts) != dim or any(p < 0 for p in parts):
+        parts = ()
+    if len(parts) != dim or any(p < 0 for p in parts) or ",".join(map(str, parts)) != text:
         raise ConfigError(
-            f"{context}: multi-index {text!r} needs {dim} nonnegative entries"
+            f"{context}: key {text!r} must be {dim} comma-separated nonnegative "
+            "integers, without signs, spaces or leading zeros"
         )
     return parts
 
@@ -161,23 +161,21 @@ def _parse_algebra(block):
     if not isinstance(block["structure"], dict):
         raise ConfigError("lie_algebra.structure must be an object")
     for key, row in block["structure"].items():
-        try:
-            i, j = (int(p) for p in key.split(","))
-        except ValueError:
-            raise ConfigError(f"malformed structure key {key!r}") from None
-        if not (0 <= i < j < dim):
-            raise ConfigError(f"structure key {key!r} must name a pair i < j < dim")
+        context = f"lie_algebra.structure[{key!r}]"
+        i, j = _parse_index(key, 2, context)
+        if not i < j < dim:
+            raise ConfigError(f"{context}: key must name a pair i < j < dim")
         if not isinstance(row, dict):
-            raise ConfigError(f"structure row {key!r} must be an object")
+            raise ConfigError(f"{context} must be an object")
         parsed = {}
         for k, c in row.items():
+            (kk,) = _parse_index(k, 1, context)
+            if not kk < dim:
+                raise ConfigError(f"{context}: target {k!r} out of range")
             try:
-                kk, parsed_c = int(k), parse_scalar(c)
+                parsed[kk] = parse_scalar(c)
             except ValueError as exc:
-                raise ConfigError(f"structure row {key!r}: {exc}") from None
-            if not (0 <= kk < dim):
-                raise ConfigError(f"structure target {k!r} out of range in row {key!r}")
-            parsed[kk] = parsed_c
+                raise ConfigError(f"{context}[{k}]: {exc}") from None
         structure[(i, j)] = parsed
     try:
         weights = [parse_fraction(w) for w in weights]
@@ -206,7 +204,7 @@ def _parse_functional(name, block, spec):
     if not isinstance(block["values"], dict):
         raise ConfigError(f"functionals.{name}.values must be an object")
     for key, raw in block["values"].items():
-        alpha = _parse_multi_index(key, spec.dim, f"functionals.{name}")
+        alpha = _parse_index(key, spec.dim, f"functionals.{name}.values")
         if sum(alpha) > degree:
             raise ConfigError(
                 f"functionals.{name}: index {key!r} exceeds max_degree {degree}"
@@ -241,6 +239,13 @@ def _format_complex(z):
     return f"{z.real!r}{z.imag:+}j"
 
 
+def _lists(value, depth, decode):
+    """``value`` as JSON lists nested ``depth`` deep, each entry decoded."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON list, got {value!r}")
+    return [_lists(v, depth - 1, decode) if depth > 1 else decode(v) for v in value]
+
+
 def _parse_representation(name, block, spec):
     context = f"representations.{name}"
     _expect_keys(
@@ -256,11 +261,11 @@ def _parse_representation(name, block, spec):
         raise ConfigError(f"{context}.generators must list {spec.dim} matrices")
     decode = parse_scalar if mode == "exact" else _parse_complex
     try:
-        generators = [[[decode(c) for c in row] for row in g] for g in gens]
+        generators = _lists(gens, 3, decode)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}.generators: {exc}") from None
     try:
-        cyclic = [decode(c) for c in block["cyclic_vector"]]
+        cyclic = _lists(block["cyclic_vector"], 1, decode)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}.cyclic_vector: {exc}") from None
     try:
@@ -447,13 +452,19 @@ def parse_config(text):
         ) from None
     _expect_keys(doc, "config", ("lie_algebra",),
                  ("functionals", "representations", "suites"))
+    for key, kind in (("functionals", dict), ("representations", dict), ("suites", list)):
+        if doc.setdefault(key, None) is None:   # an absent or null block is empty
+            doc[key] = kind()
+        elif not isinstance(doc[key], kind):
+            what = "an object" if kind is dict else "a list"
+            raise ConfigError(f"config.{key}: must be {what}")
     spec = _parse_algebra(doc["lie_algebra"])
     config = WorkbenchConfig(spec, {}, {}, [])
-    for name, block in (doc.get("functionals") or {}).items():
+    for name, block in doc["functionals"].items():
         config.functionals[name] = _parse_functional(name, block, spec)
-    for name, block in (doc.get("representations") or {}).items():
+    for name, block in doc["representations"].items():
         config.representations[name] = _parse_representation(name, block, spec)
-    for index, block in enumerate(doc.get("suites") or []):
+    for index, block in enumerate(doc["suites"]):
         config.suites.append(_parse_suite(index, block, config))
     return config
 
@@ -471,9 +482,9 @@ def _algebra_to_dict(spec):
 
 
 def _functional_to_dict(lam):
-    values = {}
-    for alpha in sorted(lam.values, key=lambda a: (sum(a), a)):
-        values[",".join(str(a) for a in alpha)] = format_scalar(lam.values[alpha])
+    table = lam.values
+    values = {",".join(str(a) for a in alpha): format_scalar(table[alpha])
+              for alpha in sorted(table, key=lambda a: (sum(a), a))}
     return {"max_degree": lam.max_degree, "values": values}
 
 
@@ -1110,6 +1121,12 @@ def _cmd_dump(config, args):
     return 0
 
 
+def _seed(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="envalg",
@@ -1118,8 +1135,8 @@ def build_parser():
     parser.add_argument("--config", help="path to a workbench config (JSON)")
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--out", help="write the report to a file instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="non-negative seed for randomized suites (default 0)")
     parser.add_argument("--degree", type=int, help="override the suite degree knob")
     parser.add_argument("--tolerance", type=float,
                         help="override the suite tolerance knob")

@@ -21,10 +21,10 @@ The word tables (:func:`beta_component`, :func:`symmetrize`) serve only the
 raw, unsymmetrized twin in :func:`growth_diagnostics`, the demos and the
 tests, which keep them as an oracle.
 
-Every table holds exact Scalars, including the matrix-coefficient tables
-of float representations (see :mod:`envalg.gns`), and evaluation runs on
-integers.  A table's integer image ``(den, {alpha: (V, W)})`` reads
-``lam(x^alpha) = (V + W i) / (den * delta**|alpha|)``, and a normal form
+A table is exact, including the matrix-coefficient tables of float
+representations (see :mod:`envalg.gns`), and its one store is its integer
+image ``(den, {alpha: (V, W)})``, which reads ``lam(x^alpha) = (V + W i) /
+(den * delta**|alpha|)``; its Scalars are read off the image.  A normal form
 from the PBW engine is a graded int table ``{b: n_b}`` at grade ``top``
 reading ``sum_b n_b / delta**(top - |b|) x^b``.  The powers of ``delta``
 cancel term by term, so ``lam`` of the table is ``sum_b n_b (V_b + W_b
@@ -98,18 +98,18 @@ __all__ = [
 class FunctionalTable:
     """Values of a linear functional on all PBW monomials of degree <= N.
 
-    Absent entries are zero; every value is an exact :class:`Scalar`.  A
-    table also has an integer image ``(den, {alpha: (V, W)})``
-    with ``lam(x^alpha) = (V + W i) / (den * delta**|alpha|)`` (``delta`` of
-    the spec, see :mod:`envalg.lie_structure`).  Against a graded int table
-    at grade ``top`` every term then shares the denominator
-    ``den * delta**top``, so evaluation adds Python ints and builds one
-    Scalar at the end.  A table built from Scalars derives its image on first
-    use; a table computed by a kernel (:func:`regular_act`) is built from its
-    image and materializes ``values`` on first read.
+    Absent entries are zero.  The one store is the integer image ``(den,
+    {alpha: (V, W)})`` with ``lam(x^alpha) = (V + W i) / (den *
+    delta**|alpha|)`` (``delta`` of the spec, see :mod:`envalg.lie_structure`).
+    Against a graded int table at grade ``top`` every term then shares the
+    denominator ``den * delta**top``, so evaluation adds Python ints and
+    builds one Scalar at the end.  Scalars given to the constructor are
+    converted once, a kernel result (:func:`regular_act`) is built from its
+    image, and ``values`` and :meth:`value` build fresh Scalars from it, so
+    a table cannot be changed from outside.
     """
 
-    __slots__ = ("spec", "max_degree", "_values", "_image")
+    __slots__ = ("spec", "max_degree", "_image")
 
     # every table is exact; perfbench/tracing.py still reads the flag
     exact = True
@@ -133,8 +133,10 @@ class FunctionalTable:
                 raise TypeError("functional tables need Scalar values")
             if v:
                 clean[alpha] = v
-        self._values = clean
-        self._image = None
+        den, pairs = _int_pairs(clean.values())
+        grades = [spec.delta ** sum(alpha) for alpha in clean]
+        self._image = (den, {alpha: (a * s, b * s)
+                             for alpha, (a, b), s in zip(clean, pairs, grades)})
 
     @classmethod
     def _from_image(cls, spec, max_degree, den, image):
@@ -142,41 +144,19 @@ class FunctionalTable:
         lam = object.__new__(cls)
         lam.spec = spec
         lam.max_degree = max_degree
-        lam._values = None
         lam._image = (den, image)
         return lam
 
     @property
     def values(self):
-        values = self._values
-        if values is None:
-            den, image = self._image
-            delta = self.spec.delta
-            values = self._values = {
-                alpha: _reduced(v, w, den * delta ** sum(alpha))
-                for alpha, (v, w) in image.items()
-            }
-        return values
-
-    def _int_image(self):
-        """The integer image ``(den, {alpha: (V, W)})`` of the table."""
-        image = self._image
-        if image is None:
-            values = self._values
-            den, pairs = _int_pairs(values.values())
-            delta = self.spec.delta
-            graded = {}
-            for alpha, (a, b) in zip(values, pairs):
-                s = delta ** sum(alpha)
-                graded[alpha] = (a * s, b * s)
-            image = self._image = (den, graded)
-        return image
+        """A fresh ``{alpha: Scalar}`` of the nonzero values."""
+        return {alpha: self.value(alpha) for alpha in self._image[1]}
 
     def _cut(self, degree):
         """The table on degree ``<= degree``; the table itself when nothing is cut."""
         if self.max_degree <= degree:
             return self
-        den, image = self._int_image()
+        den, image = self._image
         kept = {alpha: v for alpha, v in image.items() if sum(alpha) <= degree}
         return FunctionalTable._from_image(self.spec, degree, den, kept)
 
@@ -187,7 +167,9 @@ class FunctionalTable:
                 f"functional not defined on {monomial_name(self.spec, alpha)} "
                 f"(degree {sum(alpha)} > {self.max_degree})"
             )
-        return self.values.get(alpha, ZERO)
+        den, image = self._image
+        v = image.get(alpha)
+        return ZERO if v is None else _reduced(*v, den * self.spec.delta ** sum(alpha))
 
     def eval(self, poly):
         """Evaluate on a PBW element by linearity, summing int pairs over one
@@ -195,7 +177,7 @@ class FunctionalTable:
         if poly.spec != self.spec:
             raise SpecMismatchError("functional and element use different specs")
         den_p, top, terms = _graded(self.spec, poly.terms)
-        den, image = self._int_image()
+        den, image = self._image
         x = y = 0
         for alpha, (a, b) in self._known(terms.items(), image):
             vr, vi = image[alpha]
@@ -206,7 +188,7 @@ class FunctionalTable:
     def _eval_graded(self, table, top):
         """``lam`` of a real graded int table at grade ``top`` within the degree,
         as one Scalar over ``den * delta**top``."""
-        den, image = self._int_image()
+        den, image = self._image
         return _reduced(*_contract(table, image), den * self.spec.delta ** top)
 
     def _known(self, terms, table):
@@ -227,7 +209,7 @@ class FunctionalTable:
     def __repr__(self):
         return (
             f"FunctionalTable(degree<={self.max_degree}, "
-            f"{len(self.values)} nonzero values)"
+            f"{len(self._image[1])} nonzero values)"
         )
 
 
@@ -295,30 +277,13 @@ def beta_component(lam, n):
     return BetaComponent(spec, n, values, symmetric=False)
 
 
-def _symmetrize_values(spec, n, raw_lookup):
-    """Average a word table over S_n, grouping words by their sorted multiset."""
-    groups = {}
-    counts = {}
-    for word in product(range(spec.dim), repeat=n):
-        key = tuple(sorted(word))
-        v = raw_lookup(word)
-        if key in groups:
-            groups[key] = groups[key] + v
-            counts[key] += 1
-        else:
-            groups[key] = v
-            counts[key] = 1
-    n_fact = factorial(n)
-    out = {}
-    for key, total in groups.items():
-        # each distinct arrangement occurs n!/count times among all n! permutations
-        out[key] = total * Fraction(n_fact // counts[key], n_fact)
-    return out
-
-
 def symmetrize(beta):
-    """Exact average of ``beta_n`` over all argument permutations."""
-    values = _symmetrize_values(beta.spec, beta.n, beta.lookup)
+    """Exact average of ``beta_n`` over all argument permutations: the mean over
+    the words of each letter multiset, which the n! permutations reach equally often."""
+    groups = {}
+    for word in product(range(beta.spec.dim), repeat=beta.n):
+        groups.setdefault(tuple(sorted(word)), []).append(beta.lookup(word))
+    values = {key: sum(vs, ZERO) * Fraction(1, len(vs)) for key, vs in groups.items()}
     return BetaComponent(beta.spec, beta.n, values, symmetric=True)
 
 
@@ -430,7 +395,7 @@ def _symmetric_norm2(lam, layer, top):
     ``lam(layer[alpha])`` is ``(X + Y i) / D`` over one denominator D; the
     max of :func:`_max_ratio` is divided by ``D**2`` once.
     """
-    den, image = lam._int_image()
+    den, image = lam._image
     num, scale = _max_ratio(
         (0, 1), ((alpha, _contract(t, image)) for alpha, t in layer.items()),
         _weight_pairs(lam.spec),
@@ -452,7 +417,7 @@ def _right_shifts(lam, top):
     spec = lam.spec
     degree = top + 1
     lam = lam._cut(degree)
-    den = lam._int_image()[0]
+    den = lam._image[0]
     letters = [spec.basis_vector(j) for j in range(spec.dim)]
     shifts = [{(0,) * spec.dim: lam}]
     for b in range(1, top + 1):
@@ -462,7 +427,7 @@ def _right_shifts(lam, top):
                 grown = list(gamma)
                 grown[j] += 1
                 target = level.setdefault(tuple(grown), {})
-                for alpha, (x, y) in regular_act(table, e_j)._int_image()[1].items():
+                for alpha, (x, y) in regular_act(table, e_j)._image[1].items():
                     _acc_pair(target, alpha, x, y)
         den_b = den * spec.delta ** b
         shifts.append({
@@ -490,7 +455,7 @@ def _insertion_chain(sums, shifts, n_max):
     (lam,) = shifts[0].values()
     spec = lam.spec
     weights = _weight_pairs(spec)
-    tails = [[(beta, t._int_image()[1]) for beta, t in level.items()] for level in shifts]
+    tails = [[(beta, t._image[1]) for beta, t in level.items()] for level in shifts]
     best = [(0, 1)] * (n_max + 1)
     for k in range(1, n_max + 2):
         for i, (wn, wd) in enumerate(weights):
@@ -509,7 +474,7 @@ def _insertion_chain(sums, shifts, n_max):
 def _arity_norm(lam, n, ratio):
     """The :class:`SqrtFraction` of a :func:`_max_ratio` max over ``den * delta**(n + 1)``."""
     num, d = ratio
-    return SqrtFraction(Fraction(num, d * (lam._int_image()[0] * lam.spec.delta ** (n + 1)) ** 2))
+    return SqrtFraction(Fraction(num, d * (lam._image[0] * lam.spec.delta ** (n + 1)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -559,18 +524,25 @@ def radius_estimate(lam, max_n=None):
     """
     top = lam.max_degree if max_n is None else min(max_n, lam.max_degree)
     sums = _symmetric_sums(lam.spec, top)
-    best = None
-    per_degree = []
-    for n in range(1, top + 1):
-        norm2 = _symmetric_norm2(lam, sums[n], n)
-        if not norm2:
-            per_degree.append((n, None))
-            continue
-        root = RootValue(norm2 / Fraction(factorial(n)) ** 2, n)
-        per_degree.append((n, root))
-        if best is None or root > best:
+    per_degree, best = _root_test(
+        (n, _symmetric_norm2(lam, sums[n], n)) for n in range(1, top + 1)
+    )
+    return RadiusEstimate(top, best, per_degree)
+
+
+def _root_test(squares):
+    """The exact root test of a series with squared term norms ``(n, ||c_n||**2)``.
+
+    Returns the per-degree roots ``(n, (||c_n|| / n!)**(1/n))``, None for a
+    zero term, and their max; on a tie the first maximal root is kept.
+    """
+    roots, best = [], None
+    for n, q in squares:
+        root = RootValue(q / Fraction(factorial(n)) ** 2, n) if q else None
+        roots.append((n, root))
+        if root is not None and (best is None or root > best):
             best = root
-    return RadiusEstimate(top, best, tuple(per_degree))
+    return tuple(roots), best
 
 
 def regular_act(lam, y):
@@ -600,7 +572,7 @@ def regular_act(lam, y):
     den_y, pairs = _int_pairs(y.coeffs)
     columns = _columns(spec, top)
     ys = [(columns[i], p, q) for i, (p, q) in enumerate(pairs) if p or q]
-    den, image = lam._int_image()
+    den, image = lam._image
     out = {}
     for b, (vr, vi) in image.items():
         for column, p, q in ys:
@@ -715,7 +687,7 @@ def recursion_check(lam, n_max):
         # every mu_beta(x_j) of level n is an int pair over den * delta**(n + 1)
         values = {}
         for beta, table in shifts[n].items():
-            image = table._int_image()[1]
+            image = table._image[1]
             for e_j in letters:
                 v = image.get(e_j)
                 if v is not None:

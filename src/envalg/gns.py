@@ -43,6 +43,7 @@ from .errors import (
 )
 from .functionals import (
     FunctionalTable,
+    _root_test,
     monomials_up_to,
     radius_estimate,
     regular_act,
@@ -543,17 +544,25 @@ class _Ldl:
         """
         den, pairs = _int_pairs(u.values())
         vec = dict(zip(u, pairs))
-        for p, pr, pi, det in reversed(self.steps[:k]):
-            x = y = 0
-            for j, (a, b) in vec.items():
-                r, s = pr[j], pi[j]
-                x += r * a - s * b
-                y += r * b + s * a
+        for step in reversed(self.steps[:k]):
+            x, y = self.dot(step, vec)
             if x or y:
+                p, det = step[0], step[3]
                 vec = {j: (a * det, b * det) for j, (a, b) in vec.items()}
                 vec[p] = (-x, -y)
                 den *= det
         return den, vec
+
+    @staticmethod
+    def dot(step, vec):
+        """``sum_j A[p][j] vec_j`` over the pivot row of ``step``, all ``a + b i`` int pairs."""
+        _, pr, pi, _ = step
+        x = y = 0
+        for j, (a, b) in vec.items():
+            r, s = pr[j], pi[j]
+            x += r * a - s * b
+            y += r * b + s * a
+        return x, y
 
 
 def _exact_psd(rows):
@@ -659,10 +668,6 @@ class GnsModel:
         return out
 
 
-def _sub_rank(monos, pivot_idx, d_max):
-    return sum(1 for m in pivot_idx if sum(monos[m]) <= d_max - 1)
-
-
 def _exact_gram(M, d_max):
     """The Gram–Schmidt data of an exact hermitian M, or None if M is not PSD.
 
@@ -673,9 +678,10 @@ def _exact_gram(M, d_max):
     row stays zero under later steps).  With ``b_k`` the lifted unit vector
     of the k-th pivot p, ``M b_k`` is column p of the Schur complement, so
     ``<u, b_k> = sum_a A[p][a] u_a / (den * det_(k-1))`` reads the pivot row
-    ``A[p]`` and ``<b_k, b_k>`` is the k-th pivot.  Returns
-    ``(pivot_idx, basis, norms2, vacuum, ops)``, ``ops[i][j][k]`` the
-    exact coefficient of ``b_j`` in ``e_i b_k`` (None at degree 0).
+    ``A[p]`` (:meth:`_Ldl.dot`) and ``<b_k, b_k>`` is the k-th pivot.  Returns
+    ``(pivot_idx, sub_rank, basis, norms2, vacuum, ops)``: ``sub_rank``
+    pivots lie on degree <= d_max - 1, and ``ops[i][j][k]`` is the exact
+    coefficient of ``b_j`` in ``e_i b_k`` (None at degree 0).
     """
     spec, monos = M.spec, M.monomials
     ldl = _Ldl(M.rows)
@@ -686,6 +692,7 @@ def _exact_gram(M, d_max):
             return None     # a negative diagonal, or a zero one on a nonzero row
     steps, den = ldl.steps, ldl.den
     pivot_idx = [p for p, *_ in steps]
+    sub_rank = sum(1 for m in pivot_idx if sum(monos[m]) <= d_max - 1)
     norms2 = ldl.pivots()
     lifted = [ldl.lift({p: ONE}, k) for k, p in enumerate(pivot_idx)]
     basis = []
@@ -704,7 +711,6 @@ def _exact_gram(M, d_max):
         # A[j][k] = <e_i b_k, b_j> / <b_j, b_j> = sum_a A[p_j][a] (e_i b_k)_a / det_j
         delta = spec.delta
         idx_of = {alpha: pos for pos, alpha in enumerate(monos)}
-        sub_rank = _sub_rank(monos, pivot_idx, d_max)
         ops = []
         for i in range(spec.dim):
             nf = {}
@@ -723,15 +729,10 @@ def _exact_gram(M, d_max):
                     for idx, c in terms:
                         _acc_pair(image, idx, a * c, b * c)
                 scale = den_k * delta ** d_max
-                for row, (_, pr, pi, det) in zip(A, steps):
-                    x = y = 0
-                    for idx, (a, b) in image.items():
-                        r, s = pr[idx], pi[idx]
-                        x += r * a - s * b
-                        y += r * b + s * a
-                    row.append(_reduced(x, y, det * scale))
+                for row, step in zip(A, steps):
+                    row.append(_reduced(*ldl.dot(step, image), step[3] * scale))
             ops.append(A)
-    return pivot_idx, basis, norms2, vacuum, ops
+    return pivot_idx, sub_rank, basis, norms2, vacuum, ops
 
 
 def gns_build(lam, d_max):
@@ -749,10 +750,9 @@ def gns_build(lam, d_max):
         raise PositivityError(
             f"functional is not positive at degree {d_max}", witness=psd_check(M).witness
         )
-    pivot_idx, basis, norms2, vacuum, ops = gram
+    pivot_idx, sub_rank, basis, norms2, vacuum, ops = gram
     monos = M.monomials
     rank = len(basis)
-    sub_rank = _sub_rank(monos, pivot_idx, d_max)
 
     op_matrices = None
     skew_exact = None
@@ -883,13 +883,7 @@ def analytic_diagnostics(lam, x, n_max):
     for k in range(2 * n_max + 1):
         acc_c += powers[k].to_complex() / factorial(k)
         sums_exp.append(acc_c)
-    best = None
-    if witness is None:
-        for n in range(1, n_max + 1):
-            if s2[n] > 0:
-                root = RootValue(s2[n] / Fraction(factorial(n)) ** 2, n)
-                if best is None or root > best:
-                    best = root
+    best = None if witness is not None else _root_test(enumerate(s2[1:], 1))[1]
     # the functional estimate is truncated at the same order as the vector
     # series so the two sides of the factor-2 comparison see matching data
     func_est = radius_estimate(lam, max_n=n_max)

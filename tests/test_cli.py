@@ -432,6 +432,26 @@ def _heisenberg_rep_in(suite):
     return patch
 
 
+def _trivial_rep_with_row(row):
+    """A zero rep 'trivial' on C^2 whose first generator's second row is ``row``."""
+    def patch(doc):
+        zero = [["0", "0"], ["0", "0"]]
+        doc["representations"]["trivial"] = {
+            "dim_V": 2, "generators": [[["0", "0"], row], zero, zero],
+            "cyclic_vector": ["1", "0"], "skew_hermitian": True,
+        }
+
+    return patch
+
+
+def _rename_target(old, new):
+    def patch(doc):
+        row = doc["lie_algebra"]["structure"]["0,1"]
+        row[new] = row.pop(old)
+
+    return patch
+
+
 # (config, patch, arguments, what stderr must name)
 MALFORMED = [
     pytest.param("su2.json", _set("pbw-confluence", "count", "many"), ["validate"],
@@ -576,6 +596,37 @@ MALFORMED = [
     pytest.param("su2.json", _heisenberg_rep_in("extension"), ["validate"],
                  ("suites[0] (extension): representation: 'h' is not skew-hermitian",),
                  id="extension-not-skew-hermitian"),
+    pytest.param("su2.json", _put("functionals", value=["x"]), ["validate"],
+                 ("config.functionals", "object"), id="functionals-list"),
+    pytest.param("su2.json", _put("representations", value="abc"), ["validate"],
+                 ("config.representations", "object"), id="representations-block-str"),
+    pytest.param("su2.json", _put("suites", value="radius"), ["validate"],
+                 ("config.suites", "list"), id="suites-str"),
+    pytest.param("su2.json", _put("representations", "spin_half", "cyclic_vector", value="10"),
+                 ["validate"], ("representations.spin_half.cyclic_vector", "'10'"),
+                 id="cyclic-vector-str"),
+    pytest.param("su2.json", _put("representations", "spin_half", "cyclic_vector",
+                                  value={"1": 0, "0": 1}),
+                 ["validate"], ("representations.spin_half.cyclic_vector", "list"),
+                 id="cyclic-vector-object"),
+    pytest.param("su2.json", _trivial_rep_with_row("00"), ["validate"],
+                 ("representations.trivial.generators", "'00'"), id="generator-row-str"),
+    pytest.param("su2.json", _put("functionals", "spin_half", "values", "0,0,0 ", value="7"),
+                 ["validate"], ("functionals.spin_half.values", "'0,0,0 '"),
+                 id="value-key-space"),
+    pytest.param("su2.json", _put("functionals", "spin_half", "values", "0,0,00", value="7"),
+                 ["validate"], ("functionals.spin_half.values", "'0,0,00'"),
+                 id="value-key-leading-zero"),
+    pytest.param("su2.json", _put("functionals", "spin_half", "values", "0,+1,0", value="7"),
+                 ["validate"], ("functionals.spin_half.values", "'0,+1,0'"),
+                 id="value-key-sign"),
+    pytest.param("su2.json", _rename_target("2", "02"), ["validate"],
+                 ("lie_algebra.structure['0,1']", "'02'"), id="structure-target-leading-zero"),
+    pytest.param("su2.json", _put("lie_algebra", "structure", "0,1", "02", value="5"),
+                 ["validate"], ("lie_algebra.structure['0,1']", "'02'"),
+                 id="structure-target-twice"),
+    pytest.param("su2.json", _put("lie_algebra", "structure", "0, 2", value={"1": "-1"}),
+                 ["validate"], ("lie_algebra.structure['0, 2']",), id="structure-key-space"),
 ]
 
 
@@ -592,6 +643,26 @@ def test_malformed_input_exits_2_naming_key(tmp_path, capsys, config, patch, arg
     assert err.startswith("config error: ")
     for needle in needles:
         assert needle in err
+
+
+def test_null_blocks_read_as_absent(tmp_path, capsys):
+    doc = shipped("su2.json")
+    doc.update(functionals=None, representations=None, suites=None)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "validate"]) == 0
+    assert "0 functionals, 0 representations, 0 suites" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7", "x", "1.5"])
+@pytest.mark.parametrize("suite", ["kernel", "positivity"])
+def test_seed_must_be_a_non_negative_integer(capsys, seed, suite):
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", seed, "run", suite])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer" in err
+    assert "suite error" not in err
 
 
 @pytest.mark.parametrize("suite, key", [("gns", "expected_rank"), ("cauchy", "random_reps")])
@@ -667,6 +738,28 @@ def test_mutated_block_keys_validate_cleanly(tmp_path_factory, data):
     block, keys = data.draw(st.sampled_from(blocks))
     block[data.draw(st.sampled_from(keys))] = data.draw(_JUNK)
     path = tmp_path_factory.getbasetemp() / "fuzz-block.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = main(["--config", str(path), "validate"])
+    assert rc in (0, 2)
+
+
+_SMALL_DICTS = st.dictionaries(st.text(max_size=6), _JUNK, max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_block_shapes_validate_cleanly(tmp_path_factory, data):
+    # whole blocks and the keys holding lists or objects, replaced by junk or small dicts
+    doc = shipped(data.draw(st.sampled_from(["su2.json", "gaussian.json"])))
+    blocks = [(doc, ("functionals", "representations", "suites")),
+              (doc["lie_algebra"], ("structure",))]
+    blocks += [(b, ("values",)) for b in doc.get("functionals", {}).values()]
+    blocks += [(b, ("generators", "cyclic_vector"))
+               for b in doc.get("representations", {}).values()]
+    block, keys = data.draw(st.sampled_from(blocks))
+    block[data.draw(st.sampled_from(keys))] = data.draw(st.one_of(_JUNK, _SMALL_DICTS))
+    path = tmp_path_factory.getbasetemp() / "fuzz-shape.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         rc = main(["--config", str(path), "validate"])

@@ -1,6 +1,7 @@
 """Functional tables: evaluation, components, exact norms, radius, recursion."""
 
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from math import factorial
 import pytest
 
 from envalg import functionals, gns, lie_structure
+from envalg.cli import default_config_path, parse_config
 from envalg.catalog import (
     abelian,
     affine_line,
@@ -95,6 +97,48 @@ class TestEval:
         lam = rand_table(HEIS, 2, 5)
         with pytest.raises(SpecMismatchError):
             lam.eval(PBWPoly.one(SO3))
+
+
+class TestOneStore:
+    """A table cannot be changed from outside: ``value``, ``eval``, ``values``
+    and :func:`regular_act` keep reading the table it was built as."""
+
+    @staticmethod
+    def _reads(lam):
+        spec = lam.spec
+        polys = [PBWPoly.monomial(spec, alpha) for alpha in monomials_up_to(spec.dim, 2)]
+        polys.append(pbw_mul(PBWPoly.generator(spec, 1), PBWPoly.generator(spec, 0)))
+        acted = regular_act(lam, GVector(spec, [Scalar(1), Scalar(2, -1), Scalar(0, 3)]))
+        return (
+            {alpha: lam.value(alpha) for alpha in monomials_up_to(spec.dim, lam.max_degree)},
+            [lam.eval(p) for p in polys],
+            lam.values,
+            acted.values,
+        )
+
+    def test_mutations_leave_the_table(self):
+        config = json.loads(default_config_path().read_text(encoding="utf-8"))
+        table = parse_config(json.dumps(config)).functionals["spin_half"]
+        acted = regular_act(table, SO3.basis_vector(1))
+        assert table.eval(PBWPoly.monomial(SO3, (0, 0, 2))) == Scalar(Fraction(-1, 4))
+        for lam in (table, acted):
+            before = self._reads(lam)
+            lam.values[(0, 0, 2)] = Scalar(7)
+            assert lam.value((0, 0, 2)) == before[0][(0, 0, 2)]
+            assert self._reads(lam) == before
+            lam.values.clear()
+            assert self._reads(lam) == before
+            given = lam.values
+            twin = FunctionalTable(lam.spec, lam.max_degree, given)
+            given[(0, 0, 2)] = Scalar(7)
+            given[(1, 0, 0)] = Scalar(0, 5)
+            assert self._reads(twin) == before
+            assert self._reads(lam) == before
+
+    def test_values_is_a_fresh_dict(self):
+        lam = functional_from_rep(spin_half(), 4)
+        assert lam.values is not lam.values
+        assert lam.values == lam.values
 
 
 class TestBetaComponent:
@@ -229,6 +273,14 @@ class TestRadius:
             est = radius_estimate(factorial_functional(N))
             assert est.equals_rational(1)
             assert est.value == 1.0
+
+    def test_root_tie_keeps_the_first_degree(self):
+        # every per-degree root of lam(x^n) = n! equals 1; the max is the degree-1 one
+        est = radius_estimate(factorial_functional(8))
+        assert [n for n, _ in est.per_degree] == list(range(1, 9))
+        assert all(root == RootValue(1, 1) for _, root in est.per_degree)
+        assert est.best is est.per_degree[0][1]
+        assert est.best.degree == 1
 
     def test_delta_gives_infinite_radius(self):
         est = radius_estimate(delta_functional(SO3, 4))

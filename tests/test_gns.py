@@ -569,6 +569,16 @@ class TestAnalyticDiagnostics:
         with pytest.raises(DegreeOverflowError):
             analytic_diagnostics(lam, SO3.basis_vector(0), 3)
 
+    def test_root_tie_keeps_the_first_degree(self):
+        # lam(x^(2n)) = (-1)^n (n!)^2 gives s_n^2 = (n!)^2, so every vector root is 1
+        n_max = 6
+        vals = {(2 * n,): Scalar((-1) ** n * math.factorial(n) ** 2) for n in range(n_max + 1)}
+        lam = FunctionalTable(abelian(1), 2 * n_max, vals)
+        report = analytic_diagnostics(lam, abelian(1).basis_vector(0), n_max)
+        assert list(report.s_squared) == [math.factorial(n) ** 2 for n in range(n_max + 1)]
+        assert report.vector_root.degree == 1
+        assert report.vector_root.squared == 1
+
 
 class TestGradedDenominators:
     """Algebras with non-integer structure constants through the exact kernels."""
