@@ -440,16 +440,35 @@ def _parse_suite(index, block, config):
     return SuiteSpec(name, _suite_params(name, given, config, f"suites[{index}] ({name})"))
 
 
+def _json_object(pairs):
+    """A JSON object as a dict, or as the tuple of its pairs when it repeats a key."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else tuple(pairs)
+
+
+def _reject_repeats(node, path):
+    """Name the first object under ``node`` that repeats a key (``json`` keeps the last)."""
+    if isinstance(node, tuple):
+        key = next(key for i, (key, _) in enumerate(node) if key in dict(node[:i]))
+        raise ConfigError(f"{path}: key {key!r} is given more than once")
+    items = enumerate(node) if isinstance(node, list) else getattr(node, "items", tuple)()
+    for key, child in items:
+        _reject_repeats(child, f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}")
+
+
 def parse_config(text):
     """Parse and fully validate a workbench configuration."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
+        _reject_repeats(doc, "config")
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ConfigError("config nests arrays or objects too deeply") from None
     _expect_keys(doc, "config", ("lie_algebra",),
                  ("functionals", "representations", "suites"))
     for key, kind in (("functionals", dict), ("representations", dict), ("suites", list)):

@@ -122,8 +122,8 @@ class FunctionalTable:
         clean = {}
         for alpha, v in (values or {}).items():
             alpha = tuple(alpha)
-            if len(alpha) != spec.dim:
-                raise ValueError(f"multi-index {alpha} has wrong length")
+            if len(alpha) != spec.dim or min(alpha) < 0:  # spec.dim >= 1
+                raise ValueError(f"multi-index {alpha} needs {spec.dim} nonnegative entries")
             if sum(alpha) > max_degree:
                 raise DegreeOverflowError(
                     f"value for {monomial_name(spec, alpha)} exceeds degree {max_degree}"

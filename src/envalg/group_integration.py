@@ -12,12 +12,15 @@ calls SciPy's compiled Padé kernels (``pick_pade_structure``,
 takes one matrix or a stack ``(..., n, n)`` and exponentiates a stack slice
 by slice, so sampling, the Cauchy, local-group-law and extension checks make
 one stacked call each (per degree) and still produce the floats of one call
-per matrix; the kernel check makes one stacked product per row.  The checks
-here quantify how well ``exp(R(x)) exp(R(y))`` matches ``exp(R(x*y))`` for
-the truncated BCH product, that matrix-coefficient kernels
-``(g, h) -> phi(g h^-1)`` are positive semidefinite, the factorial
-derivative bounds of analytic kernels, and the reconstruction of matrix
-coefficients from a truncated GNS model.
+per matrix.  Sampled factors are multiplied as stacks, and each kernel row
+(one stacked product), the Cauchy grid and the matrix coefficients take one
+``np.vecdot``, which rounds as one ``np.vdot`` per entry on these fresh
+C-contiguous operands (not on Fortran-ordered ones).  The checks quantify
+how well ``exp(R(x)) exp(R(y))`` matches ``exp(R(x*y))`` for the truncated
+BCH product, that matrix-coefficient kernels ``(g, h) -> phi(g h^-1)`` are
+positive semidefinite, the factorial derivative bounds of analytic
+kernels, and the reconstruction of matrix coefficients from a truncated
+GNS model.
 """
 
 from __future__ import annotations
@@ -163,7 +166,10 @@ def _exp_sinch(x):
 
 
 def unitarity_residual(U):
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])))
+    """``||U^* U - 1||_F`` of a matrix; of a stack ``(k, n, n)``, the largest one."""
+    U = np.asarray(U)
+    defects = (U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1])).reshape(-1, *U.shape[-2:])
+    return float(max(map(np.linalg.norm, defects), default=0.0))
 
 
 @dataclass
@@ -186,27 +192,34 @@ class GroupSample:
 
 def _quantized_vector(spec, rng, max_norm):
     """Random rational vector with seminorm <= max_norm (exact coefficients)."""
-    return _quantized(spec, rng.integers(-_QUANTUM, _QUANTUM + 1, size=spec.dim).tolist(),
-                      max_norm)
+    ks = rng.integers(-_QUANTUM, _QUANTUM + 1, size=spec.dim).tolist()
+    return _quantized(spec, [ks], max_norm)[0][0]
 
 
-def _quantized(spec, ks, max_norm):
-    """``x = k / 4096`` for the int numerators ``ks``, rescaled onto the
-    seminorm ``max_norm`` when it lies outside.
+def _quantized(spec, rows, max_norm):
+    """The vectors ``x = k / 4096`` for the rows ``k`` of int numerators,
+    rescaled onto the seminorm ``max_norm`` when it lies outside, and their
+    coefficients in binary64.
 
     With the weights ``W_i / L`` over their common denominator the seminorm
     is ``P / (4096 L)`` for ``P = sum W_i |k_i|``, so the test and the
-    rescale are done in ints; each coefficient is one reduced Scalar.
+    rescale are done in ints; each coefficient is one reduced Scalar, read
+    to binary64 as ``k * num / den`` (int true division is correctly rounded).
     """
     L = lcm(*(w.denominator for w in spec.weights))
-    P = sum(w.numerator * (L // w.denominator) * abs(k) for w, k in zip(spec.weights, ks))
+    weights = [w.numerator * (L // w.denominator) for w in spec.weights]
     bound = Fraction(max_norm)
-    if P * bound.denominator > _QUANTUM * L * bound.numerator:
-        # k/4096 times bound/seminorm
-        num, den = L * bound.numerator, P * bound.denominator
-    else:
-        num, den = 1, _QUANTUM
-    return GVector(spec, [_reduced(k * num, 0, den) for k in ks])
+    xs, floats = [], []
+    for ks in rows:
+        P = sum(w * abs(k) for w, k in zip(weights, ks))
+        if P * bound.denominator > _QUANTUM * L * bound.numerator:
+            # k/4096 times bound/seminorm
+            num, den = L * bound.numerator, P * bound.denominator
+        else:
+            num, den = 1, _QUANTUM
+        xs.append(GVector(spec, [_reduced(k * num, 0, den) for k in ks]))
+        floats.append([k * num / den for k in ks])
+    return xs, floats
 
 
 def sample_group(rep, count, seed=0):
@@ -217,31 +230,31 @@ def sample_group(rep, count, seed=0):
     reproducible bit-for-bit for a fixed seed.  Each element draws its
     number of factors, then all their numerators in one call (the same
     stream as one draw per numerator).  All factors of the sample are built
-    as one stack and exponentiated in one call.  For skew-hermitian
-    representations every element is checked to be unitary to 1e-10.
+    as one stack and exponentiated in one call, and the elements are the
+    stacked products ``1 @ E_1``, then ``@ E_2``, ``@ E_3`` where there are
+    such factors.  For skew-hermitian representations every element is
+    checked to be unitary to 1e-10.
     """
     rng = np.random.default_rng(seed)
     dim = rep.spec.dim
-    words = []
+    rows, lengths = [], []
     for _ in range(count):
-        n = int(rng.integers(1, 4)) * dim
-        ks = rng.integers(-_QUANTUM, _QUANTUM + 1, size=n).tolist()
-        words.append(tuple(_quantized(rep.spec, ks[j:j + dim], 1) for j in range(0, n, dim)))
-    coeffs = [[c.to_complex() for c in x.coeffs] for xs in words for x in xs]
-    exps = iter(matrix_exp(rep.matrices_of(coeffs)))
-    elements = []
-    for xs in words:
-        g = np.eye(rep.dim_V, dtype=complex)
-        for _ in xs:
-            g = g @ next(exps)
-        if rep.skew_hermitian:
-            resid = unitarity_residual(g)
-            if resid > _UNITARY_TOL:
-                raise RepresentationError(
-                    f"sampled element not unitary: residual {resid:.3e}"
-                )
-        elements.append(g)
-    sample = GroupSample(rep, elements, words)
+        lengths.append(int(rng.integers(1, 4)))
+        ks = rng.integers(-_QUANTUM, _QUANTUM + 1, size=lengths[-1] * dim).tolist()
+        rows += [ks[j:j + dim] for j in range(0, len(ks), dim)]
+    xs, coeffs = _quantized(rep.spec, rows, 1)
+    exps = matrix_exp(rep.matrices_of(coeffs))
+    lengths = np.array(lengths, dtype=int)
+    starts = np.cumsum(lengths) - lengths
+    G = np.eye(rep.dim_V, dtype=complex) @ exps[starts]
+    for j in (1, 2):
+        longer = np.flatnonzero(lengths > j)
+        G[longer] = G[longer] @ exps[starts[longer] + j]
+    resid = unitarity_residual(G) if rep.skew_hermitian else 0.0
+    if resid > _UNITARY_TOL:
+        raise RepresentationError(f"sampled element not unitary: residual {resid:.3e}")
+    words = [tuple(xs[s:s + n]) for s, n in zip(starts.tolist(), lengths.tolist())]
+    sample = GroupSample(rep, list(G), words)
     sample.unitary = rep.skew_hermitian
     return sample
 
@@ -249,7 +262,7 @@ def sample_group(rep, count, seed=0):
 def matrix_coefficient(sample):
     """Values ``phi(g) = <g v, v>`` for each sampled element."""
     v = sample.rep.cyclic_array()
-    return [complex(np.vdot(v, g @ v)) for g in sample.elements]
+    return np.vecdot(v, np.reshape(sample.elements, (-1, v.size, v.size)) @ v).tolist()
 
 
 @dataclass(frozen=True)
@@ -278,10 +291,8 @@ def pd_kernel_check(sample, tol=_UNITARY_TOL):
     """
     if not sample.elements:
         raise ValueError("pd_kernel_check: the sample is empty")
-    if not sample.unitary:
-        for g in sample.elements:
-            if unitarity_residual(g) > _UNITARY_TOL:
-                raise RepresentationError("pd_kernel_check needs a unitary sample")
+    if not sample.unitary and unitarity_residual(sample.elements) > _UNITARY_TOL:
+        raise RepresentationError("pd_kernel_check needs a unitary sample")
     K = _kernel_matrix(sample.elements, sample.rep.cyclic_array())
     vals = np.linalg.eigvalsh((K + K.conj().T) / 2)
     min_eig = float(vals[0])
@@ -289,17 +300,15 @@ def pd_kernel_check(sample, tol=_UNITARY_TOL):
 
 
 def _kernel_matrix(elements, v):
-    """``K_ij = <g_i g_j^* v, v>``, one stacked product per row.
+    """``K_ij = <g_i g_j^* v, v>``, one stacked product and one ``np.vecdot`` per row.
 
-    Every entry keeps its own ``vdot``: batched conjugate dot products round
-    differently in the last bit.
+    ``np.vecdot`` rounds as one ``np.vdot`` per entry while the inner axis
+    of its operands is contiguous, as in these fresh products (a
+    Fortran-ordered stack rounds differently).  One ``(n, n, d, d)`` stack
+    for all rows would give the same floats in ``n**2 d**2`` memory.
     """
-    n = len(elements)
-    K = np.zeros((n, n), dtype=complex)
     adjoints = np.array(elements).conj().transpose(0, 2, 1)
-    for i, gi in enumerate(elements):
-        K[i] = [np.vdot(v, w) for w in (gi @ adjoints) @ v]
-    return K
+    return np.array([np.vecdot(v, (gi @ adjoints) @ v) for gi in elements])
 
 
 @dataclass(frozen=True)
@@ -321,9 +330,9 @@ def cauchy_estimate_check(rep, x, r=1.0, n_max=12):
 
     ``C`` is the max of ``|<exp(z1 R) v, exp(conj(z2) R) v>|`` over an
     8 x 8 set of boundary points ``|z1| = |z2| = r`` times a 1.05 safety
-    factor.  A larger C only weakens the bound, so the finite grid
-    keeps the check conservative.  Requires a skew-hermitian representation;
-    raises OverflowError when ``exp(zR)v`` leaves binary64 on the circle.
+    factor.  A larger C only weakens the bound, so the finite grid keeps the
+    check conservative.  Requires a skew-hermitian representation; raises
+    OverflowError when ``exp(zR)v`` or ``C`` leaves binary64 on the circle.
     """
     if not rep.skew_hermitian:
         raise RepresentationError("cauchy_estimate_check needs a skew-hermitian rep")
@@ -335,27 +344,17 @@ def cauchy_estimate_check(rep, x, r=1.0, n_max=12):
     with np.errstate(over="ignore", invalid="ignore"):
         e2vs = matrix_exp([np.conj(z) * R for z in zs]) @ v
         e1vs = matrix_exp([z * R for z in zs]) @ v
-    if not (np.isfinite(e1vs).all() and np.isfinite(e2vs).all()):
+        grid = np.abs(np.vecdot(e2vs, e1vs[:, None]))  # [a, b] = |<e2v_b, e1v_a>|
+    if not np.isfinite(grid).all():
         raise OverflowError(f"exp(z R(x)) v overflows binary64 on |z| = {r}")
-    C = 0.0
-    for e1v in e1vs:
-        for e2v in e2vs:
-            C = max(C, abs(complex(np.vdot(e2v, e1v))))
-    C *= 1.05
-    rows = []
-    ok = True
-    w = v.copy()
-    fact = 1.0
+    C = float(grid.max()) * 1.05
+    rows, w, fact = [], v.copy(), 1.0
     for n in range(n_max + 1):
         if n:
             w = R @ w
             fact *= n
-        lhs = float(np.linalg.norm(w))
-        bound = np.sqrt(C) * fact * r ** (-n)
-        rows.append((n, lhs, float(bound)))
-        if lhs > bound:
-            ok = False
-    return CauchyReport(ok, C, r, tuple(rows))
+        rows.append((n, float(np.linalg.norm(w)), float(np.sqrt(C) * fact * r ** (-n))))
+    return CauchyReport(not any(lhs > bound for _, lhs, bound in rows), C, r, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -480,8 +479,8 @@ def extension_demo(rep, degrees, probes):
     if not rep.skew_hermitian:
         raise RepresentationError("extension_demo needs a skew-hermitian rep")
     v = rep.cyclic_array()
-    exps = matrix_exp([rep.matrix_of(x) for x in probes]) if probes else []
-    truth = [(x, complex(np.vdot(v, E @ v))) for x, E in zip(probes, exps)]
+    exps = matrix_exp(rep.matrices_of([[c.to_complex() for c in x.coeffs] for x in probes]))
+    truth = list(zip(probes, np.vecdot(v, exps @ v).tolist()))
     return _extension_report(
         degrees, lambda d: gns_build(functional_from_rep(rep, 2 * d), d), truth
     )

@@ -370,6 +370,31 @@ def _put(*path, value):
     return patch
 
 
+class _Pairs(dict):
+    """An object that ``json.dumps`` writes as its ``pairs``, repeated keys included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
+def _repeat(*path, value=None):
+    """Give the last key of ``path`` once more, after the first, with ``value``
+    (by default its own value again)."""
+    def patch(doc):
+        parent = doc
+        for key in path[:-2]:
+            parent = parent[key]
+        block = parent[path[-2]]
+        again = block[path[-1]] if value is None else value
+        parent[path[-2]] = _Pairs(list(block.items()) + [(path[-1], again)])
+
+    return patch
+
+
 def _bad_target(doc):
     doc["lie_algebra"]["structure"]["0,1"] = {"x": "1"}
 
@@ -627,6 +652,14 @@ MALFORMED = [
                  id="structure-target-twice"),
     pytest.param("su2.json", _put("lie_algebra", "structure", "0, 2", value={"1": "-1"}),
                  ["validate"], ("lie_algebra.structure['0, 2']",), id="structure-key-space"),
+    pytest.param("su2.json", _repeat("functionals", "spin_half", "values", "0,0,0", value="3"),
+                 ["validate"], ("functionals.spin_half.values", "'0,0,0'", "more than once"),
+                 id="value-key-repeated"),
+    pytest.param("su2.json", _repeat("suites", 7, "repetitions", value=2), ["validate"],
+                 ("suites[7]", "'repetitions'", "more than once"), id="suite-parameter-repeated"),
+    pytest.param("su2.json", _repeat("representations", "spin_half"), ["validate"],
+                 ("config.representations", "'spin_half'", "more than once"),
+                 id="representation-name-repeated"),
 ]
 
 
@@ -643,6 +676,15 @@ def test_malformed_input_exits_2_naming_key(tmp_path, capsys, config, patch, arg
     assert err.startswith("config error: ")
     for needle in needles:
         assert needle in err
+
+
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    text = default_config_path().read_text(encoding="utf-8")
+    deep = text.replace('"0,0,0": "1"', '"0,0,0": ' + "[" * 5000 + "]" * 5000, 1)
+    path = tmp_path / "config.json"
+    path.write_text(deep, encoding="utf-8")
+    assert main(["--config", str(path), "validate"]) == 2
+    assert capsys.readouterr().err.startswith("config error: config nests")
 
 
 def test_null_blocks_read_as_absent(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from math import factorial
@@ -97,6 +98,12 @@ class TestEval:
         lam = rand_table(HEIS, 2, 5)
         with pytest.raises(SpecMismatchError):
             lam.eval(PBWPoly.one(SO3))
+
+    @pytest.mark.parametrize("alpha", [(-1, 2, 0), (0, 0, -1), (2,), (0, 1, 0, 0)])
+    def test_multi_index_needs_dim_nonnegative_entries(self, alpha):
+        # a negative index used to be stored, listed in ``values`` and ignored by every kernel
+        with pytest.raises(ValueError, match=re.escape(f"multi-index {alpha} needs 3")):
+            FunctionalTable(SO3, 2, {alpha: Scalar(5)})
 
 
 class TestOneStore:

@@ -518,6 +518,15 @@ STACKED_REPS = [
 RATIONAL_REPS = [pytest.param(lambda name=name: rational_reps()[name], id=name)
                  for name in rational_reps()]
 
+# the group-float benchmark's spin reps, and one of size >= 8, where only a
+# contiguous inner axis keeps np.vecdot on the floats of np.vdot
+WORKLOAD_REPS = [
+    pytest.param(make, id=name)
+    for name, make in [("spin-half", spin_half), ("spin-one", spin_one),
+                       ("spin-three-half", spin_three_half),
+                       ("skew-12", lambda: random_skew_rep(12, 62))]
+]
+
 # seed 222 draws a zero numerator in its second sample (for three coefficients)
 SAMPLE_SEEDS = (0, 1, 2, 222)
 
@@ -561,6 +570,48 @@ class TestStackedMatchesPerElement:
             want = float(np.linalg.eigvalsh((K + K.conj().T) / 2)[0])
             assert pd_kernel_check(sample).min_eigenvalue.hex() == want.hex()
 
+    @pytest.mark.parametrize("make", WORKLOAD_REPS)
+    def test_workload_sized_samples_and_kernels(self, make):
+        # 60 elements per rep, as the group-float benchmark samples them
+        rep = make()
+        v = rep.cyclic_array()
+        for seed in (0, 1001, 2002):
+            sample = sample_group(rep, 60, seed=seed)
+            elements, words = _sample_per_element(rep, 60, seed)
+            assert [g.tobytes() for g in sample.elements] == [g.tobytes() for g in elements]
+            assert sample.words == words
+            K = _kernel_per_pair(elements, v)
+            assert _kernel_matrix(sample.elements, v).tobytes() == K.tobytes()
+            want = float(np.linalg.eigvalsh((K + K.conj().T) / 2)[0])
+            assert pd_kernel_check(sample).min_eigenvalue.hex() == want.hex()
+
+    @pytest.mark.parametrize("make", STACKED_REPS + RATIONAL_REPS)
+    def test_matrix_coefficients(self, make):
+        rep = make()
+        v = rep.cyclic_array()
+        sample = sample_group(rep, 60, seed=7)
+        got = matrix_coefficient(sample)
+        want = [complex(np.vdot(v, g @ v)) for g in sample.elements]
+        assert all(type(phi) is complex for phi in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("make", WORKLOAD_REPS)
+    def test_extension_truth_values(self, make, monkeypatch):
+        from envalg import group_integration
+
+        rep = make()
+        v = rep.cyclic_array()
+        rng = np.random.default_rng(5)
+        probes = [_quantized_vector(rep.spec, rng, Fraction(1, 2)) for _ in range(8)]
+        seen = []
+        monkeypatch.setattr(group_integration, "_extension_report",
+                            lambda degrees, build, truth: seen.append(truth))
+        extension_demo(rep, [1], probes)
+        (truth,) = seen
+        want = [complex(np.vdot(v, matrix_exp(rep.matrix_of(x)) @ v)) for x in probes]
+        assert [x for x, _ in truth] == probes
+        assert np.array([phi for _, phi in truth]).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("make", STACKED_REPS)
     def test_cauchy_constant_and_rows(self, make):
         rep = make()
@@ -573,6 +624,49 @@ class TestStackedMatchesPerElement:
                     [(n, a.hex(), b.hex()) for n, a, b in rows]
 
 
+def test_stacked_products_keep_the_positive_zeros_of_one_times_e(monkeypatch):
+    # exp(R(-e_1)) on spin-1 has -0.0 entries, which the product 1 @ E turns into +0.0
+    script = iter([1, [-4096, 0, 0], 2, [0, 0, 4096, -4096, 0, 0]])
+
+    class Scripted:
+        def integers(self, low, high, size=None):
+            return np.array(next(script)) if size else next(script)
+
+    rep = spin_one()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Scripted())
+    sample = sample_group(rep, 2)
+    E1, E3 = (matrix_exp(rep.matrix_of(x)) for x in (vec(SO3, -1, 0, 0), vec(SO3, 0, 0, 1)))
+    eye = np.eye(3, dtype=complex)
+    assert (eye @ E1).tobytes() != E1.tobytes()
+    assert [g.tobytes() for g in sample.elements] == [(eye @ E1).tobytes(),
+                                                     (eye @ E3 @ E1).tobytes()]
+
+
+def test_vecdot_rounds_as_vdot_only_on_a_contiguous_inner_axis():
+    """The condition the stacked dot products rely on, on a kernel row of size 12.
+
+    ``np.vecdot`` gives the floats of one ``np.vdot`` per row when the rows
+    are C-contiguous, and other floats on a Fortran-ordered copy.
+    """
+    rep = random_skew_rep(12, 62)
+    v = rep.cyclic_array()
+    G = np.array(sample_group(rep, 60, seed=3).elements)
+    W = (G[0] @ G.conj().transpose(0, 2, 1)) @ v
+    want = np.array([np.vdot(v, w) for w in W])
+    assert W.flags.c_contiguous
+    assert np.vecdot(v, W).tobytes() == want.tobytes()
+    assert np.vecdot(v, np.asfortranarray(W)).tobytes() != want.tobytes()
+
+
 def test_cauchy_overflow_is_an_error_not_a_verdict():
     with pytest.raises(OverflowError, match="overflows"):
         cauchy_estimate_check(spin_half(), SO3.basis_vector(2), r=1e300)
+
+
+def test_cauchy_overflow_of_the_kernel_values_is_an_error_too():
+    # exp(zR) v stays finite, but |<exp(z1 R) v, exp(conj(z2) R) v>| ~ 1e320 does not
+    rep = spin_half()
+    big = MatrixRep(rep.spec, rep.dim_V, rep.generators, [Scalar(10**160), Scalar(0)],
+                    skew_hermitian=True)
+    with pytest.raises(OverflowError, match="overflows"):
+        cauchy_estimate_check(big, SO3.basis_vector(2))
