@@ -324,6 +324,19 @@ def _list(item):
     return check
 
 
+def _distinct(item):
+    listed = _list(item)
+
+    def check(value, config):
+        listed(value, config)
+        first = {}
+        for k, entry in enumerate(value):
+            if first.setdefault(parse_fraction(entry), k) != k:
+                raise ValueError(f"{entry!r} is given more than once")
+
+    return check
+
+
 def _increasing(item):
     listed = _list(item)
 
@@ -1006,7 +1019,7 @@ SUITES = {
     "local-hom": Suite(_suite_local_hom,
                        {"representation": (None, _REPRESENTATION),
                         "degree": (4, _POSITIVE_DEGREE),
-                        "scales": (None, _list(_POSITIVE_RATIONAL)),
+                        "scales": (None, _distinct(_POSITIVE_RATIONAL)),
                         "x": (None, _gvector), "y": (None, _gvector),
                         "min_slope": (None, _real(lambda v: True, "a number")),
                         "max_residual": (None, _real(lambda v: v >= 0, "a nonnegative number"))},

@@ -34,7 +34,7 @@ build one Scalar per output entry; :func:`regular_act` hands on its result
 as an image too.  The right action is a scatter over the table's support:
 each stored value goes to the monomials listed in the spec's column cache,
 the transpose of the right-letter memo, so a sparse table costs only its
-nonzero entries' columns.
+nonzero entries' columns, summed into int lists indexed by monomial rank.
 
 Norms are values ``sqrt(q)`` with rational ``q``; every comparison is done
 on the exact squares (see :mod:`envalg.scalars`), and floating point shows
@@ -559,9 +559,9 @@ def regular_act(lam, y):
     The sum is scattered over the table's support: each stored ``V_b`` and
     each nonzero ``y_i`` add ``n * y_i V_b`` to every ``X[alpha]`` listed in
     the spec's column of ``(i, b)`` (see
-    :func:`~envalg.lie_structure._columns`) with ``|alpha| <= N - 1``.  A
-    sparse table, such as the matrix coefficients of a weight vector, costs
-    only the columns of its nonzero entries.
+    :func:`~envalg.lie_structure._columns`) with ``|alpha| <= N - 1``, kept
+    by the rank of alpha.  A sparse table, such as the matrix coefficients
+    of a weight vector, costs only the columns of its nonzero entries.
     """
     if lam.max_degree < 1:
         raise DegreeOverflowError("regular action needs max_degree >= 1")
@@ -573,7 +573,9 @@ def regular_act(lam, y):
     columns = _columns(spec, top)
     ys = [(columns[i], p, q) for i, (p, q) in enumerate(pairs) if p or q]
     den, image = lam._image
-    out = {}
+    monos = monomials_up_to(spec.dim, top)
+    count = len(monos)
+    xs, zs = [0] * count, [0] * count
     for b, (vr, vi) in image.items():
         for column, p, q in ys:
             entries = column.get(b)
@@ -581,16 +583,12 @@ def regular_act(lam, y):
                 continue
             x = p * vr - q * vi
             z = p * vi + q * vr
-            for size, alpha, n in entries:
-                if size > top:
+            for rank, n in entries:
+                if rank >= count:
                     break
-                got = out.get(alpha)
-                if got is None:
-                    out[alpha] = [n * x, n * z]
-                else:
-                    got[0] += n * x
-                    got[1] += n * z
-    nonzero = {alpha: (x, z) for alpha, (x, z) in out.items() if x or z}
+                xs[rank] += n * x
+                zs[rank] += n * z
+    nonzero = {alpha: (x, z) for alpha, x, z in zip(monos, xs, zs) if x or z}
     return FunctionalTable._from_image(spec, top, den_y * den * spec.delta, nonzero)
 
 

@@ -3,11 +3,11 @@
 ``MatrixRep`` wraps concrete matrix generators of a Lie algebra (exact
 Gaussian-rational or binary64 entries) with a cyclic vector; it generates
 functionals ``lam(x^alpha) = <R(x^alpha) v, v>`` that are positive by
-construction.  ``moment_matrix`` and ``psd_check`` certify positivity of a
-functional up to a degree; ``gns_build`` quotients out the null space of the
-Gram form and represents left multiplication by the generators as matrices
-from the degree ``d-1`` span into the degree ``d`` span, where skewness is
-exactly assertable.
+construction.  ``moment_matrix`` (stored as its integer image) and
+``psd_check`` certify positivity up to a degree; ``gns_build`` quotients
+out the null space of the Gram form and represents left multiplication by
+the generators as matrices from the degree ``d-1`` span into the degree
+``d`` span, where skewness is exactly assertable.
 
 Everything from the functional on is exact.  A binary64 entry is a dyadic
 rational, so a float representation is read as the exact one it stores,
@@ -15,13 +15,13 @@ and its functional is exact too (:func:`functional_from_rep` rejects one
 whose stored entries break the laws).  The laws of every representation
 are decided once, on Gaussian integers: the exact squared residuals of the
 stored entries, compared with 0, or with 1e-10 squared for a float rep on
-the group side.  One fraction-free LDL* kernel over
-the Gaussian integers (:class:`_Ldl`) gives both certificates: the PSD
-test pivots on the largest diagonal entry (no square roots are needed to
-decide semidefiniteness, and a failed test returns a witness vector with
-exact entries), and the GNS model's Gram–Schmidt is the same factorization
-in monomial order, which certifies positivity on its own, so ``gns_build``
-factors its matrix once.
+the group side.  One fraction-free LDL* kernel over the Gaussian integers
+(:class:`_Ldl`), which reads the moment matrix's image as it is, gives both
+certificates: the PSD test pivots on the largest diagonal entry (no square
+roots are needed to decide semidefiniteness, and a failed test returns a
+witness vector with exact entries), and the GNS model's Gram–Schmidt is the
+same factorization in monomial order, which certifies positivity on its
+own, so ``gns_build`` factors its matrix once.
 """
 
 from __future__ import annotations
@@ -102,14 +102,22 @@ def _binary64(c):
 def _int_entries(entries, exact):
     """Entries over one denominator: ``(den, [(A, B), ..])``, entry k ``(A_k + B_k i) / den``.
 
-    A binary64 complex is read as the dyadic rational it stores; its
-    denominators are powers of two, so the largest one is common.
+    A binary64 complex is read as the dyadic rational it stores: one
+    ``frexp`` pass splits every part into an integer mantissa, stripped of
+    its trailing zero bits, times a power of two, and the least power over
+    the nonzero parts gives the common (least) power-of-two denominator.
     """
     if exact:
         return _int_pairs(entries)
-    parts = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in entries]
-    den = max(q for pair in parts for _, q in pair)
-    return den, [(p * (den // q), r * (den // t)) for (p, q), (r, t) in parts]
+    frac, exp = np.frexp(np.array(entries, dtype=complex).view(float))
+    mant = (frac * 2.0 ** 53).astype(np.int64)
+    low_bit = np.frexp((mant & -mant).astype(float))[1] - 1     # -1 for a zero part
+    nonzero = mant != 0
+    mant >>= np.maximum(low_bit, 0)
+    exp += low_bit - 53
+    base = min(0, int(exp[nonzero].min(initial=0)))
+    ints = [m << s for m, s in zip(mant.tolist(), np.where(nonzero, exp - base, 0).tolist())]
+    return 1 << -base, list(zip(ints[0::2], ints[1::2]))
 
 
 def _int_vector(vec, exact):
@@ -378,20 +386,25 @@ def orbit_gram(rep, d_max):
 
 
 class MomentMatrix:
-    """Gram table ``M[a][b] = lam((x^alpha_a)^* x^beta_b)`` up to a degree."""
+    """Gram table ``M[a][b] = lam((x^alpha_a)^* x^beta_b) = (re[a][b] + im[a][b] i) / den``."""
 
-    __slots__ = ("spec", "d_max", "monomials", "rows", "hermitian")
+    __slots__ = ("spec", "d_max", "monomials", "_image", "hermitian")
 
-    def __init__(self, spec, d_max, monomials, rows, hermitian):
+    def __init__(self, spec, d_max, monomials, image):
         self.spec = spec
         self.d_max = d_max
         self.monomials = monomials
-        self.rows = rows
-        self.hermitian = hermitian
+        self._image = image
+        self.hermitian = _exactly_hermitian(image)
 
     @property
     def size(self):
         return len(self.monomials)
+
+    @property
+    def rows(self):
+        den, re, im = self._image
+        return tuple(tuple(map(_reduced, xs, ys, [den] * len(xs))) for xs, ys in zip(re, im))
 
     def to_array(self):
         return np.array([[c.to_complex() for c in row] for row in self.rows], dtype=complex)
@@ -403,14 +416,10 @@ class MomentMatrix:
         )
 
 
-def _exactly_hermitian(rows):
-    """``rows[a][b] == conj(rows[b][a])`` everywhere, compared as canonical triples."""
-    for a, row in enumerate(rows):
-        for b in range(a, len(rows)):
-            x, y = row[b], rows[b][a]
-            if x.a != y.a or x.b != -y.b or x.d != y.d:
-                return False
-    return True
+def _exactly_hermitian(image):
+    """``M[a][b] == conj(M[b][a])`` everywhere, compared on the integer image."""
+    _, re, im = image
+    return re == [list(col) for col in zip(*re)] and im == [[-y for y in col] for col in zip(*im)]
 
 
 def moment_matrix(lam, d_max):
@@ -418,7 +427,9 @@ def moment_matrix(lam, d_max):
 
     Requires ``2*d_max <= lam.max_degree``.  Hermitianness (equivalent to
     ``lam(D^*) = conj(lam(D))``) is checked exactly and reported on the
-    result, not enforced.
+    result, not enforced.  Its one store is the int image ``(den, re, im)``:
+    column b scatters ``T_beta = lam(. x^beta)``, over ``lam``'s denominator
+    times ``delta**|beta|``, into the star rows, lifted to ``delta**(2 d_max)``.
     """
     if 2 * d_max > lam.max_degree:
         raise DegreeOverflowError(
@@ -430,10 +441,20 @@ def moment_matrix(lam, d_max):
     # T_beta is read on degree <= d_max only, so the chain starts from lam cut at 2 d_max
     basis = [spec.basis_vector(i) for i in range(spec.dim)]
     start = lam._cut(2 * d_max)
-    tables = list(_peel(monos, start, lambda i, t: regular_act(t, basis[i])).values())
-    stars = [(sum(alpha), _star_monomial(spec, alpha)) for alpha in monos]
-    rows = tuple(tuple(t._eval_graded(st, k) for t in tables) for k, st in stars)
-    return MomentMatrix(spec, d_max, monos, rows, _exactly_hermitian(rows))
+    tables = _peel(monos, start, lambda i, t: regular_act(t, basis[i])).values()
+    lift = [spec.delta ** (d_max - sum(alpha)) for alpha in monos]
+    uses = {}   # x^b -> (row, lifted coefficient) of each star row that holds it
+    for a, (alpha, s) in enumerate(zip(monos, lift)):
+        for b, c in _star_monomial(spec, alpha).items():
+            uses.setdefault(b, []).append((a, c * s))
+    re, im = [[0] * len(monos) for _ in monos], [[0] * len(monos) for _ in monos]
+    for col, (table, t) in enumerate(zip(tables, lift)):
+        for alpha, (x, y) in table._image[1].items():
+            for a, c in uses.get(alpha, ()):
+                re[a][col] += c * t * x
+                im[a][col] += c * t * y
+    den = start._image[0] * spec.delta ** (2 * d_max)
+    return MomentMatrix(spec, d_max, monos, (den, re, im))
 
 
 @dataclass(frozen=True)
@@ -464,12 +485,13 @@ class PsdReport:
 class _Ldl:
     """Fraction-free hermitian LDL* of an exact matrix, one chosen pivot at a time.
 
-    The matrix is ``N / den`` with ``N`` Gaussian-integer, held as rows of
-    real and of imaginary parts.  After the pivots ``p_1 .. p_k`` its Schur
-    complement is ``A / (den * det)``, where ``A[i][j]`` is the minor of
-    ``N`` on the rows ``p_1 .. p_k, i`` and the columns ``p_1 .. p_k, j``,
-    and ``det`` is the minor on ``p_1 .. p_k`` (1 before the first pivot).
-    Sylvester's identity gives Bareiss' integer step for the pivot p,
+    The matrix is ``N / den``, a :class:`MomentMatrix`'s integer image
+    ``(den, re, im)``, which the kernel never changes.  After the pivots
+    ``p_1 .. p_k`` its Schur complement is ``A / (den * det)``, where
+    ``A[i][j]`` is the minor of ``N`` on the rows ``p_1 .. p_k, i`` and the
+    columns ``p_1 .. p_k, j``, and ``det`` is the minor on ``p_1 .. p_k`` (1
+    before the first pivot).  Sylvester's identity gives Bareiss' integer
+    step for the pivot p,
 
         A'[i][j] = (A[p][p] A[i][j] - A[i][p] A[p][j]) / det,
 
@@ -484,13 +506,9 @@ class _Ldl:
     diagonal entry, :func:`_exact_gram` each positive one in monomial order.
     """
 
-    def __init__(self, rows):
-        n = len(rows)
-        den, pairs = _int_pairs([c for row in rows for c in row])
-        self.den = den
-        self.re = [[a for a, _ in pairs[i * n:(i + 1) * n]] for i in range(n)]
-        self.im = [[b for _, b in pairs[i * n:(i + 1) * n]] for i in range(n)]
-        self.diag = [self.re[i][i] for i in range(n)]
+    def __init__(self, image):
+        self.den, self.re, self.im = image
+        self.diag = [row[i] for i, row in enumerate(self.re)]
         self.det = 1
         self.steps = []     # (p, real parts of A[p], imaginary parts of A[p], A[p][p])
 
@@ -565,16 +583,16 @@ class _Ldl:
         return x, y
 
 
-def _exact_psd(rows):
-    """Pivoted hermitian LDL* on the integer kernel :class:`_Ldl`.
+def _exact_psd(image):
+    """Pivoted hermitian LDL* of an integer image ``(den, re, im)`` on :class:`_Ldl`.
 
     Each step takes the largest remaining diagonal entry, the lowest index
     on a tie.  Returns ``(ok, rank, pivots, witness, witness_value)``.  The
     witness is a violating vector of the current Schur complement lifted
     back through the eliminated pivots, which preserves the quadratic form.
     """
-    n = len(rows)
-    ldl = _Ldl(rows)
+    n = len(image[1])
+    ldl = _Ldl(image)
     remaining = list(range(n))
 
     def fail(u, value):
@@ -616,7 +634,7 @@ def psd_check(M, tol=None):
     """
     if not M.hermitian:
         raise HermitianError("moment matrix is not hermitian")
-    ok, rank, pivots, witness, wval = _exact_psd(M.rows)
+    ok, rank, pivots, witness, wval = _exact_psd(M._image)
     return PsdReport(ok, M.size, rank, pivots, witness, wval)
 
 
@@ -684,7 +702,7 @@ def _exact_gram(M, d_max):
     coefficient of ``b_j`` in ``e_i b_k`` (None at degree 0).
     """
     spec, monos = M.spec, M.monomials
-    ldl = _Ldl(M.rows)
+    ldl = _Ldl(M._image)
     for m in range(M.size):
         if ldl.diag[m] > 0:
             ldl.eliminate(m)

@@ -387,8 +387,11 @@ def local_hom_check(rep, x, y, N, scales, min_slope=None):
     exactly before the single float conversion.  PASS iff the fitted log-log
     slope reaches ``N + 0.5`` (the defect should be order ``N + 1``) or all
     residuals sit below the noise floor, which happens exactly when the
-    truncation is exact (nilpotent algebras of class <= N).
+    truncation is exact (nilpotent algebras of class <= N).  Two equal
+    scales raise ValueError: a repeated point cannot help define a slope.
     """
+    if len(set(map(Fraction, scales))) < len(scales):
+        raise ValueError("local_hom_check needs distinct scales")
     rep.validate()
     min_slope = (N + 0.5) if min_slope is None else min_slope
     mats = []

@@ -13,7 +13,7 @@ the rewrite order.  The memo is per spec: the normal form of
 ``x^alpha * e_l`` for a normal monomial ``x^alpha`` and a letter ``l``.  The
 normal form of any word or product is a fold of that step over its letters.
 The spec also keeps the memo's transpose, its columns: for each letter l and
-monomial ``x^b``, every ``x^alpha`` whose ``x^alpha * e_l`` holds ``x^b``.
+monomial ``x^b``, the rank of every ``x^alpha`` whose ``x^alpha * e_l`` holds ``x^b``.
 
 The engine runs on Python ints.  Let ``delta`` be the lcm of the
 denominators of the (real, rational) structure constants.  Each rewrite
@@ -381,21 +381,21 @@ def monomials_up_to(dim, degree):
 def _columns(spec, degree):
     """The transpose of :func:`_right_letter` for every ``|alpha| <= degree``.
 
-    ``columns[l][b]`` lists ``(|alpha|, alpha, n)`` for every normal
-    monomial ``x^alpha`` whose ``x^alpha * e_l`` holds ``x^b`` with the
-    graded coefficient n, in ascending ``|alpha|``.  The spec's columns grow
-    one degree layer at a time up to the largest degree asked for so far,
-    so a caller that needs ``|alpha| <= d < degree`` stops at the first
-    entry past d.
+    ``columns[l][b]`` lists ``(rank, n)`` for every normal monomial
+    ``x^alpha`` whose ``x^alpha * e_l`` holds ``x^b`` with the graded
+    coefficient n; the rank of alpha is its position in the graded order of
+    :func:`monomials_up_to`, the same at every degree.  The spec's columns
+    grow one degree layer at a time up to the largest degree asked for so
+    far, so a caller that needs ``|alpha| <= d`` stops at rank ``C(d + dim, dim)``.
     """
     built, columns = spec._column_cache
     if degree > built:
         monos = monomials_up_to(spec.dim, degree)
-        for alpha in monos[comb(built + spec.dim, spec.dim):]:
-            size = sum(alpha)
+        start = comb(built + spec.dim, spec.dim)
+        for rank, alpha in enumerate(monos[start:], start):
             for letter, column in enumerate(columns):
                 for b, n in _right_letter(spec, alpha, letter).items():
-                    column.setdefault(b, []).append((size, alpha, n))
+                    column.setdefault(b, []).append((rank, n))
         spec._column_cache = (degree, columns)
     return columns
 

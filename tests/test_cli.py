@@ -596,6 +596,12 @@ MALFORMED = [
                  ("suites[6] (local-hom)", "degree"), id="local-hom-degree-zero"),
     pytest.param("su2.json", None, ["--degree", "0", "run", "local-hom"],
                  ("suite 'local-hom'", "degree"), id="degree-zero-override-local-hom"),
+    pytest.param("su2.json", _set("local-hom", "scales", ["1/5", "1/5"]), ["validate"],
+                 ("suites[6] (local-hom): scales: '1/5' is given more than once",),
+                 id="local-hom-scales-repeated"),
+    pytest.param("su2.json", _set("local-hom", "scales", ["1/10", "1/5", "2/10"]), ["run-all"],
+                 ("suites[6] (local-hom): scales: '2/10' is given more than once",),
+                 id="local-hom-scales-equal-rationals"),
     pytest.param("su2.json", _set("radius", "expected", "0"), ["validate"],
                  ("suites[2] (radius)", "expected", "positive"), id="radius-expected-zero"),
     pytest.param("su2.json", _set("radius", "expected", "-1"), ["validate"],

@@ -455,6 +455,30 @@ class TestRegularActionKernel:
             assert regular_act(acted, rep.spec.basis_vector(0)).values == product_route_act(
                 acted, rep.spec.basis_vector(0))
 
+    @pytest.mark.parametrize("rep", [spin_one, spin_three_half], ids=["spin1", "spin3half"])
+    def test_sparse_table_reads_only_its_support_columns(self, monkeypatch, rep):
+        """The scatter looks up one column per stored value and nonzero letter of y."""
+        rep = rep()
+        lam = functional_from_rep(rep, 6)
+        support = sorted(lam._image[1])
+        assert len(support) < len(monomials_up_to(3, 6))
+        visited = []
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                visited.append(key)
+                return dict.get(self, key, default)
+
+        columns = lie_structure._columns
+        monkeypatch.setattr(functionals, "_columns", lambda spec, degree: tuple(
+            Recording(column) for column in columns(spec, degree)))
+        for y in kernel_vectors(rep.spec):
+            visited.clear()
+            acted = regular_act(lam, y)
+            letters = sum(1 for c in y.coeffs if c)
+            assert sorted(visited) == sorted(support * letters)
+            assert acted.values == product_route_act(lam, y)
+
     def test_columns_extend_like_a_fresh_build(self):
         """A spec that acts at degree 3 and then at degree 7 matches a fresh spec."""
         grown, fresh = so3(), so3()

@@ -1,5 +1,6 @@
 """Moment matrices, exact PSD certificates, GNS models, analytic diagnostics."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -37,7 +38,9 @@ from envalg.functionals import (
 from envalg.gns import (
     GnsModel,
     MatrixRep,
+    _exact_gram,
     _exact_psd,
+    _exactly_hermitian,
     _int_entries,
     _Ldl,
     analytic_diagnostics,
@@ -47,13 +50,28 @@ from envalg.gns import (
     orbit_gram,
     psd_check,
 )
-from envalg.lie_structure import GVector, PBWPoly, _word_of_alpha, pbw_mul, pbw_reduce
+from envalg.lie_structure import (
+    GVector,
+    PBWPoly,
+    _star_monomial,
+    _word_of_alpha,
+    pbw_mul,
+    pbw_reduce,
+)
 from envalg.sampling import random_functional, random_skew_rep, random_vector
-from envalg.scalars import Scalar, fraction_root_float
+from envalg.scalars import Scalar, _int_pairs, _reduced, fraction_root_float
 from rational_algebras import RATIONAL_ALGEBRAS, rational_reps
 
 
 SO3 = so3()
+
+
+def _image(rows):
+    """Scalar rows as the integer image ``(den, re, im)`` that ``_exact_psd`` factors."""
+    n = len(rows)
+    den, pairs = _int_pairs([c for row in rows for c in row])
+    return (den, [[a for a, _ in pairs[i * n:(i + 1) * n]] for i in range(n)],
+            [[b for _, b in pairs[i * n:(i + 1) * n]] for i in range(n)])
 
 
 BINARY64 = [0.1 + 0j, complex(-0.0, 1 / 3), complex(5e-324, -1e308), 0.5 - 0.25j, 3 + 0j]
@@ -67,6 +85,72 @@ def test_binary64_entries_read_exactly(zs):
     for z, (a, b) in zip(zs, pairs):
         assert (Fraction(a, den), Fraction(b, den)) == (Fraction(z.real), Fraction(z.imag))
         assert Scalar(Fraction(a, den), Fraction(b, den)).to_complex() == z
+
+
+def _int_entries_by_ratio(entries):
+    """The binary64 reader before ``frexp``: two ``as_integer_ratio`` calls per entry."""
+    parts = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in entries]
+    den = max(q for pair in parts for _, q in pair)
+    return den, [(p * (den // q), r * (den // t)) for (p, q), (r, t) in parts]
+
+
+# subnormals, signed zeros, the extreme exponents and mixed magnitudes
+EDGE64 = [complex(5e-324, -5e-324), complex(-0.0, 0.0), complex(0.0, -0.0),
+          complex(3 * 2.0 ** -1074, 1e308),
+          complex(-1.7976931348623157e308, 2.2250738585072014e-308),
+          complex(1e-310, 2.0 ** 1000), 1.5 + 0j, complex(-(2.0 ** 53 - 1), 2.0 ** -60)]
+
+
+@pytest.mark.parametrize("zs", [[z] for z in EDGE64] + [EDGE64, [0j, complex(-0.0, -0.0)],
+                                list(np.random.default_rng(5).normal(size=40) * 1j + 0.25)])
+def test_frexp_reader_matches_ratio_reader(zs):
+    assert _int_entries(zs, exact=False) == _int_entries_by_ratio(zs)
+
+
+def _extreme_float_rep():
+    """A skew-hermitian float rep of the line whose entries span the binary64 range."""
+    a = complex(5e-324, 2.0 ** 1000)
+    gen = [[complex(0, 1e-310), a, 0j], [-a.conjugate(), complex(-0.0, 3), 0j],
+           [0j, 0j, complex(0, -1e300)]]
+    return MatrixRep(abelian(1), 3, [gen], [complex(1, -0.0), 2.0 ** -1060 + 0j, 0.5 + 0j],
+                     skew_hermitian=True, exact=False)
+
+
+FLOAT_REPS = {
+    "extreme": _extreme_float_rep,
+    "skew-5": lambda: random_skew_rep(5, 17),
+    "skew-12": lambda: random_skew_rep(12, 18),
+    "spin-three-half": lambda: _float_copy(spin_three_half()),
+    "spin-one-sixth": lambda: _float_copy(rational_reps()["spin-one-sixth"]),
+    "heisenberg-3/5": lambda: _float_copy(rational_reps()["heisenberg-3/5"]),
+}
+
+
+def _float_rep_outcomes(rep):
+    """What the integer reader feeds: residuals, validate's verdict and the functional."""
+    try:
+        rep.validate()
+        verdict = None
+    except RepresentationError as err:
+        verdict = str(err)
+    try:
+        values = functional_from_rep(rep, 4).values
+    except RepresentationError as err:
+        values = str(err)
+    return rep._residual_norms2, verdict, values
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_REPS))
+def test_float_reps_read_as_by_the_ratio_reader(monkeypatch, name):
+    got = _float_rep_outcomes(FLOAT_REPS[name]())
+    monkeypatch.setattr("envalg.gns._int_entries", lambda entries, exact: (
+        _int_pairs(entries) if exact else _int_entries_by_ratio(entries)))
+    want = _float_rep_outcomes(FLOAT_REPS[name]())
+    assert got == want
+    laws, skews = got[0]
+    assert all(type(q) is Fraction for q in list(laws.values()) + skews)
+    if isinstance(got[2], dict):
+        assert all(type(v) is Scalar for v in got[2].values())
 
 
 @pytest.mark.parametrize("where", ["generator", "cyclic vector"])
@@ -197,7 +281,7 @@ class TestPsdCheck:
         )
         from envalg.gns import _exact_psd
 
-        ok, rank, pivots, witness, value = _exact_psd(rows)
+        ok, rank, pivots, witness, value = _exact_psd(_image(rows))
         assert not ok
         quad = Scalar(0)
         for a, ca in enumerate(witness):
@@ -213,7 +297,7 @@ class TestPsdCheck:
         )
         from envalg.gns import _exact_psd
 
-        ok, rank, pivots, witness, value = _exact_psd(rows)
+        ok, rank, pivots, witness, value = _exact_psd(_image(rows))
         assert not ok
         quad = Scalar(0)
         for a, ca in enumerate(witness):
@@ -266,7 +350,7 @@ class TestExactPsdSympyOracle:
     """``_exact_psd`` against sympy's exact rank and semidefiniteness."""
 
     def check(self, rows):
-        ok, rank, pivots, witness, value = _exact_psd(rows)
+        ok, rank, pivots, witness, value = _exact_psd(_image(rows))
         M = sympy.Matrix([[_sym(c) for c in row] for row in rows])
         assert M.is_hermitian
         assert ok == _sympy_psd(M)
@@ -426,9 +510,9 @@ class TestGnsBuild:
         # diagonal with a nonzero row, beyond on a negative diagonal
         built = []
 
-        def counting(rows):
-            built.append(rows)
-            return _Ldl(rows)
+        def counting(image):
+            built.append(image)
+            return _Ldl(image)
 
         monkeypatch.setattr("envalg.gns._Ldl", counting)
         lam = functional_from_rep(spin_one(), 4)
@@ -906,7 +990,7 @@ class TestIntegerLdlAgainstScalarReference:
     @pytest.mark.parametrize("label, rows", PSD_INPUTS,
                              ids=[f"{i}-{label}" for i, (label, _) in enumerate(PSD_INPUTS)])
     def test_psd_certificate(self, label, rows):
-        got = _exact_psd(rows)
+        got = _exact_psd(_image(rows))
         want = _reference_psd(rows)
         assert got == want
         if label in ("negative-diagonal", "zero-diagonal", "zero-after-pivot"):
@@ -970,6 +1054,102 @@ class TestHermitianAndRebuild:
         fresh = gns_build(functional_from_rep(spin_three_half(), 6), 3)
         assert _model_fields(checked) == _model_fields(fresh)
         assert checked.gram.rows == fresh.gram.rows
+
+
+def _moment_rows_by_eval_graded(lam, d_max):
+    """The moment matrix as it was built before its integer image: one reduced
+    Scalar per entry, ``T_beta`` evaluated on the star normal form of each row."""
+    spec = lam.spec
+    monos = monomials_up_to(spec.dim, d_max)
+    tables = {}
+    for beta in monos:
+        i = next((k for k, b in enumerate(beta) if b), None)
+        tables[beta] = lam if i is None else regular_act(
+            tables[beta[:i] + (beta[i] - 1,) + beta[i + 1:]], spec.basis_vector(i))
+    return tuple(tuple(tables[beta]._eval_graded(_star_monomial(spec, alpha), sum(alpha))
+                       for beta in monos) for alpha in monos)
+
+
+def _scalar_hermitian(rows):
+    return all(rows[a][b] == rows[b][a].conjugate()
+               for a in range(len(rows)) for b in range(len(rows)))
+
+
+IMAGE_TABLES = {
+    "spin-half": lambda: functional_from_rep(spin_half(), 6),
+    "spin-one": lambda: functional_from_rep(spin_one(), 6),
+    "spin-three-half": lambda: functional_from_rep(spin_three_half(), 6),
+    "heisenberg-3/5": lambda: functional_from_rep(rational_reps()["heisenberg-3/5"], 6),
+    "spin-three-half-sixth": lambda: functional_from_rep(
+        rational_reps()["spin-three-half-sixth"], 6),
+    "positive-so3": lambda: _positive_so3_table(7, 6),
+    "random-so3": lambda: random_functional(SO3, 6, random.Random(8)),
+    "float-skew": lambda: functional_from_rep(random_skew_rep(6, 23), 6),
+}
+
+
+class TestMomentImage:
+    """The moment matrix's one store, its integer image, against the Scalar route."""
+
+    @pytest.mark.parametrize("name", sorted(IMAGE_TABLES))
+    def test_image_equals_scalar_oracle(self, name):
+        lam = IMAGE_TABLES[name]()
+        for d in range(4):
+            M = moment_matrix(lam, d)
+            oracle = _moment_rows_by_eval_graded(lam, d)
+            den, re, im = M._image
+            assert den == lam._image[0] * lam.spec.delta ** (2 * d)
+            assert [[Fraction(x, den) for x in row] for row in re] == \
+                [[c.re for c in row] for row in oracle]
+            assert [[Fraction(y, den) for y in row] for row in im] == \
+                [[c.im for c in row] for row in oracle]
+            assert M.rows == oracle
+            assert M.hermitian == _scalar_hermitian(oracle)
+            assert M.to_array().tobytes() == np.array(
+                [[c.to_complex() for c in row] for row in oracle], dtype=complex).tobytes()
+
+    def test_integer_hermitian_test_agrees_with_scalars(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for name in sorted(IMAGE_TABLES):
+            den, re, im = moment_matrix(IMAGE_TABLES[name](), 2)._image
+            for _ in range(6):
+                re2, im2 = [list(row) for row in re], [list(row) for row in im]
+                a, b = rng.randrange(len(re)), rng.randrange(len(re))
+                shift = rng.choice([1, -den, 2 * den])
+                # moving the mirror entry too keeps the conjugate symmetry
+                part, mirror = rng.choice([(re2, 1), (im2, -1)])
+                part[a][b] += shift
+                if rng.random() < 0.5:
+                    part[b][a] += mirror * shift
+                image = (den, re2, im2)
+                rows = tuple(tuple(_reduced(x, y, den) for x, y in zip(xs, ys))
+                             for xs, ys in zip(re2, im2))
+                verdict = _exactly_hermitian(image)
+                assert verdict == _scalar_hermitian(rows)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("case", ["positive", "negative-pivot", "zero-diagonal"])
+    def test_factorizations_leave_the_image_alone(self, case):
+        lam = functional_from_rep(spin_one(), 4)
+        lam = {"positive": lam, "negative-pivot": _minus_delta(lam, Fraction(1, 2)),
+               "zero-diagonal": _minus_delta(lam, 1)}[case]
+        M = moment_matrix(lam, 2)
+        image = copy.deepcopy(M._image)
+        rows = M.rows
+        first = psd_check(M)
+        assert psd_check(M) == first
+        grams = [_exact_gram(M, 2) for _ in range(2)]
+        if first.ok:
+            (*fields1, vacuum1, ops1), (*fields2, vacuum2, ops2) = grams
+            assert fields1 == fields2 and ops1 == ops2
+            assert vacuum1.tobytes() == vacuum2.tobytes()
+        else:
+            assert grams == [None, None]
+        assert M._image == image
+        assert M.rows == rows
+        assert first.ok == (case == "positive")
 
 
 def _perturbed(rep, rng):

@@ -196,6 +196,17 @@ class TestLocalHom:
         assert str(report) == "local group law (N=2): FAIL, slope n/a"
 
 
+    @pytest.mark.parametrize("scales", [[Fraction(1, 5), Fraction(1, 5)],
+                                        [Fraction(1, 10), Fraction(1, 5), Fraction(2, 10)]])
+    def test_repeated_scales_rejected(self, scales):
+        # one distinct scale cannot define a slope, however often it is given
+        rep = spin_half()
+        x = vec(SO3, "1/2", 0, "1/3")
+        y = vec(SO3, 0, "2/5", "-1/4")
+        with pytest.raises(ValueError, match="distinct scales"):
+            local_hom_check(rep, x, y, 4, scales)
+
+
 class TestMatrixCoefficients:
     def test_identity_value(self):
         rep = spin_half()
