@@ -31,10 +31,10 @@ cancel term by term, so ``lam`` of the table is ``sum_b n_b (V_b + W_b
 i)`` over the single denominator ``den * delta**top``.  The norm kernels,
 :func:`beta_component` and :func:`regular_act` sum those int products and
 build one Scalar per output entry; :func:`regular_act` hands on its result
-as an image too.  The right action is a scatter over the table's support:
-each stored value goes to the monomials listed in the spec's column cache,
-the transpose of the right-letter memo, so a sparse table costs only its
-nonzero entries' columns, summed into int lists indexed by monomial rank.
+as an image too.  The right action scatters each stored value through the
+spec's column cache, the transpose of the right-letter memo, into int lists
+by monomial rank, so a sparse table costs only its support; each level of
+the ``mu_beta`` is such lists, filled by one scatter per parent ``mu_gamma``.
 
 Norms are values ``sqrt(q)`` with rational ``q``; every comparison is done
 on the exact squares (see :mod:`envalg.scalars`), and floating point shows
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from operator import add
 from typing import Optional, Tuple
 
@@ -95,6 +95,12 @@ __all__ = [
 ]
 
 
+def _at_least(name, value, least=0):
+    """Reject a degree argument below ``least`` with a ValueError naming it."""
+    if value < least:
+        raise ValueError(f"{name} must be {'nonnegative' if least == 0 else f'at least {least}'}")
+
+
 class FunctionalTable:
     """Values of a linear functional on all PBW monomials of degree <= N.
 
@@ -115,8 +121,7 @@ class FunctionalTable:
     exact = True
 
     def __init__(self, spec, max_degree, values=None):
-        if max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
+        _at_least("max_degree", max_degree)
         self.spec = spec
         self.max_degree = max_degree
         clean = {}
@@ -261,6 +266,7 @@ def beta_component(lam, n):
     one right-letter step from its prefix's normal form, and only the normal
     forms on the current path are held.
     """
+    _at_least("n", n)
     if n > lam.max_degree:
         raise DegreeOverflowError(f"arity {n} exceeds functional degree {lam.max_degree}")
     spec = lam.spec
@@ -403,70 +409,87 @@ def _symmetric_norm2(lam, layer, top):
     return Fraction(num, scale * (den * lam.spec.delta ** top) ** 2)
 
 
+def _scatter(values, targets, count):
+    """Add ``n (p + q i)(V + W i)`` to ``X[rank] + Y[rank] i`` of each target ``(column,
+    p, q, X, Y)`` for every stored ``(b, (V, W))`` and every ``(rank, n)`` in the
+    column of b (:func:`~envalg.lie_structure._columns`) with ``rank < count``."""
+    for b, (vr, vi) in values:
+        for column, p, q, xs, zs in targets:
+            entries = column.get(b)
+            if entries is None:
+                continue
+            x = p * vr - q * vi
+            z = p * vi + q * vr
+            for rank, n in entries:
+                if rank >= count:
+                    break
+                xs[rank] += n * x
+                zs[rank] += n * z
+
+
 def _right_shifts(lam, top):
-    """``shifts[b][beta]`` is the table ``mu_beta = lam(. S(beta))`` for ``|beta| = b <= top``.
+    """``shifts[b][beta]`` holds ``mu_beta = lam(. S(beta))`` for ``|beta| = b <= top``.
 
     Only ``lam`` on degree ``<= top + 1`` is read, so ``mu_beta`` is kept on
-    degree ``<= top + 1 - b``.  The first-letter split ``S(beta) =
-    sum_{j: beta_j > 0} e_j S(beta - e_j)`` gives ``mu_beta = sum_j
-    regular_act(mu_{beta - e_j}, e_j)``.  Every table of level b has its
-    image over ``den * delta**b`` (``den`` of ``lam``'s image), so the
-    images of one level add as int pairs.  ``shifts[1]`` holds the tables
-    ``D -> lam(D e_j)`` of the right regular action.
+    degree ``<= top + 1 - b``, as int lists ``(X, Y)`` by rank in
+    :func:`monomials_up_to`: ``mu_beta(x^alpha) = (X + Y i) / (den *
+    delta**(b + |alpha|))``.  By the first-letter split ``S(beta) =
+    sum_{j: beta_j > 0} e_j S(beta - e_j)``, each parent ``mu_gamma`` sends
+    its nonzero values through the columns once (:func:`_scatter`), into
+    the lists of every child ``gamma + e_j``.  ``shifts[1]`` is ``D ->
+    lam(D e_j)``; ``e_j`` has rank ``dim - j``.
     """
     spec = lam.spec
-    degree = top + 1
-    lam = lam._cut(degree)
-    den = lam._image[0]
-    letters = [spec.basis_vector(j) for j in range(spec.dim)]
-    shifts = [{(0,) * spec.dim: lam}]
+    image = lam._cut(top + 1)._image[1]
+    monos = monomials_up_to(spec.dim, top + 1)
+    columns = _columns(spec, top)
+    shifts = [{(0,) * spec.dim: tuple(zip(*(image.get(alpha, (0, 0)) for alpha in monos)))}]
     for b in range(1, top + 1):
-        level = {}
-        for gamma, table in shifts[-1].items():
-            for j, e_j in enumerate(letters):
-                grown = list(gamma)
-                grown[j] += 1
-                target = level.setdefault(tuple(grown), {})
-                for alpha, (x, y) in regular_act(table, e_j)._image[1].items():
-                    _acc_pair(target, alpha, x, y)
-        den_b = den * spec.delta ** b
-        shifts.append({
-            beta: FunctionalTable._from_image(spec, degree - b, den_b, pairs)
-            for beta, pairs in level.items()
-        })
+        count = comb(top + 1 - b + spec.dim, spec.dim)
+        level = {beta: ([0] * count, [0] * count) for beta in monos if sum(beta) == b}
+        for gamma, (xs, zs) in shifts[-1].items():
+            targets = [(column, 1, 0, *level[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]])
+                       for j, column in enumerate(columns)]
+            stored = ((alpha, v) for alpha, v in zip(monos, zip(xs, zs)) if v[0] or v[1])
+            _scatter(stored, targets, count)
+        shifts.append(level)
     return shifts
 
 
-def _insertion_chain(sums, shifts, n_max):
+def _insertion_chain(lam, sums, shifts, n_max):
     """Insertion constants ``[c_0, .., c_{n_max}]`` from heads and shifted tables.
 
     ``sums`` and ``shifts`` (:func:`_right_shifts`) reach degree n_max.
     Splitting each word of ``T_{k,i}(alpha)`` after its inserted letter
     gives ``lam(T_{k,i}(alpha)) = sum mu_{alpha''}(H_{k,i}(alpha'))`` over
     ``alpha' + alpha'' = alpha`` with ``|alpha'| = k - 1``, where the head
-    ``H_{k,i}(alpha') = S(alpha') e_i`` is one graded table at grade k.
-    Every term of arity n is an int pair over ``den * delta**(n + 1)``, so
-    the values of one ``(k, i)`` add as ints and the ratios of all
-    ``(k, i, alpha)`` go through :func:`_max_ratio` with the extra weight
-    ``w_i``.  The cost is one head per ``(k, i, alpha')`` and one
-    contraction per head and tail multiset ``alpha''``; no normal-form layer
-    is grown per ``(k, i)``.
+    ``H_{k,i}(alpha') = S(alpha') e_i`` is one graded table at grade k, read
+    once as ``(rank, n)`` pairs and contracted against the rank lists of
+    every tail ``mu_{alpha''}``.  Every term of arity n is an int pair over
+    ``den * delta**(n + 1)``, so the values of one ``(k, i)`` add as ints
+    and the ratios of all ``(k, i, alpha)`` go through :func:`_max_ratio`
+    with the extra weight ``w_i``.  No normal-form layer is grown per
+    ``(k, i)``.
     """
-    (lam,) = shifts[0].values()
     spec = lam.spec
     weights = _weight_pairs(spec)
-    tails = [[(beta, t._image[1]) for beta, t in level.items()] for level in shifts]
+    ranks = {alpha: r for r, alpha in enumerate(monomials_up_to(spec.dim, n_max + 1))}
     best = [(0, 1)] * (n_max + 1)
     for k in range(1, n_max + 2):
         for i, (wn, wd) in enumerate(weights):
             heads = [
-                (a1, _poly_right_letter(spec, table, i)) for a1, table in sums[k - 1].items()
+                (a1, [(ranks[b], c) for b, c in _poly_right_letter(spec, table, i).items()])
+                for a1, table in sums[k - 1].items()
             ]
             for n in range(k - 1, n_max + 1):
                 values = {}
                 for a1, head in heads:
-                    for a2, image in tails[n - k + 1]:
-                        _acc_pair(values, tuple(map(add, a1, a2)), *_contract(head, image))
+                    for a2, (xs, zs) in shifts[n - k + 1].items():
+                        x = y = 0
+                        for r, c in head:
+                            x += c * xs[r]
+                            y += c * zs[r]
+                        _acc_pair(values, tuple(map(add, a1, a2)), x, y)
                 best[n] = _max_ratio(best[n], values.items(), weights, wn, wd)
     return [_arity_norm(lam, n, best[n]) for n in range(n_max + 1)]
 
@@ -523,6 +546,7 @@ def radius_estimate(lam, max_n=None):
     C(n+dim-1, dim-1) multisets grow polynomially in n, not like dim**n.
     """
     top = lam.max_degree if max_n is None else min(max_n, lam.max_degree)
+    _at_least("max_n", top)
     sums = _symmetric_sums(lam.spec, top)
     per_degree, best = _root_test(
         (n, _symmetric_norm2(lam, sums[n], n)) for n in range(1, top + 1)
@@ -556,11 +580,10 @@ def regular_act(lam, y):
     gives the image ``(den_y * den * delta, X)`` of the result, where each
     ``X[alpha]`` sums int products.
 
-    The sum is scattered over the table's support: each stored ``V_b`` and
-    each nonzero ``y_i`` add ``n * y_i V_b`` to every ``X[alpha]`` listed in
-    the spec's column of ``(i, b)`` (see
-    :func:`~envalg.lie_structure._columns`) with ``|alpha| <= N - 1``, kept
-    by the rank of alpha.  A sparse table, such as the matrix coefficients
+    The sum is scattered over the table's support by :func:`_scatter`: each
+    stored ``V_b`` and each nonzero ``y_i`` add ``n * y_i V_b`` to every
+    ``X[alpha]`` listed in the spec's column of ``(i, b)`` with ``|alpha|
+    <= N - 1``, kept by the rank of alpha.  A sparse table, such as the matrix coefficients
     of a weight vector, costs only the columns of its nonzero entries.
     """
     if lam.max_degree < 1:
@@ -571,23 +594,12 @@ def regular_act(lam, y):
     top = lam.max_degree - 1
     den_y, pairs = _int_pairs(y.coeffs)
     columns = _columns(spec, top)
-    ys = [(columns[i], p, q) for i, (p, q) in enumerate(pairs) if p or q]
     den, image = lam._image
     monos = monomials_up_to(spec.dim, top)
     count = len(monos)
     xs, zs = [0] * count, [0] * count
-    for b, (vr, vi) in image.items():
-        for column, p, q in ys:
-            entries = column.get(b)
-            if entries is None:
-                continue
-            x = p * vr - q * vi
-            z = p * vi + q * vr
-            for rank, n in entries:
-                if rank >= count:
-                    break
-                xs[rank] += n * x
-                zs[rank] += n * z
+    targets = [(columns[i], p, q, xs, zs) for i, (p, q) in enumerate(pairs) if p or q]
+    _scatter(image.items(), targets, count)
     nonzero = {alpha: (x, z) for alpha, x, z in zip(monos, xs, zs) if x or z}
     return FunctionalTable._from_image(spec, top, den_y * den * spec.delta, nonzero)
 
@@ -605,15 +617,16 @@ def insertion_constants(lam, n):
     ``k - 1``), then ``e_i``, then a word of multiset ``alpha''``, so
     ``lam(T_{k,i}(alpha)) = sum mu_{alpha''}(S(alpha') e_i)`` over
     ``alpha' + alpha'' = alpha``, with ``mu_beta = lam(. S(beta))``.  The
-    ``mu_beta`` for ``|beta| <= n`` cost one :func:`regular_act` per
-    ``(beta, j)`` with ``beta_j > 0``, and each head ``S(alpha') e_i`` one
-    right-letter step; see :func:`_insertion_chain`.
+    ``mu_beta`` for ``|beta| <= n`` are rank lists filled by one scatter per
+    parent ``mu_gamma`` (:func:`_right_shifts`), and each head ``S(alpha')
+    e_i`` costs one right-letter step; see :func:`_insertion_chain`.
     """
+    _at_least("n", n)
     if n + 1 > lam.max_degree:
         raise DegreeOverflowError(
             f"insertion constants at arity {n} need degree {n + 1} <= {lam.max_degree}"
         )
-    return _insertion_chain(_symmetric_sums(lam.spec, n), _right_shifts(lam, n), n)[n]
+    return _insertion_chain(lam, _symmetric_sums(lam.spec, n), _right_shifts(lam, n), n)[n]
 
 
 @dataclass(frozen=True)
@@ -662,10 +675,11 @@ def recursion_check(lam, n_max):
 
     ``lam(S(alpha))`` for ``|alpha| = n + 1`` is ``sum_{j: alpha_j > 0}
     mu_{alpha - e_j}(x_j)`` by the first-letter split, so ``beta_{n+1}^s``
-    is read off the shifted tables and the symmetric sums stop at n_max.
-    The action bounds contract ``sums[n]`` against ``D -> lam(D e_i)``
-    independently of the insertion chain.
+    is read off the rank lists of :func:`_right_shifts` and the symmetric
+    sums stop at n_max.  The action bounds contract ``sums[n]`` against
+    ``D -> lam(D e_i)``, read off the same lists, apart from the chain.
     """
+    _at_least("n_max", n_max, 1)
     if n_max + 1 > lam.max_degree:
         raise DegreeOverflowError(
             f"recursion to n={n_max} needs functional degree {n_max + 1}"
@@ -676,32 +690,28 @@ def recursion_check(lam, n_max):
     spec = lam.spec
     sums = _symmetric_sums(spec, n_max)
     shifts = _right_shifts(lam, n_max)
-    constants = _insertion_chain(sums, shifts, n_max)
-    weights = _weight_pairs(spec)
+    constants = _insertion_chain(lam, sums, shifts, n_max)
     letters = [tuple(int(l == j) for l in range(spec.dim)) for j in range(spec.dim)]
+    monos, den = monomials_up_to(spec.dim, n_max), lam._image[0] * spec.delta
+    acted = [FunctionalTable._from_image(spec, n_max, den, {
+        alpha: (x, z) for alpha, x, z in zip(monos, *shifts[1][e_j]) if x or z
+    }) for e_j in letters]
     rows = []
     for n in range(1, n_max + 1):
         c_prev, c_n = constants[n - 1], constants[n]
         # every mu_beta(x_j) of level n is an int pair over den * delta**(n + 1)
         values = {}
-        for beta, table in shifts[n].items():
-            image = table._image[1]
-            for e_j in letters:
-                v = image.get(e_j)
-                if v is not None:
-                    _acc_pair(values, tuple(map(add, beta, e_j)), *v)
-        beta_next = _arity_norm(lam, n, _max_ratio((0, 1), values.items(), weights))
+        for beta, (xs, zs) in shifts[n].items():
+            for r, e_j in zip(range(spec.dim, 0, -1), letters):
+                _acc_pair(values, tuple(map(add, beta, e_j)), xs[r], zs[r])
+        beta_next = _arity_norm(lam, n, _max_ratio((0, 1), values.items(), _weight_pairs(spec)))
         ineq = sqrt_leq_sqrt_plus_multiple(
             c_n.squared, beta_next.squared, n, c_prev.squared
         )
-        invariance = True
-        for i in range(spec.dim):
-            acted = shifts[1][letters[i]]
-            acted_norm = SqrtFraction(_symmetric_norm2(acted, sums[n], n))
-            bound = c_n * spec.weights[i]
-            if not acted_norm <= bound:
-                invariance = False
-                break
+        invariance = all(
+            SqrtFraction(_symmetric_norm2(table, sums[n], n)) <= c_n * w
+            for table, w in zip(acted, spec.weights)
+        )
         rows.append(RecursionRow(n, c_n, beta_next, c_prev, ineq, invariance))
     return RecursionReport(tuple(rows))
 

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .functionals import (
     FunctionalTable,
+    _at_least,
     _root_test,
     monomials_up_to,
     radius_estimate,
@@ -329,6 +330,7 @@ def functional_from_rep(rep, N):
     known-good positive functionals: positivity holds by construction since
     ``lam(D^* D) = ||R(D) v||^2``.
     """
+    _at_least("N", N)
     _validate_exactly(rep)
     vecs = _orbit_vectors(rep, monomials_up_to(rep.spec.dim, N))
     v0 = vecs[(0,) * rep.spec.dim]
@@ -372,6 +374,7 @@ def orbit_gram(rep, d_max):
     the round-trip fidelity check between the two constructions.  The Gram
     is hermitian, so the lower triangle is the conjugate of the upper one.
     """
+    _at_least("d_max", d_max)
     _validate_exactly(rep)
     monos = monomials_up_to(rep.spec.dim, d_max)
     vecs = _orbit_vectors(rep, monos)
@@ -431,6 +434,7 @@ def moment_matrix(lam, d_max):
     column b scatters ``T_beta = lam(. x^beta)``, over ``lam``'s denominator
     times ``delta**|beta|``, into the star rows, lifted to ``delta**(2 d_max)``.
     """
+    _at_least("d_max", d_max)
     if 2 * d_max > lam.max_degree:
         raise DegreeOverflowError(
             f"moment matrix at degree {d_max} needs functional degree {2 * d_max}"
@@ -870,6 +874,7 @@ def analytic_diagnostics(lam, x, n_max):
     radius estimate of the vector series, and its ratio to half the
     functional radius estimate.
     """
+    _at_least("n_max", n_max)
     if 2 * n_max > lam.max_degree:
         raise DegreeOverflowError(
             f"diagnostics to n={n_max} need functional degree {2 * n_max}"

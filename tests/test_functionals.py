@@ -941,3 +941,109 @@ def test_monomials_up_to_is_graded_lexicographic(dim):
         every = itertools.product(range(degree + 1), repeat=dim)
         expect = sorted((a for a in every if sum(a) <= degree), key=lambda a: (sum(a), a))
         assert monomials_up_to(dim, degree) == tuple(expect)
+
+
+def regular_act_levels(lam, top):
+    """``levels[b][beta] = {alpha: Scalar}`` of ``mu_beta = lam(. S(beta))``, built as
+    ``sum_j regular_act(mu_(beta - e_j), e_j)``: one action per parent and letter."""
+    spec = lam.spec
+    levels = [{(0,) * spec.dim: lam._cut(top + 1)}]
+    for _ in range(top):
+        sums = {}
+        for gamma, table in levels[-1].items():
+            for j in range(spec.dim):
+                child = gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]
+                target = sums.setdefault(child, {})
+                for alpha, v in regular_act(table, spec.basis_vector(j)).values.items():
+                    target[alpha] = target.get(alpha, Scalar(0)) + v
+        levels.append({beta: FunctionalTable(spec, top + 1 - len(levels), values)
+                       for beta, values in sums.items()})
+    return [{beta: table.values for beta, table in level.items()} for level in levels]
+
+
+SHIFT_CASES = {
+    "so3-random": lambda: rand_table(SO3, 6, 540),
+    "spin1": lambda: functional_from_rep(spin_one(), 6),
+    "spin3half": lambda: functional_from_rep(spin_three_half(), 6),
+    "so3-sixth-random": lambda: rand_table(SO3_SIXTH, 6, 541),
+    "so3-sixth-spin3half": lambda: functional_from_rep(rational_reps()["spin-three-half-sixth"], 6),
+    "gaussian": lambda: gaussian_functional(6),
+}
+
+
+class TestShiftedLevels:
+    """Each level of shifted tables, one scatter per parent, against per-(gamma, j) actions."""
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+    @pytest.mark.parametrize("top", range(6))
+    def test_levels_match_regular_act_construction(self, name, top):
+        lam = SHIFT_CASES[name]()
+        spec, den = lam.spec, lam._image[0]
+        shifts = functionals._right_shifts(lam, top)
+        expect = regular_act_levels(lam, top)
+        assert len(shifts) == len(expect) == top + 1
+        for b, (level, want) in enumerate(zip(shifts, expect)):
+            assert sorted(level) == sorted(want)
+            monos = monomials_up_to(spec.dim, top + 1 - b)
+            for beta, (xs, zs) in level.items():
+                assert len(xs) == len(zs) == len(monos)
+                # mu_beta(x^alpha) = (X + Y i) / (den * delta**(b + |alpha|))
+                scales = [den * spec.delta ** (b + sum(alpha)) for alpha in monos]
+                got = {alpha: Scalar(Fraction(x, d), Fraction(z, d))
+                       for alpha, x, z, d in zip(monos, xs, zs, scales) if x or z}
+                assert got == want[beta], (b, beta)
+
+    @pytest.mark.parametrize("n_max", [1, 3, 5])
+    def test_levels_call_no_regular_act_and_one_scatter_per_parent(self, monkeypatch, n_max):
+        lam = rand_table(SO3, 6, 542)
+        expect_rows = recursion_check(lam, n_max).rows
+        expect_c = insertion_constants(lam, n_max)
+        acts, scatters = [0], []
+        scatter = functionals._scatter
+
+        def counted_act(*args):
+            acts[0] += 1
+            return regular_act(*args)
+
+        def counted_scatter(values, targets, count):
+            scatters.append(len(targets))
+            return scatter(values, targets, count)
+
+        monkeypatch.setattr(functionals, "regular_act", counted_act)
+        monkeypatch.setattr(functionals, "_scatter", counted_scatter)
+        # the parents mu_gamma are the multisets of degree < n_max
+        parents = len(monomials_up_to(SO3.dim, n_max - 1))
+        assert recursion_check(lam, n_max).rows == expect_rows
+        assert acts == [0]
+        assert scatters == [SO3.dim] * parents
+        scatters.clear()
+        assert insertion_constants(lam, n_max) == expect_c
+        assert acts == [0]
+        assert scatters == [SO3.dim] * parents
+
+
+def _negative_degree_calls():
+    rep = spin_one()
+    lam = functional_from_rep(rep, 4)
+    x = SO3.basis_vector(0)
+    return {
+        "beta_component": ("n", lambda: beta_component(lam, -1)),
+        "functional_from_rep": ("N", lambda: functional_from_rep(rep, -1)),
+        "insertion_constants": ("n", lambda: insertion_constants(lam, -1)),
+        "radius_estimate": ("max_n", lambda: radius_estimate(lam, max_n=-1)),
+        "analytic_diagnostics": ("n_max", lambda: gns.analytic_diagnostics(lam, x, -1)),
+        "moment_matrix": ("d_max", lambda: gns.moment_matrix(lam, -1)),
+        "gns_build": ("d_max", lambda: gns.gns_build(lam, -1)),
+        "orbit_gram": ("d_max", lambda: gns.orbit_gram(rep, -1)),
+        "recursion_check-0": ("n_max", lambda: recursion_check(lam, 0)),
+        "recursion_check-neg": ("n_max", lambda: recursion_check(lam, -2)),
+        "table": ("max_degree", lambda: FunctionalTable(SO3, -1)),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_negative_degree_calls()))
+def test_degree_arguments_below_their_least_value_are_rejected(call):
+    name, run = _negative_degree_calls()[call]
+    least = "at least 1" if call.startswith("recursion_check") else "nonnegative"
+    with pytest.raises(ValueError, match=f"^{name} must be {least}$"):
+        run()
