@@ -948,7 +948,7 @@ def regular_act_levels(lam, top):
     ``sum_j regular_act(mu_(beta - e_j), e_j)``: one action per parent and letter."""
     spec = lam.spec
     levels = [{(0,) * spec.dim: lam._cut(top + 1)}]
-    for _ in range(top):
+    for b in range(1, top + 1):
         sums = {}
         for gamma, table in levels[-1].items():
             for j in range(spec.dim):
@@ -956,7 +956,7 @@ def regular_act_levels(lam, top):
                 target = sums.setdefault(child, {})
                 for alpha, v in regular_act(table, spec.basis_vector(j)).values.items():
                     target[alpha] = target.get(alpha, Scalar(0)) + v
-        levels.append({beta: FunctionalTable(spec, top + 1 - len(levels), values)
+        levels.append({beta: FunctionalTable(spec, top + 1 - b, values)
                        for beta, values in sums.items()})
     return [{beta: table.values for beta, table in level.items()} for level in levels]
 
