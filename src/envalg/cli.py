@@ -22,6 +22,8 @@ import math
 import random
 import sys
 import time
+from contextlib import contextmanager
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -142,13 +144,20 @@ def _parse_index(text, dim, context):
     return parts
 
 
+@contextmanager
+def _named(context, errors=ValueError):
+    """Re-raise ``errors`` from the block as ``ConfigError("<context>: <error>")``."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def _field(block, key, check, context):
     """``block[key]`` once ``check`` passes; a failure names ``context.key``."""
     value = block[key]
-    try:
+    with _named(f"{context}.{key}"):
         check(value, None)
-    except ValueError as exc:
-        raise ConfigError(f"{context}.{key}: {exc}") from None
     return value
 
 
@@ -172,19 +181,13 @@ def _parse_algebra(block):
             (kk,) = _parse_index(k, 1, context)
             if not kk < dim:
                 raise ConfigError(f"{context}: target {k!r} out of range")
-            try:
+            with _named(f"{context}[{k}]"):
                 parsed[kk] = parse_scalar(c)
-            except ValueError as exc:
-                raise ConfigError(f"{context}[{k}]: {exc}") from None
         structure[(i, j)] = parsed
-    try:
+    with _named("lie_algebra.weights"):
         weights = [parse_fraction(w) for w in weights]
-    except ValueError as exc:
-        raise ConfigError(f"lie_algebra.weights: {exc}") from None
-    try:
+    with _named("lie_algebra", (ValueError, TypeError)):
         spec = LieAlgebraSpec(dim, names, structure, weights)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"lie_algebra: {exc}") from None
     jac = jacobi_validate(spec)
     if not jac.ok:
         raise ConfigError(f"lie_algebra violates the Jacobi identity at triple {jac.witness}")
@@ -209,10 +212,8 @@ def _parse_functional(name, block, spec):
             raise ConfigError(
                 f"functionals.{name}: index {key!r} exceeds max_degree {degree}"
             )
-        try:
+        with _named(f"functionals.{name}[{key}]"):
             values[alpha] = parse_scalar(raw)
-        except ValueError as exc:
-            raise ConfigError(f"functionals.{name}[{key}]: {exc}") from None
     return FunctionalTable(spec, degree, values)
 
 
@@ -260,23 +261,17 @@ def _parse_representation(name, block, spec):
     if not isinstance(gens, list) or len(gens) != spec.dim:
         raise ConfigError(f"{context}.generators must list {spec.dim} matrices")
     decode = parse_scalar if mode == "exact" else _parse_complex
-    try:
+    with _named(f"{context}.generators", (ValueError, TypeError)):
         generators = _lists(gens, 3, decode)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{context}.generators: {exc}") from None
-    try:
+    with _named(f"{context}.cyclic_vector", (ValueError, TypeError)):
         cyclic = _lists(block["cyclic_vector"], 1, decode)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{context}.cyclic_vector: {exc}") from None
-    try:
+    with _named(context, (ValueError, TypeError, WorkbenchError)):
         rep = MatrixRep(
             spec, dim_V, generators, cyclic,
             skew_hermitian=skew,
             exact=(mode == "exact"), name=name,
         )
         rep.validate()
-    except (ValueError, TypeError, WorkbenchError) as exc:
-        raise ConfigError(f"{context}: {exc}") from None
     return rep
 
 
@@ -415,12 +410,11 @@ def _suite_params(name, given, config, context):
     params = {}
     for key, (default, check) in suite.params.items():
         value = given.get(key)
-        params[key] = value = default if value is None else value
+        # a copy, so a list default is not shared with every config that omits it
+        params[key] = value = copy(default) if value is None else value
         if value is not None:
-            try:
+            with _named(f"{context}: {key}"):
                 check(value, config)
-            except ValueError as exc:
-                raise ConfigError(f"{context}: {key}: {exc}") from None
     missing = [[k for k in keys if params[k] is None] for keys in suite.requires]
     if all(missing):
         raise ConfigError(
@@ -428,10 +422,8 @@ def _suite_params(name, given, config, context):
             + " or ".join(", ".join(keys) for keys in missing)
         )
     if suite.consistent is not None:
-        try:
+        with _named(context):
             suite.consistent(params, config)
-        except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}") from None
     return params
 
 
@@ -846,7 +838,7 @@ def _suite_local_hom(config, params, seed):
     spec = rep.spec
     x = _vector(spec, params["x"])
     y = _vector(spec, params["y"])
-    scales = [parse_fraction(s) for s in (params["scales"] or ["1/5", "1/10", "1/20", "1/40"])]
+    scales = [parse_fraction(s) for s in params["scales"]]
     min_slope = params["min_slope"]
     if min_slope is None:
         min_slope = params["degree"] + 0.5
@@ -934,7 +926,6 @@ def _suite_cauchy(config, params, seed):
 
 
 _TRUTH_FUNCTIONS = {"gaussian-char": gaussian_char}
-_EXTENSION_DEGREES = [2, 3]
 
 
 def _extension_fits(params, config):
@@ -944,7 +935,7 @@ def _extension_fits(params, config):
     if config.algebra.dim != 1:
         raise ValueError("functional: the table-driven extension needs a one-dimensional algebra")
     lam = config.functionals[params["functional"]]
-    for d in params["degrees"] or _EXTENSION_DEGREES:
+    for d in params["degrees"]:
         if 2 * d > lam.max_degree:
             raise ValueError(
                 f"degrees: degree {d} needs functional degree {2 * d}, "
@@ -955,7 +946,7 @@ def _extension_fits(params, config):
 def _suite_extension(config, params, seed):
     checks = []
     tol = float(params["tolerance"])
-    degrees = params["degrees"] or _EXTENSION_DEGREES
+    degrees = params["degrees"]
     if params["representation"]:
         rep = config.representations[params["representation"]]
         rng = np.random.default_rng(seed)
@@ -968,7 +959,7 @@ def _suite_extension(config, params, seed):
         report = extension_demo(rep, degrees, probes)
     else:
         lam = config.functionals[params["functional"]]
-        times = [parse_fraction(t) for t in (params["times"] or ["-1", "-1/2", "0", "1/2", "1"])]
+        times = [parse_fraction(t) for t in params["times"]]
         report = extension_demo_table(lam, degrees, times, _TRUTH_FUNCTIONS[params["truth"]])
     for d, dev in zip(report.degrees, report.deviations):
         checks.append(
@@ -1019,7 +1010,7 @@ SUITES = {
     "local-hom": Suite(_suite_local_hom,
                        {"representation": (None, _REPRESENTATION),
                         "degree": (4, _POSITIVE_DEGREE),
-                        "scales": (None, _distinct(_POSITIVE_RATIONAL)),
+                        "scales": (["1/5", "1/10", "1/20", "1/40"], _distinct(_POSITIVE_RATIONAL)),
                         "x": (None, _gvector), "y": (None, _gvector),
                         "min_slope": (None, _real(lambda v: True, "a number")),
                         "max_residual": (None, _real(lambda v: v >= 0, "a nonnegative number"))},
@@ -1041,10 +1032,11 @@ SUITES = {
                        {"representation": (None, _skew(_exact_representation)),
                         "functional": (None, _FUNCTIONAL),
                         "truth": (None, _ref("truth function", lambda config: _TRUTH_FUNCTIONS)),
-                        "degrees": (None, _increasing(_POSITIVE_DEGREE)),
+                        "degrees": ([2, 3], _increasing(_POSITIVE_DEGREE)),
                         "probes": (8, _POSITIVE),
                         "probe_norm": ("1/2", _POSITIVE_RATIONAL),
-                        "times": (None, _list(_rational())), "tolerance": (1e-6, _TOLERANCE)},
+                        "times": (["-1", "-1/2", "0", "1/2", "1"], _list(_rational())),
+                        "tolerance": (1e-6, _TOLERANCE)},
                        requires=(("representation",), ("functional", "truth")),
                        consistent=_extension_fits),
 }

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, inf
 from operator import add
 from typing import Optional, Tuple
 
@@ -99,6 +99,12 @@ def _at_least(name, value, least=0):
     """Reject a degree argument below ``least`` with a ValueError naming it."""
     if value < least:
         raise ValueError(f"{name} must be {'nonnegative' if least == 0 else f'at least {least}'}")
+
+
+def _within(lam, degree, message):
+    """Reject reading ``lam`` to ``degree`` beyond its table with a DegreeOverflowError."""
+    if degree > lam.max_degree:
+        raise DegreeOverflowError(message)
 
 
 class FunctionalTable:
@@ -182,12 +188,19 @@ class FunctionalTable:
         if poly.spec != self.spec:
             raise SpecMismatchError("functional and element use different specs")
         den_p, top, terms = _graded(self.spec, poly.terms)
+        if top > self.max_degree:
+            alpha = next(alpha for alpha in terms if sum(alpha) > self.max_degree)
+            raise DegreeOverflowError(
+                f"monomial {monomial_name(self.spec, alpha)} exceeds "
+                f"functional degree {self.max_degree}"
+            )
         den, image = self._image
         x = y = 0
-        for alpha, (a, b) in self._known(terms.items(), image):
-            vr, vi = image[alpha]
-            x += a * vr - b * vi
-            y += a * vi + b * vr
+        for alpha, (a, b) in terms.items():
+            if alpha in image:
+                vr, vi = image[alpha]
+                x += a * vr - b * vi
+                y += a * vi + b * vr
         return _reduced(x, y, den_p * den * self.spec.delta ** top)
 
     def _eval_graded(self, table, top):
@@ -195,21 +208,6 @@ class FunctionalTable:
         as one Scalar over ``den * delta**top``."""
         den, image = self._image
         return _reduced(*_contract(table, image), den * self.spec.delta ** top)
-
-    def _known(self, terms, table):
-        """The ``(alpha, coeff)`` terms whose alpha is stored in ``table``.
-
-        Stored keys passed the degree check at construction, so only a miss
-        needs it.
-        """
-        for alpha, coeff in terms:
-            if alpha in table:
-                yield alpha, coeff
-            elif sum(alpha) > self.max_degree:
-                raise DegreeOverflowError(
-                    f"monomial {monomial_name(self.spec, alpha)} exceeds "
-                    f"functional degree {self.max_degree}"
-                )
 
     def __repr__(self):
         return (
@@ -267,8 +265,7 @@ def beta_component(lam, n):
     forms on the current path are held.
     """
     _at_least("n", n)
-    if n > lam.max_degree:
-        raise DegreeOverflowError(f"arity {n} exceeds functional degree {lam.max_degree}")
+    _within(lam, n, f"arity {n} exceeds functional degree {lam.max_degree}")
     spec = lam.spec
     values = {}
 
@@ -520,20 +517,26 @@ class RadiusEstimate:
 
     @property
     def value(self):
-        if self.best is None:
-            return float("inf")
-        return 1.0 / self.best.to_float()
+        return _reciprocal(self.best)
 
     def equals_rational(self, r):
-        """Exact test ``estimate == r`` for rational r > 0."""
-        if self.best is None:
+        """Exact test ``estimate == r`` for a rational r; the estimate is positive."""
+        r = Fraction(r)
+        if self.best is None or not r:
             return False
-        return self.best.equals_rational(Fraction(1, 1) / Fraction(r))
+        return self.best.equals_rational(1 / r)
 
     def __str__(self):
         if self.best is None:
             return f"truncated Hadamard estimate (N={self.max_degree}): infinite"
         return f"truncated Hadamard estimate (N={self.max_degree}): {self.value:.15g}"
+
+
+def _reciprocal(root):
+    """``1 / root`` in binary64 for a RootValue or None; inf for None or a
+    root that reads 0.0 (one below binary64)."""
+    x = 0.0 if root is None else root.to_float()
+    return 1.0 / x if x else inf
 
 
 def radius_estimate(lam, max_n=None):
@@ -586,8 +589,7 @@ def regular_act(lam, y):
     <= N - 1``, kept by the rank of alpha.  A sparse table, such as the matrix coefficients
     of a weight vector, costs only the columns of its nonzero entries.
     """
-    if lam.max_degree < 1:
-        raise DegreeOverflowError("regular action needs max_degree >= 1")
+    _within(lam, 1, "regular action needs max_degree >= 1")
     if y.spec != lam.spec:
         raise SpecMismatchError("vector and functional use different specs")
     spec = lam.spec
@@ -622,10 +624,7 @@ def insertion_constants(lam, n):
     e_i`` costs one right-letter step; see :func:`_insertion_chain`.
     """
     _at_least("n", n)
-    if n + 1 > lam.max_degree:
-        raise DegreeOverflowError(
-            f"insertion constants at arity {n} need degree {n + 1} <= {lam.max_degree}"
-        )
+    _within(lam, n + 1, f"insertion constants at arity {n} need degree {n + 1} <= {lam.max_degree}")
     return _insertion_chain(lam, _symmetric_sums(lam.spec, n), _right_shifts(lam, n), n)[n]
 
 
@@ -680,10 +679,7 @@ def recursion_check(lam, n_max):
     ``D -> lam(D e_i)``, read off the same lists, apart from the chain.
     """
     _at_least("n_max", n_max, 1)
-    if n_max + 1 > lam.max_degree:
-        raise DegreeOverflowError(
-            f"recursion to n={n_max} needs functional degree {n_max + 1}"
-        )
+    _within(lam, n_max + 1, f"recursion to n={n_max} needs functional degree {n_max + 1}")
     sub = submult_check(lam.spec)
     if not sub.ok:
         raise SubmultiplicativityError(str(sub))

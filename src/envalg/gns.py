@@ -30,13 +30,12 @@ from cmath import isfinite
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, inf, lcm
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
-    DegreeOverflowError,
     HermitianError,
     PositivityError,
     RepresentationError,
@@ -44,7 +43,9 @@ from .errors import (
 from .functionals import (
     FunctionalTable,
     _at_least,
+    _reciprocal,
     _root_test,
+    _within,
     monomials_up_to,
     radius_estimate,
     regular_act,
@@ -435,10 +436,7 @@ def moment_matrix(lam, d_max):
     times ``delta**|beta|``, into the star rows, lifted to ``delta**(2 d_max)``.
     """
     _at_least("d_max", d_max)
-    if 2 * d_max > lam.max_degree:
-        raise DegreeOverflowError(
-            f"moment matrix at degree {d_max} needs functional degree {2 * d_max}"
-        )
+    _within(lam, 2 * d_max, f"moment matrix at degree {d_max} needs functional degree {2 * d_max}")
     spec = lam.spec
     monos = monomials_up_to(spec.dim, d_max)
     # T_beta(D) = lam(D x^beta), one right regular action per peeled letter;
@@ -846,9 +844,7 @@ class AnalyticReport:
 
     @property
     def vector_radius_estimate(self):
-        if self.vector_root is None:
-            return float("inf")
-        return 1.0 / self.vector_root.to_float()
+        return _reciprocal(self.vector_root)
 
     def __str__(self):
         if not self.positive_so_far:
@@ -875,10 +871,7 @@ def analytic_diagnostics(lam, x, n_max):
     functional radius estimate.
     """
     _at_least("n_max", n_max)
-    if 2 * n_max > lam.max_degree:
-        raise DegreeOverflowError(
-            f"diagnostics to n={n_max} need functional degree {2 * n_max}"
-        )
+    _within(lam, 2 * n_max, f"diagnostics to n={n_max} need functional degree {2 * n_max}")
     spec = lam.spec
     # lam(x^k) reads lam to degree k only, so the chain starts from lam cut at 2 n_max
     table = lam._cut(2 * n_max)
@@ -911,8 +904,8 @@ def analytic_diagnostics(lam, x, n_max):
     # series so the two sides of the factor-2 comparison see matching data
     func_est = radius_estimate(lam, max_n=n_max)
     ratio = None
-    if best is not None and not func_est.is_infinite and func_est.value > 0:
-        ratio = (1.0 / best.to_float()) / (func_est.value / 2.0)
+    if best is not None and 0 < func_est.value < inf:
+        ratio = _reciprocal(best) / (func_est.value / 2.0)
     name = " + ".join(
         f"{c}*{nm}" for c, nm in zip(x.coeffs, spec.basis_names) if c
     ) or "0"

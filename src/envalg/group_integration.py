@@ -31,12 +31,13 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from math import lcm
+from math import isfinite, lcm
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import RepresentationError
+from .functionals import _at_least
 from .gns import functional_from_rep, gns_build
 from .lie_structure import GVector, bch_in_g
 from .scalars import Scalar, _reduced
@@ -235,6 +236,7 @@ def sample_group(rep, count, seed=0):
     such factors.  For skew-hermitian representations every element is
     checked to be unitary to 1e-10.
     """
+    _at_least("count", count)
     rng = np.random.default_rng(seed)
     dim = rep.spec.dim
     rows, lengths = [], []
@@ -331,15 +333,19 @@ def cauchy_estimate_check(rep, x, r=1.0, n_max=12):
     ``C`` is the max of ``|<exp(z1 R) v, exp(conj(z2) R) v>|`` over an
     8 x 8 set of boundary points ``|z1| = |z2| = r`` times a 1.05 safety
     factor.  A larger C only weakens the bound, so the finite grid keeps the
-    check conservative.  Requires a skew-hermitian representation; raises
-    OverflowError when ``exp(zR)v`` or ``C`` leaves binary64 on the circle.
+    check conservative.  Requires a skew-hermitian representation, a
+    positive finite ``r`` and ``n_max >= 0``; raises OverflowError when
+    ``exp(zR)v`` or ``C`` leaves binary64 on the circle.
     """
+    r = float(r)
+    if not (r > 0 and isfinite(r)):
+        raise ValueError("r must be positive and finite")
+    _at_least("n_max", n_max)
     if not rep.skew_hermitian:
         raise RepresentationError("cauchy_estimate_check needs a skew-hermitian rep")
     rep.validate()
     R = rep.matrix_of(x)
     v = rep.cyclic_array()
-    r = float(r)
     zs = [r * np.exp(2j * np.pi * b / 8) for b in range(8)]
     with np.errstate(over="ignore", invalid="ignore"):
         e2vs = matrix_exp([np.conj(z) * R for z in zs]) @ v
@@ -387,9 +393,14 @@ def local_hom_check(rep, x, y, N, scales, min_slope=None):
     exactly before the single float conversion.  PASS iff the fitted log-log
     slope reaches ``N + 0.5`` (the defect should be order ``N + 1``) or all
     residuals sit below the noise floor, which happens exactly when the
-    truncation is exact (nilpotent algebras of class <= N).  Two equal
-    scales raise ValueError: a repeated point cannot help define a slope.
+    truncation is exact (nilpotent algebras of class <= N).  Scales must be
+    positive, and there must be at least one; two equal scales raise
+    ValueError: a repeated point cannot help define a slope.
     """
+    if not scales:
+        raise ValueError("scales must be nonempty")
+    if min(map(Fraction, scales)) <= 0:
+        raise ValueError("scales must be positive")
     if len(set(map(Fraction, scales))) < len(scales):
         raise ValueError("local_hom_check needs distinct scales")
     rep.validate()
@@ -453,9 +464,13 @@ def _extension_report(degrees, build, probes):
     """Per degree d, the max over ``(x, phi)`` in ``probes`` of the model's error.
 
     ``build(d)`` is the truncated GNS model at degree d, and ``phi`` the value
-    at ``exp x`` that it should reconstruct.
+    at ``exp x`` that it should reconstruct.  ``degrees`` must be nonempty
+    and at least 1 each.
     """
     degrees = tuple(degrees)
+    if not degrees:
+        raise ValueError("degrees must be nonempty")
+    _at_least("degrees", min(degrees), 1)
     deviations = []
     ranks = []
     for d in degrees:

@@ -305,13 +305,19 @@ def format_scalar(s):
 
 
 def fraction_root_float(q, k):
-    """Float value of ``q**(1/k)`` for a nonnegative Fraction q, overflow-safe."""
+    """Float value of ``q**(1/k)`` for a nonnegative Fraction q.
+
+    A root beyond binary64 reads ``inf``, and one below it ``0.0``.
+    """
     if q < 0:
         raise ValueError("negative radicand")
     if not q:
         return 0.0
     log2 = math.log2(q.numerator) - math.log2(q.denominator)
-    return 2.0 ** (log2 / k)
+    try:
+        return 2.0 ** (log2 / k)
+    except OverflowError:
+        return math.inf
 
 
 def _int_root(n, k):

@@ -469,6 +469,16 @@ def _trivial_rep_with_row(row):
     return patch
 
 
+def _float_rep_beyond_binary64(doc):
+    """A float rep 'big' on C^2 whose bracket residual squares beyond binary64."""
+    zero = [[0, 0], [0, 0]]
+    doc["representations"]["big"] = {
+        "dim_V": 2, "mode": "float", "skew_hermitian": False,
+        "generators": [[[1e300, 0], [0, 0]], [[0, 1e300], [0, 0]], zero],
+        "cyclic_vector": [1, 0],
+    }
+
+
 def _rename_target(old, new):
     def patch(doc):
         row = doc["lie_algebra"]["structure"]["0,1"]
@@ -666,6 +676,38 @@ MALFORMED = [
     pytest.param("su2.json", _repeat("representations", "spin_half"), ["validate"],
                  ("config.representations", "'spin_half'", "more than once"),
                  id="representation-name-repeated"),
+    # one row per site that names a failing key, each with its full message
+    pytest.param("su2.json", _put("lie_algebra", "dim", value=True), ["validate"],
+                 ("config error: lie_algebra.dim: must be an integer in [1, 4]\n",),
+                 id="named-field"),
+    pytest.param("su2.json", _put("lie_algebra", "structure", "0,1", value={"2": True}),
+                 ["validate"],
+                 ("config error: lie_algebra.structure['0,1'][2]: expected a rational, "
+                  "got true\n",), id="named-structure-constant"),
+    pytest.param("su2.json", _put("lie_algebra", "weights", value=[True, True, True]),
+                 ["validate"], ("config error: lie_algebra.weights: expected a rational, "
+                                "got true\n",), id="named-weights"),
+    pytest.param("su2.json", _put("lie_algebra", "basis_names", value=["x", "x", "y"]),
+                 ["validate"], ("config error: lie_algebra: basis names must be distinct\n",),
+                 id="named-algebra-spec"),
+    pytest.param("su2.json", _put("functionals", "spin_half", "values", "0,0,0", value=True),
+                 ["validate"], ("config error: functionals.spin_half[0,0,0]: expected a "
+                                "rational, got true\n",), id="named-functional-value"),
+    pytest.param("su2.json", _float_rep("generators", [1, 0, 2], False), ["validate"],
+                 ("config error: representations.spin_one_float.generators: expected a "
+                  "number, got false\n",), id="named-generators"),
+    pytest.param("su2.json", _put("representations", "spin_half", "cyclic_vector", value="10"),
+                 ["validate"], ("config error: representations.spin_half.cyclic_vector: "
+                                "expected a JSON list, got '10'\n",), id="named-cyclic-vector"),
+    pytest.param("su2.json", _float_rep_beyond_binary64, ["validate"],
+                 ("config error: representations.big: homomorphism law fails at pair (0, 1): "
+                  "residual inf\n",), id="named-representation-beyond-binary64"),
+    pytest.param("su2.json", _set("pbw-confluence", "count", "many"), ["validate"],
+                 ("config error: suites[1] (pbw-confluence): count: must be an integer in "
+                  "[1, inf]\n",), id="named-suite-parameter"),
+    pytest.param("su2.json", _set("recursion", "n_max", 6), ["validate"],
+                 ("config error: suites[3] (recursion): n_max: recursion to n=6 needs "
+                  "functional degree 7, 'spin_half' has 6\n",), id="named-suite-consistency"),
 ]
 
 
@@ -682,6 +724,56 @@ def test_malformed_input_exits_2_naming_key(tmp_path, capsys, config, patch, arg
     assert err.startswith("config error: ")
     for needle in needles:
         assert needle in err
+
+
+def _line_table(value, suites):
+    """The one-dimensional algebra with ``lam(1) = 1``, ``lam(x^2) = value`` to degree 3."""
+    return {
+        "lie_algebra": {"dim": 1, "basis_names": ["x"], "structure": {}, "weights": ["1"]},
+        "functionals": {"f": {"max_degree": 3, "values": {"0": "1", "2": value}}},
+        "suites": suites,
+    }
+
+
+@pytest.mark.parametrize("value, suites, shown", [
+    ("1" + "0" * 400, [{"name": "radius", "functional": "f"},
+                       {"name": "recursion", "functional": "f", "n_max": 2}],
+     ("raw inf", "c_1 = inf")),
+    ("1/1" + "0" * 700, [{"name": "radius", "functional": "f"}], ("actual inf",)),
+], ids=["beyond-binary64", "below-binary64"])
+def test_exact_values_beyond_binary64_run_to_a_report(tmp_path, capsys, value, suites, shown):
+    # the exact results stay exact; their binary64 readings print as inf or 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_line_table(value, suites)), encoding="utf-8")
+    assert main(["--config", str(path), "validate"]) == 0
+    assert main(["--config", str(path), "run-all"]) in (0, 1)
+    out, err = capsys.readouterr()
+    assert err == ""
+    for needle in shown:
+        assert needle in out
+
+
+def test_dump_suites_lists_the_registry_defaults(tmp_path, capsys):
+    doc = shipped("su2.json")
+    _set("local-hom", "scales", drop=True)(doc)
+    _set("extension", "degrees", drop=True)(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--config", str(path), "dump", "suites"]) == 0
+    blocks = {b["name"]: b for b in json.loads(capsys.readouterr().out)}
+    assert blocks["local-hom"]["scales"] == ["1/5", "1/10", "1/20", "1/40"]
+    assert blocks["extension"]["degrees"] == [2, 3]
+    assert blocks["extension"]["times"] == ["-1", "-1/2", "0", "1/2", "1"]
+    # each config holds its own copy of a list default
+    parse_config(path.read_text(encoding="utf-8")).suites[6].params["scales"].append("1/80")
+    assert SUITES["local-hom"].params["scales"][0] == ["1/5", "1/10", "1/20", "1/40"]
+    # the defaults are the values the suites ran with when they were not listed
+    for suite in ("local-hom", "extension"):
+        argv = ["--format", "machine", "run", suite]
+        assert main(["--config", str(path)] + argv) == 0
+        omitted = capsys.readouterr().out
+        assert main(argv) == 0
+        assert omitted == capsys.readouterr().out
 
 
 def test_deep_nesting_exits_2(tmp_path, capsys):

@@ -94,6 +94,18 @@ class TestEval:
             with pytest.raises(DegreeOverflowError, match="exceeds functional degree 2"):
                 lam.eval(poly)
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_degree_overflow_names_the_first_monomial_beyond_the_table(self, order):
+        # stored, in-degree missing and two too-high monomials, in every term order
+        lam = FunctionalTable(HEIS, 2, {(1, 0, 0): Scalar(3)})
+        terms = [((1, 0, 0), 1), ((0, 2, 0), 1), ((3, 0, 0), 1), ((0, 0, 4), 1)]
+        poly = PBWPoly(HEIS, dict(terms[i] for i in order))
+        first = next(alpha for alpha in poly.terms if sum(alpha) > 2)
+        name = {(3, 0, 0): "p^3", (0, 0, 4): "z^4"}[first]
+        with pytest.raises(DegreeOverflowError) as info:
+            lam.eval(poly)
+        assert str(info.value) == f"monomial {name} exceeds functional degree 2"
+
     def test_spec_mismatch(self):
         lam = rand_table(HEIS, 2, 5)
         with pytest.raises(SpecMismatchError):
@@ -319,6 +331,22 @@ class TestRadius:
     def test_estimate_reported_as_truncated(self):
         est = radius_estimate(gaussian_functional(8))
         assert "truncated" in str(est)
+
+    def test_roots_beyond_binary64_read_as_zero_or_infinite_radii(self):
+        line = abelian(1)
+        # |beta_1| = 10**-700: the exact root is positive, its binary64 reading 0.0
+        tiny = radius_estimate(FunctionalTable(line, 1, {(1,): Scalar(Fraction(1, 10 ** 700))}))
+        assert not tiny.is_infinite and tiny.best.to_float() == 0.0
+        assert tiny.value == float("inf")
+        assert str(tiny).endswith(": inf")
+        huge = radius_estimate(FunctionalTable(line, 1, {(1,): Scalar(10 ** 700)}))
+        assert huge.best.to_float() == float("inf")
+        assert huge.value == 0.0
+        assert huge.equals_rational(Fraction(1, 10 ** 700))
+
+    @pytest.mark.parametrize("r", [0, Fraction(0), -1])
+    def test_estimate_is_never_zero_or_negative(self, r):
+        assert radius_estimate(factorial_functional(3)).equals_rational(r) is False
 
 
 class TestRegularAction:
@@ -1039,6 +1067,33 @@ def _negative_degree_calls():
         "recursion_check-neg": ("n_max", lambda: recursion_check(lam, -2)),
         "table": ("max_degree", lambda: FunctionalTable(SO3, -1)),
     }
+
+
+def _beyond_table_calls():
+    lam = functional_from_rep(spin_one(), 4)
+    x = SO3.basis_vector(0)
+    return {
+        "beta_component": ("arity 5 exceeds functional degree 4",
+                           lambda: beta_component(lam, 5)),
+        "regular_act": ("regular action needs max_degree >= 1",
+                        lambda: regular_act(lam._cut(0), x)),
+        "insertion_constants": ("insertion constants at arity 4 need degree 5 <= 4",
+                                lambda: insertion_constants(lam, 4)),
+        "recursion_check": ("recursion to n=4 needs functional degree 5",
+                            lambda: recursion_check(lam, 4)),
+        "moment_matrix": ("moment matrix at degree 3 needs functional degree 6",
+                          lambda: gns.moment_matrix(lam, 3)),
+        "analytic_diagnostics": ("diagnostics to n=3 need functional degree 6",
+                                 lambda: gns.analytic_diagnostics(lam, x, 3)),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_beyond_table_calls()))
+def test_reading_beyond_the_table_degree_is_rejected(call):
+    message, run = _beyond_table_calls()[call]
+    with pytest.raises(DegreeOverflowError) as info:
+        run()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("call", sorted(_negative_degree_calls()))

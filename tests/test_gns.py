@@ -648,6 +648,23 @@ class TestAnalyticDiagnostics:
         ratio = sqrt((2 * 20 + 2) * (2 * 20 + 1)) / 21
         assert abs(ratio - 2.0) < 0.05
 
+    def test_roots_below_binary64_read_as_infinite_radii(self):
+        # lam(x^2) = -10**-700 gives s_1 = 10**-350, which reads 0.0 in binary64
+        line = abelian(1)
+        x = line.basis_vector(0)
+        tiny = Scalar(Fraction(-1, 10 ** 700))
+        lam = FunctionalTable(line, 2, {(0,): Scalar(1), (1,): Scalar(1), (2,): tiny})
+        report = analytic_diagnostics(lam, x, 1)
+        assert report.vector_root.squared == Fraction(1, 10 ** 700)
+        assert report.vector_radius_estimate == math.inf
+        assert report.factor2_ratio == math.inf
+        # with lam(x) as small, the functional radius reads inf as well: no ratio
+        lam = FunctionalTable(line, 2, {(0,): Scalar(1), (1,): tiny, (2,): tiny})
+        report = analytic_diagnostics(lam, x, 1)
+        assert report.functional_estimate.value == math.inf
+        assert report.vector_radius_estimate == math.inf
+        assert report.factor2_ratio is None
+
     def test_degree_guard(self):
         lam = functional_from_rep(spin_half(), 4)
         with pytest.raises(DegreeOverflowError):

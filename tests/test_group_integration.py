@@ -384,6 +384,49 @@ class TestExtension:
             extension_demo_table(lam_su2, [2], [Fraction(1, 2)], gaussian_char)
 
 
+def _out_of_range_calls():
+    rep = spin_half()
+    x, y, z = vec(SO3, "1/2", 0, "1/3"), vec(SO3, 0, "2/5", "-1/4"), SO3.basis_vector(2)
+    lam, times = gaussian_functional(8), [Fraction(1, 2)]
+    return {
+        "local-hom-zero-scale": ("scales must be positive",
+                                 lambda: local_hom_check(rep, x, y, 4, [Fraction(1, 5), 0])),
+        "local-hom-negative-scale": ("scales must be positive",
+                                     lambda: local_hom_check(rep, x, y, 4, [Fraction(-1, 5)])),
+        "local-hom-no-scales": ("scales must be nonempty",
+                                lambda: local_hom_check(rep, x, y, 4, [])),
+        "cauchy-r-zero": ("r must be positive and finite",
+                          lambda: cauchy_estimate_check(rep, z, r=0)),
+        "cauchy-r-negative": ("r must be positive and finite",
+                              lambda: cauchy_estimate_check(rep, z, r=-1)),
+        "cauchy-r-infinite": ("r must be positive and finite",
+                              lambda: cauchy_estimate_check(rep, z, r=float("inf"))),
+        "cauchy-r-nan": ("r must be positive and finite",
+                         lambda: cauchy_estimate_check(rep, z, r=float("nan"))),
+        "cauchy-n-max-negative": ("n_max must be nonnegative",
+                                  lambda: cauchy_estimate_check(rep, z, n_max=-1)),
+        "sample-count-negative": ("count must be nonnegative", lambda: sample_group(rep, -1)),
+        "extension-no-degrees": ("degrees must be nonempty",
+                                 lambda: extension_demo(rep, [], [])),
+        "extension-degree-zero": ("degrees must be at least 1",
+                                  lambda: extension_demo(rep, [0, 1], [])),
+        "extension-table-no-degrees": ("degrees must be nonempty",
+                                       lambda: extension_demo_table(lam, [], times, gaussian_char)),
+        "extension-table-degree-zero": ("degrees must be at least 1",
+                                        lambda: extension_demo_table(lam, [0], times,
+                                                                     gaussian_char)),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_out_of_range_calls()))
+def test_group_side_rejects_out_of_range_arguments(call):
+    # the CLI rejects all of these at load; direct callers get a ValueError naming the argument
+    message, run = _out_of_range_calls()[call]
+    with pytest.raises(ValueError) as info:
+        run()
+    assert str(info.value) == message
+
+
 def test_sampled_elements_are_unitary_with_words():
     rep = spin_half()
     sample = sample_group(rep, 15, seed=8)

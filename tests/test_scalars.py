@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envalg.scalars import RootValue, Scalar, SqrtFraction
+from envalg.scalars import RootValue, Scalar, SqrtFraction, fraction_root_float
 
 # -- reference ---------------------------------------------------------------
 
@@ -288,3 +288,15 @@ def test_roots_leave_foreign_operands_unordered(bad):
                 op(value, bad)
             with pytest.raises(TypeError):
                 op(bad, value)
+
+
+@pytest.mark.parametrize("q, k, want", [
+    (Fraction(2) ** 2046, 2, 2.0 ** 1023),
+    (Fraction(2) ** 2048, 2, math.inf),
+    (Fraction(10) ** 800, 2, math.inf),
+    (Fraction(1, 10 ** 800), 2, 0.0),
+    (Fraction(10) ** 4000, 3, math.inf),
+])
+def test_roots_beyond_binary64_read_inf_or_zero(q, k, want):
+    assert fraction_root_float(q, k) == want
+    assert RootValue(q, 1).to_float() == fraction_root_float(q, 2)
