@@ -39,7 +39,7 @@ import numpy as np
 from .errors import RepresentationError
 from .functionals import _at_least
 from .gns import functional_from_rep, gns_build
-from .lie_structure import GVector, bch_in_g
+from .lie_structure import GVector, _bch_terms
 from .scalars import Scalar, _reduced
 
 __all__ = [
@@ -330,12 +330,15 @@ class CauchyReport:
 def cauchy_estimate_check(rep, x, r=1.0, n_max=12):
     """Verify the derivative bounds of the analytic kernel along ``exp(tR(x))v``.
 
-    ``C`` is the max of ``|<exp(z1 R) v, exp(conj(z2) R) v>|`` over an
-    8 x 8 set of boundary points ``|z1| = |z2| = r`` times a 1.05 safety
+    ``C`` is the max of ``|<exp(z1 R) v, exp(conj(z2) R) v>|`` over the
+    boundary points ``z_b = r e^(2 pi i b / 8)`` times a 1.05 safety
     factor.  A larger C only weakens the bound, so the finite grid keeps the
-    check conservative.  Requires a skew-hermitian representation, a
-    positive finite ``r`` and ``n_max >= 0``; raises OverflowError when
-    ``exp(zR)v`` or ``C`` leaves binary64 on the circle.
+    check conservative.  The points are closed under conjugation, so
+    ``{exp(conj(z) R) v}`` is the set ``{exp(z R) v}`` and the grid is the
+    Gram matrix of the eight vectors ``exp(z_b R) v``, one stacked
+    ``matrix_exp`` of eight slices.  Requires a skew-hermitian
+    representation, a positive finite ``r`` and ``n_max >= 0``; raises
+    OverflowError when ``exp(zR)v`` or ``C`` leaves binary64 on the circle.
     """
     r = float(r)
     if not (r > 0 and isfinite(r)):
@@ -348,9 +351,8 @@ def cauchy_estimate_check(rep, x, r=1.0, n_max=12):
     v = rep.cyclic_array()
     zs = [r * np.exp(2j * np.pi * b / 8) for b in range(8)]
     with np.errstate(over="ignore", invalid="ignore"):
-        e2vs = matrix_exp([np.conj(z) * R for z in zs]) @ v
-        e1vs = matrix_exp([z * R for z in zs]) @ v
-        grid = np.abs(np.vecdot(e2vs, e1vs[:, None]))  # [a, b] = |<e2v_b, e1v_a>|
+        evs = matrix_exp([z * R for z in zs]) @ v
+        grid = np.abs(np.vecdot(evs, evs[:, None]))  # [a, b] = |<ev_b, ev_a>|
     if not np.isfinite(grid).all():
         raise OverflowError(f"exp(z R(x)) v overflows binary64 on |z| = {r}")
     C = float(grid.max()) * 1.05
@@ -390,12 +392,15 @@ def local_hom_check(rep, x, y, N, scales, min_slope=None):
     """Fit the order of ``exp(R(rx)) exp(R(ry)) - exp(R((rx) * (ry)))``.
 
     Scales must be exact rationals so the truncated BCH product is computed
-    exactly before the single float conversion.  PASS iff the fitted log-log
-    slope reaches ``N + 0.5`` (the defect should be order ``N + 1``) or all
-    residuals sit below the noise floor, which happens exactly when the
-    truncation is exact (nilpotent algebras of class <= N).  Scales must be
-    positive, and there must be at least one; two equal scales raise
-    ValueError: a repeated point cannot help define a slope.
+    exactly before the single float conversion.  Its degree-n part ``Z_n``
+    is homogeneous, so one BCH recursion gives every scale's product
+    ``sum_n s**n Z_n(x, y)``, the vector ``bch_in_g(s x, s y, N)`` exactly.
+    PASS iff the fitted log-log slope reaches ``N + 0.5`` (the defect should
+    be order ``N + 1``) or all residuals sit below the noise floor, which
+    happens exactly when the truncation is exact (nilpotent algebras of
+    class <= N).  Scales must be positive, and there must be at least one;
+    two equal scales raise ValueError: a repeated point cannot help define a
+    slope.
     """
     if not scales:
         raise ValueError("scales must be nonempty")
@@ -405,11 +410,12 @@ def local_hom_check(rep, x, y, N, scales, min_slope=None):
         raise ValueError("local_hom_check needs distinct scales")
     rep.validate()
     min_slope = (N + 0.5) if min_slope is None else min_slope
+    terms = _bch_terms(x, y, N)
     mats = []
     for s in scales:
-        s = Scalar(Fraction(s))
-        xs, ys = x.scale(s), y.scale(s)
-        mats += [rep.matrix_of(xs), rep.matrix_of(ys), rep.matrix_of(bch_in_g(xs, ys, N))]
+        s = Fraction(s)
+        xy = sum((z.scale(s ** n) for n, z in enumerate(terms[1:], 2)), terms[0].scale(s))
+        mats += [rep.matrix_of(x.scale(s)), rep.matrix_of(y.scale(s)), rep.matrix_of(xy)]
     exps = matrix_exp(mats)
     residuals = [float(np.linalg.norm(ex @ ey - exy))
                  for ex, ey, exy in zip(exps[0::3], exps[1::3], exps[2::3])]

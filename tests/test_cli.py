@@ -629,6 +629,21 @@ MALFORMED = [
                  ("suites[4] (positivity)", "power_max"), id="positivity-power-max-zero"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-300), ["validate"],
                  ("suites[8] (cauchy)", "r:", "overflows binary64"), id="cauchy-r-tiny"),
+    pytest.param("su2.json", _set("radius", "expected", "1" + "0" * 400), ["validate"],
+                 ("config error: suites[2] (radius): expected: must be a positive rational like "
+                  "'1/2', finite in binary64\n",),
+                 id="radius-expected-beyond-binary64"),
+    pytest.param("gaussian.json", _set("extension", "times", ["0", "1" + "0" * 400]),
+                 ["run-all"],
+                 ("config error: suites[2] (extension): times: must be a rational like '1/2', "
+                  "finite in binary64\n",),
+                 id="extension-times-beyond-binary64"),
+    pytest.param("su2.json", _set("local-hom", "scales", ["1/5", "1" + "0" * 400]), ["validate"],
+                 ("suites[6] (local-hom): scales:", "finite in binary64"),
+                 id="local-hom-scales-beyond-binary64"),
+    pytest.param("su2.json", _set("extension", "probe_norm", "1" + "0" * 400), ["validate"],
+                 ("suites[9] (extension): probe_norm:", "finite in binary64"),
+                 id="extension-probe-norm-beyond-binary64"),
     pytest.param("su2.json", _set("cauchy", "r", 1e-20), ["--degree", "16", "run", "cauchy"],
                  ("suite 'cauchy'", "r:", "r**-16"), id="degree-override-cauchy-r"),
     pytest.param("su2.json", _heisenberg_rep_in("cauchy"), ["validate"],

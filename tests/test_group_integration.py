@@ -38,7 +38,7 @@ from envalg.group_integration import (
     sample_group,
     unitarity_residual,
 )
-from envalg.lie_structure import GVector
+from envalg.lie_structure import GVector, bch_in_g
 from envalg.sampling import random_skew_rep
 from envalg.scalars import Scalar
 from rational_algebras import rational_reps
@@ -194,6 +194,26 @@ class TestLocalHom:
         report = local_hom_check(rep, x, y, 2, [Fraction(1, 10)])
         assert report.slope is None and not report.exact and not report.ok
         assert str(report) == "local group law (N=2): FAIL, slope n/a"
+
+    def test_one_recursion_gives_every_scales_product(self, monkeypatch):
+        # Z_n is homogeneous of degree n, so sum s**n Z_n(x, y) is bch_in_g(s x, s y, N)
+        from envalg import group_integration
+
+        rep = spin_half()
+        x = vec(SO3, "1/2", 0, "1/3")
+        y = vec(SO3, 0, "2/5", "-1/4")
+        scales = [Fraction(1, 5), Fraction(1, 10), Fraction(3, 7)]
+        recursions, vectors = [], []
+        terms = group_integration._bch_terms
+        matrix_of = MatrixRep.matrix_of
+        monkeypatch.setattr(group_integration, "_bch_terms",
+                            lambda *args: recursions.append(args) or terms(*args))
+        monkeypatch.setattr(MatrixRep, "matrix_of",
+                            lambda self, v: vectors.append(v) or matrix_of(self, v))
+        local_hom_check(rep, x, y, 5, scales)
+        assert len(recursions) == 1
+        assert vectors == [v for s in scales
+                           for v in (x.scale(s), y.scale(s), bch_in_g(x.scale(s), y.scale(s), 5))]
 
 
     @pytest.mark.parametrize("scales", [[Fraction(1, 5), Fraction(1, 5)],
@@ -509,28 +529,38 @@ def _kernel_per_pair(elements, v):
     return K
 
 
-def _cauchy_per_point(rep, x, r, n_max, grid=8, safety=1.05):
-    """``C`` and the rows of ``cauchy_estimate_check`` with one expm per point."""
-    R = rep.matrix_of(x)
-    v = rep.cyclic_array()
-    e2vs = []
-    for b in range(grid):
-        z2 = r * np.exp(2j * np.pi * b / grid)
-        e2vs.append(matrix_exp(np.conj(z2) * R) @ v)
-    C = 0.0
-    for a in range(grid):
-        z1 = r * np.exp(2j * np.pi * a / grid)
-        e1v = matrix_exp(z1 * R) @ v
-        for e2v in e2vs:
-            C = max(C, abs(complex(np.vdot(e2v, e1v))))
-    C *= safety
+def _cauchy_rows(R, v, C, r, n_max):
     rows, w, fact = [], v.copy(), 1.0
     for n in range(n_max + 1):
         if n:
             w = R @ w
             fact *= n
         rows.append((n, float(np.linalg.norm(w)), float(np.sqrt(C) * fact * r ** (-n))))
-    return C, rows
+    return rows
+
+
+def _cauchy_per_point(rep, x, r, n_max, grid=8, safety=1.05):
+    """``C`` and the rows of ``cauchy_estimate_check`` with one expm per point.
+
+    The points are closed under conjugation, so the grid is the Gram matrix
+    of the vectors ``exp(z_b R) v``.
+    """
+    R = rep.matrix_of(x)
+    v = rep.cyclic_array()
+    evs = [matrix_exp(r * np.exp(2j * np.pi * b / grid) * R) @ v for b in range(grid)]
+    C = safety * max(abs(complex(np.vdot(eb, ea))) for ea in evs for eb in evs)
+    return C, _cauchy_rows(R, v, C, r, n_max)
+
+
+def _cauchy_two_grids(rep, x, r, n_max, grid=8, safety=1.05):
+    """``C`` and the rows from the separate grids ``exp(z1 R) v`` and ``exp(conj(z2) R) v``."""
+    R = rep.matrix_of(x)
+    v = rep.cyclic_array()
+    zs = [r * np.exp(2j * np.pi * b / grid) for b in range(grid)]
+    e1vs = [matrix_exp(z * R) @ v for z in zs]
+    e2vs = [matrix_exp(np.conj(z) * R) @ v for z in zs]
+    C = safety * max(abs(complex(np.vdot(e2v, e1v))) for e1v in e1vs for e2v in e2vs)
+    return C, _cauchy_rows(R, v, C, r, n_max)
 
 
 def _general_vector(rep):
@@ -677,6 +707,17 @@ class TestStackedMatchesPerElement:
                 assert [(n, a.hex(), b.hex()) for n, a, b in report.rows] == \
                     [(n, a.hex(), b.hex()) for n, a, b in rows]
 
+    @pytest.mark.parametrize("make", STACKED_REPS)
+    def test_cauchy_one_grid_matches_the_two_grids(self, make):
+        # conj maps the boundary points onto themselves, so both grids hold the same values
+        rep = make()
+        for x in (rep.spec.basis_vector(rep.spec.dim - 1), _general_direction(rep.spec)):
+            for r in (0.5, 1.0, 1.75):
+                report = cauchy_estimate_check(rep, x, r=r, n_max=10)
+                C, rows = _cauchy_two_grids(rep, x, r, 10)
+                assert abs(report.C - C) <= 1e-14 * C
+                assert report.ok == (not any(lhs > bound for _, lhs, bound in rows))
+
 
 def test_stacked_products_keep_the_positive_zeros_of_one_times_e(monkeypatch):
     # exp(R(-e_1)) on spin-1 has -0.0 entries, which the product 1 @ E turns into +0.0
@@ -710,6 +751,18 @@ def test_vecdot_rounds_as_vdot_only_on_a_contiguous_inner_axis():
     assert W.flags.c_contiguous
     assert np.vecdot(v, W).tobytes() == want.tobytes()
     assert np.vecdot(v, np.asfortranarray(W)).tobytes() != want.tobytes()
+
+
+def test_cauchy_exponentiates_one_stack_of_eight(monkeypatch):
+    from envalg import group_integration
+
+    shapes = []
+    monkeypatch.setattr(group_integration, "matrix_exp",
+                        lambda A: shapes.append(np.shape(A)) or matrix_exp(A))
+    for rep in (spin_three_half(), random_skew_rep(6, 3)):
+        shapes.clear()
+        cauchy_estimate_check(rep, rep.spec.basis_vector(0), r=1.5, n_max=8)
+        assert shapes == [(8, rep.dim_V, rep.dim_V)]
 
 
 def test_cauchy_overflow_is_an_error_not_a_verdict():

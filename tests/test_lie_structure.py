@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from envalg.catalog import abelian, affine_line, heisenberg, shipped_algebras, so3, spin_half
+from envalg import lie_structure
 from envalg.errors import SpecMismatchError
 from envalg.free_algebra import fa_bch
 from envalg.functionals import monomials_up_to
@@ -16,6 +17,7 @@ from envalg.lie_structure import (
     GVector,
     LieAlgebraSpec,
     PBWPoly,
+    _bch_terms,
     bch_in_g,
     bracket,
     jacobi_validate,
@@ -294,7 +296,68 @@ class TestStar:
                 assert star(pbw_mul(a, b)) == pbw_mul(star(b), star(a))
 
 
+def _bch_parts_by_words(x, y, N):
+    """The homogeneous parts of ``x * y`` from the words of the free BCH series.
+
+    Each word of length l is sent to ``1/l`` times its right-normed bracketing
+    ``[w_1, [w_2, [..., w_l]..]]`` with x and y for the letters (Dynkin's
+    map), which walks about ``2**N`` words.
+    """
+    spec = x.spec
+    parts = [GVector(spec, (Scalar(0),) * spec.dim) for _ in range(N)]
+    for word, coeff in fa_bch(N).terms.items():
+        if not word:
+            continue
+        vecs = [x if letter == 0 else y for letter in word]
+        cur = vecs[-1]
+        for v in reversed(vecs[:-1]):
+            cur = bracket(v, cur)
+        parts[len(word) - 1] = parts[len(word) - 1] + cur.scale(coeff * Fraction(1, len(word)))
+    return parts
+
+
+def _radius_readings(spec, N, degrees):
+    """``||Z_n||_1 ** (-1/n)`` of ``e_1 * e_2`` for n in ``degrees``."""
+    terms = _bch_terms(spec.basis_vector(0), spec.basis_vector(1), N)
+    return [float(terms[n - 1].seminorm()) ** (-1 / n) for n in degrees]
+
+
 class TestBchInG:
+    @pytest.mark.parametrize("name", list(algebras()))
+    def test_recursion_equals_the_word_route(self, name):
+        spec = algebras()[name]
+        rng = random.Random(17)
+        x = random_vector(spec, rng, span=3, denominator=3)
+        y = random_vector(spec, rng, span=3, denominator=3)
+        parts = _bch_parts_by_words(x, y, 9)
+        assert _bch_terms(x, y, 9) == parts
+        for N in range(1, 10):
+            assert bch_in_g(x, y, N) == sum(parts[1:N], parts[0])
+
+    def test_bracket_count_is_cubic(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lie_structure, "bracket", lambda a, b: calls.append(1) or bracket(a, b))
+        bch_in_g(SO3.basis_vector(0), SO3.basis_vector(1), 12)
+        # the word route brackets 51,466 times at N = 12
+        assert 0 < len(calls) <= 12 ** 3
+
+    def test_so3_radius(self):
+        # the scalar part cos(t/2)**2 of exp(t e1) exp(t e2) in SU(2) reaches -1
+        # at |t| = |pi - 2i asinh 1| = 3.6023; the readings scatter about it
+        # (n = 29 reads 3.4995)
+        readings = _radius_readings(SO3, 40, range(29, 41))
+        assert all(3.49 <= r <= 3.66 for r in readings)
+
+    def test_affine_line_radius(self):
+        # log [[e^t, t e^t], [0, 1]] has off-diagonal t**2 e^t / (e^t - 1): radius 2 pi
+        readings = _radius_readings(affine_line(), 39, range(31, 40, 2))
+        assert all(a < b for a, b in zip(readings, readings[1:]))
+        assert 5.79 <= readings[0] and readings[-1] <= 5.89 < 2 * np.pi
+
+    def test_heisenberg_series_stops_at_degree_two(self):
+        terms = _bch_terms(HEIS.basis_vector(0), HEIS.basis_vector(1), 10)
+        assert [z.is_zero() for z in terms] == [False, False] + [True] * 8
+
     def test_inverse_pair(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -309,8 +372,8 @@ class TestBchInG:
 
     def test_free_substitution_agrees_with_dynkin_route(self):
         # substitute words of the free BCH series by exact matrix products and
-        # compare with the image of the right-normed evaluation: both must
-        # give the same matrix exactly, because the series is a Lie element
+        # compare with the image of bch_in_g: both must give the same matrix
+        # exactly, because the series is a Lie element
         rep = spin_half()
         rng = random.Random(9)
         x = random_vector(SO3, rng, span=3, denominator=3)
