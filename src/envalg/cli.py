@@ -235,8 +235,10 @@ def _format_complex(z):
     """A float-mode entry as ``"re+imj"``, which :func:`_parse_complex` reads back bit for bit.
 
     Both parts are written, so neither loses the sign of a zero, and equal
-    strings mean equal bits (config equality compares them).
+    strings mean equal bits (config equality compares them).  The parts are
+    read as Python floats, whose repr carries no numpy type name.
     """
+    z = complex(z)
     return f"{z.real!r}{z.imag:+}j"
 
 
@@ -265,6 +267,8 @@ def _parse_representation(name, block, spec):
         generators = _lists(gens, 3, decode)
     with _named(f"{context}.cyclic_vector", (ValueError, TypeError)):
         cyclic = _lists(block["cyclic_vector"], 1, decode)
+        if not any(cyclic):
+            raise ValueError("must be a nonzero vector")
     with _named(context, (ValueError, TypeError, WorkbenchError)):
         rep = MatrixRep(
             spec, dim_V, generators, cyclic,

@@ -26,10 +26,10 @@ own, so ``gns_build`` factors its matrix once.
 
 from __future__ import annotations
 
-from cmath import isfinite
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import factorial, inf, lcm
 from typing import List, Optional, Tuple
 
@@ -50,7 +50,7 @@ from .functionals import (
     radius_estimate,
     regular_act,
 )
-from .lie_structure import _acc_pair, _normal_form, _star_monomial, _word_of_alpha
+from .lie_structure import _acc_pair, _check_same_spec, _normal_form, _star_monomial, _word_of_alpha
 from .scalars import (
     ONE,
     ZERO,
@@ -81,10 +81,10 @@ __all__ = [
 _FLOAT_TOL = 1e-10
 
 
-def _matrix(rows, size, entry):
+def _matrix(rows, size):
     out = []
     for row in rows:
-        row = tuple(entry(c) for c in row)
+        row = tuple(map(as_scalar, row))
         if any(c is NotImplemented for c in row) or len(row) != size:
             raise ValueError("bad matrix row")
         out.append(row)
@@ -93,12 +93,19 @@ def _matrix(rows, size, entry):
     return tuple(out)
 
 
-def _binary64(c):
-    """A float rep's entry as a finite Python complex (a Scalar by its value)."""
-    z = c.to_complex() if type(c) is Scalar else complex(c)
-    if not isfinite(z):
-        raise ValueError(f"non-finite entry {z!r}")
-    return z
+def _binary64(values, shape, bad_shape):
+    """Finite entries as one read-only C-contiguous complex128 array of ``shape``.
+
+    A Scalar is read by its value; a wrong shape raises ``ValueError(bad_shape)``.
+    """
+    arr = np.array(values, dtype=complex, order="C")
+    if arr.shape != shape:
+        raise ValueError(bad_shape)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"non-finite entry {complex(arr[~finite][0])!r}")
+    arr.flags.writeable = False
+    return arr
 
 
 def _int_entries(entries, exact):
@@ -155,15 +162,35 @@ def _int_inner(u, v):
     return _reduced(x, y, du * dv)
 
 
+def _skew_residual2(gen, exact):
+    """Exact squared Frobenius norm of ``X^* + X`` for the stored entries ``X``.
+
+    Negation and conjugation are exact and stored values (Scalars, or the
+    dyadic rationals of binary64) compare equal exactly when equal, so ``X !=
+    -X^*`` marks exactly the nonzero residual entries ``conj(X[s][r]) +
+    X[r][s]``; only those are read as ints, none for a skew generator.
+    """
+    A = np.asarray(gen)
+    rows, cols = np.nonzero(A != -A.conj().T)
+    if not rows.size:
+        return Fraction(0)
+    den, pairs = _int_entries(np.concatenate((A[rows, cols], A[cols, rows])), exact)
+    total = sum((a + c) ** 2 + (b - d) ** 2
+                for (a, b), (c, d) in zip(pairs[:len(rows)], pairs[len(rows):]))
+    return Fraction(total, den * den)
+
+
 class MatrixRep:
     """Matrix generators ``R(e_i)`` with a cyclic vector.
 
-    ``exact`` reps hold Gaussian-rational entries (Scalars); float reps hold
-    finite binary64 entries (Python complex), which the group side reads as
-    they are and the algebra side as the dyadic rationals they store.  Both
-    store matrices as tuples of rows.  :meth:`validate` checks the
-    homomorphism law ``[R(e_i), R(e_j)] = sum c_ijk R(e_k)`` and, when
-    ``skew_hermitian`` is set, ``R(e_i)^* = -R(e_i)``.
+    ``exact`` reps hold Gaussian-rational entries, each matrix a tuple of
+    rows of Scalars.  Float reps hold finite binary64 entries, one read-only
+    C-contiguous complex128 array per generator and one for the cyclic
+    vector; the group side reads those arrays as they are, and the algebra
+    side reads them as the dyadic rationals they store, built only when it
+    asks (:attr:`_int_generators`).  The cyclic vector must not be zero.
+    :meth:`validate` checks the homomorphism law ``[R(e_i), R(e_j)] = sum
+    c_ijk R(e_k)`` and, when ``skew_hermitian`` is set, ``R(e_i)^* = -R(e_i)``.
     """
 
     def __init__(self, spec, dim_V, generators, cyclic_vector, *, skew_hermitian,
@@ -175,26 +202,29 @@ class MatrixRep:
         self.skew_hermitian = skew_hermitian
         self.exact = exact
         self.name = name
-        entry = as_scalar if exact else _binary64
-        self.generators = tuple(_matrix(g, dim_V, entry) for g in generators)
-        vec = tuple(entry(c) for c in cyclic_vector)
-        if len(vec) != dim_V or any(c is NotImplemented for c in vec):
-            raise ValueError("bad cyclic vector")
+        if exact:
+            self.generators = tuple(_matrix(g, dim_V) for g in generators)
+            vec = tuple(map(as_scalar, cyclic_vector))
+            if len(vec) != dim_V or any(c is NotImplemented for c in vec):
+                raise ValueError("bad cyclic vector")
+        else:
+            self.generators = tuple(_binary64(g, (dim_V, dim_V), "matrix must be square")
+                                    for g in generators)
+            vec = _binary64(cyclic_vector, (dim_V,), "bad cyclic vector")
+        if not any(vec):
+            raise ValueError("the cyclic vector is zero")
         self.cyclic_vector = vec
 
     # -- numeric views -----------------------------------------------------
 
-    def _complex(self, entries):
-        """A row (or the cyclic vector) as Python complex values."""
-        return [c.to_complex() for c in entries] if self.exact else entries
-
     @cached_property
     def _generator_arrays(self):
-        """Read-only complex arrays of the generators, built on first use."""
-        arrays = tuple(np.array([self._complex(row) for row in gen]) for gen in self.generators)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
+        """The generators as read-only complex arrays: a float rep's own store,
+        an exact rep's read from its Scalars on first use."""
+        if not self.exact:
+            return self.generators
+        return tuple(_binary64(gen, (self.dim_V,) * 2, "matrix must be square")
+                     for gen in self.generators)
 
     @cached_property
     def _int_generators(self):
@@ -213,20 +243,26 @@ class MatrixRep:
         return self._generator_arrays[i]
 
     def cyclic_array(self):
-        return np.array(self._complex(self.cyclic_vector))
+        """The cyclic vector as a complex array (a float rep's read-only store)."""
+        return np.array(self.cyclic_vector, dtype=complex) if self.exact else self.cyclic_vector
 
     def matrix_of(self, x):
-        """Complex matrix of ``R(x)`` for a coefficient vector x in g."""
-        return self.matrices_of([[c.to_complex() for c in x.coeffs]])[0]
+        """Complex matrix of ``R(x)`` for a vector x of the rep's own algebra."""
+        _check_same_spec(x.spec, self.spec, "matrix of a vector")
+        return self.matrices_of([x.coeffs])[0]
 
     def matrices_of(self, coeffs):
         """The stack of ``R(x)``, one per row of an ``(n, dim)`` coefficient array.
 
         Generator ``i`` adds ``c_i R(e_i)`` to the rows where ``c_i`` is
         nonzero, so every matrix is the sum of its own nonzero terms in basis
-        order and gets the floats it would get alone.
+        order and gets the floats it would get alone.  Rows of another width
+        raise ValueError (an empty list is an empty stack).
         """
         coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape[1:] != (self.spec.dim,) and coeffs.shape != (0,):
+            raise ValueError(f"matrices_of needs rows of {self.spec.dim} coefficients, "
+                             f"got shape {coeffs.shape}")
         acc = np.zeros((len(coeffs), self.dim_V, self.dim_V), dtype=complex)
         for col, gen in zip(coeffs.T, self._generator_arrays):
             rows = np.flatnonzero(col)
@@ -245,44 +281,31 @@ class MatrixRep:
         With ``R(e_i) = X_i / d_i`` and ``c_ijk = C_k / q_k``, ``L d_i d_j``
         times the law residual is ``L (X_i X_j - X_j X_i) - d_i d_j sum_k
         C_k (L / (q_k d_k)) X_k`` for ``L = lcm_k(q_k d_k)``, an integer
-        matrix whose rows are summed sparsely.
+        matrix whose rows are summed sparsely.  Only the law reads the int
+        generators.
         """
-        gens = self._int_generators
         laws = {}
-        for i in range(self.spec.dim):
-            di, X = gens[i]
-            for j in range(i + 1, self.spec.dim):
-                dj, Y = gens[j]
-                bracket = self.spec.bracket_of(i, j).items()
-                L = lcm(*(c.d * gens[k][0] for k, c in bracket))
-                weights = [(gens[k][1], di * dj * c.a * (L // (c.d * gens[k][0])))
-                           for k, c in bracket]
-                total = 0
-                for r in range(self.dim_V):
-                    acc = {}
-                    for P, Q, sign in ((X, Y, L), (Y, X, -L)):
-                        for t, a, b in P[r]:
-                            for s, c, d in Q[t]:
-                                _acc_pair(acc, s, sign * (a * c - b * d), sign * (a * d + b * c))
-                    for rows, w in weights:
-                        for s, a, b in rows[r]:
-                            _acc_pair(acc, s, -w * a, -w * b)
-                    total += sum(a * a + b * b for a, b in acc.values())
-                laws[(i, j)] = Fraction(total, (L * di * dj) ** 2)
-        skews = []
-        for den, rows in gens if self.skew_hermitian else ():
-            # entry (r, s) of X^* + X is conj(X[s][r]) + X[r][s]; an entry whose
-            # transpose is zero meets only zero, at (r, s) and again at (s, r)
-            entries = {(r, s): (a, b) for r, row in enumerate(rows) for s, a, b in row}
+        for i, j in combinations(range(self.spec.dim), 2):
+            gens = self._int_generators
+            (di, X), (dj, Y) = gens[i], gens[j]
+            bracket = self.spec.bracket_of(i, j).items()
+            L = lcm(*(c.d * gens[k][0] for k, c in bracket))
+            weights = [(gens[k][1], di * dj * c.a * (L // (c.d * gens[k][0])))
+                       for k, c in bracket]
             total = 0
-            for (r, s), (a, b) in entries.items():
-                other = entries.get((s, r))
-                if other is None:
-                    total += 2 * (a * a + b * b)
-                else:
-                    x, y = a + other[0], b - other[1]
-                    total += x * x + y * y
-            skews.append(Fraction(total, den * den))
+            for r in range(self.dim_V):
+                acc = {}
+                for P, Q, sign in ((X, Y, L), (Y, X, -L)):
+                    for t, a, b in P[r]:
+                        for s, c, d in Q[t]:
+                            _acc_pair(acc, s, sign * (a * c - b * d), sign * (a * d + b * c))
+                for rows, w in weights:
+                    for s, a, b in rows[r]:
+                        _acc_pair(acc, s, -w * a, -w * b)
+                total += sum(a * a + b * b for a, b in acc.values())
+            laws[(i, j)] = Fraction(total, (L * di * dj) ** 2)
+        skews = [_skew_residual2(gen, self.exact)
+                 for gen in (self.generators if self.skew_hermitian else ())]
         return laws, skews
 
     def validate(self):
@@ -678,6 +701,7 @@ class GnsModel:
         """
         if self.op_matrices is None:
             raise ValueError("model built with degree 0 has no operators")
+        _check_same_spec(x.spec, self.gram.spec, "GNS operator of a vector")
         r, r1 = self.quotient_rank, self.sub_rank
         acc = np.zeros((r, r1), dtype=complex)
         for i, c in enumerate(x.coeffs):

@@ -28,11 +28,12 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from math import isfinite, lcm
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -173,19 +174,25 @@ def unitarity_residual(U):
     return float(max(map(np.linalg.norm, defects), default=0.0))
 
 
-@dataclass
 class GroupSample:
     """Group elements ``exp(R(x_1)) .. exp(R(x_k))`` tagged with their words.
 
-    ``unitary`` is set only by :func:`sample_group`, after it checked every
-    element unitary to 1e-10; other samples are checked again where
-    unitarity is needed.
+    ``words`` lists each element's factors ``(x_1, .., x_k)`` as GVectors.
+    It may be given as a function returning that list, which runs once, on
+    the first read (:func:`sample_group` builds them so).  ``unitary`` is set
+    only by :func:`sample_group`, after it checked every element unitary to
+    1e-10; other samples are checked again where unitarity is needed.
     """
 
-    rep: object
-    elements: List[np.ndarray]
-    words: List[Tuple[GVector, ...]]
-    unitary: bool = field(default=False, init=False)
+    def __init__(self, rep, elements, words):
+        self.rep = rep
+        self.elements = elements
+        self._words = words
+        self.unitary = False
+
+    @cached_property
+    def words(self):
+        return self._words() if callable(self._words) else self._words
 
     def __len__(self):
         return len(self.elements)
@@ -194,23 +201,30 @@ class GroupSample:
 def _quantized_vector(spec, rng, max_norm):
     """Random rational vector with seminorm <= max_norm (exact coefficients)."""
     ks = rng.integers(-_QUANTUM, _QUANTUM + 1, size=spec.dim).tolist()
-    return _quantized(spec, [ks], max_norm)[0][0]
+    (scale,), _ = _quantized(spec, [ks], max_norm)
+    return _factor(spec, ks, *scale)
+
+
+def _factor(spec, ks, num, den):
+    """The vector ``k * num / den`` for the int numerators ``k``, in reduced Scalars."""
+    return GVector(spec, [_reduced(k * num, 0, den) for k in ks])
 
 
 def _quantized(spec, rows, max_norm):
     """The vectors ``x = k / 4096`` for the rows ``k`` of int numerators,
-    rescaled onto the seminorm ``max_norm`` when it lies outside, and their
-    coefficients in binary64.
+    rescaled onto the seminorm ``max_norm`` when it lies outside: each row's
+    scale ``(num, den)``, so that ``x = k * num / den`` exactly
+    (:func:`_factor`), and its coefficients in binary64.
 
     With the weights ``W_i / L`` over their common denominator the seminorm
     is ``P / (4096 L)`` for ``P = sum W_i |k_i|``, so the test and the
-    rescale are done in ints; each coefficient is one reduced Scalar, read
-    to binary64 as ``k * num / den`` (int true division is correctly rounded).
+    rescale are done in ints; each coefficient is read to binary64 as
+    ``k * num / den`` (int true division is correctly rounded).
     """
     L = lcm(*(w.denominator for w in spec.weights))
     weights = [w.numerator * (L // w.denominator) for w in spec.weights]
     bound = Fraction(max_norm)
-    xs, floats = [], []
+    scales, floats = [], []
     for ks in rows:
         P = sum(w * abs(k) for w, k in zip(weights, ks))
         if P * bound.denominator > _QUANTUM * L * bound.numerator:
@@ -218,9 +232,9 @@ def _quantized(spec, rows, max_norm):
             num, den = L * bound.numerator, P * bound.denominator
         else:
             num, den = 1, _QUANTUM
-        xs.append(GVector(spec, [_reduced(k * num, 0, den) for k in ks]))
+        scales.append((num, den))
         floats.append([k * num / den for k in ks])
-    return xs, floats
+    return scales, floats
 
 
 def sample_group(rep, count, seed=0):
@@ -234,7 +248,8 @@ def sample_group(rep, count, seed=0):
     as one stack and exponentiated in one call, and the elements are the
     stacked products ``1 @ E_1``, then ``@ E_2``, ``@ E_3`` where there are
     such factors.  For skew-hermitian representations every element is
-    checked to be unitary to 1e-10.
+    checked to be unitary to 1e-10.  The words, the factors as exact
+    GVectors, are built from the drawn numerators on their first read.
     """
     _at_least("count", count)
     rng = np.random.default_rng(seed)
@@ -244,7 +259,7 @@ def sample_group(rep, count, seed=0):
         lengths.append(int(rng.integers(1, 4)))
         ks = rng.integers(-_QUANTUM, _QUANTUM + 1, size=lengths[-1] * dim).tolist()
         rows += [ks[j:j + dim] for j in range(0, len(ks), dim)]
-    xs, coeffs = _quantized(rep.spec, rows, 1)
+    scales, coeffs = _quantized(rep.spec, rows, 1)
     exps = matrix_exp(rep.matrices_of(coeffs))
     lengths = np.array(lengths, dtype=int)
     starts = np.cumsum(lengths) - lengths
@@ -255,7 +270,11 @@ def sample_group(rep, count, seed=0):
     resid = unitarity_residual(G) if rep.skew_hermitian else 0.0
     if resid > _UNITARY_TOL:
         raise RepresentationError(f"sampled element not unitary: residual {resid:.3e}")
-    words = [tuple(xs[s:s + n]) for s, n in zip(starts.tolist(), lengths.tolist())]
+
+    def words():
+        xs = [_factor(rep.spec, ks, num, den) for ks, (num, den) in zip(rows, scales)]
+        return [tuple(xs[s:s + n]) for s, n in zip(starts.tolist(), lengths.tolist())]
+
     sample = GroupSample(rep, list(G), words)
     sample.unitary = rep.skew_hermitian
     return sample
@@ -503,7 +522,7 @@ def extension_demo(rep, degrees, probes):
     if not rep.skew_hermitian:
         raise RepresentationError("extension_demo needs a skew-hermitian rep")
     v = rep.cyclic_array()
-    exps = matrix_exp(rep.matrices_of([[c.to_complex() for c in x.coeffs] for x in probes]))
+    exps = matrix_exp(rep.matrices_of([x.coeffs for x in probes]))
     truth = list(zip(probes, np.vecdot(v, exps @ v).tolist()))
     return _extension_report(
         degrees, lambda d: gns_build(functional_from_rep(rep, 2 * d), d), truth

@@ -71,7 +71,12 @@ def random_submultiplicative_weights(spec, rng):
 
 
 def random_skew_rep(size, seed):
-    """Random skew-hermitian generator on C^size for the abelian line."""
+    """Random skew-hermitian generator on C^size for the abelian line.
+
+    The float rep stores the drawn arrays in binary64.  ``(B - B^*) / 2`` is
+    skew-hermitian exactly as stored, so :meth:`MatrixRep.validate` reads no
+    entry of it as an integer.
+    """
     from .catalog import abelian
 
     rng = np.random.default_rng(seed)

@@ -226,6 +226,9 @@ class Scalar:
         d = self.d
         return complex(self.a / d, self.b / d)
 
+    # numpy reads Scalars into complex arrays through this
+    __complex__ = to_complex
+
     def __repr__(self):
         if not self.b:
             return f"Scalar({self.re})"

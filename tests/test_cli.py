@@ -349,6 +349,59 @@ def test_machine_report_matches_recorded_digest(label, config):
     assert hashlib.sha256(proc.stdout).hexdigest() == want
 
 
+def _float_mode_su2():
+    """su2 with two float reps, run by local-hom, kernel and cauchy.
+
+    ``spin_half_float`` is spin one-half with signed zeros; ``spin_half_turned``
+    is spin one-half turned by the rotation (0.6, 0.8) in binary64, so its
+    law holds only to rounding, plus a skew defect of 1e-13 on one diagonal
+    entry.  Both pass the group side's 1e-10 test.
+    """
+    doc = shipped("su2.json")
+    doc["representations"]["spin_half_float"] = {
+        "dim_V": 2, "mode": "float", "skew_hermitian": True,
+        "generators": [[[0, "-0.5j"], ["-0.5j", 0]], [[0, -0.5], [0.5, 0]],
+                       [["-0.5j", -0.0], [0, "0.5j"]]],
+        "cyclic_vector": [0.6, "-0.0+0.8j"],
+    }
+    doc["representations"]["spin_half_turned"] = {
+        "dim_V": 2, "mode": "float", "skew_hermitian": True,
+        "generators": [[["1e-13+0.48j", "0.14000000000000007j"],
+                        ["0.14000000000000007j", "-0.48j"]],
+                       [[0, -0.5], [0.5, 0]],
+                       [["0.14000000000000007j", "-0.48j"],
+                        ["-0.48j", "-0.14000000000000007j"]]],
+        "cyclic_vector": [0.6, 0.8],
+    }
+    for suite, rep in (("local-hom", "spin_half_turned"), ("kernel", "spin_half_float"),
+                       ("cauchy", "spin_half_turned")):
+        next(b for b in doc["suites"] if b["name"] == suite)["representation"] = rep
+    return doc
+
+
+# sha256 of each output, recorded before float reps were stored as arrays
+FLOAT_MODE_OUTPUTS = {
+    "dump-float": (["dump", "representation/spin_half_float"],
+        "a42d72cd92ffd4976eabcfcaad21ac9a9753562caed5b8b7fc34fd1cc99b1798"),
+    "dump-turned": (["dump", "representation/spin_half_turned"],
+        "2a05404c96a2e491d6d7889ab630add3ad4c7f12230c7315385440e5ca953bc3"),
+    "dump-config": (["dump", "config"],
+        "83496021305d590200c620d198a3859eb3e078daa5542e0d57198867025eebb4"),
+    "machine-run-all": (["--format", "machine", "run-all"],
+        "b97f1d47e8b0196d1c6b7b5f0d5b24d9cf2d7208d06c0622fabe1713abcc0d27"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_MODE_OUTPUTS))
+def test_float_mode_outputs_are_byte_identical(tmp_path, name):
+    argv, want = FLOAT_MODE_OUTPUTS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_float_mode_su2()), encoding="utf-8")
+    rc, out = capture(["--config", str(path)] + argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def _set(suite, key, value=None, drop=False):
     def patch(doc):
         block = next(b for b in doc["suites"] if b["name"] == suite)
@@ -585,6 +638,13 @@ MALFORMED = [
     pytest.param("su2.json", _float_rep("cyclic_vector", [0], float("inf")), ["validate"],
                  ("representations.spin_one_float.cyclic_vector", "finite"),
                  id="float-cyclic-vector-infinite"),
+    pytest.param("su2.json", _put("representations", "spin_half", "cyclic_vector",
+                                  value=["0", "0"]),
+                 ["validate"], ("representations.spin_half.cyclic_vector", "nonzero"),
+                 id="cyclic-vector-zero"),
+    pytest.param("su2.json", _float_rep("cyclic_vector", [0], "-0.0"), ["validate"],
+                 ("representations.spin_one_float.cyclic_vector", "nonzero"),
+                 id="float-cyclic-vector-zero"),
     pytest.param("su2.json", _set("extension", "probes", 0), ["validate"],
                  ("suites[9] (extension)", "probes"), id="extension-probes-zero"),
     pytest.param("su2.json", _set("kernel", "repetitions", 0), ["validate"],

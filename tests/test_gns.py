@@ -28,6 +28,7 @@ from envalg.errors import (
     HermitianError,
     PositivityError,
     RepresentationError,
+    SpecMismatchError,
 )
 from envalg.functionals import (
     FunctionalTable,
@@ -164,6 +165,118 @@ def test_float_rep_rejects_non_finite_entries(where, bad):
         v[1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         MatrixRep(abelian(1), 2, gens, v, skew_hermitian=True, exact=False)
+
+
+def _defective_spin_one():
+    """Spin one in binary64 with one entry of R(e_1) moved by 1e-12: the law and
+    skewness hold to 1e-10 but not exactly, so every residual is read as ints."""
+    rep = spin_one()
+    gens = [np.array(rep.generator_array(i)) for i in range(3)]
+    gens[1][0, 1] += 1e-12
+    return gens, rep.cyclic_array()
+
+
+@pytest.mark.parametrize("form", ["complex lists", "Scalars"])
+def test_float_rep_store_is_the_same_for_every_input_form(form):
+    gens, v = _defective_spin_one()
+    by_array = MatrixRep(SO3, 3, gens, v, skew_hermitian=True, exact=False)
+    if form == "complex lists":
+        entries = [g.tolist() for g in gens], v.tolist()
+    else:
+        def scalars(values):
+            return [Scalar(Fraction(z.real), Fraction(z.imag)) for z in values]
+        entries = [[scalars(row) for row in g] for g in gens], scalars(v)
+    other = MatrixRep(SO3, 3, *entries, skew_hermitian=True, exact=False)
+    for i in range(3):
+        assert other.generator_array(i).tobytes() == by_array.generator_array(i).tobytes()
+    assert other.cyclic_array().tobytes() == by_array.cyclic_array().tobytes()
+    assert other._int_generators == by_array._int_generators
+    laws, skews = other._residual_norms2
+    assert (laws, skews) == by_array._residual_norms2
+    assert all(laws.values()) and skews[1] and not skews[0] and not skews[2]
+
+
+def test_float_rep_stores_read_only_contiguous_copies():
+    gens, v = _defective_spin_one()
+    gens[0] = np.asfortranarray(gens[0])
+    rep = MatrixRep(SO3, 3, gens, v, skew_hermitian=True, exact=False)
+    gens[2][0, 0] = 5.0
+    stored = [rep.generator_array(i) for i in range(3)] + [rep.cyclic_array()]
+    assert all(a is b for a, b in zip(stored, rep.generators + (rep.cyclic_vector,)))
+    for arr in stored:
+        assert arr.dtype == np.complex128 and arr.flags.c_contiguous
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert stored[2][0, 0] == 0
+
+
+def test_skew_defect_of_1e12_passes_validate_but_not_exactly():
+    gen = np.array([[0.5j, 1 + 1e-12], [-1 + 0j, 0j]])
+    rep = MatrixRep(abelian(1), 2, [gen], [1, 0], skew_hermitian=True, exact=False)
+    rep.validate()
+    # entries (0, 1) and (1, 0) of X^* + X are the stored 1 + 1e-12 less 1
+    d = Fraction(1 + 1e-12) - 1
+    assert rep._residual_norms2[1] == [2 * d * d]
+    with pytest.raises(RepresentationError, match="not an exact representation"):
+        functional_from_rep(rep, 2)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_non_skew_generator_keeps_its_message(exact):
+    gen = [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(0, 1)]]
+    rep = MatrixRep(abelian(1), 2, [gen], [1, 0], skew_hermitian=True, exact=exact)
+    assert rep._residual_norms2[1] == [Fraction(4)]
+    with pytest.raises(RepresentationError, match="^generator 0 is not skew-hermitian$"):
+        rep.validate()
+
+
+def test_signed_zeros_count_as_skew():
+    gen = [[complex(-0.0, 1), complex(0.0, -0.0)], [complex(-0.0, 0.0), complex(0.0, -2)]]
+    rep = MatrixRep(abelian(1), 2, [gen], [complex(0.0, -0.0), 1], skew_hermitian=True,
+                    exact=False)
+    assert rep._residual_norms2 == ({}, [Fraction(0)])
+    rep.validate()
+    assert "_int_generators" not in vars(rep)
+    assert functional_from_rep(rep, 2).value((1,)) == Scalar(0, -2)
+
+
+def test_random_skew_rep_reads_ints_only_for_the_exact_side():
+    rep = random_skew_rep(9, 4)
+    rep.validate()
+    assert rep._residual_norms2 == ({}, [Fraction(0)])
+    assert "_int_generators" not in vars(rep)
+    functional_from_rep(rep, 2)
+    assert "_int_generators" in vars(rep)
+
+
+@pytest.mark.parametrize("exact, v", [(True, [0, 0]), (True, [Scalar(0), Fraction(0)]),
+                                      (False, [0, 0]), (False, [0j, complex(-0.0, -0.0)])])
+def test_zero_cyclic_vector_rejected(exact, v):
+    gen = [[0, 1], [-1, 0]]
+    with pytest.raises(ValueError, match="cyclic vector is zero"):
+        MatrixRep(abelian(1), 2, [gen], v, skew_hermitian=True, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_zero_dimensional_rep_rejected(exact):
+    with pytest.raises(ValueError, match="cyclic vector is zero"):
+        MatrixRep(abelian(1), 0, [np.zeros((0, 0))] if not exact else [[]], [],
+                  skew_hermitian=True, exact=exact)
+
+
+def test_matrix_of_rejects_a_vector_of_another_algebra():
+    rep = spin_half()
+    for x in (heisenberg_rep().spec.basis_vector(0), abelian(1).basis_vector(0)):
+        with pytest.raises(SpecMismatchError):
+            rep.matrix_of(x)
+    assert np.array_equal(rep.matrix_of(SO3.basis_vector(2)), rep.generator_array(2))
+
+
+@pytest.mark.parametrize("coeffs", [[[1, 2, 3, 4]], [[1, 2]], [1, 2, 3], np.ones((2, 0))])
+def test_matrices_of_rejects_rows_of_another_width(coeffs):
+    with pytest.raises(ValueError, match="rows of 3 coefficients"):
+        spin_half().matrices_of(coeffs)
 
 
 class TestFunctionalFromRep:

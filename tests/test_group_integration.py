@@ -14,15 +14,17 @@ import scipy.linalg
 import envalg
 
 from envalg.catalog import (
+    abelian,
     gaussian_char,
     gaussian_functional,
+    heisenberg,
     heisenberg_rep,
     so3,
     spin_half,
     spin_one,
     spin_three_half,
 )
-from envalg.errors import RepresentationError
+from envalg.errors import RepresentationError, SpecMismatchError
 from envalg.gns import MatrixRep, analytic_diagnostics, functional_from_rep
 from envalg.group_integration import (
     GroupSample,
@@ -338,6 +340,18 @@ class TestCauchy:
         with pytest.raises(RepresentationError):
             cauchy_estimate_check(heisenberg_rep(), vec(heisenberg_rep().spec, 1, 0, 0))
 
+    @pytest.mark.parametrize("spec", [heisenberg(), abelian(1)])
+    def test_rejects_a_vector_of_another_algebra(self, spec):
+        # before, a vector of the Heisenberg algebra passed with C = 1.62
+        with pytest.raises(SpecMismatchError):
+            cauchy_estimate_check(spin_half(), spec.basis_vector(0))
+
+
+@pytest.mark.parametrize("spec", [heisenberg(), abelian(3)])
+def test_extension_rejects_a_probe_of_another_algebra(spec):
+    with pytest.raises(SpecMismatchError):
+        extension_demo(spin_half(), [1], [SO3.basis_vector(0), spec.basis_vector(0)])
+
 
 class TestExactFloatBridge:
     """The float Cauchy rows ``||R(x)^n v||`` against the exact ``s_n^2``.
@@ -456,6 +470,22 @@ def test_sampled_elements_are_unitary_with_words():
         assert 1 <= len(word) <= 3
         for x in word:
             assert x.seminorm() <= 1
+
+
+def test_sample_words_are_built_once_on_first_read(monkeypatch):
+    from envalg import group_integration
+
+    rep = spin_one()
+    built = []
+    factor = group_integration._factor
+    monkeypatch.setattr(group_integration, "_factor", lambda *a: built.append(a) or factor(*a))
+    sample = sample_group(rep, 20, seed=4)
+    assert built == []
+    _, eager = _sample_per_element(rep, 20, 4)
+    words = sample.words
+    assert words == eager
+    assert len(built) == sum(map(len, eager))
+    assert sample.words is words and len(built) == sum(map(len, eager))
 
 
 def test_empty_sample():
