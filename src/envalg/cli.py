@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import io
 import json
 import math
@@ -50,6 +51,7 @@ from .gns import (
     psd_check,
 )
 from .group_integration import (
+    _single_blas_thread,
     cauchy_estimate_check,
     extension_demo,
     extension_demo_table,
@@ -1225,6 +1227,17 @@ def main(argv=None):
 
 
 def main_entry():
+    """The ``envalg`` console script and ``python -m envalg``.
+
+    It assumes it owns the process, and takes two process-wide settings
+    before :func:`main` runs.  It freezes the start-up heap
+    (``gc.freeze``): numpy's and envalg's objects live until exit, so no
+    collection scans them again, during the suites or at shutdown.  And it
+    gives numpy's and SciPy's bundled OpenBLAS pools one thread each.
+    In-process callers use :func:`main`, which changes neither.
+    """
+    gc.freeze()
+    _single_blas_thread()
     raise SystemExit(main())
 
 

@@ -338,13 +338,15 @@ def _times_letters(spec, layer):
 def _symmetric_sums(spec, top):
     """``sums[n][alpha] = S(alpha)`` for every multiset ``|alpha| = n <= top``.
 
-    Each ``S(alpha)`` is a graded int table at grade n.
+    Each ``S(alpha)`` is a graded int table at grade n.  The layers depend
+    only on the spec, which keeps them and grows them one degree at a time
+    up to the largest ``top`` asked for so far; callers share them and
+    never change them.
     """
-    zero = (0,) * spec.dim
-    sums = [{zero: {zero: 1}}]
-    for _ in range(top):
+    sums = spec._sum_cache
+    while len(sums) <= top:
         sums.append(_times_letters(spec, sums[-1]))
-    return sums
+    return sums[:top + 1]
 
 
 def _weight_pairs(spec):

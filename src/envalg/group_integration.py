@@ -25,6 +25,8 @@ GNS model.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import importlib.util
 import os
 import sys
@@ -81,6 +83,40 @@ def _expm_kernels():
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return module
+
+
+# numpy's and SciPy's wheels each bundle an OpenBLAS, with its own symbol suffix
+_BUNDLED_OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "64_"),
+                     ("scipy", "libscipy_openblas*.so", ""))
+
+
+def _bundled_openblas():
+    """``(library, symbol suffix)`` of each bundled OpenBLAS found; SciPy is not imported."""
+    found = []
+    for package, pattern, suffix in _BUNDLED_OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        if spec is None:
+            continue
+        site = os.path.dirname(spec.submodule_search_locations[0])
+        for path in glob.glob(os.path.join(site, f"{package}.libs", pattern)):
+            try:
+                found.append((ctypes.CDLL(path), suffix))
+            except OSError:
+                pass
+    return found
+
+
+def _single_blas_thread():
+    """One thread for each bundled OpenBLAS pool that has the setter.
+
+    Process-wide, so only the command line's entry point calls it: on
+    matrices of size <= 16 the extra threads only compete with the main one.
+    """
+    for library, suffix in _bundled_openblas():
+        setter = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
 
 
 def matrix_exp(A):
@@ -171,7 +207,7 @@ def unitarity_residual(U):
     """``||U^* U - 1||_F`` of a matrix; of a stack ``(k, n, n)``, the largest one."""
     U = np.asarray(U)
     defects = (U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1])).reshape(-1, *U.shape[-2:])
-    return float(max(map(np.linalg.norm, defects), default=0.0))
+    return float(np.linalg.norm(defects, axis=(1, 2)).max(initial=0.0))
 
 
 class GroupSample:

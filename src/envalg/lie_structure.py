@@ -66,9 +66,11 @@ class LieAlgebraSpec:
     antisymmetry is implicit.  Structure constants must be real rationals
     (the Lie algebra itself is real; complex coefficients live in vectors
     and enveloping-algebra elements).  Instances are immutable after
-    construction apart from two internal caches of the PBW engine: the
-    normal forms of ``x^alpha * e_l`` (``_right_cache``) and their
-    transpose (``_column_cache``, see :func:`_columns`).  ``delta`` is the
+    construction apart from three internal caches of the PBW engine: the
+    normal forms of ``x^alpha * e_l`` (``_right_cache``), their transpose
+    (``_column_cache``, see :func:`_columns`) and the multiset sums
+    (``_sum_cache``, see :func:`~envalg.functionals._symmetric_sums`),
+    seeded with ``S(0) = 1``.  ``delta`` is the
     lcm of the structure constants' denominators (1 for integer constants),
     the base of the PBW engine's graded int tables.
     """
@@ -81,6 +83,7 @@ class LieAlgebraSpec:
         "_table",
         "_right_cache",
         "_column_cache",
+        "_sum_cache",
     )
 
     def __init__(self, dim, basis_names, structure, weights):
@@ -118,6 +121,8 @@ class LieAlgebraSpec:
         self._table = table
         self._right_cache = {}
         self._column_cache = (-1, tuple({} for _ in range(dim)))
+        zero = (0,) * dim
+        self._sum_cache = [{zero: {zero: 1}}]
 
     def bracket_rows(self):
         """Iterate stored ``((i, j), {k: c})`` pairs with i < j."""

@@ -1053,6 +1053,13 @@ assert not heavy, heavy
 _RUN_ALL = """from envalg.cli import default_config_path, main
 assert main(['--config', str(default_config_path().parent / {name!r}), 'run-all']) == 0"""
 _KERNELS = "scipy.linalg._matfuncs_expm"
+# the console script's entry point, as ``envalg <argv>`` runs it
+_ENTRY = """from envalg.cli import main_entry
+sys.argv = ['envalg'] + {argv!r}
+try:
+    main_entry()
+except SystemExit as stop:
+    assert stop.code == 0, stop.code"""
 
 
 @pytest.mark.parametrize("body, allowed", [
@@ -1061,9 +1068,103 @@ _KERNELS = "scipy.linalg._matfuncs_expm"
     # the group side loads SciPy's compiled expm kernels and nothing else
     (_RUN_ALL.format(name="su2.json"), _KERNELS),
     (_RUN_ALL.format(name="gaussian.json"), _KERNELS),
-], ids=["import", "validate", "run-all-su2", "run-all-gaussian"])
+    # finding SciPy's bundled OpenBLAS imports no scipy module
+    (_ENTRY.format(argv=["run-all"]), _KERNELS),
+], ids=["import", "validate", "run-all-su2", "run-all-gaussian", "main-entry-run-all"])
 def test_import_and_validate_load_neither_scipy_nor_sympy(body, allowed):
     env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _HEAVY_IMPORTS.format(body=body, allowed=allowed)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's envalg; stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
+
+
+_PROCESS_STATE = """
+import ctypes, gc, json, sys
+{body}
+from envalg.group_integration import _bundled_openblas
+pools = []
+for library, suffix in _bundled_openblas():
+    getter = getattr(library, f"scipy_openblas_get_num_threads{{suffix}}", None)
+    if getter is not None:
+        getter.argtypes, getter.restype = (), ctypes.c_int
+        pools.append(getter())
+print(json.dumps({{"pools": pools, "frozen": gc.get_freeze_count()}}))
+"""
+
+
+def _process_state(body):
+    proc = _python("-c", _PROCESS_STATE.format(body=body))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestEntryPointOwnsItsProcess:
+    """``main_entry`` sets one BLAS thread per bundled pool and freezes the start-up heap."""
+
+    @pytest.fixture(scope="class")
+    def defaults(self):
+        state = _process_state("")
+        if not state["pools"]:
+            pytest.skip("no bundled OpenBLAS with a thread-count getter")
+        return state
+
+    def test_main_entry_takes_both_settings(self, defaults):
+        state = _process_state(_ENTRY.format(argv=["run-all"]))
+        assert state["pools"] == [1] * len(defaults["pools"])
+        assert state["frozen"] > 0
+
+    @pytest.mark.parametrize("argv", [["validate"], ["run-all"]])
+    def test_library_callers_keep_the_defaults(self, defaults, argv):
+        state = _process_state(f"import envalg\nfrom envalg.cli import main\n"
+                               f"assert main({argv!r}) == 0")
+        assert state == {"pools": defaults["pools"], "frozen": 0}
+
+
+class TestModuleExitCodes:
+    """Exit codes and report bytes of ``python -m envalg``."""
+
+    @staticmethod
+    def _module(*args):
+        return _python("-m", "envalg", *args)
+
+    def test_failing_check_exits_1_with_the_full_report(self, tmp_path):
+        doc = shipped("su2.json")
+        _set("gns", "expected_rank", 3)(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--config", str(path), "--format", "machine", "run-all"]
+        proc = self._module(*argv)
+        assert proc.returncode == 1, proc.stderr
+        rc, out = capture(argv)
+        assert rc == 1 and proc.stdout == out.encode("utf-8")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[-1]["kind"] == "summary"
+        assert {r["suite"] for r in records if r["kind"] == "suite"} == set(SUITE_NAMES)
+        assert [r["status"] for r in records if r["kind"] == "check" and r["status"] != "PASS"] \
+            == ["FAIL"]
+
+    def test_malformed_config_exits_2_with_a_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(MINIMAL[:-1], encoding="utf-8")
+        proc = self._module("--config", str(path), "run-all")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"config error: ") and proc.stderr.count(b"\n") == 1
+
+    # the text report prints timings, so only the machine report repeats byte for byte
+    @pytest.mark.parametrize("name", ["su2.json", "gaussian.json"])
+    def test_out_writes_the_bytes_stdout_prints(self, tmp_path, name):
+        path = str(default_config_path().parent / name)
+        argv = ["--config", path, "--format", "machine", "--seed", "3", "run-all"]
+        printed = self._module(*argv)
+        out = tmp_path / "report.txt"
+        written = self._module("--out", str(out), *argv)
+        assert printed.returncode == written.returncode == 0
+        assert written.stdout == b""
+        assert out.read_bytes() == printed.stdout != b""

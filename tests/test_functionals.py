@@ -763,6 +763,32 @@ class TestMultisetRoute:
         ]
         assert got == _word_route_rows(lam, n_max)
 
+    def test_kept_sums_equal_a_fresh_build_at_every_degree(self):
+        """Layers grown 2, then 5, then read at 3 equal one build per degree on fresh specs."""
+        grown = so3()
+        for top in (2, 5, 3, 0):
+            sums = _symmetric_sums(grown, top)
+            assert len(sums) == top + 1
+            for n in range(top + 1):
+                assert _symmetric_sums(so3(), n)[n] == sums[n]
+        assert len(grown._sum_cache) == 6
+
+    def test_second_radius_estimate_grows_no_sums(self, monkeypatch):
+        grows = []
+        grow = functionals._times_letters
+        monkeypatch.setattr(functionals, "_times_letters",
+                            lambda spec, layer: grows.append(1) or grow(spec, layer))
+        lam = rand_table(so3(), 6, 537)
+        first = radius_estimate(lam)
+        assert len(grows) == 6
+        grows.clear()
+        assert radius_estimate(lam) == first
+        # the other readers of the sums share the same layers
+        assert insertion_constants(lam, 4) is not None
+        assert recursion_check(lam, 5).rows
+        growth_diagnostics(lam)
+        assert grows == []
+
     def test_no_word_tables_on_the_hot_path(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("word route called")
@@ -880,7 +906,8 @@ class TestInsertionChain:
             return grow(spec, layer)
 
         monkeypatch.setattr(functionals, "_times_letters", counted)
-        lam = rand_table(SO3, 6, 531)
+        # a fresh spec: the sums S(alpha) are kept on the spec once grown
+        lam = rand_table(so3(), 6, 531)
         assert recursion_check(lam, 5).rows
         # only the symmetric sums S(alpha) up to degree n_max are grown: the
         # beta_(n+1) values come from the shifted tables

@@ -500,6 +500,39 @@ def test_kernel_of_empty_sample_is_an_error():
         pd_kernel_check(GroupSample(spin_half(), [], []))
 
 
+def _per_element_residual(U):
+    """The largest ``||U^* U - 1||_F``, one ``np.linalg.norm`` per element."""
+    return max((float(np.linalg.norm(g.conj().T @ g - np.eye(len(g)))) for g in U), default=0.0)
+
+
+@pytest.mark.parametrize("make", [spin_half, spin_one, spin_three_half])
+def test_stacked_unitarity_residual_matches_per_element_norms(make):
+    rng = np.random.default_rng(9)
+    for seed in range(4):
+        stack = np.array(sample_group(make(), 60, seed=seed).elements)
+        noisy = stack * (1 + 1e-6 * rng.normal(size=(60, 1, 1)))
+        for U in (stack, noisy, stack[:1], stack[:0]):
+            want = _per_element_residual(U)
+            # one norm over the stack may round differently in the last bit
+            assert unitarity_residual(U) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert unitarity_residual(stack[0]) == pytest.approx(_per_element_residual(stack[:1]),
+                                                         rel=1e-15, abs=0.0)
+
+
+def test_non_unitary_sample_is_rejected_with_its_residual(monkeypatch):
+    from envalg import group_integration
+
+    exp, residual, seen = group_integration.matrix_exp, group_integration.unitarity_residual, []
+    monkeypatch.setattr(group_integration, "matrix_exp", lambda A: 1.01 * exp(A))
+    monkeypatch.setattr(group_integration, "unitarity_residual",
+                        lambda U: seen.append((U, residual(U))) or seen[-1][1])
+    with pytest.raises(RepresentationError, match="not unitary") as info:
+        sample_group(spin_one(), 12, seed=2)
+    (G, got), = seen
+    assert got > 1e-2 and got == pytest.approx(_per_element_residual(G), rel=1e-15, abs=0.0)
+    assert str(info.value).endswith(f"residual {got:.3e}")
+
+
 @pytest.mark.parametrize("max_norm", [1, Fraction(1, 2), Fraction(3, 7)])
 def test_quantized_vector_matches_per_coefficient_draws(max_norm):
     for rep in [spin_half(), random_skew_rep(3, 1)] + list(rational_reps().values()):
