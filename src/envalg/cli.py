@@ -1115,6 +1115,99 @@ def _emit(reports, fmt, out_path):
         sys.stdout.write(buffer.getvalue())
 
 
+def _run_share(config, share, seed, degree, tolerance):
+    """Yield the outcome of each suite index in ``share``, in order: its
+    :class:`Report`, or the exception :func:`run_suite` raised, which ends
+    the share as it ends a sequential run."""
+    for k in share:
+        try:
+            yield run_suite(config, config.suites[k].name, seed, degree, tolerance)
+        except Exception as exc:
+            yield exc
+            return
+
+
+def _run_all_on_cpus(config, seed=0, degree=None, tolerance=None):
+    """:func:`run_all` spread over the CPUs this process may use.
+
+    Suite k runs in process k mod W, W being the CPU count capped at the
+    number of suites, and the parent is process 0.  Each forked worker
+    pickles its outcomes to a pipe and leaves through ``os._exit``.  The
+    parent merges the reports in config order and raises the first
+    exception in config order, so the reports and errors are those of
+    :func:`run_all`.  A worker that ends before it reports all its outcomes
+    gives a :class:`SuiteError`.  Every worker is reaped before this
+    returns or raises.  With one CPU, one suite or no ``os.fork``, this is
+    :func:`run_all`.
+    """
+    import os
+    import pickle
+
+    n = len(config.suites)
+    width = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        width = min(len(os.sched_getaffinity(0)), n)
+    workers = []            # (pid, pipe, share)
+    statuses = []
+    received = None
+    try:
+        for w in range(1, width):
+            share = range(w, n, width)
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        for outcome in _run_share(config, share, seed, degree, tolerance):
+                            pipe.write(pickle.dumps(outcome))   # whole pickles only
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            workers.append((pid, open(read, "rb"), share))
+        taken = {k for _, _, share in workers for k in share}
+        outcomes = [None] * n
+        mine = [k for k in range(n) if k not in taken]
+        for k, outcome in zip(mine, _run_share(config, mine, seed, degree, tolerance)):
+            outcomes[k] = outcome
+        received = []
+        for _, pipe, _ in workers:
+            got = []
+            while True:
+                try:
+                    got.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):
+                    break
+            received.append(got)
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            if received is None:        # stopped early: the outcomes are not needed
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (_, _, share), got, status in zip(workers, received, statuses):
+        for k, outcome in zip(share, got):
+            outcomes[k] = outcome
+        if len(got) < len(share) and not (got and isinstance(got[-1], Exception)):
+            code = os.waitstatus_to_exitcode(status)
+            how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+            suites = ", ".join(repr(config.suites[k].name) for k in share)
+            outcomes[share[len(got)]] = SuiteError(
+                f"the worker running suites {suites} {how} before it reported them all")
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 def _cmd_validate(config, args):
     summary = (
         f"config OK: algebra dim {config.algebra.dim}, "
@@ -1183,7 +1276,12 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def main(argv=None, *, all_suites=run_all):
+    """Run the command line on ``argv`` and return its exit code.
+
+    ``run-all`` calls ``all_suites``, :func:`run_all` unless
+    :func:`main_entry` passes its fan-out over the process's CPUs.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -1208,7 +1306,7 @@ def main(argv=None):
                 run_suite(config, args.suite, args.seed, args.degree, args.tolerance)
             ]
         else:  # run-all
-            reports = run_all(config, args.seed, args.degree, args.tolerance)
+            reports = all_suites(config, args.seed, args.degree, args.tolerance)
     except UnknownSuiteError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -1229,16 +1327,18 @@ def main(argv=None):
 def main_entry():
     """The ``envalg`` console script and ``python -m envalg``.
 
-    It assumes it owns the process, and takes two process-wide settings
-    before :func:`main` runs.  It freezes the start-up heap
-    (``gc.freeze``): numpy's and envalg's objects live until exit, so no
-    collection scans them again, during the suites or at shutdown.  And it
-    gives numpy's and SciPy's bundled OpenBLAS pools one thread each.
-    In-process callers use :func:`main`, which changes neither.
+    It assumes it owns the process, and takes three process-wide steps.
+    It freezes the start-up heap (``gc.freeze``): numpy's and envalg's
+    objects live until exit, so no collection scans them again, during the
+    suites, at shutdown or in a forked worker.  It gives numpy's and
+    SciPy's bundled OpenBLAS pools one thread each.  And ``run-all`` forks
+    a worker per extra CPU the process may use, so its suites run side by
+    side; the reports merge in config order (:func:`_run_all_on_cpus`).
+    In-process callers use :func:`main`, which does none of these.
     """
     gc.freeze()
     _single_blas_thread()
-    raise SystemExit(main())
+    raise SystemExit(main(all_suites=_run_all_on_cpus))
 
 
 if __name__ == "__main__":

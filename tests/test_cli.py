@@ -1,10 +1,12 @@
 """Config parsing, serialization round trips, suite dispatch and exit codes."""
 
+import builtins
 import dataclasses
 import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,14 +17,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import envalg
+from envalg import cli, errors
 from envalg.cli import (
     SUITE_NAMES,
     SUITES,
     _format_complex,
     _parse_complex,
+    _run_all_on_cpus,
     default_config_path,
     main,
     parse_config,
+    render_machine,
     run_all,
     run_suite,
     serialize_config,
@@ -1126,20 +1131,67 @@ class TestEntryPointOwnsItsProcess:
         assert state == {"pools": defaults["pools"], "frozen": 0}
 
 
+# ``python -m envalg`` with the CPU count that ``run-all`` reads pinned, so its
+# suites split over the same processes on any host; ``faults`` maps a suite
+# to the exception class (in ``envalg.errors`` or a builtin) its runner raises
+_ENVALG_ON_CPUS = """import builtins, dataclasses, os, runpy, sys
+from envalg import cli, errors
+os.sched_getaffinity = lambda pid: set(range({cpus}))
+for name, kind in {faults!r}.items():
+    exc = (getattr(errors, kind, None) or getattr(builtins, kind))(f"injected in {{name}}")
+    def runner(config, params, seed, exc=exc):
+        raise exc
+    cli.SUITES[name] = dataclasses.replace(cli.SUITES[name], runner=runner)
+sys.argv = ["envalg"] + {argv!r}
+runpy.run_module("envalg", run_name="__main__", alter_sys=True)
+"""
+
+
+def _envalg(argv, cpus=2, faults=None, flags=()):
+    return _python(*flags, "-c", _ENVALG_ON_CPUS.format(cpus=cpus, faults=faults or {}, argv=argv))
+
+
+def _inject(monkeypatch, faults):
+    """The in-process twin of ``_ENVALG_ON_CPUS``'s ``faults``."""
+    for name, kind in faults.items():
+        exc = (getattr(errors, kind, None) or getattr(builtins, kind))(f"injected in {name}")
+
+        def runner(config, params, seed, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(SUITES, name, dataclasses.replace(SUITES[name], runner=runner))
+
+
+def capture_both(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(args)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _masked(text):
+    """A text report with its ``(x.xx s)`` suite durations masked."""
+    return re.sub(rb"\(\d+\.\d\d s\)", b"(x.xx s)", text)
+
+
 class TestModuleExitCodes:
-    """Exit codes and report bytes of ``python -m envalg``."""
+    """Exit codes and report bytes of ``python -m envalg``.
 
-    @staticmethod
-    def _module(*args):
-        return _python("-m", "envalg", *args)
+    With two CPUs, su2's ``run-all`` runs bch-identity, radius, positivity,
+    local-hom and cauchy in the parent and the other five in a worker; each
+    outcome comes out as it does from the sequential in-process ``main``.
+    """
 
-    def test_failing_check_exits_1_with_the_full_report(self, tmp_path):
+    @pytest.mark.parametrize("patch", [_set("gns", "expected_rank", 3),
+                                       _set("radius", "expected", "3")],
+                             ids=["worker-share", "parent-share"])
+    def test_failing_check_exits_1_with_the_full_report(self, tmp_path, patch):
         doc = shipped("su2.json")
-        _set("gns", "expected_rank", 3)(doc)
+        patch(doc)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["--config", str(path), "--format", "machine", "run-all"]
-        proc = self._module(*argv)
+        proc = _envalg(argv)
         assert proc.returncode == 1, proc.stderr
         rc, out = capture(argv)
         assert rc == 1 and proc.stdout == out.encode("utf-8")
@@ -1149,10 +1201,30 @@ class TestModuleExitCodes:
         assert [r["status"] for r in records if r["kind"] == "check" and r["status"] != "PASS"] \
             == ["FAIL"]
 
+    @pytest.mark.parametrize("faults, first", [
+        ({"gns": "RepresentationError"}, "gns"),
+        ({"radius": "ZeroDivisionError"}, "radius"),
+        ({"gns": "RepresentationError", "radius": "ZeroDivisionError"}, "radius"),
+        ({"pbw-confluence": "ZeroDivisionError", "cauchy": "RepresentationError"},
+         "pbw-confluence"),
+    ], ids=["workbench-error-in-worker", "foreign-in-parent", "parent-first", "worker-first"])
+    def test_raising_suite_exits_2_as_in_process(self, monkeypatch, faults, first):
+        argv = ["--format", "machine", "run-all"]
+        proc = _envalg(argv, faults=faults)
+        _inject(monkeypatch, faults)
+        rc, out, err = capture_both(argv)
+        assert proc.returncode == rc == 2
+        assert proc.stdout == b"" and out == ""
+        assert proc.stderr == err.encode("utf-8")
+        assert err.count("\n") == 1 and f"injected in {first}" in err
+        kind = faults[first]
+        assert err.startswith("config error: " if kind == "RepresentationError"
+                              else f"suite error: suite {first!r} stopped: {kind}: ")
+
     def test_malformed_config_exits_2_with_a_config_error(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(MINIMAL[:-1], encoding="utf-8")
-        proc = self._module("--config", str(path), "run-all")
+        proc = _envalg(["--config", str(path), "run-all"])
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"config error: ") and proc.stderr.count(b"\n") == 1
@@ -1162,9 +1234,140 @@ class TestModuleExitCodes:
     def test_out_writes_the_bytes_stdout_prints(self, tmp_path, name):
         path = str(default_config_path().parent / name)
         argv = ["--config", path, "--format", "machine", "--seed", "3", "run-all"]
-        printed = self._module(*argv)
+        printed = _envalg(argv)
         out = tmp_path / "report.txt"
-        written = self._module("--out", str(out), *argv)
+        written = _envalg(["--out", str(out), *argv])
         assert printed.returncode == written.returncode == 0
         assert written.stdout == b""
         assert out.read_bytes() == printed.stdout != b""
+
+    @pytest.mark.parametrize("name, seed", [("su2.json", 0), ("su2.json", 7), ("su2.json", 31),
+                                            ("gaussian.json", 0)])
+    def test_reports_match_in_process_main(self, name, seed):
+        path = str(default_config_path().parent / name)
+        for fmt in ("machine", "text"):
+            argv = ["--config", path, "--format", fmt, "--seed", str(seed), "run-all"]
+            proc = _envalg(argv)
+            rc, out = capture(argv)
+            assert proc.returncode == rc == 0, proc.stderr
+            printed = out.encode("utf-8")
+            if fmt == "text":
+                proc.stdout, printed = _masked(proc.stdout), _masked(printed)
+            assert proc.stdout == printed
+
+    def test_passing_run_leaves_stderr_empty(self):
+        # Python 3.12 and later emit a DeprecationWarning when they fork a
+        # process that they see as multi-threaded, and the bundled OpenBLAS
+        # pools hold threads.  OpenBLAS's fork handler stops its pool threads
+        # before the fork (a process with both pools goes from 3 threads to
+        # 1), so no warning may appear.  On Python 3.11 ``os.fork`` never
+        # warns, and there the test guards only the rest of stderr.
+        proc = _envalg(["run-all"], flags=["-W", "error::DeprecationWarning"])
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+
+
+def _machine(reports):
+    buffer = io.StringIO()
+    render_machine(reports, buffer)
+    return buffer.getvalue()
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRunAllOnCpus:
+    """The fan-out of ``run-all``: its split, its merge, its workers' lives."""
+
+    names = [block["name"] for block in shipped("su2.json")["suites"]]
+
+    @pytest.fixture
+    def config(self):
+        return parse_config(json.dumps(shipped("su2.json")))
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @staticmethod
+    def _fds():
+        return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    def test_normal_return_reaps_every_worker(self, monkeypatch, config):
+        expected = _machine(run_all(config, 1))
+        self._cpus(monkeypatch, 2)
+        fds = self._fds()
+        assert _machine(_run_all_on_cpus(config, 1)) == expected
+        _no_children_left()
+        assert self._fds() == fds
+
+    def test_three_cpus_split_by_k_mod_3(self, monkeypatch, config, tmp_path):
+        expected = _machine(run_all(config, 5))
+        log, real = tmp_path / "ran.txt", cli.run_suite
+
+        def logged(config, name, *args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {name}\n")
+            return real(config, name, *args)
+
+        monkeypatch.setattr(cli, "run_suite", logged)
+        self._cpus(monkeypatch, 3)
+        assert _machine(_run_all_on_cpus(config, 5)) == expected
+        _no_children_left()
+        ran = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, name = line.split()
+            ran.setdefault(int(pid), []).append(name)
+        assert ran.pop(os.getpid()) == self.names[0::3]
+        assert sorted(ran.values()) == sorted([self.names[1::3], self.names[2::3]])
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyboardInterrupt])
+    def test_an_exception_in_the_parents_share_reaps_every_worker(self, monkeypatch, config,
+                                                                  error):
+        _inject(monkeypatch, {"radius": error.__name__})
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(SuiteError if error is ZeroDivisionError else KeyboardInterrupt):
+            _run_all_on_cpus(config)
+        _no_children_left()
+
+    def test_a_dead_worker_is_a_suite_error(self, monkeypatch, config, capsys):
+        parent, real = os.getpid(), cli.run_suite
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_suite", dying)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(SuiteError) as info:
+            _run_all_on_cpus(config)
+        _no_children_left()
+        suites = ", ".join(repr(name) for name in self.names[1::2])
+        assert str(info.value) == \
+            f"the worker running suites {suites} exited with status 3 before it reported them all"
+        assert main(["run-all"], all_suites=_run_all_on_cpus) == 2
+        _no_children_left()
+        assert capsys.readouterr().err == f"suite error: {info.value}\n"
+
+    @pytest.mark.parametrize("how", ["one-cpu", "fork-fails", "no-fork"])
+    def test_fallback_runs_in_one_process(self, monkeypatch, config, how):
+        expected = _machine(run_all(config, 2))
+        forks = []
+
+        def fork():
+            forks.append(how)
+            raise OSError(11, "Resource temporarily unavailable")
+
+        self._cpus(monkeypatch, 1 if how == "one-cpu" else 2)
+        if how == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", fork)
+        fds = self._fds()
+        assert _machine(_run_all_on_cpus(config, 2)) == expected
+        assert forks == (["fork-fails"] if how == "fork-fails" else [])
+        _no_children_left()
+        assert self._fds() == fds
