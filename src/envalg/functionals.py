@@ -13,7 +13,7 @@ norm machinery never enumerates the ``dim**n`` words.  The symmetric sum
 normal form, and ``beta_n^s(alpha) = lam(S(alpha)) / multinomial(alpha)``.
 Inserting ``e_i`` at position k gives ``T_{k,i}(alpha)``, the sum of the
 words with letter i at position k and the multiset alpha elsewhere; split
-after the inserted letter, ``lam(T_{k,i}(alpha))`` is a sum of
+around the inserted letter, ``lam(T_{k,i}(alpha))`` is a sum of
 ``mu_{alpha''}(S(alpha') e_i)`` with ``mu_beta = lam(. S(beta))``.  Both run
 over the ``C(n+dim-1, dim-1)`` multisets of each degree.  Every
 symmetrized norm, :func:`growth_diagnostics`' included, takes this route.
@@ -33,8 +33,10 @@ i)`` over the single denominator ``den * delta**top``.  The norm kernels,
 build one Scalar per output entry; :func:`regular_act` hands on its result
 as an image too.  The right action scatters each stored value through the
 spec's column cache, the transpose of the right-letter memo, into int lists
-by monomial rank, so a sparse table costs only its support; each level of
-the ``mu_beta`` is such lists, filled by one scatter per parent ``mu_gamma``.
+by monomial rank, so a sparse table costs only its support.  Each parent
+``mu_gamma`` is scattered once, into its ``dim`` parts ``mu_gamma(. e_j)``;
+the insertion chain reads the parts, and each ``mu_beta`` of the next level
+is the sum of its parents' parts.
 
 Norms are values ``sqrt(q)`` with rational ``q``; every comparison is done
 on the exact squares (see :mod:`envalg.scalars`), and floating point shows
@@ -56,11 +58,11 @@ from .errors import (
     SpecMismatchError,
     SubmultiplicativityError,
 )
-from .free_algebra import _acc
 from .lie_structure import (
     _acc_pair,
     _columns,
     _graded,
+    _nonzero,
     _poly_right_letter,
     _right_letter,
     monomial_name,
@@ -323,15 +325,19 @@ def _times_letters(spec, layer):
 
     The tables are graded int tables of one grade, and the result is one grade up.
     """
+    cache = spec._right_cache
     out = {}
     for alpha, table in layer.items():
         for j in range(spec.dim):
             grown = list(alpha)
             grown[j] += 1
             target = out.setdefault(tuple(grown), {})
+            get = target.get
             for beta, coeff in table.items():
-                for b, c in _right_letter(spec, beta, j).items():
-                    _acc(target, b, coeff * c)
+                for b, c in (cache.get((beta, j)) or _right_letter(spec, beta, j)).items():
+                    target[b] = get(b, 0) + coeff * c
+    for table in out.values():
+        _nonzero(table)
     return out
 
 
@@ -354,22 +360,34 @@ def _weight_pairs(spec):
     return tuple((w.numerator, w.denominator) for w in spec.weights)
 
 
-@cache
-def _vertex_scale2(weights, alpha):
-    """Lowest-terms ``(p, q)`` with ``(multinomial(alpha) * prod w_l**alpha_l)**2 == p / q``.
+class _VertexScales(dict):
+    """``{alpha: (p, q)}``, lowest terms with ``(multinomial(alpha) * prod
+    w_l**alpha_l)**2 == p / q``, for one tuple of :func:`_weight_pairs`; each
+    entry is computed on its first read."""
 
-    ``weights`` are :func:`_weight_pairs`: the cache key hashes and compares
-    plain ints, not Fractions.
-    """
-    multinomial = factorial(sum(alpha))
-    top = bottom = 1
-    for (wn, wd), a in zip(weights, alpha):
-        multinomial //= factorial(a)
-        top *= wn ** a
-        bottom *= wd ** a
-    top *= multinomial
-    g = gcd(top, bottom)
-    return (top // g) ** 2, (bottom // g) ** 2
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, alpha):
+        multinomial = factorial(sum(alpha))
+        top = bottom = 1
+        for (wn, wd), a in zip(self.weights, alpha):
+            multinomial //= factorial(a)
+            top *= wn ** a
+            bottom *= wd ** a
+        top *= multinomial
+        g = gcd(top, bottom)
+        scale = self[alpha] = (top // g) ** 2, (bottom // g) ** 2
+        return scale
+
+
+@cache
+def _vertex_scales(weights):
+    """The one :class:`_VertexScales` table of ``weights``, kept across calls."""
+    return _VertexScales(weights)
 
 
 def _max_ratio(best, values, weights, wn=1, wd=1):
@@ -380,10 +398,11 @@ def _max_ratio(best, values, weights, wn=1, wd=1):
     int pair ``(num, den)``; the ratios are compared as int cross products.
     """
     best_num, best_den = best
+    scales = _vertex_scales(weights)
     for alpha, (x, y) in values:
         if not (x or y):
             continue
-        p, q = _vertex_scale2(weights, alpha)
+        p, q = scales[alpha]
         num = (x * x + y * y) * q * wd * wd
         den = p * wn * wn
         if num * best_den > best_num * den:
@@ -427,69 +446,88 @@ def _scatter(values, targets, count):
 
 
 def _right_shifts(lam, top):
-    """``shifts[b][beta]`` holds ``mu_beta = lam(. S(beta))`` for ``|beta| = b <= top``.
+    """The levels ``mu_beta = lam(. S(beta))`` for ``|beta| <= top`` and their parts.
 
     Only ``lam`` on degree ``<= top + 1`` is read, so ``mu_beta`` is kept on
-    degree ``<= top + 1 - b``, as int lists ``(X, Y)`` by rank in
+    degree ``<= top + 1 - |beta|``, as int lists ``(X, Y)`` by rank in
     :func:`monomials_up_to`: ``mu_beta(x^alpha) = (X + Y i) / (den *
-    delta**(b + |alpha|))``.  By the first-letter split ``S(beta) =
-    sum_{j: beta_j > 0} e_j S(beta - e_j)``, each parent ``mu_gamma`` sends
-    its nonzero values through the columns once (:func:`_scatter`), into
-    the lists of every child ``gamma + e_j``.  ``shifts[1]`` is ``D ->
-    lam(D e_j)``; ``e_j`` has rank ``dim - j``.
+    delta**(|beta| + |alpha|))``.  ``levels[b][beta]`` is ``mu_beta`` for
+    ``|beta| = b``, and ``parts[b][gamma][j]`` is the part ``rho_(j, gamma) =
+    (D -> mu_gamma(D e_j))``, the same lists one degree shorter over the
+    denominators of level ``b + 1``.  Each parent ``mu_gamma`` of degree
+    ``< top`` sends its nonzero values through the columns once
+    (:func:`_scatter`), into the fresh lists of its ``dim`` parts; at ``|gamma|
+    = top`` the part is the single value ``mu_gamma(e_j)``, read at the rank
+    ``dim - j`` of ``e_j``.  By the first-letter split ``S(beta) = sum_{j:
+    beta_j > 0} e_j S(beta - e_j)``, each child ``mu_beta`` of the next
+    level is the sum of its parents' parts ``rho_(j, beta - e_j)``.
     """
     spec = lam.spec
+    dim = spec.dim
     image = lam._cut(top + 1)._image[1]
-    monos = monomials_up_to(spec.dim, top + 1)
+    monos = monomials_up_to(dim, top + 1)
     columns = _columns(spec, top)
-    shifts = [{(0,) * spec.dim: tuple(zip(*(image.get(alpha, (0, 0)) for alpha in monos)))}]
-    for b in range(1, top + 1):
-        count = comb(top + 1 - b + spec.dim, spec.dim)
-        level = {beta: ([0] * count, [0] * count) for beta in monos if sum(beta) == b}
-        for gamma, (xs, zs) in shifts[-1].items():
-            targets = [(column, 1, 0, *level[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]])
-                       for j, column in enumerate(columns)]
+    levels = [{(0,) * dim: tuple(zip(*(image.get(alpha, (0, 0)) for alpha in monos)))}]
+    parts = []
+    for b in range(top):
+        count = comb(top - b + dim, dim)
+        split, children = {}, {}
+        for gamma, (xs, zs) in levels[b].items():
+            lists = split[gamma] = [([0] * count, [0] * count) for _ in columns]
             stored = ((alpha, v) for alpha, v in zip(monos, zip(xs, zs)) if v[0] or v[1])
-            _scatter(stored, targets, count)
-        shifts.append(level)
-    return shifts
+            _scatter(stored, [(column, 1, 0, *part) for column, part in zip(columns, lists)],
+                     count)
+            for j, part in enumerate(lists):
+                child = gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]
+                got = children.get(child)
+                children[child] = part if got is None else (
+                    list(map(add, got[0], part[0])), list(map(add, got[1], part[1])))
+        parts.append(split)
+        levels.append(children)
+    parts.append({gamma: [([xs[r]], [zs[r]]) for r in range(dim, 0, -1)]
+                  for gamma, (xs, zs) in levels[top].items()})
+    return levels, parts
 
 
-def _insertion_chain(lam, sums, shifts, n_max):
-    """Insertion constants ``[c_0, .., c_{n_max}]`` from heads and shifted tables.
+def _insertion_chain(lam, sums, parts, n_max):
+    """Insertion constants ``[c_0, .., c_{n_max}]`` from the multiset sums and the parts.
 
-    ``sums`` and ``shifts`` (:func:`_right_shifts`) reach degree n_max.
-    Splitting each word of ``T_{k,i}(alpha)`` after its inserted letter
-    gives ``lam(T_{k,i}(alpha)) = sum mu_{alpha''}(H_{k,i}(alpha'))`` over
-    ``alpha' + alpha'' = alpha`` with ``|alpha'| = k - 1``, where the head
-    ``H_{k,i}(alpha') = S(alpha') e_i`` is one graded table at grade k, read
-    once as ``(rank, n)`` pairs and contracted against the rank lists of
-    every tail ``mu_{alpha''}``.  Every term of arity n is an int pair over
-    ``den * delta**(n + 1)``, so the values of one ``(k, i)`` add as ints
-    and the ratios of all ``(k, i, alpha)`` go through :func:`_max_ratio`
-    with the extra weight ``w_i``.  No normal-form layer is grown per
-    ``(k, i)``.
+    ``sums`` and ``parts`` (:func:`_right_shifts`) reach degree n_max.
+    Splitting each word of ``T_{k,i}(alpha)`` around its inserted letter
+    gives ``lam(T_{k,i}(alpha)) = sum lam(S(alpha') e_i S(alpha''))`` over
+    ``alpha' + alpha'' = alpha`` with ``|alpha'| = k - 1``, and each term is
+    ``rho_(i, alpha'')(S(alpha'))``.  The sum ``S(alpha')``, a graded table
+    at grade ``k - 1`` (``S(0) = 1`` reads the part at rank 0), is read once
+    per k as ``(rank, n)`` pairs and contracted against the rank lists of
+    the parts, ``|S(alpha')|`` products each.  The splits of each alpha are
+    listed once per ``(k, n)``, for every letter i.  Every term of arity n is
+    an int pair over ``den * delta**(n + 1)``, so the splits add as ints and
+    the ratios of all ``(k, i, alpha)`` go through :func:`_max_ratio` with
+    the extra weight ``w_i``.  No normal form is grown or multiplied here.
     """
     spec = lam.spec
     weights = _weight_pairs(spec)
-    ranks = {alpha: r for r, alpha in enumerate(monomials_up_to(spec.dim, n_max + 1))}
+    ranks = {alpha: r for r, alpha in enumerate(monomials_up_to(spec.dim, n_max))}
     best = [(0, 1)] * (n_max + 1)
     for k in range(1, n_max + 2):
-        for i, (wn, wd) in enumerate(weights):
-            heads = [
-                (a1, [(ranks[b], c) for b, c in _poly_right_letter(spec, table, i).items()])
-                for a1, table in sums[k - 1].items()
-            ]
-            for n in range(k - 1, n_max + 1):
-                values = {}
-                for a1, head in heads:
-                    for a2, (xs, zs) in shifts[n - k + 1].items():
-                        x = y = 0
-                        for r, c in head:
+        prefixes = [(a1, [(ranks[b], c) for b, c in table.items()])
+                    for a1, table in sums[k - 1].items()]
+        for n in range(k - 1, n_max + 1):
+            splits = {}
+            for a2, split in parts[n - k + 1].items():
+                for a1, prefix in prefixes:
+                    splits.setdefault(tuple(map(add, a1, a2)), []).append((prefix, split))
+            for i, (wn, wd) in enumerate(weights):
+                values = []
+                for alpha, terms in splits.items():
+                    x = y = 0
+                    for prefix, split in terms:
+                        xs, zs = split[i]
+                        for r, c in prefix:
                             x += c * xs[r]
                             y += c * zs[r]
-                        _acc_pair(values, tuple(map(add, a1, a2)), x, y)
-                best[n] = _max_ratio(best[n], values.items(), weights, wn, wd)
+                    values.append((alpha, (x, y)))
+                best[n] = _max_ratio(best[n], values, weights, wn, wd)
     return [_arity_norm(lam, n, best[n]) for n in range(n_max + 1)]
 
 
@@ -620,14 +658,15 @@ def insertion_constants(lam, n):
     elsewhere.  Each such word is a word of multiset ``alpha'`` (length
     ``k - 1``), then ``e_i``, then a word of multiset ``alpha''``, so
     ``lam(T_{k,i}(alpha)) = sum mu_{alpha''}(S(alpha') e_i)`` over
-    ``alpha' + alpha'' = alpha``, with ``mu_beta = lam(. S(beta))``.  The
-    ``mu_beta`` for ``|beta| <= n`` are rank lists filled by one scatter per
-    parent ``mu_gamma`` (:func:`_right_shifts`), and each head ``S(alpha')
-    e_i`` costs one right-letter step; see :func:`_insertion_chain`.
+    ``alpha' + alpha'' = alpha``, with ``mu_beta = lam(. S(beta))``.  Each
+    term is the part ``mu_{alpha''}(. e_i)`` of :func:`_right_shifts`, rank
+    lists filled by one scatter per parent, read on the multiset sum
+    ``S(alpha')`` itself; no normal form is multiplied by a letter.  See
+    :func:`_insertion_chain`.
     """
     _at_least("n", n)
     _within(lam, n + 1, f"insertion constants at arity {n} need degree {n + 1} <= {lam.max_degree}")
-    return _insertion_chain(lam, _symmetric_sums(lam.spec, n), _right_shifts(lam, n), n)[n]
+    return _insertion_chain(lam, _symmetric_sums(lam.spec, n), _right_shifts(lam, n)[1], n)[n]
 
 
 @dataclass(frozen=True)
@@ -676,9 +715,10 @@ def recursion_check(lam, n_max):
 
     ``lam(S(alpha))`` for ``|alpha| = n + 1`` is ``sum_{j: alpha_j > 0}
     mu_{alpha - e_j}(x_j)`` by the first-letter split, so ``beta_{n+1}^s``
-    is read off the rank lists of :func:`_right_shifts` and the symmetric
-    sums stop at n_max.  The action bounds contract ``sums[n]`` against
-    ``D -> lam(D e_i)``, read off the same lists, apart from the chain.
+    is read off the levels of :func:`_right_shifts` and the symmetric sums
+    stop at n_max.  The action bounds contract ``sums[n]`` against ``D ->
+    lam(D e_i)``, the level-1 lists, and the constants ``c_n`` come from the
+    parts of the same call (:func:`_insertion_chain`).
     """
     _at_least("n_max", n_max, 1)
     _within(lam, n_max + 1, f"recursion to n={n_max} needs functional degree {n_max + 1}")
@@ -687,19 +727,19 @@ def recursion_check(lam, n_max):
         raise SubmultiplicativityError(str(sub))
     spec = lam.spec
     sums = _symmetric_sums(spec, n_max)
-    shifts = _right_shifts(lam, n_max)
-    constants = _insertion_chain(lam, sums, shifts, n_max)
+    levels, parts = _right_shifts(lam, n_max)
+    constants = _insertion_chain(lam, sums, parts, n_max)
     letters = [tuple(int(l == j) for l in range(spec.dim)) for j in range(spec.dim)]
     monos, den = monomials_up_to(spec.dim, n_max), lam._image[0] * spec.delta
     acted = [FunctionalTable._from_image(spec, n_max, den, {
-        alpha: (x, z) for alpha, x, z in zip(monos, *shifts[1][e_j]) if x or z
+        alpha: (x, z) for alpha, x, z in zip(monos, *levels[1][e_j]) if x or z
     }) for e_j in letters]
     rows = []
     for n in range(1, n_max + 1):
         c_prev, c_n = constants[n - 1], constants[n]
         # every mu_beta(x_j) of level n is an int pair over den * delta**(n + 1)
         values = {}
-        for beta, (xs, zs) in shifts[n].items():
+        for beta, (xs, zs) in levels[n].items():
             for r, e_j in zip(range(spec.dim, 0, -1), letters):
                 _acc_pair(values, tuple(map(add, beta, e_j)), xs[r], zs[r])
         beta_next = _arity_norm(lam, n, _max_ratio((0, 1), values.items(), _weight_pairs(spec)))

@@ -38,7 +38,7 @@ from itertools import combinations
 from math import comb, factorial, lcm
 from typing import Optional, Tuple
 
-from .free_algebra import _SparseTerms, _acc
+from .free_algebra import _SparseTerms
 from .errors import SpecMismatchError
 from .scalars import ONE, Scalar, _int_pairs, _reduced, as_scalar
 
@@ -352,17 +352,30 @@ def _right_letter(spec, alpha, letter):
         j = max(i for i, a in enumerate(alpha) if a)
         grown[j] -= 1
         prefix = tuple(grown)
-        result = {}
+        out = {}
+        get = out.get
         for b, c in _right_letter(spec, prefix, letter).items():
-            for b2, c2 in _right_letter(spec, b, j).items():
-                _acc(result, b2, c * c2)
+            for b2, c2 in (cache.get((b, j)) or _right_letter(spec, b, j)).items():
+                out[b2] = get(b2, 0) + c * c2
         delta = spec.delta
-        for k, ck in spec.bracket_of(j, letter).items():
-            ck = ck.a * (delta // ck.d)
+        # j > letter: [e_j, e_letter] is minus the stored row of (letter, j)
+        for k, ck in spec._table.get((letter, j), {}).items():
+            ck = -ck.a * (delta // ck.d)
             for b2, c2 in _right_letter(spec, prefix, k).items():
-                _acc(result, b2, ck * c2)
+                out[b2] = get(b2, 0) + ck * c2
+        result = _nonzero(out)
     cache[key] = result
     return result
+
+
+def _nonzero(table):
+    """Drop the cancelled entries of ``table`` in place and return it.  The PBW
+    kernels add into one dict and call this once, at the end, so no stored
+    table holds a zero."""
+    if not all(table.values()):
+        for b in [b for b, c in table.items() if not c]:
+            del table[b]
+    return table
 
 
 @cache
@@ -406,11 +419,13 @@ def _columns(spec, degree):
 
 def _poly_right_letter(spec, table, letter):
     """A graded int table times ``e_letter``: the graded table one grade up."""
+    cache = spec._right_cache
     out = {}
+    get = out.get
     for alpha, coeff in table.items():
-        for b, c in _right_letter(spec, alpha, letter).items():
-            _acc(out, b, coeff * c)
-    return out
+        for b, c in (cache.get((alpha, letter)) or _right_letter(spec, alpha, letter)).items():
+            out[b] = get(b, 0) + coeff * c
+    return _nonzero(out)
 
 
 def _normal_form(spec, word):

@@ -30,7 +30,7 @@ from envalg.functionals import (
     FunctionalTable,
     _symmetric_norm2,
     _symmetric_sums,
-    _vertex_scale2,
+    _vertex_scales,
     _weight_pairs,
     beta_component,
     growth_diagnostics,
@@ -624,9 +624,11 @@ class TestInsertionConstants:
             (SO3, 4, (27, 28), False, (1, 2, 3)),
             (SO3, 3, (29, 30), True, (1, 2)),
             (SO3_SIXTH, 3, (31, 32), True, (1, 2)),
+            (SO3_SIXTH, 5, (543,), True, (0, 1, 2, 3, 4)),
             (HEIS_3_5, 4, (33,), True, (1, 2, 3)),
         ],
-        ids=["heisenberg", "so3-real", "so3-complex", "so3-sixth", "heisenberg-3/5"],
+        ids=["heisenberg", "so3-real", "so3-complex", "so3-sixth", "so3-sixth-arity-4",
+             "heisenberg-3/5"],
     )
     def test_matches_exhaustive_oracle(self, spec, degree, seeds, complex_values, arities):
         for seed in seeds:
@@ -916,10 +918,28 @@ class TestInsertionChain:
     @pytest.mark.parametrize("spec", [SO3, WEIGHTED_SO3, SO3_SIXTH, heisenberg((2, 3, 6))],
                              ids=["so3", "so3-weighted", "so3-sixth", "heisenberg-weighted"])
     def test_vertex_scale_matches_fraction_formula(self, spec):
-        weights = _weight_pairs(spec)
-        for alpha in monomials_up_to(spec.dim, 6):
+        scales = _vertex_scales(_weight_pairs(spec))
+        for alpha in monomials_up_to(spec.dim, 8):
             scale2 = fraction_vertex_scale(spec.weights, alpha) ** 2
-            assert _vertex_scale2(weights, alpha) == (scale2.numerator, scale2.denominator)
+            assert scales[alpha] == (scale2.numerator, scale2.denominator)
+
+    def test_vertex_scales_are_kept_per_weights(self):
+        """Each weights tuple fills its own table; a read under one never
+        reaches the table of another."""
+        first = abelian(2, [Fraction(5, 7), Fraction(3, 11)])
+        second = abelian(2, [Fraction(5, 7), Fraction(4, 11)])
+        one, two = _vertex_scales(_weight_pairs(first)), _vertex_scales(_weight_pairs(second))
+        assert one is not two
+        assert _vertex_scales(_weight_pairs(abelian(2, first.weights))) is one
+        before = dict(two)
+        radius_estimate(rand_table(first, 5, 544))
+        assert dict(two) == before
+        assert one and set(one) <= set(monomials_up_to(2, 5))
+        for spec, scales in ((first, one), (second, two)):
+            for alpha in monomials_up_to(2, 5):
+                scale2 = fraction_vertex_scale(spec.weights, alpha) ** 2
+                assert scales[alpha] == (scale2.numerator, scale2.denominator)
+        assert one[(1, 1)] != two[(1, 1)]
 
     @pytest.mark.parametrize("spec, seed", [
         (SO3, 532), (WEIGHTED_SO3, 533), (SO3_SIXTH, 534), (heisenberg((2, 3, 6)), 535),
@@ -1034,7 +1054,7 @@ class TestShiftedLevels:
     def test_levels_match_regular_act_construction(self, name, top):
         lam = SHIFT_CASES[name]()
         spec, den = lam.spec, lam._image[0]
-        shifts = functionals._right_shifts(lam, top)
+        shifts, _ = functionals._right_shifts(lam, top)
         expect = regular_act_levels(lam, top)
         assert len(shifts) == len(expect) == top + 1
         for b, (level, want) in enumerate(zip(shifts, expect)):
@@ -1047,6 +1067,41 @@ class TestShiftedLevels:
                 got = {alpha: Scalar(Fraction(x, d), Fraction(z, d))
                        for alpha, x, z, d in zip(monos, xs, zs, scales) if x or z}
                 assert got == want[beta], (b, beta)
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+    @pytest.mark.parametrize("top", range(6))
+    def test_parts_are_right_actions_of_their_levels(self, name, top):
+        """``parts[b][gamma][j]`` is ``regular_act(mu_gamma, e_j)`` on degree <= top - b."""
+        lam = SHIFT_CASES[name]()
+        spec, den = lam.spec, lam._image[0]
+        _, parts = functionals._right_shifts(lam, top)
+        levels = regular_act_levels(lam, top)
+        assert len(parts) == top + 1
+        for b, (split, level) in enumerate(zip(parts, levels)):
+            assert sorted(split) == sorted(level)
+            monos = monomials_up_to(spec.dim, top - b)
+            # rho_(j, gamma)(x^alpha) = (X + Y i) / (den * delta**(b + 1 + |alpha|))
+            scales = [den * spec.delta ** (b + 1 + sum(alpha)) for alpha in monos]
+            for gamma, lists in split.items():
+                mu = FunctionalTable(spec, top + 1 - b, level[gamma])
+                assert len(lists) == spec.dim
+                for j, (xs, zs) in enumerate(lists):
+                    assert len(xs) == len(zs) == len(monos)
+                    got = {alpha: Scalar(Fraction(x, d), Fraction(z, d))
+                           for alpha, x, z, d in zip(monos, xs, zs, scales) if x or z}
+                    assert got == regular_act(mu, spec.basis_vector(j)).values, (b, gamma, j)
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+    def test_each_level_entry_is_the_sum_of_its_parents_parts(self, name):
+        lam = SHIFT_CASES[name]()
+        dim = lam.spec.dim
+        levels, parts = functionals._right_shifts(lam, 5)
+        for b in range(1, 6):
+            for beta, (xs, zs) in levels[b].items():
+                terms = [parts[b - 1][beta[:j] + (beta[j] - 1,) + beta[j + 1:]][j]
+                         for j in range(dim) if beta[j]]
+                assert xs == [sum(column) for column in zip(*(x for x, _ in terms))]
+                assert zs == [sum(column) for column in zip(*(z for _, z in terms))]
 
     @pytest.mark.parametrize("n_max", [1, 3, 5])
     def test_levels_call_no_regular_act_and_one_scatter_per_parent(self, monkeypatch, n_max):

@@ -12,7 +12,8 @@ from envalg.catalog import abelian, affine_line, heisenberg, shipped_algebras, s
 from envalg import lie_structure
 from envalg.errors import SpecMismatchError
 from envalg.free_algebra import fa_bch
-from envalg.functionals import monomials_up_to
+from envalg.cli import default_config_path, parse_config
+from envalg.functionals import _symmetric_sums, monomials_up_to
 from envalg.lie_structure import (
     GVector,
     LieAlgebraSpec,
@@ -194,19 +195,51 @@ class TestGradedIntCache:
         assert [RATIONAL_ALGEBRAS[n].delta for n in ("so3-half", "so3-sixth", "heisenberg-3/5")] \
             == [2, 6, 5]
 
+    @staticmethod
+    def _graded_scalars(spec, table, top):
+        """A graded int table at grade ``top`` as ``{b: Scalar}``."""
+        return {b: Scalar(Fraction(n, spec.delta ** (top - sum(b)))) for b, n in table.items()}
+
+    def _assert_right_cache_is_the_word_route(self, spec):
+        assert spec._right_cache
+        for (alpha, letter), table in spec._right_cache.items():
+            assert all(type(n) is int and n for n in table.values())
+            word = [i for i, a in enumerate(alpha) for _ in range(a)] + [letter]
+            assert self._graded_scalars(spec, table, sum(alpha) + 1) \
+                == brute_force_reduce(spec, word)
+
     @pytest.mark.parametrize("name", sorted(algebras()))
     def test_cached_entries_are_graded_ints(self, name):
         spec = algebras()[name]
         for word in itertools.product(range(spec.dim), repeat=4):
             pbw_reduce(spec, word)
-        assert spec._right_cache
-        for (alpha, letter), table in spec._right_cache.items():
-            assert all(type(n) is int and n for n in table.values())
-            word = [i for i, a in enumerate(alpha) for _ in range(a)] + [letter]
-            top = sum(alpha) + 1
-            assert {
-                b: Scalar(Fraction(n, spec.delta ** (top - sum(b)))) for b, n in table.items()
-            } == brute_force_reduce(spec, word)
+        self._assert_right_cache_is_the_word_route(spec)
+
+    def test_a_cancelled_term_is_dropped_not_stored(self):
+        # x3**2 x1 = x1 x3**2 + 2 x2 x3 - x1, so the x1 of -x1 - x3**2 cancels
+        out = lie_structure._poly_right_letter(so3(), {(0, 0, 0): -1, (0, 0, 2): -1}, 0)
+        assert out == {(1, 0, 2): -1, (0, 1, 1): -2}
+        assert (1, 0, 0) not in out
+
+    @pytest.mark.parametrize("name", ["so3", "so3-sixth", "heisenberg-3/5", "su2-config"])
+    def test_filled_caches_hold_nonzero_ints_of_the_word_route(self, name):
+        if name == "so3":
+            spec = so3()
+        elif name == "su2-config":
+            spec = parse_config(default_config_path().read_text(encoding="utf-8")).algebra
+        else:
+            spec = RATIONAL_ALGEBRAS[name]
+        sums = _symmetric_sums(spec, 7)
+        self._assert_right_cache_is_the_word_route(spec)
+        for n, layer in enumerate(sums):
+            words = {}
+            for word in itertools.product(range(spec.dim), repeat=n):
+                alpha = tuple(word.count(l) for l in range(spec.dim))
+                words[alpha] = words.get(alpha, PBWPoly.zero(spec)) + pbw_reduce(spec, word)
+            assert set(layer) == set(words)
+            for alpha, table in layer.items():
+                assert all(type(c) is int and c for c in table.values())
+                assert self._graded_scalars(spec, table, n) == words[alpha].terms
 
 
 class TestPbwMul:
