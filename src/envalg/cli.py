@@ -471,15 +471,17 @@ def _reject_repeats(node, path):
 
 def parse_config(text):
     """Parse and fully validate a workbench configuration."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text, object_pairs_hook=_json_object)
         _reject_repeats(doc, "config")
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:   # bytes that are not UTF-8, or an int past the digit limit
+        raise ConfigError(f"unreadable config: {exc}") from None
     except RecursionError:
         raise ConfigError("config nests arrays or objects too deeply") from None
     _expect_keys(doc, "config", ("lie_algebra",),

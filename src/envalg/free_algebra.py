@@ -15,8 +15,9 @@ alphabets) never mix, so the provenance of discarded terms stays explicit.
 
 The vector-space operations (sum, difference, negation, scaling, equality
 and hash) live once, in the private base :class:`_SparseTerms`, which
-:class:`FreeSeries` and :class:`~envalg.lie_structure.PBWPoly` share; each
-class adds its parameters, its mismatch error and its product.
+:class:`FreeSeries`, :class:`~envalg.lie_structure.PBWPoly` and
+:class:`~envalg.lie_structure.GVector` share; each class adds its
+parameters, its mismatch error and its product.
 """
 
 from __future__ import annotations
@@ -40,26 +41,26 @@ __all__ = [
 ]
 
 
-def _acc(table, key, coeff):
-    """``table[key] += coeff`` over a sparse dict, dropping an entry that cancels."""
-    got = table.get(key)
-    got = coeff if got is None else got + coeff
-    if got:
-        table[key] = got
-    elif key in table:
-        del table[key]
+def _nonzero(table):
+    """Drop the cancelled entries of ``table`` in place and return it.  Sums add
+    into one dict and call this once, at the end, so no stored table holds a zero."""
+    if not all(table.values()):
+        for key in [key for key, c in table.items() if not c]:
+            del table[key]
+    return table
 
 
 class _SparseTerms:
     """Vector-space operations shared by the sparse term algebras.
 
-    An element holds ``terms``, a dict from keys (words, or PBW
-    multi-indices) to nonzero :class:`Scalar` values, beside the parameters
-    that fix its algebra.  A subclass supplies three things: ``_params()``,
-    the parameters that ``==`` compares and that its ``_raw(*params,
-    terms)`` builds an element from; ``_check_compatible``, which raises the
-    class's mismatch error; and ``_product``, the algebra product.  The hash
-    reads the terms only, which is consistent with ``==``.
+    An element holds ``terms``, a dict from keys (words, PBW multi-indices
+    or basis indices) to nonzero :class:`Scalar` values, beside the
+    parameters that fix its algebra.  A subclass supplies three things:
+    ``_params()``, the parameters that ``==`` compares and that its
+    ``_raw(*params, terms)`` builds an element from; ``_check_compatible``,
+    which raises the class's mismatch error; and ``_product``, the algebra
+    product, or NotImplemented where there is none.  The hash reads the
+    terms only, which is consistent with ``==``.
     """
 
     __slots__ = ()
@@ -76,9 +77,11 @@ class _SparseTerms:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
+        get = out.get
         for key, coeff in other.terms.items():
-            _acc(out, key, coeff)
-        return self._with(out)
+            got = get(key)
+            out[key] = coeff if got is None else got + coeff
+        return self._with(_nonzero(out))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -194,11 +197,14 @@ class FreeSeries(_SparseTerms):
         for v, cv in other.terms.items():
             buckets[len(v)].append((v, cv))
         out = {}
+        get = out.get
         for u, cu in self.terms.items():
             for bucket in buckets[: cut + 1 - len(u)]:
                 for v, cv in bucket:
-                    _acc(out, u + v, cu * cv)
-        return self._with(out)
+                    w, c = u + v, cu * cv
+                    got = get(w)
+                    out[w] = c if got is None else got + c
+        return self._with(_nonzero(out))
 
     def homogeneous_part(self, degree):
         return self._with({w: c for w, c in self.terms.items() if len(w) == degree})

@@ -53,16 +53,13 @@ from math import comb, factorial, gcd, inf
 from operator import add
 from typing import Optional, Tuple
 
-from .errors import (
-    DegreeOverflowError,
-    SpecMismatchError,
-    SubmultiplicativityError,
-)
+from .errors import DegreeOverflowError, SubmultiplicativityError
+from .free_algebra import _nonzero
 from .lie_structure import (
     _acc_pair,
+    _check_same_spec,
     _columns,
     _graded,
-    _nonzero,
     _poly_right_letter,
     _right_letter,
     monomial_name,
@@ -185,10 +182,9 @@ class FunctionalTable:
         return ZERO if v is None else _reduced(*v, den * self.spec.delta ** sum(alpha))
 
     def eval(self, poly):
-        """Evaluate on a PBW element by linearity, summing int pairs over one
-        denominator; rejects degree overflow."""
-        if poly.spec != self.spec:
-            raise SpecMismatchError("functional and element use different specs")
+        """Evaluate on a PBW element by linearity, contracting its real and
+        imaginary int tables over one denominator; rejects degree overflow."""
+        _check_same_spec(poly.spec, self.spec, "evaluating a functional")
         den_p, top, terms = _graded(self.spec, poly.terms)
         if top > self.max_degree:
             alpha = next(alpha for alpha in terms if sum(alpha) > self.max_degree)
@@ -197,13 +193,9 @@ class FunctionalTable:
                 f"functional degree {self.max_degree}"
             )
         den, image = self._image
-        x = y = 0
-        for alpha, (a, b) in terms.items():
-            if alpha in image:
-                vr, vi = image[alpha]
-                x += a * vr - b * vi
-                y += a * vi + b * vr
-        return _reduced(x, y, den_p * den * self.spec.delta ** top)
+        xr, yr = _contract({alpha: a for alpha, (a, _) in terms.items() if a}, image)
+        xi, yi = _contract({alpha: b for alpha, (_, b) in terms.items() if b}, image)
+        return _reduced(xr - yi, yr + xi, den_p * den * self.spec.delta ** top)
 
     def _eval_graded(self, table, top):
         """``lam`` of a real graded int table at grade ``top`` within the degree,
@@ -630,17 +622,16 @@ def regular_act(lam, y):
     of a weight vector, costs only the columns of its nonzero entries.
     """
     _within(lam, 1, "regular action needs max_degree >= 1")
-    if y.spec != lam.spec:
-        raise SpecMismatchError("vector and functional use different specs")
+    _check_same_spec(y.spec, lam.spec, "acting on a functional")
     spec = lam.spec
     top = lam.max_degree - 1
-    den_y, pairs = _int_pairs(y.coeffs)
+    den_y, pairs = _int_pairs(y.terms.values())
     columns = _columns(spec, top)
     den, image = lam._image
     monos = monomials_up_to(spec.dim, top)
     count = len(monos)
     xs, zs = [0] * count, [0] * count
-    targets = [(columns[i], p, q, xs, zs) for i, (p, q) in enumerate(pairs) if p or q]
+    targets = [(columns[i], p, q, xs, zs) for i, (p, q) in zip(y.terms, pairs)]
     _scatter(image.items(), targets, count)
     nonzero = {alpha: (x, z) for alpha, x, z in zip(monos, xs, zs) if x or z}
     return FunctionalTable._from_image(spec, top, den_y * den * spec.delta, nonzero)

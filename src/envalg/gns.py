@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import factorial, inf, lcm
+from math import factorial, inf, lcm, sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -111,22 +111,16 @@ def _binary64(values, shape, bad_shape):
 def _int_entries(entries, exact):
     """Entries over one denominator: ``(den, [(A, B), ..])``, entry k ``(A_k + B_k i) / den``.
 
-    A binary64 complex is read as the dyadic rational it stores: one
-    ``frexp`` pass splits every part into an integer mantissa, stripped of
-    its trailing zero bits, times a power of two, and the least power over
-    the nonzero parts gives the common (least) power-of-two denominator.
+    A binary64 complex is read as the dyadic rational it stores: each part's
+    ``float.as_integer_ratio``, over the lcm of their (power-of-two)
+    denominators, the least common one.
     """
     if exact:
         return _int_pairs(entries)
-    frac, exp = np.frexp(np.array(entries, dtype=complex).view(float))
-    mant = (frac * 2.0 ** 53).astype(np.int64)
-    low_bit = np.frexp((mant & -mant).astype(float))[1] - 1     # -1 for a zero part
-    nonzero = mant != 0
-    mant >>= np.maximum(low_bit, 0)
-    exp += low_bit - 53
-    base = min(0, int(exp[nonzero].min(initial=0)))
-    ints = [m << s for m, s in zip(mant.tolist(), np.where(nonzero, exp - base, 0).tolist())]
-    return 1 << -base, list(zip(ints[0::2], ints[1::2]))
+    ratios = [x.as_integer_ratio() for x in np.array(entries, dtype=complex).view(float).tolist()]
+    den = lcm(*[q for _, q in ratios])
+    ints = [p * (den // q) for p, q in ratios]
+    return den, list(zip(ints[0::2], ints[1::2]))
 
 
 def _int_vector(vec, exact):
@@ -704,12 +698,27 @@ class GnsModel:
         _check_same_spec(x.spec, self.gram.spec, "GNS operator of a vector")
         r, r1 = self.quotient_rank, self.sub_rank
         acc = np.zeros((r, r1), dtype=complex)
-        for i, c in enumerate(x.coeffs):
-            if c:
-                acc = acc + c.to_complex() * self.op_matrices[i]
+        for i, c in sorted(x.terms.items()):
+            acc = acc + c.to_complex() * self.op_matrices[i]
         out = np.zeros((r, r), dtype=complex)
         out[:, :r1] = acc
         return out
+
+
+def _vacuum_entry(a, b, den, d2):
+    """``<1, b_k> / ||b_k||`` for ``<1, b_k> = (a + b i) / den`` and ``||b_k||**2 = d2``.
+
+    The quotient of the two floats where both are finite and it is nonzero
+    with the exact value; otherwise both are first scaled by a power of two
+    ``s`` with ``d2 s**2`` near 1, so the entry leaves binary64 only where
+    its exact value does (``|entry| <= sqrt(lam(1))``).
+    """
+    num, root = _reduced(a, b, den).to_complex(), fraction_root_float(d2, 2)
+    if np.isfinite(num) and 0 < root < inf and (num / root or not (a or b)):
+        return num / root
+    s = Fraction(2) ** ((d2.denominator.bit_length() - d2.numerator.bit_length()) // 2)
+    num, root = (_reduced(a, b, den) * s).to_complex(), sqrt(float(d2 * s * s))
+    return complex(num.real / root, num.imag / root)
 
 
 def _exact_gram(M, d_max):
@@ -746,7 +755,7 @@ def _exact_gram(M, d_max):
     # <1, b_k> = A[p][0] / (den * det_(k-1)), zero once index 0 is a pivot
     vacuum, prev = [], 1
     for (_, pr, pi, det), d2 in zip(steps, norms2):
-        vacuum.append(_reduced(pr[0], pi[0], prev * den).to_complex() / fraction_root_float(d2, 2))
+        vacuum.append(_vacuum_entry(pr[0], pi[0], prev * den, d2))
         prev = det
     vacuum = np.array(vacuum, dtype=complex)
     ops = None
@@ -930,9 +939,7 @@ def analytic_diagnostics(lam, x, n_max):
     ratio = None
     if best is not None and 0 < func_est.value < inf:
         ratio = _reciprocal(best) / (func_est.value / 2.0)
-    name = " + ".join(
-        f"{c}*{nm}" for c, nm in zip(x.coeffs, spec.basis_names) if c
-    ) or "0"
+    name = " + ".join(f"{c}*{spec.basis_names[i]}" for i, c in sorted(x.terms.items())) or "0"
     return AnalyticReport(
         x_name=name,
         s_squared=tuple(s2),

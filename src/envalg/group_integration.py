@@ -119,6 +119,8 @@ def _single_blas_thread():
             setter(1)
 
 
+# a squaring that overflows reads inf or NaN, which the callers test
+@np.errstate(over="ignore", invalid="ignore")
 def matrix_exp(A):
     """Matrix exponential of one square matrix or of a stack ``(..., n, n)``.
 
@@ -304,7 +306,7 @@ def sample_group(rep, count, seed=0):
         longer = np.flatnonzero(lengths > j)
         G[longer] = G[longer] @ exps[starts[longer] + j]
     resid = unitarity_residual(G) if rep.skew_hermitian else 0.0
-    if resid > _UNITARY_TOL:
+    if not resid <= _UNITARY_TOL:   # NaN fails too
         raise RepresentationError(f"sampled element not unitary: residual {resid:.3e}")
 
     def words():
@@ -348,7 +350,7 @@ def pd_kernel_check(sample, tol=_UNITARY_TOL):
     """
     if not sample.elements:
         raise ValueError("pd_kernel_check: the sample is empty")
-    if not sample.unitary and unitarity_residual(sample.elements) > _UNITARY_TOL:
+    if not sample.unitary and not unitarity_residual(sample.elements) <= _UNITARY_TOL:
         raise RepresentationError("pd_kernel_check needs a unitary sample")
     K = _kernel_matrix(sample.elements, sample.rep.cyclic_array())
     vals = np.linalg.eigvalsh((K + K.conj().T) / 2)
@@ -472,8 +474,12 @@ def local_hom_check(rep, x, y, N, scales, min_slope=None):
         xy = sum((z.scale(s ** n) for n, z in enumerate(terms[1:], 2)), terms[0].scale(s))
         mats += [rep.matrix_of(x.scale(s)), rep.matrix_of(y.scale(s)), rep.matrix_of(xy)]
     exps = matrix_exp(mats)
-    residuals = [float(np.linalg.norm(ex @ ey - exy))
-                 for ex, ey, exy in zip(exps[0::3], exps[1::3], exps[2::3])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = [float(np.linalg.norm(ex @ ey - exy))
+                     for ex, ey, exy in zip(exps[0::3], exps[1::3], exps[2::3])]
+    for s, e in zip(scales, residuals):
+        if not isfinite(e):
+            raise OverflowError(f"exp(R(s x)) exp(R(s y)) overflows binary64 at s = {s}")
     exact = max(residuals) <= _NOISE_FLOOR
     pairs = [] if exact else [
         (float(np.log(float(Fraction(s)))), float(np.log(e)))
@@ -538,10 +544,11 @@ def _extension_report(degrees, build, probes):
         model = build(d)
         vac = model.vacuum
         exps = matrix_exp([model.operator(x) for x, _ in probes]) if probes else []
-        worst = 0.0
-        for E, (_, phi) in zip(exps, probes):
-            worst = max(worst, abs(complex(vac.conj() @ (E @ vac)) - phi))
-        deviations.append(worst)
+        # a value beyond binary64 reads NaN, and np.max keeps it, so it fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            devs = [abs(complex(vac.conj() @ (E @ vac)) - phi)
+                    for E, (_, phi) in zip(exps, probes)]
+        deviations.append(float(np.max(devs, initial=0.0)))
         ranks.append(model.quotient_rank)
     return ExtensionReport(degrees, tuple(deviations), tuple(ranks))
 
@@ -559,7 +566,8 @@ def extension_demo(rep, degrees, probes):
         raise RepresentationError("extension_demo needs a skew-hermitian rep")
     v = rep.cyclic_array()
     exps = matrix_exp(rep.matrices_of([x.coeffs for x in probes]))
-    truth = list(zip(probes, np.vecdot(v, exps @ v).tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        truth = list(zip(probes, np.vecdot(v, exps @ v).tolist()))
     return _extension_report(
         degrees, lambda d: gns_build(functional_from_rep(rep, 2 * d), d), truth
     )

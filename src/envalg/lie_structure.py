@@ -38,9 +38,9 @@ from itertools import combinations
 from math import comb, factorial, lcm
 from typing import Optional, Tuple
 
-from .free_algebra import _SparseTerms
+from .free_algebra import _SparseTerms, _nonzero
 from .errors import SpecMismatchError
-from .scalars import ONE, Scalar, _int_pairs, _reduced, as_scalar
+from .scalars import ONE, ZERO, _int_pairs, _reduced, as_scalar
 
 __all__ = [
     "LieAlgebraSpec",
@@ -140,9 +140,9 @@ class LieAlgebraSpec:
         return {k: -c for k, c in row.items()}
 
     def basis_vector(self, i):
-        coeffs = [Scalar(0)] * self.dim
+        coeffs = [ZERO] * self.dim
         coeffs[i] = ONE
-        return GVector(self, tuple(coeffs))
+        return GVector(self, coeffs)
 
     def _canonical(self):
         return (
@@ -174,10 +174,14 @@ def _check_same_spec(a, b, what):
         raise SpecMismatchError(f"{what} across different Lie algebra specs")
 
 
-class GVector:
-    """An element of g (or its complexification) in basis coordinates."""
+class GVector(_SparseTerms):
+    """An element of g (or its complexification) in basis coordinates.
 
-    __slots__ = ("spec", "coeffs")
+    ``terms`` maps a basis index to its nonzero coordinate.  The product of g
+    is :func:`bracket`, so ``x * y`` raises TypeError.
+    """
+
+    __slots__ = ("spec", "terms")
 
     def __init__(self, spec, coeffs):
         coeffs = tuple(as_scalar(c) for c in coeffs)
@@ -186,63 +190,41 @@ class GVector:
         if len(coeffs) != spec.dim:
             raise ValueError(f"expected {spec.dim} coefficients, got {len(coeffs)}")
         self.spec = spec
-        self.coeffs = coeffs
+        self.terms = {i: c for i, c in enumerate(coeffs) if c}
 
-    def is_real(self):
-        return all(c.is_real() for c in self.coeffs)
+    @classmethod
+    def _raw(cls, spec, terms):
+        x = object.__new__(cls)
+        x.spec = spec
+        x.terms = terms
+        return x
 
-    def is_zero(self):
-        return all(not c for c in self.coeffs)
+    @property
+    def coeffs(self):
+        """The coordinates as a dense tuple, zeros included."""
+        return tuple([self.terms.get(i, ZERO) for i in range(self.spec.dim)])
 
-    def __add__(self, other):
-        if not isinstance(other, GVector):
-            return NotImplemented
+    def _check_compatible(self, other):
         _check_same_spec(self.spec, other.spec, "adding vectors")
-        return GVector(self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other):
-        if not isinstance(other, GVector):
-            return NotImplemented
-        _check_same_spec(self.spec, other.spec, "subtracting vectors")
-        return GVector(self.spec, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+    def _params(self):
+        return (self.spec,)
 
-    def __neg__(self):
-        return GVector(self.spec, tuple(-c for c in self.coeffs))
-
-    def scale(self, value):
-        value = as_scalar(value)
-        if value is NotImplemented:
-            raise TypeError("scale expects a scalar")
-        return GVector(self.spec, tuple(c * value for c in self.coeffs))
-
-    def __rmul__(self, value):
-        if isinstance(value, (int, Fraction, Scalar)):
-            return self.scale(value)
+    def _product(self, other):
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, GVector):
-            return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def is_real(self):
+        return all(c.is_real() for c in self.terms.values())
 
     def seminorm(self):
         """The weighted-l1 seminorm ``sum w_i |x_i|``, exact for real vectors."""
         if not self.is_real():
             raise ValueError("exact seminorm is defined for real vectors only")
-        return sum(
-            (w * abs(c.re) for w, c in zip(self.spec.weights, self.coeffs)),
-            Fraction(0),
-        )
+        return sum((self.spec.weights[i] * abs(c.re) for i, c in self.terms.items()), Fraction(0))
 
     def __repr__(self):
-        parts = [
-            f"{c}*{name}"
-            for c, name in zip(self.coeffs, self.spec.basis_names)
-            if c
-        ]
+        names = self.spec.basis_names
+        parts = [f"{c}*{names[i]}" for i, c in sorted(self.terms.items())]
         return "GVector(" + (" + ".join(parts) or "0") + ")"
 
 
@@ -250,9 +232,10 @@ def bracket(x, y):
     """Exact bracket ``[x, y]`` via structure constants."""
     _check_same_spec(x.spec, y.spec, "bracketing vectors")
     spec = x.spec
-    out = [Scalar(0)] * spec.dim
+    xc, yc = x.coeffs, y.coeffs
+    out = [ZERO] * spec.dim
     for (i, j), row in spec.bracket_rows():
-        factor = x.coeffs[i] * y.coeffs[j] - x.coeffs[j] * y.coeffs[i]
+        factor = xc[i] * yc[j] - xc[j] * yc[i]
         if not factor:
             continue
         for k, c in row.items():
@@ -366,16 +349,6 @@ def _right_letter(spec, alpha, letter):
         result = _nonzero(out)
     cache[key] = result
     return result
-
-
-def _nonzero(table):
-    """Drop the cancelled entries of ``table`` in place and return it.  The PBW
-    kernels add into one dict and call this once, at the end, so no stored
-    table holds a zero."""
-    if not all(table.values()):
-        for b in [b for b, c in table.items() if not c]:
-            del table[b]
-    return table
 
 
 @cache
@@ -537,13 +510,9 @@ class PBWPoly(_SparseTerms):
 
     @classmethod
     def from_gvector(cls, x):
-        terms = {}
-        for i, c in enumerate(x.coeffs):
-            if c:
-                alpha = [0] * x.spec.dim
-                alpha[i] = 1
-                terms[tuple(alpha)] = c
-        return cls._raw(x.spec, terms)
+        dim = x.spec.dim
+        return cls._raw(x.spec, {(0,) * i + (1,) + (0,) * (dim - 1 - i): c
+                                 for i, c in x.terms.items()})
 
     def degree(self):
         """Max total degree of the stored monomials; -1 for the zero element."""
@@ -656,7 +625,7 @@ def _bch_terms(x, y, N):
         raise ValueError("bch_in_g needs N >= 1")
     s, d = x + y, x - y
     B = _bernoulli(N)
-    zero = GVector(x.spec, (Scalar(0),) * x.spec.dim)
+    zero = GVector._raw(x.spec, {})
     Z = [s]      # Z[n - 1] = Z_n
     U = [[s]]    # U[m][q] = U_q(m) for 1 <= q <= m, and U[0][0] = x + y
     for n in range(1, N):

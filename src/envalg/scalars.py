@@ -63,6 +63,14 @@ def _triple(a, b, d):
     return s
 
 
+def _ratio_float(n, d):
+    """``n / d`` for ints with ``d > 0``, reading ``+-inf`` beyond binary64."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
 def _reduced(a, b, d):
     """The Scalar ``(a + b i)/d`` for ints with ``d > 0``, put in lowest terms."""
     if d != 1:
@@ -222,9 +230,13 @@ class Scalar:
         return hash(Fraction(self.a, self.d))
 
     def to_complex(self):
-        # int true division is correctly rounded, as float(Fraction) is
+        # int true division is correctly rounded, as float(Fraction) is; a
+        # part beyond binary64 reads +-inf, as in fraction_root_float
         d = self.d
-        return complex(self.a / d, self.b / d)
+        try:
+            return complex(self.a / d, self.b / d)
+        except OverflowError:
+            return complex(_ratio_float(self.a, d), _ratio_float(self.b, d))
 
     # numpy reads Scalars into complex arrays through this
     __complex__ = to_complex

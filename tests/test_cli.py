@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -833,6 +834,23 @@ def test_exact_values_beyond_binary64_run_to_a_report(tmp_path, capsys, value, s
         assert needle in out
 
 
+@pytest.mark.parametrize("k", [200, 400, -200, -400])
+def test_cyclic_vector_beyond_binary64_runs_to_a_report(tmp_path, capsys, k):
+    # lam(1) = 10**(2k) leaves binary64; the exact suites still PASS, and
+    # extension reports a deviation (a FAIL where phi itself leaves binary64)
+    doc = shipped("su2.json")
+    doc["representations"]["spin_half"]["cyclic_vector"] = [str(Fraction(10) ** k), "0"]
+    suites = {s["name"]: s for s in doc["suites"]}
+    path = tmp_path / "config.json"
+    for name in ("positivity", "gns", "extension"):
+        doc["suites"] = [suites[name]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["--config", str(path), "run-all"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert rc in (0, 1) if name == "extension" else rc == 0, out
+
+
 def test_dump_suites_lists_the_registry_defaults(tmp_path, capsys):
     doc = shipped("su2.json")
     _set("local-hom", "scales", drop=True)(doc)
@@ -863,6 +881,21 @@ def test_deep_nesting_exits_2(tmp_path, capsys):
     path.write_text(deep, encoding="utf-8")
     assert main(["--config", str(path), "validate"]) == 2
     assert capsys.readouterr().err.startswith("config error: config nests")
+
+
+@pytest.mark.parametrize("make", [
+    lambda text: b'{"lie_algebra": \xff}',
+    lambda text: text.replace('"dim": 3', '"dim": 1' + "0" * 5000, 1).encode(),
+    lambda text: text.replace('"count": 200', '"count": ' + "9" * 5000, 1).encode(),
+], ids=["not-utf-8", "dim-past-the-int-digit-limit", "count-past-the-int-digit-limit"])
+def test_unreadable_config_exits_2(tmp_path, capsys, make):
+    path = tmp_path / "config.json"
+    path.write_bytes(make(default_config_path().read_text(encoding="utf-8")))
+    assert main(["--config", str(path), "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unreadable config: ") and err.count("\n") == 1
+    with pytest.raises(ConfigError, match="unreadable config"):
+        parse_config(path.read_bytes())
 
 
 def test_null_blocks_read_as_absent(tmp_path, capsys):

@@ -57,6 +57,11 @@ def rand_table(spec, degree, seed, complex_values=True):
     return random_functional(spec, degree, random.Random(seed), complex_values)
 
 
+def scalar_eval(lam, poly):
+    """``lam(poly)`` term by term in Scalars, from ``lam.value``."""
+    return sum((c * lam.value(alpha) for alpha, c in poly.terms.items()), Scalar(0))
+
+
 def _scaled(lam, c):
     """The exact table ``c * lam``."""
     return FunctionalTable(lam.spec, lam.max_degree, {a: c * v for a, v in lam.values.items()})
@@ -106,9 +111,19 @@ class TestEval:
             lam.eval(poly)
         assert str(info.value) == f"monomial {name} exceeds functional degree 2"
 
+    @pytest.mark.parametrize("spec, seed", [(SO3, 6), (HEIS, 7), (SO3_SIXTH, 8), (HEIS_3_5, 9)])
+    def test_matches_scalar_oracle_on_complex_elements(self, spec, seed):
+        lam = rand_table(spec, 4, seed)
+        rng = random.Random(seed)
+        monos = monomials_up_to(spec.dim, 4)
+        part = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for _ in range(10):
+            poly = PBWPoly(spec, {rng.choice(monos): Scalar(part(), part()) for _ in range(6)})
+            assert lam.eval(poly) == scalar_eval(lam, poly)
+
     def test_spec_mismatch(self):
         lam = rand_table(HEIS, 2, 5)
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(SpecMismatchError, match="across different Lie algebra specs"):
             lam.eval(PBWPoly.one(SO3))
 
     @pytest.mark.parametrize("alpha", [(-1, 2, 0), (0, 0, -1), (2,), (0, 1, 0, 0)])
@@ -434,6 +449,26 @@ class TestRegularActionKernel:
                 assert acted.values == product_route_act(lam, y)
                 if y.is_zero() or not lam.values:
                     assert acted.values == {}
+
+    @pytest.mark.parametrize("name", ["so3", "heisenberg", "so3-sixth"])
+    def test_zero_coordinates_against_scalar_oracle(self, name):
+        # only the nonzero coordinates of y are scattered; the oracle sums every
+        # lam(x^alpha y) term by term, without eval
+        spec = KERNEL_SPECS[name]
+        lam = rand_table(spec, 4, 606)
+        q = lambda a, b=0: Scalar(Fraction(a), Fraction(b))
+        for coords in ([q(0), q(2, 1), q(0)], [q(-1, 3), q(0), q(0, Fraction(1, 2))],
+                       [q(0), q(0), q(Fraction(-5, 3))]):
+            y = GVector(spec, coords)
+            ypoly = PBWPoly.from_gvector(y)
+            want = {}
+            for alpha in monomials_up_to(spec.dim, 3):
+                v = scalar_eval(lam, pbw_mul(PBWPoly.monomial(spec, alpha), ypoly))
+                if v:
+                    want[alpha] = v
+            assert regular_act(lam, y).values == want
+        with pytest.raises(SpecMismatchError, match="across different Lie algebra specs"):
+            regular_act(lam, abelian(3).basis_vector(0))
 
     def test_right_action_builds_no_products(self, monkeypatch):
         """Inside ``regular_act`` no PBW product, monomial or eval runs.

@@ -88,11 +88,22 @@ def test_binary64_entries_read_exactly(zs):
         assert Scalar(Fraction(a, den), Fraction(b, den)).to_complex() == z
 
 
-def _int_entries_by_ratio(entries):
-    """The binary64 reader before ``frexp``: two ``as_integer_ratio`` calls per entry."""
-    parts = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in entries]
-    den = max(q for pair in parts for _, q in pair)
-    return den, [(p * (den // q), r * (den // t)) for (p, q), (r, t) in parts]
+@pytest.mark.parametrize("k, want", [(200, 1e200), (-200, 1e-200), (400, math.inf), (-400, 0.0)])
+def test_vacuum_of_a_cyclic_vector_beyond_binary64(k, want):
+    # lam(1) = 10**(2k): <1, b_0> = lam(1) and ||b_0|| leave binary64 apart from
+    # each other, the vacuum entry 10**k only at |k| = 400
+    rep = spin_half()
+    scaled = MatrixRep(rep.spec, 2, rep.generators, [Scalar(Fraction(10) ** k), Scalar(0)],
+                       skew_hermitian=True)
+    vacuum = gns_build(functional_from_rep(scaled, 4), 2).vacuum
+    assert vacuum[0].real == pytest.approx(want, rel=1e-15, abs=0.0) and vacuum[0].imag == 0
+    assert vacuum[1] == 0
+
+
+def _int_entries_by_fraction(entries):
+    """An independent binary64 reader: each entry as an exact Scalar, put over
+    one denominator by ``_int_pairs``."""
+    return _int_pairs([Scalar(Fraction(z.real), Fraction(z.imag)) for z in entries])
 
 
 # subnormals, signed zeros, the extreme exponents and mixed magnitudes
@@ -105,7 +116,7 @@ EDGE64 = [complex(5e-324, -5e-324), complex(-0.0, 0.0), complex(0.0, -0.0),
 @pytest.mark.parametrize("zs", [[z] for z in EDGE64] + [EDGE64, [0j, complex(-0.0, -0.0)],
                                 list(np.random.default_rng(5).normal(size=40) * 1j + 0.25)])
 def test_frexp_reader_matches_ratio_reader(zs):
-    assert _int_entries(zs, exact=False) == _int_entries_by_ratio(zs)
+    assert _int_entries(zs, exact=False) == _int_entries_by_fraction(zs)
 
 
 def _extreme_float_rep():
@@ -145,7 +156,7 @@ def _float_rep_outcomes(rep):
 def test_float_reps_read_as_by_the_ratio_reader(monkeypatch, name):
     got = _float_rep_outcomes(FLOAT_REPS[name]())
     monkeypatch.setattr("envalg.gns._int_entries", lambda entries, exact: (
-        _int_pairs(entries) if exact else _int_entries_by_ratio(entries)))
+        _int_pairs(entries) if exact else _int_entries_by_fraction(entries)))
     want = _float_rep_outcomes(FLOAT_REPS[name]())
     assert got == want
     laws, skews = got[0]

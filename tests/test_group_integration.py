@@ -840,3 +840,30 @@ def test_cauchy_overflow_of_the_kernel_values_is_an_error_too():
                     skew_hermitian=True)
     with pytest.raises(OverflowError, match="overflows"):
         cauchy_estimate_check(big, SO3.basis_vector(2))
+
+
+def _line_rep(entry):
+    """The line algebra on C^2, float skew rep ``x -> [[0, entry], [-entry, 0]]``."""
+    return MatrixRep(abelian(1), 2, [[[0j, complex(entry)], [complex(-entry), 0j]]],
+                     [1 + 0j, 0j], skew_hermitian=True, exact=False)
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_residual_fails_the_unitarity_tests():
+    # exp of R(x) ~ 1e20 overflows in the squarings: its residual is NaN, not small
+    rep = _line_rep(1e20)
+    with pytest.raises(RepresentationError, match="not unitary: residual nan"):
+        sample_group(rep, 5)
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(RepresentationError, match="needs a unitary sample"):
+        pd_kernel_check(GroupSample(rep, [nan], [()]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_local_hom_overflow_is_an_error_not_a_verdict():
+    # the residuals at s = 1e6 and 2e6 are NaN; a fit that dropped them read "slope n/a"
+    rep = spin_half()
+    x = vec(SO3, "1/2", 0, "1/3")
+    y = vec(SO3, 0, "2/5", "-1/4")
+    with pytest.raises(OverflowError, match="binary64 at s = 1000000$"):
+        local_hom_check(rep, x, y, 4, [Fraction(10**6), Fraction(2 * 10**6)])

@@ -63,6 +63,35 @@ def test_twin_specs_hash_equal_elements_alike():
         assert x == y and hash(x) == hash(y) and len({x, y}) == 1
 
 
+def test_gvector_laws_are_coordinatewise():
+    # GVector takes its vector-space operations from the shared sparse-term base
+    a, b = so3(), so3()
+    x = vec(a, 1, 0, Fraction(-1, 2))
+    y = GVector(a, [Scalar(-1), Scalar(0, 2), Scalar(Fraction(1, 2))])
+    c = Scalar(Fraction(2, 3), -1)
+    pairs = list(zip(x.coeffs, y.coeffs))
+    assert (x + y).coeffs == tuple(p + q for p, q in pairs)
+    assert (x - y).coeffs == tuple(p - q for p, q in pairs)
+    assert (-x).coeffs == tuple(-p for p in x.coeffs)
+    assert (c * x).coeffs == x.scale(c).coeffs == tuple(c * p for p in x.coeffs)
+    assert x * c == c * x and x * 3 == 3 * x
+    with pytest.raises(TypeError):
+        x * y
+    # the cancelled first coordinate is not stored; the dense view keeps its zero
+    assert (x + y).terms == {1: Scalar(0, 2)}
+    assert x.coeffs == (Scalar(1), Scalar(0), Scalar(Fraction(-1, 2)))
+    assert type(x.coeffs) is tuple
+    assert x.terms == {0: Scalar(1), 2: Scalar(Fraction(-1, 2))}
+    for zero in (vec(a, 0, 0, 0), x + (-x), x - x, x.scale(0)):
+        assert zero.terms == {} and zero.is_zero()
+    # equal vectors of equal, not identical, specs compare and hash equal
+    twin = vec(b, 1, 0, Fraction(-1, 2))
+    assert twin == x and hash(twin) == hash(x) and len({x, twin}) == 1
+    assert x != y and x != vec(heisenberg(), 1, 0, Fraction(-1, 2))
+    with pytest.raises(SpecMismatchError, match="adding vectors across"):
+        x + HEIS.basis_vector(0)
+
+
 class TestJacobi:
     def test_heisenberg(self):
         assert jacobi_validate(HEIS).ok
