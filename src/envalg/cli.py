@@ -20,15 +20,15 @@ import gc
 import io
 import json
 import math
+import os
 import random
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -96,14 +96,12 @@ MAX_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     name: str
     params: dict
 
 
-@dataclass
-class WorkbenchConfig:
+class WorkbenchConfig(NamedTuple):
     algebra: LieAlgebraSpec
     functionals: dict
     representations: dict
@@ -116,6 +114,10 @@ class WorkbenchConfig:
         if not isinstance(other, WorkbenchConfig):
             return NotImplemented
         return self.canonical() == other.canonical()
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
 
 def _expect_keys(mapping, context, required, optional=()):
@@ -389,8 +391,7 @@ def _skew(check):
     return skew
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """A verification suite: its runner and its parameters.
 
     ``params`` maps each parameter to ``(default, check)``; an absent or null
@@ -565,8 +566,7 @@ def serialize_config(config):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     identifier: str
     ok: bool
     expected: str
@@ -578,8 +578,7 @@ class Check:
         return "PASS" if self.ok else "FAIL"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
     checks: List[Check]
     duration: float = 0.0
@@ -1074,8 +1073,6 @@ def run_suite(config, name, seed=0, degree=None, tolerance=None):
     start = time.perf_counter()
     try:
         checks = suite.runner(config, params, seed)
-    except WorkbenchError:
-        raise
     except Exception as exc:
         raise SuiteError(f"suite {name!r} stopped: {type(exc).__name__}: {exc}") from exc
     return Report(name, checks, time.perf_counter() - start)
@@ -1142,7 +1139,6 @@ def _run_all_on_cpus(config, seed=0, degree=None, tolerance=None):
     returns or raises.  With one CPU, one suite or no ``os.fork``, this is
     :func:`run_all`.
     """
-    import os
     import pickle
 
     n = len(config.suites)
@@ -1315,7 +1311,7 @@ def main(argv=None, *, all_suites=run_all):
     except SuiteError as exc:
         print(f"suite error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, WorkbenchError) as exc:
+    except WorkbenchError as exc:     # from loading or a suite's parameters
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -1329,18 +1325,34 @@ def main(argv=None, *, all_suites=run_all):
 def main_entry():
     """The ``envalg`` console script and ``python -m envalg``.
 
-    It assumes it owns the process, and takes three process-wide steps.
+    It assumes it owns the process, and takes four process-wide steps.
     It freezes the start-up heap (``gc.freeze``): numpy's and envalg's
     objects live until exit, so no collection scans them again, during the
-    suites, at shutdown or in a forked worker.  It gives numpy's and
-    SciPy's bundled OpenBLAS pools one thread each.  And ``run-all`` forks
-    a worker per extra CPU the process may use, so its suites run side by
-    side; the reports merge in config order (:func:`_run_all_on_cpus`).
-    In-process callers use :func:`main`, which does none of these.
+    suites or in a forked worker.  It gives numpy's and SciPy's bundled
+    OpenBLAS pools one thread each.  ``run-all`` forks a worker per extra
+    CPU the process may use, so its suites run side by side; the reports
+    merge in config order (:func:`_run_all_on_cpus`).  And once
+    :func:`main` returns, it flushes stdout and stderr and leaves through
+    ``os._exit``, skipping the interpreter's teardown.  A failed flush (a
+    closed pipe) exits 120, and one of stdout is reported on stderr, as the
+    teardown does; that flush may have dropped the text, so a teardown
+    left to retry it could pass.  An exception from :func:`main` leaves as
+    before.  In-process callers use :func:`main`, which does none of these.
     """
     gc.freeze()
     _single_blas_thread()
-    raise SystemExit(main(all_suites=_run_all_on_cpus))
+    code = main(all_suites=_run_all_on_cpus)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = 120
+        with suppress(OSError):
+            sys.stderr.write(f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}\n")
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

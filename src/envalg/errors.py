@@ -50,4 +50,4 @@ class UnknownSuiteError(WorkbenchError):
 
 
 class SuiteError(WorkbenchError):
-    """A suite stopped on an exception from outside the package; names the suite."""
+    """A suite's runner stopped on an exception; names the suite and the exception."""

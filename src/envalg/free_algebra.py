@@ -22,10 +22,10 @@ parameters, its mismatch error and its product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ConstantTermError, DegreeOverflowError, SeriesMismatchError
 from .scalars import ONE, Scalar, as_scalar
@@ -294,8 +294,7 @@ def fa_bidegree_project(a, m, n):
     return FreeSeries._raw(2, a.trunc_degree, keep)
 
 
-@dataclass(frozen=True)
-class ExpIdentityReport:
+class ExpIdentityReport(NamedTuple):
     """Outcome of the exact two-sided exponential-law check at bidegree (m, n)."""
 
     m: int

@@ -45,13 +45,12 @@ up only in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, factorial, gcd, inf
 from operator import add
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import DegreeOverflowError, SubmultiplicativityError
 from .free_algebra import _nonzero
@@ -529,8 +528,7 @@ def _arity_norm(lam, n, ratio):
     return SqrtFraction(Fraction(num, d * (lam._image[0] * lam.spec.delta ** (n + 1)) ** 2))
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
+class RadiusEstimate(NamedTuple):
     """Truncated Hadamard estimate ``[max_n (||beta_n^s||_p / n!)^(1/n)]^-1``.
 
     ``best`` is the exact argmax root (None when every computed component
@@ -541,7 +539,7 @@ class RadiusEstimate:
 
     max_degree: int
     best: Optional[RootValue]
-    per_degree: Tuple[Tuple[int, Optional[RootValue]], ...] = field(repr=False)
+    per_degree: Tuple[Tuple[int, Optional[RootValue]], ...]
 
     @property
     def is_infinite(self):
@@ -660,8 +658,7 @@ def insertion_constants(lam, n):
     return _insertion_chain(lam, _symmetric_sums(lam.spec, n), _right_shifts(lam, n)[1], n)[n]
 
 
-@dataclass(frozen=True)
-class RecursionRow:
+class RecursionRow(NamedTuple):
     n: int
     c_n: SqrtFraction
     beta_next_norm: SqrtFraction
@@ -674,8 +671,7 @@ class RecursionRow:
         return self.inequality_ok and self.invariance_ok
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     """Exact verification of ``c_n <= ||beta_{n+1}^s||_p + n c_{n-1}``.
 
     Also confirms the invariance mechanism behind the regular action:

@@ -26,12 +26,11 @@ own, so ``gns_build`` factors its matrix once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import factorial, inf, lcm, sqrt
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -476,8 +475,7 @@ def moment_matrix(lam, d_max):
     return MomentMatrix(spec, d_max, monos, (den, re, im))
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Outcome of the exact positive-semidefiniteness certificate.
 
     ``pivots`` holds the rational pivots of the hermitian LDL*
@@ -657,8 +655,7 @@ def psd_check(M, tol=None):
     return PsdReport(ok, M.size, rank, pivots, witness, wval)
 
 
-@dataclass
-class GnsModel:
+class GnsModel(NamedTuple):
     """Truncated GNS data for a positive functional.
 
     ``quotient_basis`` holds mutually orthogonal coefficient vectors over
@@ -850,8 +847,7 @@ def gns_build(lam, d_max):
     )
 
 
-@dataclass(frozen=True)
-class AnalyticReport:
+class AnalyticReport(NamedTuple):
     """Diagnostics of the vector-norm series ``sum ||rho(x)^n v|| t^n / n!``.
 
     ``s_squared[n]`` is the exact value ``(-1)^n Re(lam(x^(2n)))``, which

@@ -30,12 +30,11 @@ import glob
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from math import isfinite, lcm
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -324,8 +323,7 @@ def matrix_coefficient(sample):
     return np.vecdot(v, np.reshape(sample.elements, (-1, v.size, v.size)) @ v).tolist()
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     ok: bool
     size: int
     min_eigenvalue: float
@@ -370,8 +368,7 @@ def _kernel_matrix(elements, v):
     return np.array([np.vecdot(v, (gi @ adjoints) @ v) for gi in elements])
 
 
-@dataclass(frozen=True)
-class CauchyReport:
+class CauchyReport(NamedTuple):
     """Factorial derivative bounds ``||R(x)^n v|| <= sqrt(C) n! r^-n``."""
 
     ok: bool
@@ -422,8 +419,7 @@ def cauchy_estimate_check(rep, x, r=1.0, n_max=12):
     return CauchyReport(not any(lhs > bound for _, lhs, bound in rows), C, r, tuple(rows))
 
 
-@dataclass(frozen=True)
-class HomOrderReport:
+class HomOrderReport(NamedTuple):
     """Convergence-order fit for the truncated local group law."""
 
     ok: bool
@@ -496,8 +492,7 @@ def local_hom_check(rep, x, y, N, scales, min_slope=None):
                           tuple(residuals), slope, exact)
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     """Reconstruction error of matrix coefficients from truncated GNS models.
 
     ``deviations[d]`` is the max over probes of ``|phi_tilde - phi|`` where

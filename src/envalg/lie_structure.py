@@ -31,12 +31,11 @@ values appear only where a :class:`PBWPoly` is built, one per output term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb, factorial, lcm
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .free_algebra import _SparseTerms, _nonzero
 from .errors import SpecMismatchError
@@ -243,8 +242,7 @@ def bracket(x, y):
     return GVector(spec, tuple(out))
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     ok: bool
     witness: Optional[Tuple[int, int, int]] = None
 
@@ -270,8 +268,7 @@ def jacobi_validate(spec):
     return JacobiReport(True)
 
 
-@dataclass(frozen=True)
-class SubmultReport:
+class SubmultReport(NamedTuple):
     ok: bool
     witness: Optional[Tuple[int, int]] = None
     lhs: Optional[Fraction] = None

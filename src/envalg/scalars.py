@@ -320,32 +320,49 @@ def format_scalar(s):
 
 
 def fraction_root_float(q, k):
-    """Float value of ``q**(1/k)`` for a nonnegative Fraction q.
+    """``q**(1/k)`` for a nonnegative Fraction q, correctly rounded to binary64.
 
-    A root beyond binary64 reads ``inf``, and one below it ``0.0``.
+    q is scaled by ``2**(k e)`` so that the floor of the scaled root has at
+    least 64 bits; that floor root and a sticky bit for any remainder lie
+    strictly between the same two halfway points as the root itself, so
+    one correctly rounded int-to-float step rounds the root once.  A root
+    beyond binary64 reads ``inf``, and one below it ``0.0``.
     """
     if q < 0:
         raise ValueError("negative radicand")
     if not q:
         return 0.0
-    log2 = math.log2(q.numerator) - math.log2(q.denominator)
+    p, d = q.numerator, q.denominator
+    e = 64 - (p.bit_length() - d.bit_length() - 1) // k
+    if e >= 0:
+        scaled, rest = divmod(p << k * e, d)
+    else:
+        scaled, rest = divmod(p, d << -k * e)
+    root = _floor_root(scaled, k)
+    twice = 2 * root + (rest > 0 or root ** k != scaled)
     try:
-        return 2.0 ** (log2 / k)
+        return twice / (1 << e + 1) if e >= 0 else float(twice << -e - 1)
     except OverflowError:
         return math.inf
 
 
-def _int_root(n, k):
-    """The integer ``n**(1/k)`` for an int ``n >= 0``, or None if it is not one."""
+def _floor_root(n, k):
+    """``floor(n**(1/k))`` for an int ``n >= 0``."""
     if n < 2:
         return n
-    # Newton's iteration from above; it stops at floor(n**(1/k))
+    # Newton's iteration from above; it stops at the floor
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            return x if x ** k == n else None
+            return x
         x = y
+
+
+def _int_root(n, k):
+    """The integer ``n**(1/k)`` for an int ``n >= 0``, or None if it is not one."""
+    x = _floor_root(n, k)
+    return x if x ** k == n else None
 
 
 def _rational_root(q, k):

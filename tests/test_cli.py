@@ -1,11 +1,12 @@
 """Config parsing, serialization round trips, suite dispatch and exit codes."""
 
 import builtins
-import dataclasses
+import errno
 import hashlib
 import io
 import json
 import os
+import pickle
 import re
 import struct
 import subprocess
@@ -22,6 +23,8 @@ from envalg import cli, errors
 from envalg.cli import (
     SUITE_NAMES,
     SUITES,
+    Check,
+    Report,
     _format_complex,
     _parse_complex,
     _run_all_on_cpus,
@@ -353,6 +356,38 @@ def test_machine_report_matches_recorded_digest(label, config):
     proc = subprocess.run(argv + ["run-all"], capture_output=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
+class TestRecords:
+    """Config and report records are named tuples: read-only, replaceable, picklable."""
+
+    def test_fields_are_read_only(self):
+        config = parse_config(MINIMAL)
+        report = run_suite(config, "radius")
+        for record, name in ((config, "suites"), (config.suites[0], "params"),
+                             (report, "duration"), (report.checks[0], "ok"), (SUITES["gns"], "runner")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_replace_gives_a_new_record(self):
+        check = Check("id", True, "expected", "actual")
+        failed = check._replace(ok=False, residual=0.5)
+        assert (check.status, failed.status) == ("PASS", "FAIL")
+        assert failed == ("id", False, "expected", "actual", 0.5)
+        assert Check._fields == ("identifier", "ok", "expected", "actual", "residual")
+
+    def test_reports_survive_a_pickle_round_trip(self):
+        # the fan-out of ``run-all`` sends each report from its worker as a pickle
+        report = run_suite(parse_config(json.dumps(shipped("su2.json"))), "gns")
+        again = pickle.loads(pickle.dumps(report))
+        assert again == report and type(again) is Report
+        assert {type(c) for c in again.checks} == {Check} and again.ok
+
+    def test_configs_compare_by_their_canonical_form(self):
+        config, again = parse_config(MINIMAL), parse_config(MINIMAL)
+        assert config == again and not config != again
+        other = parse_config(MINIMAL.replace('"1"}}', '"2"}}'))
+        assert config != other and not config == other
 
 
 def _float_mode_su2():
@@ -948,13 +983,39 @@ def test_unexpected_exception_in_any_suite_exits_2(monkeypatch, capsys):
     def broken(config, params, seed):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setitem(SUITES, "kernel", dataclasses.replace(SUITES["kernel"], runner=broken))
+    monkeypatch.setitem(SUITES, "kernel", SUITES["kernel"]._replace(runner=broken))
     rc = main(["run", "kernel"])
     assert rc == 2
     assert capsys.readouterr().err == "suite error: suite 'kernel' stopped: ZeroDivisionError: boom\n"
     with pytest.raises(SuiteError) as info:
         run_suite(parse_config(json.dumps(shipped("su2.json"))), "kernel")
     assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def _kernel_on_a_steep_line():
+    """A config that passes ``validate`` but whose ``kernel`` suite stops: the
+    line rep's exp(t X) is far from unitary in binary64, which only the
+    suite's sampling finds."""
+    doc = json.loads(MINIMAL)
+    doc["representations"] = {"line": {
+        "dim_V": 2, "mode": "float", "skew_hermitian": True,
+        "generators": [[[0, 1e17], [-1e17, 0]]], "cyclic_vector": [1, 0]}}
+    doc["suites"] = [{"name": "kernel", "representation": "line"}]
+    return doc
+
+
+def test_runtime_error_names_its_suite(tmp_path):
+    doc = _kernel_on_a_steep_line()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert capture_both(["--config", str(path), "validate"])[0] == 0
+    rc, out, err = capture_both(["--config", str(path), "run-all"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("suite error: suite 'kernel' stopped: RepresentationError: ")
+    assert err.count("\n") == 1
+    with pytest.raises(SuiteError) as info:
+        run_all(parse_config(json.dumps(doc)))
+    assert isinstance(info.value.__cause__, errors.RepresentationError)
 
 
 _JUNK = st.one_of(
@@ -1091,13 +1152,20 @@ assert not heavy, heavy
 _RUN_ALL = """from envalg.cli import default_config_path, main
 assert main(['--config', str(default_config_path().parent / {name!r}), 'run-all']) == 0"""
 _KERNELS = "scipy.linalg._matfuncs_expm"
-# the console script's entry point, as ``envalg <argv>`` runs it
-_ENTRY = """from envalg.cli import main_entry
+# the console script's entry point, as ``envalg <argv>`` runs it; ``main_entry``
+# leaves through ``os._exit``, which here raises SystemExit in this process
+# (a forked worker still leaves at once), so the checks after it run
+_ENTRY = """import os
+from envalg.cli import main_entry
 sys.argv = ['envalg'] + {argv!r}
+_exit, _pid = os._exit, os.getpid()
+os._exit = lambda code: _exit(code) if os.getpid() != _pid else sys.exit(code)
 try:
     main_entry()
 except SystemExit as stop:
-    assert stop.code == 0, stop.code"""
+    assert stop.code == 0, stop.code
+else:
+    raise AssertionError("main_entry returned")"""
 
 
 @pytest.mark.parametrize("body, allowed", [
@@ -1120,6 +1188,12 @@ def _python(*args):
     """Run a fresh interpreter on this checkout's envalg; stdout and stderr as bytes."""
     env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
+
+
+def test_import_leaves_dataclasses_out():
+    # the records are named tuples, so no dataclass builds its methods at import
+    proc = _python("-c", "import sys, envalg\nassert 'dataclasses' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
 
 
 _PROCESS_STATE = """
@@ -1167,14 +1241,14 @@ class TestEntryPointOwnsItsProcess:
 # ``python -m envalg`` with the CPU count that ``run-all`` reads pinned, so its
 # suites split over the same processes on any host; ``faults`` maps a suite
 # to the exception class (in ``envalg.errors`` or a builtin) its runner raises
-_ENVALG_ON_CPUS = """import builtins, dataclasses, os, runpy, sys
+_ENVALG_ON_CPUS = """import builtins, os, runpy, sys
 from envalg import cli, errors
 os.sched_getaffinity = lambda pid: set(range({cpus}))
 for name, kind in {faults!r}.items():
     exc = (getattr(errors, kind, None) or getattr(builtins, kind))(f"injected in {{name}}")
     def runner(config, params, seed, exc=exc):
         raise exc
-    cli.SUITES[name] = dataclasses.replace(cli.SUITES[name], runner=runner)
+    cli.SUITES[name] = cli.SUITES[name]._replace(runner=runner)
 sys.argv = ["envalg"] + {argv!r}
 runpy.run_module("envalg", run_name="__main__", alter_sys=True)
 """
@@ -1192,7 +1266,7 @@ def _inject(monkeypatch, faults):
         def runner(config, params, seed, exc=exc):
             raise exc
 
-        monkeypatch.setitem(SUITES, name, dataclasses.replace(SUITES[name], runner=runner))
+        monkeypatch.setitem(SUITES, name, SUITES[name]._replace(runner=runner))
 
 
 def capture_both(args):
@@ -1250,9 +1324,7 @@ class TestModuleExitCodes:
         assert proc.stdout == b"" and out == ""
         assert proc.stderr == err.encode("utf-8")
         assert err.count("\n") == 1 and f"injected in {first}" in err
-        kind = faults[first]
-        assert err.startswith("config error: " if kind == "RepresentationError"
-                              else f"suite error: suite {first!r} stopped: {kind}: ")
+        assert err.startswith(f"suite error: suite {first!r} stopped: {faults[first]}: ")
 
     def test_malformed_config_exits_2_with_a_config_error(self, tmp_path):
         path = tmp_path / "config.json"
@@ -1298,6 +1370,73 @@ class TestModuleExitCodes:
         proc = _envalg(["run-all"], flags=["-W", "error::DeprecationWarning"])
         assert proc.returncode == 0
         assert proc.stderr == b""
+
+
+def _closed_stdout(args, unbuffered):
+    """``python <args>`` writing to a pipe whose reader is gone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(envalg.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, *args], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+
+
+class TestEntryPointExit:
+    """``main_entry`` leaves through ``os._exit`` with the exit status and the
+    bytes of a run that leaves through the interpreter's teardown."""
+
+    def test_exit_codes_and_out_file(self, tmp_path):
+        failing = shipped("su2.json")
+        _set("gns", "expected_rank", 3)(failing)
+        for code, doc in ((0, shipped("gaussian.json")), (1, failing), (2, _kernel_on_a_steep_line())):
+            path = tmp_path / f"config{code}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["--config", str(path), "--format", "machine", "run-all"]
+            proc = _python("-m", "envalg", *argv)
+            rc, out, err = capture_both(argv)
+            assert proc.returncode == rc == code
+            assert (proc.stdout, proc.stderr) == (out.encode("utf-8"), err.encode("utf-8"))
+            report = tmp_path / f"report{code}.txt"
+            written = _python("-m", "envalg", "--out", str(report), *argv)
+            assert (written.returncode, written.stdout, written.stderr) == (code, b"", proc.stderr)
+            assert report.read_bytes() == proc.stdout
+            assert (proc.stdout == b"") == (code == 2)
+
+    # Pinned on the parent of the ``os._exit`` change, where the entry point
+    # ended in ``raise SystemExit(main(...))``.  Buffered, a report up to 8 KiB
+    # waits for the teardown's flush, which fails: status 120, and the
+    # teardown's report on stderr (the one any script writing to the pipe
+    # gets).  A larger report, or an unbuffered stdout, fails in ``main``'s
+    # write: status 2 and ``output error:``; ``validate``'s print has no such
+    # guard and ends in a traceback, status 1.
+    @pytest.mark.parametrize("argv, unbuffered, status", [
+        (["run-all"], False, 120),
+        (["validate"], False, 120),
+        (["--config", str(default_config_path().parent / "gaussian.json"),
+          "--format", "machine", "run-all"], False, 120),
+        (["--format", "machine", "run-all"], False, 2),
+        (["run-all"], True, 2),
+        (["validate"], True, 1),
+    ], ids=["text", "validate", "machine-gaussian", "machine-su2", "unbuffered-text",
+            "unbuffered-validate"])
+    def test_closed_stdout_as_at_teardown(self, argv, unbuffered, status):
+        proc = _closed_stdout(["-m", "envalg", *argv], unbuffered)
+        broken = f"BrokenPipeError: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n".encode()
+        assert proc.returncode == status
+        if status == 120:
+            teardown = _closed_stdout(["-c", "print('config OK')"], unbuffered)
+            assert teardown.returncode == 120 and proc.stderr == teardown.stderr
+            assert proc.stderr.startswith(b"Exception ignored in: ") and proc.stderr.endswith(broken)
+        elif status == 2:
+            assert proc.stderr == b"output error: " + broken[len(b"BrokenPipeError: "):]
+        else:
+            assert proc.stderr.startswith(b"Traceback") and proc.stderr.endswith(broken)
 
 
 def _machine(reports):

@@ -1,7 +1,6 @@
 """Moment matrices, exact PSD certificates, GNS models, analytic diagnostics."""
 
 import copy
-import dataclasses
 import itertools
 import math
 import random
@@ -557,17 +556,17 @@ def _minus_delta(lam, t):
 
 def _assert_same_model(a, b):
     """Two GNS models agree field by field; float arrays bit for bit."""
-    for f in dataclasses.fields(GnsModel):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "gram":
+    for name in GnsModel._fields:
+        x, y = getattr(a, name), getattr(b, name)
+        if name == "gram":
             assert (x.d_max, x.monomials, x.rows, x.hermitian) == (
                 y.d_max, y.monomials, y.rows, y.hermitian)
-        elif f.name == "op_matrices":
+        elif name == "op_matrices":
             assert [m.tobytes() for m in x] == [m.tobytes() for m in y]
-        elif f.name == "vacuum":
+        elif name == "vacuum":
             assert x.tobytes() == y.tobytes()
         else:
-            assert x == y, f.name
+            assert x == y, name
 
 
 class TestGnsBuild:

@@ -8,6 +8,7 @@ and ``gcd(a, b, d) == 1``, and the same rounded floats.
 
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -300,3 +301,55 @@ def test_roots_leave_foreign_operands_unordered(bad):
 def test_roots_beyond_binary64_read_inf_or_zero(q, k, want):
     assert fraction_root_float(q, k) == want
     assert RootValue(q, 1).to_float() == fraction_root_float(q, 2)
+
+
+_ROOT_DEGREES = (2, 4, 6, 10, 20, 40)
+
+
+def _nearest_binary64(q, k):
+    """The binary64 nearest to ``q**(1/k)``, read off mpmath at 300 bits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(300):
+        root = mpmath.root(mpmath.mpf(q.numerator) / q.denominator, k)
+        if root >= mpmath.mpf(2) ** 1024 - mpmath.mpf(2) ** 970:   # rounds past the largest
+            return math.inf
+        near = float(root) if root < 2 ** 1023 else 2.0 ** 1023 * float(root / 2 ** 1023)
+        candidates = (math.nextafter(near, 0.0), near, math.nextafter(near, math.inf))
+        return min(candidates, key=lambda f: abs(mpmath.mpf(f) - root))
+
+
+def _random_radicands():
+    """4000 Fractions with parts of up to 400 bits, then ones whose roots sit
+    at the overflow, normal/subnormal and underflow edges of binary64."""
+    rng = random.Random(36)
+    part = lambda: rng.getrandbits(rng.randint(1, 400)) | 1
+    for _ in range(4000):
+        yield Fraction(part(), part()), rng.choice(_ROOT_DEGREES)
+    for k in _ROOT_DEGREES:
+        for edge in (1024, 1023, -1022, -1023, -1060, -1074, -1075, -1076):
+            for _ in range(12):
+                a, b = part(), part()
+                shift = k * edge - (a.bit_length() - b.bit_length())
+                yield Fraction(a, b) * Fraction(2) ** shift, k
+
+
+def test_fraction_root_float_is_correctly_rounded():
+    misses = [(q, k) for q, k in _random_radicands()
+              if fraction_root_float(q, k) != _nearest_binary64(q, k)]
+    assert not misses, misses[:3]
+
+
+@pytest.mark.parametrize("q, k, want", [
+    (Fraction(10) ** 100, 2, 1e50),
+    (Fraction(2), 2, math.sqrt(2)),
+    (Fraction(1, 9), 2, 1 / 3),
+    # exact roots halfway between two binary64 values round to the even one
+    ((1 + Fraction(1, 2 ** 53)) ** 2, 2, 1.0),
+    ((1 + Fraction(3, 2 ** 53)) ** 2, 2, 1 + 2.0 ** -51),
+    (Fraction(1, 2 ** 2150), 2, 0.0),
+    (Fraction(3, 2 ** 2150), 2, 5e-324),
+    (Fraction(2 ** 1024 - 2 ** 970) ** 4, 4, math.inf),
+    (Fraction(2 ** 1024 - 2 ** 971) ** 4, 4, math.ldexp(2 ** 53 - 1, 971)),
+])
+def test_fraction_root_float_examples(q, k, want):
+    assert fraction_root_float(q, k) == want
